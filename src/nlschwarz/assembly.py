@@ -13,11 +13,23 @@ Residual rows at Dirichlet DOFs are replaced by ``u - g`` and tangent rows by
 identity rows, so Newton updates keep the boundary data exact.  Assembly over
 an element subset produces the subset's rows only; with a ghost ring around an
 overlapping subdomain those rows coincide with the global ones.
+
+Everything about an element subset that does not depend on the state lives in
+an `AssemblyPlan`: the element geometry (barycentric gradients and areas), the
+position of every element DOF among the subset's DOFs, which serves both the
+state gather and the residual scatter (one ``bincount``), and the tangent's
+CSR pattern, Dirichlet identity included, with an int32 map from each
+element-matrix entry to its slot in the CSR data array; entries of Dirichlet
+rows map to one trash slot past the end.  A plan stays valid only while the
+mesh, the element subset and the subset's DOF list are unchanged.  Callers
+that assemble repeatedly pass a prebuilt plan (one per subdomain, and one for
+the full mesh kept on the DofMap by `global_plan`); without one, each call
+builds a throwaway plan, so there is a single assembly path.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 import scipy.sparse as sp
@@ -75,6 +87,8 @@ class DofMap:
     edges: np.ndarray | None = None
     elem_edges: np.ndarray | None = None
     n_nodes: int = 0
+    # full-mesh assembly plan, see `global_plan`
+    plan: AssemblyPlan | None = field(default=None, repr=False, compare=False)
 
     def field(self, name: str) -> FieldLayout:
         for f in self.fields:
@@ -257,29 +271,130 @@ def subset_dofs(dofmap: DofMap, mesh: Mesh, subset) -> np.ndarray:
     return np.unique(dofmap.elem_dofs[elems])
 
 
-def _resolve_state(dofmap, dofs, u):
-    """Return a gather function from global DOF ids to state values."""
-    u = np.asarray(u, dtype=np.float64)
-    if u.shape[0] == dofmap.n_dofs:
-        return lambda ids: u[ids], u
-    if dofs is None or u.shape[0] != dofs.shape[0]:
+def _sort_with_positions(keys: np.ndarray, bound: int):
+    """Stable argsort of non-negative int64 keys below `bound`, and the sorted
+    keys; `keys` is overwritten.  When key and position fit into 63 bits
+    together, the packed pairs are sorted by value, which is several times
+    faster than an argsort."""
+    shift = max(int(keys.size - 1).bit_length(), 1)
+    if int(bound).bit_length() + shift > 63:
+        order = np.argsort(keys, kind="stable")
+        return order, keys[order]
+    keys <<= shift
+    keys |= np.arange(keys.size)
+    keys.sort()
+    order = keys & ((1 << shift) - 1)
+    keys >>= shift
+    return order, keys
+
+
+def _csr_pattern(loc: np.ndarray, n: int, dirichlet: np.ndarray):
+    """CSR pattern of the element matrices scattered at local positions `loc`.
+
+    Rows listed in `dirichlet` keep only their diagonal.  Returns `indptr`,
+    `indices`, the (m, k*k) int32 slot of every element-matrix entry in the
+    data array - entries of Dirichlet rows share the trash slot ``nnz`` - and
+    the slots of the Dirichlet diagonals.
+    """
+    m, k = loc.shape
+    size = m * k * k
+    trash = n * n                        # sorts after every real entry
+    row_key = loc.astype(np.int64) * n
+    row_key[np.isin(loc, dirichlet)] = trash   # clamped to trash once sorted
+    keys = np.empty(size + dirichlet.size, dtype=np.int64)
+    np.add(row_key[:, :, None], loc[:, None, :], out=keys[:size].reshape(m, k, k))
+    keys[size:] = dirichlet * (n + 1)
+    order, sorted_keys = _sort_with_positions(keys, trash + n)
+    np.minimum(sorted_keys, trash, out=sorted_keys)
+    head = np.ones(keys.size, dtype=bool)
+    np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=head[1:])
+    run = np.cumsum(head, dtype=np.int32)
+    run -= 1
+    slot = np.empty(keys.size, dtype=np.int32)
+    slot[order] = run
+    unique = sorted_keys[head]
+    if unique.size and unique[-1] == trash:
+        unique = unique[:-1]
+    row, col = np.divmod(unique, n)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(row, minlength=n), out=indptr[1:])
+    return indptr, col.astype(np.int32), slot[:size].reshape(m, k * k), slot[size:]
+
+
+class AssemblyPlan:
+    """The state-independent part of assembly over one element subset (see
+    the module docstring).  `pattern=False` skips the tangent's CSR pattern,
+    for plans that only assemble residuals.  Assembly only reads a plan, so
+    threads may share it."""
+
+    def __init__(self, mesh: Mesh, dofmap: DofMap, subset=None,
+                 dofs: np.ndarray | None = None, apply_dirichlet: bool = True,
+                 pattern: bool = True):
+        self.mesh = mesh
+        self.is_global = subset is None
+        self.elems = _subset_elements(mesh, subset)
+        ed = dofmap.elem_dofs if self.is_global else dofmap.elem_dofs[self.elems]
+        if dofs is not None:
+            self.dofs = np.asarray(dofs)
+            self.loc = np.searchsorted(self.dofs, ed)
+        elif self.is_global:
+            self.dofs = np.arange(dofmap.n_dofs)
+            self.loc = ed
+        else:
+            self.dofs, inv = np.unique(ed, return_inverse=True)
+            self.loc = inv.reshape(ed.shape)
+        self.n = self.dofs.shape[0]
+        self.n_global = dofmap.n_dofs
+        self.G, self.area = _geometry(mesh, self.elems)
+        self.dirichlet = np.flatnonzero(dofmap.dirichlet_mask[self.dofs])
+        self.dirichlet_value = dofmap.dirichlet_value[self.dofs[self.dirichlet]]
+        self.apply_dirichlet = apply_dirichlet
+        self.indptr = self.indices = self.scatter = self.diagonal = None
+        if pattern:
+            rows = self.dirichlet if apply_dirichlet else self.dirichlet[:0]
+            self.indptr, self.indices, self.scatter, self.diagonal = \
+                _csr_pattern(self.loc, self.n, rows)
+        self.nnz = 0 if self.indices is None else self.indices.size
+
+    def local_state(self, u) -> np.ndarray:
+        """The state on `dofs`, from a global or a subset-sized vector."""
+        u = np.asarray(u, dtype=np.float64)
+        if u.shape[0] == self.n:
+            return u
+        if u.shape[0] == self.n_global:
+            return u[self.dofs]
         raise ValueError("state vector matches neither the global nor the subset size")
 
-    def gather(ids):
-        return u[np.searchsorted(dofs, ids)]
-    return gather, None
+    def chunks(self):
+        for s in range(0, self.elems.size, _CHUNK):
+            yield slice(s, s + _CHUNK)
 
 
-def _element_kernels(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
-                     elems: np.ndarray, gather, want_matrix: bool):
-    """Per-element residual vectors and (optionally) tangent matrices."""
-    nloc = dofmap.elem_dofs.shape[1]
-    m = elems.size
+def global_plan(mesh: Mesh, dofmap: DofMap) -> AssemblyPlan:
+    """The full-mesh plan, built on first use and kept on the DofMap."""
+    plan = dofmap.plan
+    if plan is None or plan.mesh is not mesh:
+        plan = dofmap.plan = AssemblyPlan(mesh, dofmap)
+    return plan
+
+
+def _plan_for(mesh, dofmap, subset, dofs, plan, apply_dirichlet, pattern):
+    if plan is None:
+        return AssemblyPlan(mesh, dofmap, subset, dofs, apply_dirichlet, pattern)
+    if ((subset is None) != plan.is_global
+            or (subset is not None and len(subset) != plan.elems.size)
+            or (dofs is not None and dofs.shape[0] != plan.n)):
+        raise ValueError("the plan was built for another element subset")
+    return plan
+
+
+def _element_kernels(problem: ProblemSpec, G: np.ndarray, area: np.ndarray,
+                     ue: np.ndarray, want_matrix: bool):
+    """Per-element residual vectors and (optionally) tangent matrices from the
+    geometry and the (m, nloc) element states."""
+    m, nloc = ue.shape
     r = np.zeros((m, nloc))
     K = np.zeros((m, nloc, nloc)) if want_matrix else None
-    G, area = _geometry(mesh, elems)
-    ed = dofmap.elem_dofs[elems]
-    ue = gather(ed.ravel()).reshape(m, nloc)
 
     if problem.kind == "diffusion":
         bary, qw = _QP3, _QW3
@@ -369,18 +484,19 @@ def _element_kernels(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
         uxq = uex @ N2.T                                   # (m,q)
         uyq = uey @ N2.T
         pq = pe @ N1.T
-        gux = (uex[None, :, :, None] * g2).sum(axis=2)     # (q,m,2)
-        guy = (uey[None, :, :, None] * g2).sum(axis=2)
+        gux = np.einsum("ma,qmaj->qmj", uex, g2)           # (q,m,2)
+        guy = np.einsum("ma,qmaj->qmj", uey, g2)
         conv_x = uxq.T * gux[:, :, 0] + uyq.T * gux[:, :, 1]   # (q,m)
         conv_y = uxq.T * guy[:, :, 0] + uyq.T * guy[:, :, 1]
         # hg[m,a,(q,j)] carries sqrt(w) so hg @ hg^T is the viscous block
         hg = (sqw[:, :, None, None] * g2).transpose(1, 2, 0, 3).reshape(m, 6, 2 * q)
         guxs = (sqw[:, :, None] * gux).transpose(1, 0, 2).reshape(m, 2 * q, 1)
         guys = (sqw[:, :, None] * guy).transpose(1, 0, 2).reshape(m, 2 * q, 1)
+        wp = w * pq.T
         r[:, :6] = invRe * (hg @ guxs)[:, :, 0] + (w * conv_x).T @ N2 \
-            - ((w * pq.T)[:, :, None] * g2[..., 0]).sum(axis=0)
+            - np.einsum("qm,qma->ma", wp, g2[..., 0])
         r[:, 6:12] = invRe * (hg @ guys)[:, :, 0] + (w * conv_y).T @ N2 \
-            - ((w * pq.T)[:, :, None] * g2[..., 1]).sum(axis=0)
+            - np.einsum("qm,qma->ma", wp, g2[..., 1])
         div = gux[:, :, 0] + guy[:, :, 1]
         r[:, 12:] = (w * div).T @ N1
         if want_matrix:
@@ -409,52 +525,39 @@ def _element_kernels(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
 
 def assemble_residual(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap, u,
                       subset=None, dofs: np.ndarray | None = None,
-                      apply_dirichlet: bool = True) -> np.ndarray:
-    elems = _subset_elements(mesh, subset)
-    if dofs is None:
-        dofs = np.arange(dofmap.n_dofs) if subset is None \
-            else subset_dofs(dofmap, mesh, subset)
-    gather, u_full = _resolve_state(dofmap, dofs, u)
-    out = np.zeros(dofs.shape[0])
-    for s in range(0, elems.size, _CHUNK):
-        chunk = elems[s:s + _CHUNK]
-        r, _ = _element_kernels(problem, mesh, dofmap, chunk, gather, False)
-        local = np.searchsorted(dofs, dofmap.elem_dofs[chunk])
-        np.add.at(out, local.ravel(), r.ravel())
+                      apply_dirichlet: bool = True,
+                      plan: AssemblyPlan | None = None) -> np.ndarray:
+    plan = _plan_for(mesh, dofmap, subset, dofs, plan, apply_dirichlet, False)
+    ul = plan.local_state(u)
+    out = np.zeros(plan.n)
+    for c in plan.chunks():
+        r, _ = _element_kernels(problem, plan.G[c], plan.area[c],
+                                ul[plan.loc[c]], False)
+        out += np.bincount(plan.loc[c].ravel(), r.ravel(), minlength=plan.n)
     if apply_dirichlet:
-        dmask = dofmap.dirichlet_mask[dofs]
-        out[dmask] = gather(dofs[dmask]) - dofmap.dirichlet_value[dofs[dmask]]
+        out[plan.dirichlet] = ul[plan.dirichlet] - plan.dirichlet_value
     return out
 
 
 def assemble_tangent(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap, u,
                      subset=None, dofs: np.ndarray | None = None,
-                     apply_dirichlet: bool = True) -> sp.csr_matrix:
-    elems = _subset_elements(mesh, subset)
-    if dofs is None:
-        dofs = np.arange(dofmap.n_dofs) if subset is None \
-            else subset_dofs(dofmap, mesh, subset)
-    gather, _ = _resolve_state(dofmap, dofs, u)
-    n = dofs.shape[0]
-    nloc = dofmap.elem_dofs.shape[1]
-    dmask = dofmap.dirichlet_mask[dofs]
-    parts = []
-    for s in range(0, elems.size, _CHUNK):
-        chunk = elems[s:s + _CHUNK]
-        _, K = _element_kernels(problem, mesh, dofmap, chunk, gather, True)
-        local = np.searchsorted(dofs, dofmap.elem_dofs[chunk])
-        rows = np.repeat(local, nloc, axis=1).ravel()
-        cols = np.tile(local, (1, nloc)).ravel()
-        vals = K.ravel()
-        if apply_dirichlet:
-            keep = ~dmask[rows]
-            rows, cols, vals = rows[keep], cols[keep], vals[keep]
-        parts.append(sp.coo_matrix((vals, (rows, cols)), shape=(n, n)))
-    A = sp.csr_matrix((n, n))
-    for p in parts:
-        A = A + p.tocsr()
-    if apply_dirichlet:
-        di = np.flatnonzero(dmask)
-        A = A + sp.csr_matrix((np.ones(di.size), (di, di)), shape=(n, n))
-    A.sum_duplicates()
+                     apply_dirichlet: bool = True,
+                     plan: AssemblyPlan | None = None) -> sp.csr_matrix:
+    plan = _plan_for(mesh, dofmap, subset, dofs, plan, apply_dirichlet, True)
+    if plan.indices is None or plan.apply_dirichlet != apply_dirichlet:
+        raise ValueError("the plan has no tangent pattern for this Dirichlet mode")
+    ul = plan.local_state(u)
+    data = np.zeros(plan.nnz + 1)        # the last slot collects Dirichlet rows
+    for c in plan.chunks():
+        _, K = _element_kernels(problem, plan.G[c], plan.area[c],
+                                ul[plan.loc[c]], True)
+        data += np.bincount(plan.scatter[c].ravel(), K.ravel(),
+                            minlength=plan.nnz + 1)
+    data[plan.diagonal] = 1.0
+    A = sp.csr_matrix((data[:-1], plan.indices.copy(), plan.indptr.copy()),
+                      shape=(plan.n, plan.n))
+    # entries that sum to exactly zero (the pressure block of the cavity, the
+    # convection terms where the velocity vanishes) would enlarge the sparse
+    # LU's fill and every product with A, so they are dropped
+    A.eliminate_zeros()
     return A

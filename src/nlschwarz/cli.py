@@ -170,7 +170,8 @@ def run_point(cfg: dict, point: dict) -> tuple[dict, SolveReport]:
     if needs_coarse:
         skel = msh.interface_skeleton(dec, mesh)
         u0 = asm.initial_iterate(prob, dofmap)
-        A0 = asm.assemble_tangent(prob, mesh, dofmap, u0)
+        A0 = asm.assemble_tangent(prob, mesh, dofmap, u0,
+                                  plan=asm.global_plan(mesh, dofmap))
         P0, _, _ = crs.build_coarse_space(prob, mesh, dofmap, skel, A0,
                                           scfg.coarse_kind, scfg.modified,
                                           decomp=dec)
@@ -310,7 +311,8 @@ def cmd_export_coarse(args) -> int:
     dec = _decompose(mesh, px, py, int(cfg.get("overlap", 2)), nks=False)
     skel = msh.interface_skeleton(dec, mesh)
     u0 = asm.initial_iterate(prob, dofmap)
-    A0 = asm.assemble_tangent(prob, mesh, dofmap, u0)
+    A0 = asm.assemble_tangent(prob, mesh, dofmap, u0,
+                              plan=asm.global_plan(mesh, dofmap))
     P0, ents, labels = crs.build_coarse_space(prob, mesh, dofmap, skel, A0,
                                               scfg.coarse_kind, scfg.modified,
                                               decomp=dec)

@@ -23,7 +23,8 @@ import scipy.linalg as sla
 from . import assembly as asm
 from .assembly import DofMap, NonPhysicalStateError, ProblemSpec
 from .mesh import Decomposition, Mesh
-from .schwarz import NewtonParams, SchwarzOperator, backtracking_step
+from .schwarz import (NewtonParams, SchwarzOperator, TrialResidual,
+                      backtracking_step)
 from .sparse import factorize, gmres
 
 
@@ -124,9 +125,11 @@ def solve_nonlinear_schwarz(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
     u = asm.initial_iterate(problem, dofmap) if u0 is None else u0.copy()
     rep = SolveReport()
     p = cfg.outer
+    plan = asm.global_plan(mesh, dofmap)
 
     def fnorm(v):
-        return np.linalg.norm(asm.assemble_residual(problem, mesh, dofmap, v))
+        return np.linalg.norm(asm.assemble_residual(problem, mesh, dofmap, v,
+                                                    plan=plan))
 
     norm0 = fnorm(u)
     rep.residuals.append(1.0)
@@ -214,10 +217,13 @@ def solve_nks(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
     sub_dofs = [asm.subset_dofs(dofmap, mesh, decomp.overlap_elements[i])
                 for i in range(decomp.num_subdomains)]
 
-    def fnorm(v):
-        return np.linalg.norm(asm.assemble_residual(problem, mesh, dofmap, v))
+    plan = asm.global_plan(mesh, dofmap)
 
-    norm0 = fnorm(u)
+    def residual(v):
+        return asm.assemble_residual(problem, mesh, dofmap, v, plan=plan)
+
+    F = residual(u)  # F(u), kept from wherever u's residual was assembled
+    norm0 = np.linalg.norm(F)
     rep.residuals.append(1.0)
     tol = max(p.rel_tol * norm0, p.abs_tol)
     nrm = norm0
@@ -228,9 +234,10 @@ def solve_nks(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
             break
         t_it = time.perf_counter()
         DF = local_lus = coarse_lu = None  # free last step's factorizations
-        F = asm.assemble_residual(problem, mesh, dofmap, u)
+        if F is None:
+            F = residual(u)
         t0 = time.perf_counter()
-        DF = asm.assemble_tangent(problem, mesh, dofmap, u)
+        DF = asm.assemble_tangent(problem, mesh, dofmap, u, plan=plan)
         local_lus = [factorize(DF[d][:, d], fast=True) for d in sub_dofs]
         t_inner = time.perf_counter() - t0
         t0 = time.perf_counter()
@@ -259,18 +266,19 @@ def solve_nks(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
         rep.coarse_iterations.append(0)
 
         if p.line_search:
-            def trial(s):
-                return fnorm(u - s * du)
+            trial = TrialResidual(lambda s: residual(u - s * du))
             s, new_nrm = backtracking_step(trial, nrm, p)
+            F = trial.at(s)
         else:
             s = 1.0
             try:
-                new_nrm = fnorm(u - du)
+                F = residual(u - du)
             except NonPhysicalStateError:
                 rep.line_search_steps.append(0)
                 rep.timing_history.append((t_inner, t_coarse, t_gmres, 0.0))
                 rep.reason = "non-physical state reached"
                 break
+            new_nrm = np.linalg.norm(F)
         rep.line_search_steps.append(_ls_steps(s, p.ls_theta))
         rep.timing_history.append((t_inner, t_coarse, t_gmres,
                                    max(0.0, time.perf_counter() - t_it

@@ -78,6 +78,30 @@ def backtracking_step(residual_norm_at, norm0: float, p: NewtonParams) -> tuple[
         s *= p.ls_theta
 
 
+class TrialResidual:
+    """Residual-norm callback for `backtracking_step` that keeps the residual
+    of its latest trial.
+
+    `backtracking_step` accepts the step it evaluated last, and the accepted
+    state is computed by the same expression as the trial state, so `at(s)`
+    is the residual at the accepted state without a second assembly.
+    """
+
+    def __init__(self, residual_at):
+        self._residual_at = residual_at
+        self._s = None
+        self._r = None
+
+    def __call__(self, s: float) -> float:
+        self._s, self._r = s, None
+        self._r = self._residual_at(s)
+        return np.linalg.norm(self._r)
+
+    def at(self, s: float) -> np.ndarray | None:
+        """The residual at step `s` if the latest trial evaluated it."""
+        return self._r if s == self._s else None
+
+
 @dataclass
 class SubdomainData:
     index: int
@@ -86,6 +110,7 @@ class SubdomainData:
     dofs_ov: np.ndarray
     dofs_ext: np.ndarray
     pos_ov: np.ndarray   # positions of dofs_ov inside dofs_ext
+    plan: asm.AssemblyPlan  # assembly over elems_ext onto dofs_ext
 
 
 @dataclass
@@ -155,9 +180,10 @@ class SchwarzOperator:
             ov = decomp.overlap_elements[i]
             ext = np.unique(np.concatenate([ov, decomp.ghost_elements[i]]))
             dofs_ov = asm.subset_dofs(dofmap, mesh, ov)
-            dofs_ext = asm.subset_dofs(dofmap, mesh, ext)
-            pos = np.searchsorted(dofs_ext, dofs_ov)
-            self.subs.append(SubdomainData(i, ov, ext, dofs_ov, dofs_ext, pos))
+            plan = asm.AssemblyPlan(mesh, dofmap, ext)
+            pos = np.searchsorted(plan.dofs, dofs_ov)
+            self.subs.append(SubdomainData(i, ov, ext, dofs_ov, plan.dofs, pos,
+                                           plan))
             count[dofs_ov] += 1
         if np.any(count == 0):
             raise ValueError("overlapping subdomains do not cover every DOF")
@@ -168,12 +194,14 @@ class SchwarzOperator:
 
     def _local_residual(self, sub: SubdomainData, v: np.ndarray) -> np.ndarray:
         r = asm.assemble_residual(self.problem, self.mesh, self.dofmap, v,
-                                  subset=sub.elems_ext, dofs=sub.dofs_ext)
+                                  subset=sub.elems_ext, dofs=sub.dofs_ext,
+                                  plan=sub.plan)
         return r[sub.pos_ov]
 
     def _local_tangent(self, sub: SubdomainData, v: np.ndarray) -> sp.csr_matrix:
         return asm.assemble_tangent(self.problem, self.mesh, self.dofmap, v,
-                                    subset=sub.elems_ext, dofs=sub.dofs_ext)
+                                    subset=sub.elems_ext, dofs=sub.dofs_ext,
+                                    plan=sub.plan)
 
     def local_correction(self, sub: SubdomainData, u: np.ndarray) -> LocalSolveState:
         p = self.inner
@@ -183,28 +211,36 @@ class SchwarzOperator:
         tol = max(p.rel_tol * np.linalg.norm(r), p.abs_tol)
         its = 0
         converged = np.linalg.norm(r) <= tol
+        A_v0 = None  # the tangent at v0, which the aspin mode keeps
         while not converged and its < p.max_iter:
             A = self._local_tangent(sub, v)
+            if its == 0 and self.tangent_mode == "aspin":
+                A_v0 = A
             lu = factorize(A[sub.pos_ov][:, sub.pos_ov], fast=True)
             d = lu.solve(r)
+            r_new = None
             if p.line_search:
-                def trial(s):
+                def shifted(s):
                     w = v.copy()
                     w[sub.pos_ov] -= s * d
-                    return np.linalg.norm(self._local_residual(sub, w))
+                    return self._local_residual(sub, w)
+                trial = TrialResidual(shifted)
                 s, _ = backtracking_step(trial, np.linalg.norm(r), p)
+                r_new = trial.at(s)
             else:
                 s = 1.0
             v[sub.pos_ov] -= s * d
-            r = self._local_residual(sub, v)
+            r = self._local_residual(sub, v) if r_new is None else r_new
             its += 1
             nrm = np.linalg.norm(r)
             if not np.isfinite(nrm):
                 break
             converged = nrm <= tol
 
-        state_for_tangent = v if self.tangent_mode == "exact" else v0
-        A = self._local_tangent(sub, state_for_tangent)
+        if self.tangent_mode == "exact":
+            A = self._local_tangent(sub, v)
+        else:
+            A = A_v0 if A_v0 is not None else self._local_tangent(sub, v0)
         rect = A[sub.pos_ov].tocsr()
         lu = factorize(rect[:, sub.pos_ov], fast=True)
         T = u[sub.dofs_ov] - v[sub.pos_ov]
@@ -250,47 +286,49 @@ class SchwarzOperator:
     def coarse_correction(self, u: np.ndarray) -> CoarseSolveState:
         p = self.coarse
         P0, R0 = self.P0, self.R0
-        n0 = P0.shape[1]
-        c = np.zeros(n0)
-        w = u.copy()
+        plan = asm.global_plan(self.mesh, self.dofmap)
+        c = np.zeros(P0.shape[1])
 
         def coarse_residual(cc):
             return self._project_coarse_residual(
-                R0 @ asm.assemble_residual(self.problem, self.mesh,
-                                           self.dofmap, u - P0 @ cc))
+                R0 @ asm.assemble_residual(self.problem, self.mesh, self.dofmap,
+                                           u - P0 @ cc, plan=plan))
 
+        def coarse_tangent(cc):
+            DF = asm.assemble_tangent(self.problem, self.mesh, self.dofmap,
+                                      u - P0 @ cc, plan=plan)
+            return DF, self._deflate_coarse((R0 @ DF @ P0).toarray())
+
+        # DF and the deflated R0 DF P0 at the current c, while they are known
+        DF = A0 = None
         if self._coarse_deflation is None:
-            # parenthesised so the full tangent is freed before Newton starts
-            self._deflate_coarse(
-                (R0 @ asm.assemble_tangent(self.problem, self.mesh,
-                                           self.dofmap, u) @ P0).toarray())
-            release_free_memory()
+            DF, A0 = coarse_tangent(c)
         r = coarse_residual(c)
         tol = max(p.rel_tol * np.linalg.norm(r), p.abs_tol)
         its = 0
         converged = np.linalg.norm(r) <= tol
-        DF = None
         while not converged and its < p.max_iter:
-            DF = asm.assemble_tangent(self.problem, self.mesh, self.dofmap,
-                                      u - P0 @ c)
-            A0 = self._deflate_coarse((R0 @ DF @ P0).toarray())
+            if A0 is None:
+                DF, A0 = coarse_tangent(c)
             d = np.linalg.solve(A0, r)
+            DF = A0 = None
+            r_new = None
             if p.line_search:
-                def trial(s):
-                    return np.linalg.norm(coarse_residual(c + s * d))
+                trial = TrialResidual(lambda s: coarse_residual(c + s * d))
                 s, _ = backtracking_step(trial, np.linalg.norm(r), p)
+                r_new = trial.at(s)
             else:
                 s = 1.0
             c = c + s * d
-            r = coarse_residual(c)
+            r = coarse_residual(c) if r_new is None else r_new
             its += 1
             nrm = np.linalg.norm(r)
             if not np.isfinite(nrm):
                 break
             converged = nrm <= tol
 
-        DF = asm.assemble_tangent(self.problem, self.mesh, self.dofmap, u - P0 @ c)
-        A0 = self._deflate_coarse((R0 @ DF @ P0).toarray())
+        if A0 is None:
+            DF, A0 = coarse_tangent(c)
         lu = sla.lu_factor(A0)
         if not np.all(np.isfinite(lu[0])) or np.any(np.diag(lu[0]) == 0.0):
             raise np.linalg.LinAlgError("coarse tangent is singular")

@@ -256,3 +256,110 @@ class TestNullspace:
         for z, f in zip(zs, dm.fields):
             assert np.all(z[f.offset:f.offset + f.n_dofs] == 1.0)
             assert z.sum() == f.n_dofs
+
+
+def reference_assembly(problem, mesh, dofmap, u, subset, apply_dirichlet):
+    """Residual and dense tangent from an element-by-element loop that adds
+    each element's contribution with np.add.at."""
+    elems = np.arange(mesh.n_elements) if subset is None else subset
+    dofs = np.unique(dofmap.elem_dofs[elems])
+    position = {g: i for i, g in enumerate(dofs)}
+    u_loc = u if u.shape[0] == dofs.shape[0] else u[dofs]
+    r = np.zeros(dofs.size)
+    A = np.zeros((dofs.size, dofs.size))
+    for e in elems:
+        ids = np.array([position[g] for g in dofmap.elem_dofs[e]])
+        G, area = asm._geometry(mesh, np.array([e]))
+        re, Ke = asm._element_kernels(problem, G, area, u_loc[ids][None, :], True)
+        np.add.at(r, ids, re[0])
+        np.add.at(A, (ids[:, None], ids[None, :]), Ke[0])
+    if apply_dirichlet:
+        d = np.flatnonzero(dofmap.dirichlet_mask[dofs])
+        r[d] = u_loc[d] - dofmap.dirichlet_value[dofs[d]]
+        A[d] = 0.0
+        A[d, d] = 1.0
+    return r, A
+
+
+class TestPlanAgainstReference:
+    """Plan-based assembly (gather, bincount scatter, CSR pattern with the
+    Dirichlet trash slot) reproduces the element loop."""
+
+    CASES = {
+        "diffusion": (asm.diffusion_problem("nonlinear"), (5, 5, (0, 1, 0, 1))),
+        "ldc": (asm.ldc_problem(30.0), (4, 4, (0, 1, 0, 1))),
+        "beam": (asm.beam_problem(1.0, E=10.0, nu=0.3), (8, 2, (0, 5, 0, 1))),
+    }
+
+    @pytest.mark.parametrize("chunked", [False, True])
+    @pytest.mark.parametrize("apply_dirichlet", [True, False])
+    @pytest.mark.parametrize("scope", ["global", "subset", "subset_state"])
+    @pytest.mark.parametrize("kind", ["diffusion", "ldc", "beam"])
+    def test_matches_element_loop(self, kind, scope, apply_dirichlet, chunked,
+                                  monkeypatch):
+        prob, (nx, ny, domain) = self.CASES[kind]
+        m = msh.build_structured_mesh(nx, ny, domain=domain, problem_kind=kind)
+        dm = asm.build_dofmap(prob, m)
+        u = random_state(prob, dm, 6, 0.05)
+        subset = None if scope == "global" else np.arange(3, m.n_elements, 2)
+        dofs = None if subset is None else asm.subset_dofs(dm, m, subset)
+        state = u[dofs] if scope == "subset_state" else u
+        if chunked:
+            monkeypatch.setattr(asm, "_CHUNK", 5)
+        r_ref, A_ref = reference_assembly(prob, m, dm, u, subset,
+                                          apply_dirichlet)
+        r = asm.assemble_residual(prob, m, dm, state, subset=subset, dofs=dofs,
+                                  apply_dirichlet=apply_dirichlet)
+        A = asm.assemble_tangent(prob, m, dm, state, subset=subset, dofs=dofs,
+                                 apply_dirichlet=apply_dirichlet)
+        assert np.abs(r - r_ref).max() <= 1e-14 * np.abs(r_ref).max()
+        assert np.abs(A.toarray() - A_ref).max() <= 1e-14 * np.abs(A_ref).max()
+        assert not np.any(A.data == 0.0)
+
+    def test_prebuilt_plan_matches_throwaway(self):
+        prob = asm.ldc_problem(30.0)
+        m = msh.build_structured_mesh(4, 4, problem_kind="ldc")
+        dm = asm.build_dofmap(prob, m)
+        subset = np.arange(10)
+        plan = asm.AssemblyPlan(m, dm, subset)
+        for seed in (1, 2):
+            u = random_state(prob, dm, seed, 0.1)
+            kw = dict(subset=subset, dofs=plan.dofs)
+            np.testing.assert_array_equal(
+                asm.assemble_residual(prob, m, dm, u, plan=plan, **kw),
+                asm.assemble_residual(prob, m, dm, u, **kw))
+            A = asm.assemble_tangent(prob, m, dm, u, plan=plan, **kw)
+            B = asm.assemble_tangent(prob, m, dm, u, **kw)
+            assert (A != B).nnz == 0
+
+    def test_packed_sort_matches_argsort(self):
+        keys = np.random.default_rng(8).integers(0, 1000, 5000)
+        expect = np.argsort(keys, kind="stable")
+        for bound in (1000, 2 ** 62):   # packed sort, then the argsort path
+            order, sorted_keys = asm._sort_with_positions(keys.copy(), bound)
+            np.testing.assert_array_equal(order, expect)
+            np.testing.assert_array_equal(sorted_keys, keys[expect])
+
+    def test_global_plan_is_cached_on_the_dofmap(self):
+        prob = asm.diffusion_problem()
+        m = msh.build_structured_mesh(4, 4, problem_kind="diffusion")
+        dm = asm.build_dofmap(prob, m)
+        assert asm.global_plan(m, dm) is asm.global_plan(m, dm)
+
+    def test_plan_mismatch_raises(self):
+        prob = asm.diffusion_problem()
+        m = msh.build_structured_mesh(4, 4, problem_kind="diffusion")
+        dm = asm.build_dofmap(prob, m)
+        u = np.zeros(dm.n_dofs)
+        sub_plan = asm.AssemblyPlan(m, dm, np.arange(6))
+        with pytest.raises(ValueError):
+            asm.assemble_residual(prob, m, dm, u, plan=sub_plan)
+        with pytest.raises(ValueError):
+            asm.assemble_residual(prob, m, dm, u, subset=np.arange(8),
+                                  plan=sub_plan)
+        with pytest.raises(ValueError):
+            asm.assemble_tangent(prob, m, dm, u, apply_dirichlet=False,
+                                 plan=asm.global_plan(m, dm))
+        with pytest.raises(ValueError):
+            asm.assemble_residual(prob, m, dm, np.zeros(5), plan=sub_plan,
+                                  subset=np.arange(6))

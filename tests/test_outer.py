@@ -4,12 +4,13 @@ import numpy as np
 import pytest
 
 from nlschwarz import assembly as asm
+from nlschwarz import cli
 from nlschwarz import coarse as crs
 from nlschwarz import mesh as msh
 from nlschwarz.outer import (GmresParams, SolverConfig, beam_config,
                              ldc_config, solve_nks, solve_nonlinear_schwarz)
 from nlschwarz.schwarz import NewtonParams
-from nlschwarz.sparse import factorize
+from nlschwarz.sparse import SingularMatrixError, factorize
 
 TIGHT = NewtonParams(rel_tol=1e-12, abs_tol=1e-14, max_iter=30)
 
@@ -147,3 +148,139 @@ class TestNks:
         assert rep_prec.converged
         # the preconditioned counts must be far below the system size
         assert max(rep_prec.gmres_iterations) < dm.n_dofs // 4
+
+
+def nan_global_residual(monkeypatch, after: int):
+    """Make every full-mesh residual after the first `after` calls NaN."""
+    original, calls = asm.assemble_residual, [0]
+
+    def patched(*args, **kwargs):
+        r = original(*args, **kwargs)
+        if kwargs.get("subset") is not None:
+            return r
+        calls[0] += 1
+        return r if calls[0] <= after else np.full_like(r, np.nan)
+    monkeypatch.setattr(asm, "assemble_residual", patched)
+
+
+SOLVERS = {"raspen": solve_nonlinear_schwarz, "nks": solve_nks}
+
+
+class TestFailuresRecorded:
+    """Each failure mode ends the solve with a reason or shows in a count;
+    none escapes as an exception or ends as the iteration limit."""
+
+    def solve(self, solver, **cfg):
+        prob, m, dm, dec = diffusion_case()
+        cfg = SolverConfig(variant="raspen", **cfg)
+        u, rep = SOLVERS[solver](prob, m, dm, dec, cfg,
+                                 P0=coarse_space(prob, m, dm, dec))
+        return u, rep, asm.initial_iterate(prob, dm)
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_singular_factorization(self, solver, monkeypatch):
+        def singular(*args, **kwargs):
+            raise SingularMatrixError("zero pivot at index 0", pivot=0)
+        module = "schwarz" if solver == "raspen" else "outer"
+        monkeypatch.setattr(f"nlschwarz.{module}.factorize", singular)
+        u, rep, u0 = self.solve(solver)
+        assert not rep.converged
+        assert rep.reason == ("linearization failed: SingularMatrixError: "
+                              "zero pivot at index 0")
+        assert rep.outer_iterations == 0
+        assert np.array_equal(u, u0)
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_nan_initial_residual(self, solver, monkeypatch):
+        nan_global_residual(monkeypatch, after=0)
+        u, rep, u0 = self.solve(solver)
+        assert not rep.converged
+        assert rep.reason == "initial residual is not finite"
+        assert rep.outer_iterations == 0
+        assert np.array_equal(u, u0)
+
+    @pytest.mark.parametrize("line_search", [True, False])
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_nan_at_every_trial_state(self, solver, line_search, monkeypatch):
+        nan_global_residual(monkeypatch, after=1)
+        u, rep, u0 = self.solve(solver, outer=NewtonParams(
+            rel_tol=1e-6, abs_tol=1e-6, line_search=line_search))
+        assert not rep.converged
+        assert rep.reason == "no trial step has a finite residual"
+        assert rep.outer_iterations == 1
+        assert rep.residuals == [1.0]
+        assert np.array_equal(u, u0)
+
+    def test_nan_local_residual(self, monkeypatch):
+        original = asm.assemble_residual
+
+        def patched(*args, **kwargs):
+            r = original(*args, **kwargs)
+            return r if kwargs.get("subset") is None else r * np.nan
+        monkeypatch.setattr(asm, "assemble_residual", patched)
+        u, rep, u0 = self.solve("raspen")
+        assert not rep.converged
+        assert rep.reason.startswith("linearization failed")
+        assert np.array_equal(u, u0)
+
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_gmres_iteration_cap_counted(self, solver):
+        u, rep, _ = self.solve(solver, gmres=GmresParams(max_iter=1))
+        assert rep.outer_iterations > 0
+        assert rep.gmres_unconverged == rep.outer_iterations
+        assert rep.corrections_unconverged == 0
+
+    def test_inner_iteration_cap_counted(self):
+        u, rep, _ = self.solve("raspen", inner=NewtonParams(
+            rel_tol=1e-12, abs_tol=0.0, max_iter=1))
+        assert rep.outer_iterations > 0
+        assert rep.corrections_unconverged == rep.outer_iterations
+        assert rep.gmres_unconverged == 0
+
+
+LDC = {"problem": "ldc", "subdomains": [2, 2], "hh": 6}
+BEAM = {"problem": "beam", "fy": 1.0, "subdomains": [4, 1], "hh": 4}
+CONVERGED = "residual tolerance reached"
+LIMIT = "outer iteration limit reached"
+
+
+class TestPinnedReports:
+    """Per-iteration GMRES counts, line-search steps and reasons of both
+    solvers through `run_point`, as measured before the two outer loops were
+    merged into one driver."""
+
+    @pytest.mark.parametrize("config,gmres,ls,reason", [
+        (dict(LDC, re=100, variant="hybrid"), [15, 13, 14, 14], [0] * 4,
+         CONVERGED),
+        (dict(LDC, re=100, variant="nks"), [22, 23, 24, 23], [0] * 4,
+         CONVERGED),
+        (dict(LDC, re=100, variant="raspen"), [17, 17, 17], [0] * 3,
+         CONVERGED),
+        (dict(LDC, re=100, variant="additive"), [19, 18, 19], [0] * 3,
+         CONVERGED),
+        (dict(BEAM, variant="hybrid"), [4, 8], [0, 0], CONVERGED),
+        (dict(BEAM, variant="nks"), [8, 10], [0, 0], CONVERGED),
+        (dict(LDC, re=2000, variant="hybrid"),
+         [24, 28, 54, 50, 59, 65, 68, 81, 73, 74], [5] + [6] * 9, LIMIT),
+        (dict(LDC, re=2000, variant="nks"),
+         [23, 24, 29, 30, 35, 31, 33, 34, 35, 32],
+         [1, 4, 6, 1, 5, 4, 3, 3, 6, 3], LIMIT),
+    ], ids=["ldc100-hybrid", "ldc100-nks", "ldc100-raspen", "ldc100-additive",
+            "beam-hybrid", "beam-nks", "ldc2000-hybrid", "ldc2000-nks"])
+    def test_report(self, config, gmres, ls, reason, monkeypatch):
+        solutions = []
+        for name in ("solve_nonlinear_schwarz", "solve_nks"):
+            def keep(*args, fn=getattr(cli, name), **kwargs):
+                u, rep = fn(*args, **kwargs)
+                solutions.append(u)
+                return u, rep
+            monkeypatch.setattr(cli, name, keep)
+        for _ in range(2):
+            record, rep = cli.run_point(config, {})
+            assert rep.gmres_iterations == gmres
+            assert rep.line_search_steps == ls
+            assert rep.reason == reason
+            assert len(rep.precond_residuals) == (
+                0 if config["variant"] == "nks" else len(gmres))
+            assert record["gmres_unconverged"] == 0
+        np.testing.assert_array_equal(solutions[0], solutions[1])

@@ -10,7 +10,7 @@ from nlschwarz import coarse as crs
 from nlschwarz import mesh as msh
 from nlschwarz.assembly import NonPhysicalStateError
 from nlschwarz.schwarz import (VARIANTS, NewtonParams, SchwarzOperator,
-                               StaleStateError, backtracking_step)
+                               backtracking_step)
 
 TIGHT = NewtonParams(rel_tol=1e-14, abs_tol=1e-14, max_iter=50)
 
@@ -199,14 +199,6 @@ class TestTangent:
         ap = op.apply_tangent(ev, d)
         err = np.linalg.norm(ap - fd) / np.linalg.norm(fd)
         assert err < 1e-5, err
-
-    def test_stale_state_guard(self):
-        prob, m, dm, dec = setup_problem("diffusion", nx=8, px=2)
-        op = SchwarzOperator(prob, m, dm, dec, variant="aspen", inner=TIGHT)
-        u = asm.initial_iterate(prob, dm)
-        ev = op.evaluate(u)
-        with pytest.raises(StaleStateError):
-            op.apply_tangent(ev, np.zeros(dm.n_dofs), at=u + 1.0)
 
     def test_aspin_mode_differs_from_exact(self):
         prob, m, dm, dec = setup_problem("diffusion", nx=8, px=2)

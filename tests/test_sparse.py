@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 import scipy.sparse as sp
 
-from nlschwarz.sparse import (SingularMatrixError, factorize, gmres,
-                              release_free_memory, save_matrix)
+from nlschwarz.sparse import SingularMatrixError, factorize, gmres
 
 
 def random_system(n=120, seed=0, shift=4.0):
@@ -100,18 +99,3 @@ class TestGmres:
         x, its, ok = gmres(lambda v: v, b, rel_tol=1e-12, max_iter=10)
         assert ok and its == 1
         np.testing.assert_allclose(x, b, rtol=1e-12)
-
-
-def test_save_matrix(tmp_path):
-    A = sp.csr_matrix(np.array([[1.5, 0.0], [0.0, -2.0]]))
-    save_matrix(A, tmp_path / "a.mtx")
-    lines = (tmp_path / "a.mtx").read_text().splitlines()
-    assert lines[0].startswith("%%MatrixMarket")
-    assert lines[1].split() == ["2", "2", "2"]
-    entries = {tuple(ln.split()[:2]): float(ln.split()[2]) for ln in lines[2:]}
-    assert entries[("1", "1")] == 1.5
-    assert entries[("2", "2")] == -2.0
-
-
-def test_release_free_memory_is_safe():
-    release_free_memory()

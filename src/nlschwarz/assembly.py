@@ -38,7 +38,9 @@ from .mesh import DIRICHLET, LID, Mesh, _element_edges
 
 
 class NonPhysicalStateError(RuntimeError):
-    """det(F) <= 0 at a quadrature point: the log term is undefined."""
+    """A state the problem is not defined at: det(F) <= 0 at a quadrature
+    point, where the log term is undefined, or a non-finite residual in a
+    local or coarse Newton solve."""
 
 
 @dataclass

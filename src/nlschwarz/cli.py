@@ -245,38 +245,6 @@ def emit_history(report: SolveReport, path) -> None:
             ])
 
 
-def load_history(path) -> SolveReport:
-    """Inverse of emit_history for the per-iteration history fields."""
-    rep = SolveReport()
-    with open(path, newline="") as f:
-        rdr = csv.DictReader(f)
-        for row in rdr:
-            k = int(row["iteration"])
-            if row["rel_residual"]:
-                rep.residuals.append(float(row["rel_residual"]))
-            if k == 0:
-                continue
-            if row["precond_residual"]:
-                rep.precond_residuals.append(float(row["precond_residual"]))
-            if row["gmres_its"]:
-                rep.gmres_iterations.append(int(row["gmres_its"]))
-            if row["inner_avg"]:
-                rep.inner_iterations.append(float(row["inner_avg"]))
-            if row["coarse_its"]:
-                rep.coarse_iterations.append(int(row["coarse_its"]))
-            if row["line_search_steps"]:
-                rep.line_search_steps.append(int(row["line_search_steps"]))
-            if row["t_inner"]:
-                rep.timing_history.append(tuple(
-                    float(row[c]) for c in ("t_inner", "t_coarse", "t_gmres",
-                                            "t_other")))
-    for cat, tot in zip(("Inner solve", "Coarse solve", "GMRES", "Other"),
-                        zip(*rep.timing_history) if rep.timing_history
-                        else ((), (), (), ())):
-        rep.timings[cat] = float(sum(tot))
-    return rep
-
-
 def cmd_run(args) -> int:
     try:
         cfg = _load_config(args.config, args)

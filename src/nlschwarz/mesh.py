@@ -20,9 +20,6 @@ DIRICHLET = 1
 NEUMANN = 2
 LID = 3
 
-TAG_NAMES = {INTERIOR: "interior", DIRICHLET: "dirichlet", NEUMANN: "neumann", LID: "lid"}
-TAG_CODES = {v: k for k, v in TAG_NAMES.items()}
-
 
 class InvalidGeometryError(ValueError):
     """Raised for degenerate rectangle extents or element counts."""
@@ -64,12 +61,6 @@ class Decomposition:
     owner: np.ndarray  # (n_elements,) subdomain index
     overlap_elements: list[np.ndarray] | None = None
     ghost_elements: list[np.ndarray] | None = None
-    # node sets per subdomain for the nonoverlapping, overlapping and
-    # ghost-extended element sets
-    nodes_owned: list[np.ndarray] | None = None
-    nodes_overlap: list[np.ndarray] | None = None
-    nodes_extended: list[np.ndarray] | None = None
-    multiplicity: np.ndarray | None = None  # per node, overlap membership count
 
 
 @dataclass
@@ -211,36 +202,22 @@ def extend_overlap(decomp: Decomposition, graph: sp.csr_matrix, k: int) -> Decom
 
 
 def ghost_layer(decomp: Decomposition, graph: sp.csr_matrix,
-                elements: np.ndarray | None = None, n_nodes: int | None = None,
-                mesh: Mesh | None = None) -> Decomposition:
-    """Populate ghost_elements (node-adjacent ring) and the node sets.
+                mesh: Mesh) -> Decomposition:
+    """Populate ghost_elements, the node-adjacent ring of each overlap.
 
-    `graph` must be the nodal element graph so that every node of the
-    overlapping subdomain becomes interior to the ghost-extended element set.
+    `graph` must be the nodal element graph of `mesh` so that every node of
+    the overlapping subdomain becomes interior to the ghost-extended element
+    set.
     """
     if decomp.overlap_elements is None:
         raise ValueError("extend_overlap must run before ghost_layer")
-    if mesh is not None:
-        elements, n_nodes = mesh.elements, mesh.n_nodes
-    m = decomp.owner.shape[0]
-    ghosts, n_owned, n_over, n_ext = [], [], [], []
-    mult = np.zeros(n_nodes, dtype=np.int64)
-    for i in range(decomp.num_subdomains):
-        ov = decomp.overlap_elements[i]
-        ind = np.zeros(m, dtype=bool)
+    ghosts = []
+    for ov in decomp.overlap_elements:
+        ind = np.zeros(mesh.n_elements, dtype=bool)
         ind[ov] = True
         ring = (graph @ ind).astype(bool) & ~ind
         ghosts.append(np.flatnonzero(ring))
-        n_owned.append(np.unique(elements[decomp.owner == i]))
-        nodes_ov = np.unique(elements[ov])
-        n_over.append(nodes_ov)
-        n_ext.append(np.unique(elements[ind | ring]))
-        mult[nodes_ov] += 1
     decomp.ghost_elements = ghosts
-    decomp.nodes_owned = n_owned
-    decomp.nodes_overlap = n_over
-    decomp.nodes_extended = n_ext
-    decomp.multiplicity = mult
     return decomp
 
 
@@ -313,33 +290,3 @@ def interface_skeleton(decomp: Decomposition, mesh: Mesh) -> InterfaceSkeleton:
                                      subdomains=pair))
     return InterfaceSkeleton(interface_nodes=gamma, gamma_prime=gamma_prime,
                              vertices=vertices, edges=runs)
-
-
-def save_mesh(mesh: Mesh, path) -> None:
-    """Plain-text export: count header, node lines `x y tag`, element lines."""
-    with open(path, "w") as f:
-        f.write(f"{mesh.n_nodes} {mesh.n_elements}\n")
-        for i in range(mesh.n_nodes):
-            tag = ("corner_pressure_pin" if mesh.pin_node == i
-                   else TAG_NAMES[int(mesh.boundary_tag[i])])
-            f.write(f"{float(mesh.nodes[i, 0])!r} {float(mesh.nodes[i, 1])!r} {tag}\n")
-        for tri in mesh.elements:
-            f.write(f"{tri[0]} {tri[1]} {tri[2]}\n")
-
-
-def load_mesh(path) -> Mesh:
-    with open(path) as f:
-        n, m = map(int, f.readline().split())
-        nodes = np.empty((n, 2))
-        tags = np.empty(n, dtype=np.int8)
-        pin = None
-        for i in range(n):
-            x, y, tag = f.readline().split()
-            nodes[i] = (float(x), float(y))
-            if tag == "corner_pressure_pin":
-                tags[i] = DIRICHLET
-                pin = i
-            else:
-                tags[i] = TAG_CODES[tag]
-        elements = np.array([f.readline().split() for _ in range(m)], dtype=np.int64)
-    return Mesh(nodes=nodes, elements=elements, boundary_tag=tags, pin_node=pin)

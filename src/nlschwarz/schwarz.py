@@ -1,10 +1,13 @@
 """Nonlinear Schwarz corrections, recombination and tangent application.
 
-The local correction on subdomain i solves R_i F(u - P_i T_i(u)) = 0 with a
-Newton iteration on the overlapping subdomain; ghost-layer and Dirichlet DOFs
-stay fixed, so the restricted residual rows coincide with the global ones.
-The coarse correction solves R_0 F(u - P_0 T_0(u)) = 0 in the coarse
-coefficients with R_0 = P_0^T and full-mesh residual assembly.
+The local correction on subdomain i solves R_i F(u - P_i T_i(u)) = 0 on the
+overlapping subdomain; ghost-layer and Dirichlet DOFs stay fixed, so the
+restricted residual rows coincide with the global ones.  The coarse
+correction solves R_0 F(u - P_0 T_0(u)) = 0 in the coarse coefficients with
+R_0 = P_0^T and full-mesh residual assembly.  Both run the same damped Newton
+loop, `_damped_newton`, and differ only in their residual, step solve and
+state update; a non-finite residual ends either one with a
+`NonPhysicalStateError` that names the level.
 
 Corrections are recombined into the preconditioned residuals
 
@@ -99,10 +102,34 @@ class TrialResidual:
         return self._r if s == self._s else None
 
 
+def _damped_newton(residual, direction, moved, x, p: NewtonParams, label: str):
+    """Newton on residual(x) = 0 from `x`, damped by `backtracking_step`.
+
+    `direction(x, r)` solves for the step d at x, and `moved(x, s, d)` is the
+    state a step s along d leads to; it must not modify x.  Returns
+    (x, iterations, converged).  A non-finite residual, at the start or after
+    a step, raises `NonPhysicalStateError` naming `label`.
+    """
+    r = residual(x)
+    nrm = np.linalg.norm(r)
+    tol = max(p.rel_tol * nrm, p.abs_tol)
+    its = 0
+    while True:
+        if not np.isfinite(nrm):
+            raise NonPhysicalStateError(
+                f"{label}: residual is not finite after {its} Newton steps")
+        if nrm <= tol or its >= p.max_iter:
+            return x, its, nrm <= tol
+        d = direction(x, r)
+        trial = TrialResidual(lambda s: residual(moved(x, s, d)))
+        s, nrm = backtracking_step(trial, nrm, p)
+        x, r = moved(x, s, d), trial.at(s)
+        its += 1
+
+
 @dataclass
 class SubdomainData:
     index: int
-    elems_ov: np.ndarray
     elems_ext: np.ndarray
     dofs_ov: np.ndarray
     dofs_ext: np.ndarray
@@ -178,12 +205,10 @@ class SchwarzOperator:
             dofs_ov = asm.subset_dofs(dofmap, mesh, ov)
             plan = asm.AssemblyPlan(mesh, dofmap, ext)
             pos = np.searchsorted(plan.dofs, dofs_ov)
-            self.subs.append(SubdomainData(i, ov, ext, dofs_ov, plan.dofs, pos,
-                                           plan))
+            self.subs.append(SubdomainData(i, ext, dofs_ov, plan.dofs, pos, plan))
             count[dofs_ov] += 1
         if np.any(count == 0):
             raise ValueError("overlapping subdomains do not cover every DOF")
-        self.multiplicity = count
         self.pou_weight = 1.0 / count
 
     # -- corrections -------------------------------------------------------
@@ -200,36 +225,24 @@ class SchwarzOperator:
                                     plan=sub.plan)
 
     def local_correction(self, sub: SubdomainData, u: np.ndarray) -> LocalSolveState:
-        p = self.inner
-        v = u[sub.dofs_ext].copy()
-        v0 = v.copy()
-        r = self._local_residual(sub, v)
-        tol = max(p.rel_tol * np.linalg.norm(r), p.abs_tol)
-        its = 0
-        converged = np.linalg.norm(r) <= tol
+        v0 = u[sub.dofs_ext]
         A_v0 = None  # the tangent at v0, which the aspin mode keeps
-        while not converged and its < p.max_iter:
+
+        def direction(v, r):
+            nonlocal A_v0
             A = self._local_tangent(sub, v)
-            if its == 0 and self.tangent_mode == "aspin":
+            if A_v0 is None and self.tangent_mode == "aspin":
                 A_v0 = A
-            lu = factorize(A[sub.pos_ov][:, sub.pos_ov], fast=True)
-            d = lu.solve(r)
+            return factorize(A[sub.pos_ov][:, sub.pos_ov], fast=True).solve(r)
 
-            def shifted(s):
-                w = v.copy()
-                w[sub.pos_ov] -= s * d
-                return self._local_residual(sub, w)
-            trial = TrialResidual(shifted)
-            s, _ = backtracking_step(trial, np.linalg.norm(r), p)
-            r_new = trial.at(s)
-            v[sub.pos_ov] -= s * d
-            r = self._local_residual(sub, v) if r_new is None else r_new
-            its += 1
-            nrm = np.linalg.norm(r)
-            if not np.isfinite(nrm):
-                break
-            converged = nrm <= tol
+        def moved(v, s, d):
+            w = v.copy()
+            w[sub.pos_ov] -= s * d
+            return w
 
+        v, its, converged = _damped_newton(
+            lambda v: self._local_residual(sub, v), direction, moved, v0,
+            self.inner, f"local correction on subdomain {sub.index}")
         if self.tangent_mode == "exact":
             A = self._local_tangent(sub, v)
         else:
@@ -276,10 +289,8 @@ class SchwarzOperator:
         return r
 
     def coarse_correction(self, u: np.ndarray) -> CoarseSolveState:
-        p = self.coarse
         P0, R0 = self.P0, self.R0
         plan = asm.global_plan(self.mesh, self.dofmap)
-        c = np.zeros(P0.shape[1])
 
         def coarse_residual(cc):
             return self._project_coarse_residual(
@@ -291,32 +302,22 @@ class SchwarzOperator:
                                       u - P0 @ cc, plan=plan)
             return DF, self._deflate_coarse((R0 @ DF @ P0).toarray())
 
-        # DF and the deflated R0 DF P0 at the current c, while they are known
-        DF = A0 = None
-        if self._coarse_deflation is None:
-            DF, A0 = coarse_tangent(c)
-        r = coarse_residual(c)
-        tol = max(p.rel_tol * np.linalg.norm(r), p.abs_tol)
-        its = 0
-        converged = np.linalg.norm(r) <= tol
-        while not converged and its < p.max_iter:
-            if A0 is None:
-                DF, A0 = coarse_tangent(c)
-            d = np.linalg.solve(A0, r)
-            DF = A0 = None
-            trial = TrialResidual(lambda s: coarse_residual(c + s * d))
-            s, _ = backtracking_step(trial, np.linalg.norm(r), p)
-            r_new = trial.at(s)
-            c = c + s * d
-            r = coarse_residual(c) if r_new is None else r_new
-            its += 1
-            nrm = np.linalg.norm(r)
-            if not np.isfinite(nrm):
-                break
-            converged = nrm <= tol
+        # the projection of the first residual needs the deflation, so the
+        # first call assembles DF and the deflated R0 DF P0 at c0 before it;
+        # that pair serves the first step, or the final factorization
+        c0 = np.zeros(P0.shape[1])
+        pending = coarse_tangent(c0) if self._coarse_deflation is None else None
 
-        if A0 is None:
-            DF, A0 = coarse_tangent(c)
+        def tangent(cc):
+            nonlocal pending
+            pair = pending if pending is not None else coarse_tangent(cc)
+            pending = None
+            return pair
+
+        c, its, converged = _damped_newton(
+            coarse_residual, lambda cc, r: np.linalg.solve(tangent(cc)[1], r),
+            lambda cc, s, d: cc + s * d, c0, self.coarse, "coarse correction")
+        DF, A0 = tangent(c)
         lu = sla.lu_factor(A0)
         if not np.all(np.isfinite(lu[0])) or np.any(np.diag(lu[0]) == 0.0):
             raise np.linalg.LinAlgError("coarse tangent is singular")

@@ -31,9 +31,8 @@ class SingularMatrixError(RuntimeError):
 class Factorization:
     """Reusable sparse LU of a square matrix (SuperLU with partial pivoting)."""
 
-    def __init__(self, lu: spla.SuperLU, shape: tuple[int, int]):
+    def __init__(self, lu: spla.SuperLU):
         self._lu = lu
-        self.shape = shape
 
     def solve(self, b: np.ndarray) -> np.ndarray:
         return self._lu.solve(np.asarray(b, dtype=np.float64))
@@ -60,12 +59,11 @@ def factorize(A: sp.spmatrix, fast: bool = False) -> Factorization:
     zero = np.flatnonzero(diag_u == 0.0)
     if zero.size:
         raise SingularMatrixError(f"zero pivot at index {zero[0]}", pivot=int(zero[0]))
-    return Factorization(lu, A.shape)
+    return Factorization(lu)
 
 
 def gmres(apply: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
           rel_tol: float = 1e-8, max_iter: int = 1000, restart: int | None = None,
-          x0: np.ndarray | None = None,
           left_prec: Callable[[np.ndarray], np.ndarray] | None = None
           ) -> tuple[np.ndarray, int, bool]:
     """Restarted GMRES with modified Gram-Schmidt.
@@ -81,15 +79,10 @@ def gmres(apply: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
         restart = max_iter
     prec = left_prec if left_prec is not None else (lambda v: v)
 
-    x = np.zeros(n) if x0 is None else np.array(x0, dtype=np.float64)
+    x = np.zeros(n)
     total = 0
-
-    def residual(xv):
-        return prec(b - apply(xv))
-
-    pb = prec(b)
-    r = pb if x0 is None else residual(x)
-    norm_b = np.linalg.norm(pb)
+    r = prec(b)
+    norm_b = np.linalg.norm(r)
     if norm_b == 0.0:
         return np.zeros(n), 0, True
     tol_abs = rel_tol * norm_b
@@ -153,7 +146,7 @@ def gmres(apply: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
         k = j_done
         y = np.linalg.solve(np.triu(H[:k, :k]), g[:k]) if k else np.zeros(0)
         x = x + V[:k].T @ y
-        r = residual(x)
+        r = prec(b - apply(x))
         if np.linalg.norm(r) <= tol_abs:
             return x, total, True
         if total >= max_iter:

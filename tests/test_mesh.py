@@ -57,15 +57,6 @@ class TestBuildStructuredMesh:
         with pytest.raises((ValueError, msh.InvalidGeometryError)):
             msh.build_structured_mesh(0, 4)
 
-    def test_save_load_roundtrip(self, tmp_path):
-        m = unit_square(5, 4, "ldc")
-        msh.save_mesh(m, tmp_path / "m.txt")
-        m2 = msh.load_mesh(tmp_path / "m.txt")
-        np.testing.assert_array_equal(m.nodes, m2.nodes)
-        np.testing.assert_array_equal(m.elements, m2.elements)
-        np.testing.assert_array_equal(m.boundary_tag, m2.boundary_tag)
-        assert m.pin_node == m2.pin_node
-
 
 class TestPartition:
     def test_owner_partition(self):

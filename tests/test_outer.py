@@ -9,7 +9,7 @@ from nlschwarz import coarse as crs
 from nlschwarz import mesh as msh
 from nlschwarz.outer import (GmresParams, SolverConfig, beam_config,
                              ldc_config, solve_nks, solve_nonlinear_schwarz)
-from nlschwarz.schwarz import NewtonParams
+from nlschwarz.schwarz import NewtonParams, SchwarzOperator
 from nlschwarz.sparse import SingularMatrixError, factorize
 
 TIGHT = NewtonParams(rel_tol=1e-12, abs_tol=1e-14, max_iter=30)
@@ -221,7 +221,21 @@ class TestFailuresRecorded:
         u, rep, u0 = self.solve("raspen")
         assert not rep.converged
         assert rep.reason.startswith("linearization failed")
+        assert "local correction on subdomain" in rep.reason
+        assert "not finite" in rep.reason
         assert np.array_equal(u, u0)
+
+    def test_nan_coarse_residual(self, monkeypatch):
+        monkeypatch.setattr(SchwarzOperator, "_project_coarse_residual",
+                            lambda self, r: r * np.nan)
+        prob, m, dm, dec = diffusion_case()
+        u, rep = solve_nonlinear_schwarz(
+            prob, m, dm, dec, SolverConfig(variant="hybrid"),
+            P0=coarse_space(prob, m, dm, dec))
+        assert not rep.converged
+        assert "coarse correction" in rep.reason
+        assert "not finite" in rep.reason
+        assert np.array_equal(u, asm.initial_iterate(prob, dm))
 
     @pytest.mark.parametrize("solver", SOLVERS)
     def test_gmres_iteration_cap_counted(self, solver):

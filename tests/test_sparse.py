@@ -81,14 +81,6 @@ class TestGmres:
         assert its <= 3
         assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) < 1e-10
 
-    def test_initial_guess(self):
-        A, b = random_system(seed=4)
-        x_star = factorize(A).solve(b)
-        x, its, ok = gmres(lambda v: A @ v, b, rel_tol=1e-10, max_iter=100,
-                           x0=x_star)
-        assert ok
-        assert its == 0 or np.linalg.norm(x - x_star) < 1e-8
-
     def test_zero_rhs(self):
         A, _ = random_system()
         x, its, ok = gmres(lambda v: A @ v, np.zeros(A.shape[0]))

@@ -4,8 +4,11 @@
 defined by the config (cartesian product of the list-valued fields among
 ``re``, ``fy``, ``subdomains``, ``variant``, ``coarse``) and writes, per
 point, a JSON summary record and a CSV convergence history into the output
-directory.  ``nlschwarz export-coarse config.json --entity K`` writes the
-coarse-basis columns of one interface entity as node values.
+directory.  The history has one row per outer Newton step; its columns are
+``iteration`` and the fields of `outer.OuterStep`, in their order.
+``nlschwarz export-coarse config.json --entity K`` writes the coarse-basis
+columns of one interface entity as node values; a column that is not one
+field's (a beam rigid-body mode) is written once per field.
 
 Config schema (JSON object; every field optional unless noted):
 
@@ -40,21 +43,18 @@ import itertools
 import json
 import sys
 import traceback
-from dataclasses import asdict
+from dataclasses import asdict, fields
 from pathlib import Path
-
-import numpy as np
 
 from . import assembly as asm
 from . import coarse as crs
 from . import mesh as msh
-from .outer import (GmresParams, SolveReport, SolverConfig, beam_config,
-                    ldc_config, solve_nks, solve_nonlinear_schwarz)
+from .outer import (GmresParams, OuterStep, SolveReport, SolverConfig,
+                    beam_config, ldc_config, solve_nks,
+                    solve_nonlinear_schwarz)
 from .schwarz import NewtonParams
 
-HISTORY_COLUMNS = ["iteration", "rel_residual", "precond_residual",
-                   "gmres_its", "inner_avg", "coarse_its", "line_search_steps",
-                   "t_inner", "t_coarse", "t_gmres", "t_other"]
+HISTORY_COLUMNS = ["iteration"] + [f.name for f in fields(OuterStep)]
 
 SWEEP_FIELDS = ("re", "fy", "subdomains", "variant", "coarse")
 
@@ -198,8 +198,9 @@ def run_point(cfg: dict, point: dict) -> tuple[dict, SolveReport]:
         "total_gmres": rep.total_gmres,
         "avg_inner": rep.avg_inner,
         "total_coarse": rep.total_coarse,
-        "gmres_unconverged": rep.gmres_unconverged,
-        "corrections_unconverged": rep.corrections_unconverged,
+        "gmres_unconverged": sum(not st.gmres_converged for st in rep.steps),
+        "corrections_unconverged": sum(not st.corrections_converged
+                                       for st in rep.steps),
         "label": f"{rep.total_gmres} ({rep.outer_iterations})",
         "timings": rep.timings,
     }
@@ -221,28 +222,15 @@ def _point_tag(cfg: dict, point: dict, index: int) -> str:
 
 
 def emit_history(report: SolveReport, path) -> None:
-    """One CSV row per outer iteration; row 0 is the initial residual."""
-    n = len(report.residuals)
-
-    def at(lst, i, default=""):
-        return lst[i] if 0 <= i < len(lst) else default
-
+    """One CSV row per `OuterStep`; row 0 is the initial residual.  Empty
+    cells stand for None and for what row 0 has no value of."""
     with open(path, "w", newline="") as f:
-        w = csv.writer(f)
-        w.writerow(HISTORY_COLUMNS)
-        rows = max(n, len(report.gmres_iterations) + 1)
-        for k in range(rows):
-            th = at(report.timing_history, k - 1, ("", "", "", ""))
-            w.writerow([
-                k,
-                repr(at(report.residuals, k)) if k < n else "",
-                repr(at(report.precond_residuals, k - 1)) if k >= 1 else "",
-                at(report.gmres_iterations, k - 1, "") if k >= 1 else 0,
-                repr(at(report.inner_iterations, k - 1)) if k >= 1 else 0,
-                at(report.coarse_iterations, k - 1, "") if k >= 1 else 0,
-                at(report.line_search_steps, k - 1, "") if k >= 1 else 0,
-                *(repr(t) if t != "" else "" for t in th),
-            ])
+        w = csv.DictWriter(f, HISTORY_COLUMNS)
+        w.writeheader()
+        w.writerow({"iteration": 0, "rel_residual": 1.0, "gmres_its": 0,
+                    "inner_avg": 0, "coarse_its": 0, "line_search_steps": 0})
+        for k, step in enumerate(report.steps, 1):
+            w.writerow({"iteration": k, **asdict(step)})
 
 
 def cmd_run(args) -> int:
@@ -299,23 +287,27 @@ def cmd_export_coarse(args) -> int:
         print(f"error: entity {k} out of range (0..{len(ents) - 1})",
               file=sys.stderr)
         return 2
+    # a column named after a field is written as that field's node values;
+    # a beam rigid-body mode (tx, ty, rot) as both displacement components
+    names = {fld.name: fld for fld in dofmap.fields}
+    header = ["node", "x", "y"]
+    columns = [range(mesh.n_nodes), mesh.nodes[:, 0].tolist(),
+               mesh.nodes[:, 1].tolist()]
     cols = [c for c, (e, _) in enumerate(labels) if e == k]
+    dense = P0[:, cols].toarray()
+    for c_i, c in enumerate(cols):
+        label = labels[c][1]
+        for fld in [names[label]] if label in names else dofmap.fields:
+            header.append(label if label in names else f"{label}_{fld.name}")
+            columns.append(
+                dense[fld.offset:fld.offset + mesh.n_nodes, c_i].tolist())
     out = Path(cfg.get("out", "results"))
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"coarse_entity_{k}.csv"
     with open(path, "w", newline="") as f:
         w = csv.writer(f)
-        w.writerow(["node", "x", "y"] + [labels[c][1] for c in cols])
-        dense = np.asarray(P0[:, cols].todense())
-        for node in range(mesh.n_nodes):
-            vals = []
-            for c_i, c in enumerate(cols):
-                fld = dofmap.field(labels[c][1]) if labels[c][1] in \
-                    [fl.name for fl in dofmap.fields] else dofmap.fields[0]
-                vals.append(float(dense[fld.offset + node, c_i]))
-            w.writerow([node, repr(float(mesh.nodes[node, 0])),
-                        repr(float(mesh.nodes[node, 1]))]
-                       + [repr(v) for v in vals])
+        w.writerow(header)
+        w.writerows(zip(*columns))
     print(f"wrote {path} ({ents[k].kind} entity, {len(cols)} modes)")
     return 0
 

@@ -24,8 +24,7 @@ import scipy.linalg as sla
 from . import assembly as asm
 from .assembly import DofMap, NonPhysicalStateError, ProblemSpec
 from .mesh import Decomposition, Mesh
-from .schwarz import (NewtonParams, SchwarzOperator, TrialResidual,
-                      backtracking_step)
+from .schwarz import NewtonParams, SchwarzOperator, backtracking_step
 from .sparse import SingularMatrixError, factorize, gmres
 
 
@@ -50,18 +49,12 @@ class SolverConfig:
 
 
 def ldc_config(**overrides) -> SolverConfig:
-    cfg = SolverConfig(
-        outer=NewtonParams(rel_tol=1e-6, abs_tol=1e-6, max_iter=10),
-        inner=NewtonParams(rel_tol=1e-3, abs_tol=1e-14, max_iter=10),
-        coarse=NewtonParams(rel_tol=1e-3, abs_tol=1e-14, max_iter=10),
-        gmres=GmresParams(rel_tol=1e-4, max_iter=1000, restart=500))
-    for k, v in overrides.items():
-        setattr(cfg, k, v)
-    return cfg
+    """The lid-driven cavity settings, which are `SolverConfig`'s defaults."""
+    return SolverConfig(**overrides)
 
 
 def beam_config(**overrides) -> SolverConfig:
-    cfg = SolverConfig(
+    settings = dict(
         outer=NewtonParams(rel_tol=1e-4, abs_tol=1e-20, max_iter=10,
                            line_search=False),
         inner=NewtonParams(rel_tol=1e-3, abs_tol=1e-9, max_iter=15,
@@ -70,51 +63,65 @@ def beam_config(**overrides) -> SolverConfig:
                             line_search=False),
         gmres=GmresParams(rel_tol=1e-6, max_iter=100, restart=None),
         coarse_kind="msfem", modified=True)
-    for k, v in overrides.items():
-        setattr(cfg, k, v)
-    return cfg
+    return SolverConfig(**{**settings, **overrides})
+
+
+@dataclass
+class OuterStep:
+    """One outer Newton step that ran GMRES; one row of the history CSV."""
+    rel_residual: float | None      # ||F||/||F0|| after it; None: no finite trial
+    precond_residual: float | None  # ||F_X|| before it; None under NKS
+    gmres_its: int
+    inner_avg: float                # local Newton iterations, subdomain mean
+    coarse_its: int
+    line_search_steps: int          # k of the accepted damping theta^k
+    t_inner: float
+    t_coarse: float
+    t_gmres: float
+    t_other: float
+    gmres_converged: bool
+    corrections_converged: bool     # every local and coarse Newton solve
 
 
 @dataclass
 class SolveReport:
     converged: bool = False
     reason: str = ""
-    residuals: list[float] = field(default_factory=list)        # ||F||/||F0||
-    precond_residuals: list[float] = field(default_factory=list)  # ||F_X||
-    gmres_iterations: list[int] = field(default_factory=list)
-    inner_iterations: list[float] = field(default_factory=list)
-    coarse_iterations: list[int] = field(default_factory=list)
-    line_search_steps: list[int] = field(default_factory=list)
-    gmres_unconverged: int = 0        # steps whose GMRES missed its tolerance
-    corrections_unconverged: int = 0  # steps with a local or coarse Newton miss
-    timings: dict = field(default_factory=lambda: {
-        "Inner solve": 0.0, "Coarse solve": 0.0, "GMRES": 0.0, "Other": 0.0})
-    # per-outer-iteration wall times, same categories and order as `timings`
-    timing_history: list[tuple[float, float, float, float]] = field(default_factory=list)
+    steps: list[OuterStep] = field(default_factory=list)
+    wall_s: float = 0.0
 
     @property
     def outer_iterations(self) -> int:
-        return len(self.gmres_iterations)
+        return len(self.steps)
 
     @property
     def total_gmres(self) -> int:
-        return int(sum(self.gmres_iterations))
+        return sum(st.gmres_its for st in self.steps)
 
     @property
     def total_coarse(self) -> int:
-        return int(sum(self.coarse_iterations))
+        return sum(st.coarse_its for st in self.steps)
 
     @property
     def avg_inner(self) -> float:
-        return float(np.mean(self.inner_iterations)) if self.inner_iterations else 0.0
+        return (float(np.mean([st.inner_avg for st in self.steps]))
+                if self.steps else 0.0)
 
+    @property
+    def residuals(self) -> list[float]:
+        """||F||/||F0|| at the initial and at every accepted iterate."""
+        return [1.0] + [st.rel_residual for st in self.steps
+                        if st.rel_residual is not None]
 
-def _ls_steps(s: float, theta: float) -> int:
-    k = 0
-    while s < 1.0 - 1e-12:
-        s /= theta
-        k += 1
-    return k
+    @property
+    def timings(self) -> dict:
+        """Wall time by category; "Other" is the rest of `wall_s`."""
+        t = {cat: sum(getattr(st, name) for st in self.steps)
+             for cat, name in (("Inner solve", "t_inner"),
+                               ("Coarse solve", "t_coarse"),
+                               ("GMRES", "t_gmres"))}
+        t["Other"] = max(0.0, self.wall_s - sum(t.values()))
+        return t
 
 
 @dataclass
@@ -141,7 +148,7 @@ def _newton(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
     ||F||, a failed linearization or a step without a finite trial residual
     stops the solve with a `reason`, leaving u at the last accepted iterate.
     Steps whose GMRES or local/coarse Newton solves missed their tolerance
-    are taken and counted."""
+    are taken and flagged in their `OuterStep`."""
     rep = SolveReport()
     p = cfg.outer
     plan = asm.global_plan(mesh, dofmap)
@@ -155,7 +162,6 @@ def _newton(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
     if not np.isfinite(norm0):
         rep.reason = "initial residual is not finite"
         return u, rep
-    rep.residuals.append(1.0)
     tol = max(p.rel_tol * norm0, p.abs_tol)
     nrm = norm0
     for _ in range(p.max_iter):
@@ -165,17 +171,13 @@ def _newton(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
         # release the previous step's linearization and update before
         # building the next; holding both sets of factorizations raises
         # the peak memory
-        lin = du = trial = None
+        lin = du = None
         try:
             lin = linearize(u, Fu)
         except (NonPhysicalStateError, np.linalg.LinAlgError,
                 SingularMatrixError) as exc:
             rep.reason = f"linearization failed: {type(exc).__name__}: {exc}"
             break
-        if lin.precond is None:  # the right-hand side is F_X(u)
-            rep.precond_residuals.append(float(np.linalg.norm(lin.rhs)))
-        rep.corrections_unconverged += not lin.corrections_converged
-
         t0 = time.perf_counter()
         du, g_its, g_ok = gmres(lin.apply, lin.rhs,
                                 rel_tol=cfg.gmres.rel_tol,
@@ -183,32 +185,30 @@ def _newton(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
                                 restart=cfg.gmres.restart,
                                 left_prec=lin.precond)
         t_gmres = time.perf_counter() - t0
-        rep.gmres_iterations.append(g_its)
-        rep.gmres_unconverged += not g_ok
-        rep.inner_iterations.append(lin.inner_iterations)
-        rep.coarse_iterations.append(lin.coarse_iterations)
-
-        trial = TrialResidual(lambda s: F(u - s * du))
-        s, new_nrm = backtracking_step(trial, nrm, p)
-        rep.line_search_steps.append(_ls_steps(s, p.ls_theta))
-        rep.timing_history.append((lin.t_inner, lin.t_coarse, t_gmres,
-                                   max(0.0, time.perf_counter() - t_it
-                                       - lin.t_inner - lin.t_coarse - t_gmres)))
-        if not np.isfinite(new_nrm):
+        s, k, r, new_nrm = backtracking_step(lambda s: F(u - s * du), nrm, p)
+        finite = bool(np.isfinite(new_nrm))
+        rep.steps.append(OuterStep(
+            rel_residual=float(new_nrm / norm0) if finite else None,
+            # without a preconditioner the right-hand side is F_X(u)
+            precond_residual=(float(np.linalg.norm(lin.rhs))
+                              if lin.precond is None else None),
+            gmres_its=g_its, inner_avg=lin.inner_iterations,
+            coarse_its=lin.coarse_iterations, line_search_steps=k,
+            t_inner=lin.t_inner, t_coarse=lin.t_coarse, t_gmres=t_gmres,
+            t_other=max(0.0, time.perf_counter() - t_it - lin.t_inner
+                        - lin.t_coarse - t_gmres),
+            gmres_converged=bool(g_ok),
+            corrections_converged=bool(lin.corrections_converged)))
+        if not finite:
             rep.reason = "no trial step has a finite residual"
             break
-        u = u - s * du
-        Fu, nrm = trial.at(s), new_nrm
-        rep.residuals.append(float(nrm / norm0))
+        u, Fu, nrm = u - s * du, r, new_nrm
     if nrm <= tol:
         rep.converged = True
         rep.reason = "residual tolerance reached"
     elif not rep.reason:
         rep.reason = "outer iteration limit reached"
-    for cat, times in zip(rep.timings, zip(*rep.timing_history)):
-        rep.timings[cat] = sum(times)
-    rep.timings["Other"] = max(0.0, time.perf_counter() - t_start
-                               - sum(v for k, v in rep.timings.items() if k != "Other"))
+    rep.wall_s = time.perf_counter() - t_start
     return u, rep
 
 

@@ -57,49 +57,29 @@ class NewtonParams:
     ls_s_min: float = 1e-2  # increment tolerance
 
 
-def backtracking_step(residual_norm_at, norm0: float, p: NewtonParams) -> tuple[float, float]:
-    """First s in {1, theta, theta^2, ...} with sufficient decrease.
+def backtracking_step(residual_at, norm0: float, p: NewtonParams):
+    """First s = theta^k, k = 0, 1, ..., with sufficient decrease.
 
     Damping stops once the next candidate would drop below the increment
     tolerance; the current step is then accepted regardless.  Without
-    `p.line_search` the full step s = 1 is accepted at once.  A callback
-    failure (non-physical trial state) counts as an infinite residual.
+    `p.line_search` the full step s = 1 is accepted at once.  Returns
+    (s, k, r, ||r||) for the accepted trial, where r = residual_at(s); a
+    callback failure (non-physical trial state) gives r = None and an
+    infinite norm.
     """
-    s = 1.0
+    k = 0
     while True:
+        s = p.ls_theta ** k
         try:
-            nrm = residual_norm_at(s)
+            r = residual_at(s)
+            nrm = np.linalg.norm(r)
         except NonPhysicalStateError:
-            nrm = np.inf
+            r, nrm = None, np.inf
         if nrm <= (1.0 - p.ls_t * s * (1.0 - p.ls_eta)) * norm0:
-            return s, nrm
+            return s, k, r, nrm
         if not p.line_search or s * p.ls_theta < p.ls_s_min:
-            return s, nrm
-        s *= p.ls_theta
-
-
-class TrialResidual:
-    """Residual-norm callback for `backtracking_step` that keeps the residual
-    of its latest trial.
-
-    `backtracking_step` accepts the step it evaluated last, and the accepted
-    state is computed by the same expression as the trial state, so `at(s)`
-    is the residual at the accepted state without a second assembly.
-    """
-
-    def __init__(self, residual_at):
-        self._residual_at = residual_at
-        self._s = None
-        self._r = None
-
-    def __call__(self, s: float) -> float:
-        self._s, self._r = s, None
-        self._r = self._residual_at(s)
-        return np.linalg.norm(self._r)
-
-    def at(self, s: float) -> np.ndarray | None:
-        """The residual at step `s` if the latest trial evaluated it."""
-        return self._r if s == self._s else None
+            return s, k, r, nrm
+        k += 1
 
 
 def _damped_newton(residual, direction, moved, x, p: NewtonParams, label: str):
@@ -121,9 +101,9 @@ def _damped_newton(residual, direction, moved, x, p: NewtonParams, label: str):
         if nrm <= tol or its >= p.max_iter:
             return x, its, nrm <= tol
         d = direction(x, r)
-        trial = TrialResidual(lambda s: residual(moved(x, s, d)))
-        s, nrm = backtracking_step(trial, nrm, p)
-        x, r = moved(x, s, d), trial.at(s)
+        s, _, r, nrm = backtracking_step(lambda s: residual(moved(x, s, d)),
+                                         nrm, p)
+        x = moved(x, s, d)
         its += 1
 
 

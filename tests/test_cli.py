@@ -6,7 +6,10 @@ import json
 import numpy as np
 import pytest
 
-from nlschwarz.cli import emit_history, main, run_point
+from nlschwarz import cli
+from nlschwarz import coarse as crs
+from nlschwarz import mesh as msh
+from nlschwarz.cli import HISTORY_COLUMNS, emit_history, main, run_point
 
 BASE = {"problem": "diffusion", "subdomains": [2, 2], "hh": 6, "overlap": 2,
         "variant": "hybrid", "coarse": "rgdsw", "modified": True}
@@ -93,32 +96,44 @@ class TestRun:
         assert main(["run", str(path)]) != 0
 
 
+def read_history(rep, tmp_path):
+    path = tmp_path / "hist.csv"
+    emit_history(rep, path)
+    with open(path, newline="") as f:
+        reader = csv.DictReader(f)
+        rows = list(reader)
+    assert reader.fieldnames == HISTORY_COLUMNS
+    return rows
+
+
 class TestHistory:
     def test_round_trip(self, tmp_path):
         record, rep = run_point(dict(BASE), {})
-        path = tmp_path / "hist.csv"
-        emit_history(rep, path)
-        with open(path, newline="") as f:
-            rows = list(csv.DictReader(f))
+        rows = read_history(rep, tmp_path)
         assert [float(r["rel_residual"]) for r in rows] == rep.residuals
         steps = rows[1:]
-        assert [float(r["precond_residual"]) for r in steps] == \
-            rep.precond_residuals
-        assert [int(r["gmres_its"]) for r in steps] == rep.gmres_iterations
-        assert [float(r["inner_avg"]) for r in steps] == rep.inner_iterations
-        assert [int(r["coarse_its"]) for r in steps] == rep.coarse_iterations
-        assert [int(r["line_search_steps"]) for r in steps] == \
-            rep.line_search_steps
-        times = ("t_inner", "t_coarse", "t_gmres", "t_other")
-        assert [tuple(float(r[c]) for c in times) for r in steps] == \
-            rep.timing_history
+        assert len(steps) == len(rep.steps)
+        for r, st in zip(steps, rep.steps):
+            assert float(r["precond_residual"]) == st.precond_residual
+            assert int(r["gmres_its"]) == st.gmres_its
+            assert float(r["inner_avg"]) == st.inner_avg
+            assert int(r["coarse_its"]) == st.coarse_its
+            assert int(r["line_search_steps"]) == st.line_search_steps
+            for c in ("t_inner", "t_coarse", "t_gmres", "t_other"):
+                assert float(r[c]) == getattr(st, c)
+            assert r["gmres_converged"] == str(st.gmres_converged)
+            assert r["corrections_converged"] == \
+                str(st.corrections_converged)
+
+    def test_nks_precond_cells_empty(self, tmp_path):
+        record, rep = run_point(dict(BASE, variant="nks"), {})
+        rows = read_history(rep, tmp_path)
+        assert len(rows) == rep.outer_iterations + 1 > 1
+        assert [r["precond_residual"] for r in rows] == [""] * len(rows)
 
     def test_row_zero_is_initial_residual(self, tmp_path):
         record, rep = run_point(dict(BASE), {})
-        path = tmp_path / "hist.csv"
-        emit_history(rep, path)
-        with open(path, newline="") as f:
-            rows = list(csv.DictReader(f))
+        rows = read_history(rep, tmp_path)
         assert int(rows[0]["iteration"]) == 0
         assert float(rows[0]["rel_residual"]) == 1.0
         assert int(rows[0]["gmres_its"]) == 0
@@ -144,3 +159,23 @@ class TestExportCoarse:
         rc = main(["export-coarse", write_config(tmp_path, cfg),
                    "--entity", "999"])
         assert rc != 0
+
+    def test_beam_modes_write_both_components(self, tmp_path):
+        cfg = {"problem": "beam", "subdomains": [4, 1], "hh": 4,
+               "out": str(tmp_path / "out")}
+        rc = main(["export-coarse", write_config(tmp_path, cfg),
+                   "--entity", "0"])
+        assert rc == 0
+        with open(tmp_path / "out" / "coarse_entity_0.csv", newline="") as f:
+            reader = csv.DictReader(f)
+            rows = list(reader)
+        assert reader.fieldnames == ["node", "x", "y", "tx_ux", "tx_uy",
+                                     "ty_ux", "ty_uy", "rot_ux", "rot_uy"]
+        prob, mesh, dofmap, px, py = cli._build_case(cfg, {})
+        dec = cli._decompose(mesh, px, py, 2, nks=False)
+        ent = crs.interface_functions(mesh, msh.interface_skeleton(dec, mesh),
+                                      "msfem", modified=True)[0]
+        anchor = rows[ent.anchor]
+        assert int(anchor["node"]) == ent.anchor
+        assert float(anchor["tx_ux"]) == float(anchor["ty_uy"]) == 1.0
+        assert float(anchor["tx_uy"]) == float(anchor["ty_ux"]) == 0.0

@@ -64,6 +64,15 @@ class TestConfigs:
         cfg = ldc_config(variant="aspen", modified=True)
         assert cfg.variant == "aspen"
         assert cfg.modified
+        cfg = beam_config(coarse_kind="rgdsw", gmres=GmresParams())
+        assert cfg.coarse_kind == "rgdsw"
+        assert cfg.gmres == GmresParams()
+        assert cfg.modified
+
+    @pytest.mark.parametrize("preset", [ldc_config, beam_config])
+    def test_misspelt_override_raises(self, preset):
+        with pytest.raises(TypeError):
+            preset(varaint="aspen")
 
 
 class TestNonlinearSchwarz:
@@ -83,19 +92,21 @@ class TestNonlinearSchwarz:
         cfg = SolverConfig(variant="raspen")
         u, rep = solve_nonlinear_schwarz(prob, m, dm, dec, cfg)
         assert rep.converged
-        assert rep.residuals[0] == 1.0
         n = rep.outer_iterations
-        assert len(rep.residuals) == n + 1
-        assert len(rep.inner_iterations) == n
-        assert len(rep.line_search_steps) == n
-        assert len(rep.timing_history) == n
-        assert set(rep.timings) == {"Inner solve", "Coarse solve", "GMRES",
-                                    "Other"}
-        assert rep.total_gmres == sum(rep.gmres_iterations)
-        # per-iteration timings sum to the category totals
-        for cat, tot in zip(("Inner solve", "Coarse solve", "GMRES"),
-                            np.sum(rep.timing_history, axis=0)):
+        assert n == len(rep.steps) > 0
+        assert rep.residuals == [1.0] + [st.rel_residual for st in rep.steps]
+        assert all(st.precond_residual > 0 for st in rep.steps)
+        assert list(rep.timings) == ["Inner solve", "Coarse solve", "GMRES",
+                                     "Other"]
+        assert rep.total_gmres == sum(st.gmres_its for st in rep.steps)
+        # per-step times sum to the category totals, and all of them to the
+        # solve's wall time
+        for cat, name in (("Inner solve", "t_inner"),
+                          ("Coarse solve", "t_coarse"), ("GMRES", "t_gmres")):
+            tot = sum(getattr(st, name) for st in rep.steps)
             assert abs(rep.timings[cat] - tot) < 1e-9
+        assert sum(st.t_other for st in rep.steps) <= rep.timings["Other"]
+        assert abs(sum(rep.timings.values()) - rep.wall_s) < 1e-9
 
     def test_iteration_limit_reported(self):
         prob, m, dm, dec = diffusion_case()
@@ -147,7 +158,7 @@ class TestNks:
         _, rep_prec = solve_nks(prob, m, dm, dec, cfg, P0=P0)
         assert rep_prec.converged
         # the preconditioned counts must be far below the system size
-        assert max(rep_prec.gmres_iterations) < dm.n_dofs // 4
+        assert max(st.gmres_its for st in rep_prec.steps) < dm.n_dofs // 4
 
 
 def nan_global_residual(monkeypatch, after: int):
@@ -167,8 +178,8 @@ SOLVERS = {"raspen": solve_nonlinear_schwarz, "nks": solve_nks}
 
 
 class TestFailuresRecorded:
-    """Each failure mode ends the solve with a reason or shows in a count;
-    none escapes as an exception or ends as the iteration limit."""
+    """Each failure mode ends the solve with a reason or is flagged in its
+    step; none escapes as an exception or ends as the iteration limit."""
 
     def solve(self, solver, **cfg):
         prob, m, dm, dec = diffusion_case()
@@ -208,6 +219,7 @@ class TestFailuresRecorded:
         assert not rep.converged
         assert rep.reason == "no trial step has a finite residual"
         assert rep.outer_iterations == 1
+        assert rep.steps[0].rel_residual is None
         assert rep.residuals == [1.0]
         assert np.array_equal(u, u0)
 
@@ -241,15 +253,15 @@ class TestFailuresRecorded:
     def test_gmres_iteration_cap_counted(self, solver):
         u, rep, _ = self.solve(solver, gmres=GmresParams(max_iter=1))
         assert rep.outer_iterations > 0
-        assert rep.gmres_unconverged == rep.outer_iterations
-        assert rep.corrections_unconverged == 0
+        assert not any(st.gmres_converged for st in rep.steps)
+        assert all(st.corrections_converged for st in rep.steps)
 
     def test_inner_iteration_cap_counted(self):
         u, rep, _ = self.solve("raspen", inner=NewtonParams(
             rel_tol=1e-12, abs_tol=0.0, max_iter=1))
         assert rep.outer_iterations > 0
-        assert rep.corrections_unconverged == rep.outer_iterations
-        assert rep.gmres_unconverged == 0
+        assert not any(st.corrections_converged for st in rep.steps)
+        assert all(st.gmres_converged for st in rep.steps)
 
 
 LDC = {"problem": "ldc", "subdomains": [2, 2], "hh": 6}
@@ -291,10 +303,10 @@ class TestPinnedReports:
             monkeypatch.setattr(cli, name, keep)
         for _ in range(2):
             record, rep = cli.run_point(config, {})
-            assert rep.gmres_iterations == gmres
-            assert rep.line_search_steps == ls
+            assert [st.gmres_its for st in rep.steps] == gmres
+            assert [st.line_search_steps for st in rep.steps] == ls
             assert rep.reason == reason
-            assert len(rep.precond_residuals) == (
-                0 if config["variant"] == "nks" else len(gmres))
+            assert [st.precond_residual is None for st in rep.steps] == \
+                [config["variant"] == "nks"] * len(gmres)
             assert record["gmres_unconverged"] == 0
         np.testing.assert_array_equal(solutions[0], solutions[1])

@@ -46,21 +46,32 @@ def coarse_space(prob, m, dm, dec, kind="rgdsw", modified=True):
 
 
 class TestBacktracking:
+    @staticmethod
+    def residual(norm_at):
+        """A residual callback whose vector has the norm norm_at(s)."""
+        return lambda s: np.array([norm_at(s)])
+
     def test_full_step_accepted(self):
         p = NewtonParams()
-        s, nrm = backtracking_step(lambda s: 1.0 - 0.9 * s, 1.0, p)
-        assert s == 1.0
+        s, k, r, nrm = backtracking_step(self.residual(lambda s: 1.0 - 0.9 * s),
+                                         1.0, p)
+        assert (s, k) == (1.0, 0)
+        assert r[0] == nrm == 1.0 - 0.9
 
     def test_damps_on_increase(self):
         p = NewtonParams()
         # residual grows for s > 0.1
-        s, nrm = backtracking_step(lambda s: abs(s - 0.1) + 0.5, 1.0, p)
+        s, k, r, nrm = backtracking_step(
+            self.residual(lambda s: abs(s - 0.1) + 0.5), 1.0, p)
         assert s < 1.0
+        assert s == p.ls_theta ** k
+        assert r[0] == nrm == abs(s - 0.1) + 0.5
 
     def test_stops_at_increment_tolerance(self):
         p = NewtonParams(ls_s_min=1e-2, ls_theta=0.5)
-        s, nrm = backtracking_step(lambda s: 2.0, 1.0, p)
+        s, k, r, nrm = backtracking_step(self.residual(lambda s: 2.0), 1.0, p)
         assert s * p.ls_theta < p.ls_s_min <= s
+        assert s == p.ls_theta ** k
 
     def test_nonphysical_counts_as_infinite(self):
         p = NewtonParams()
@@ -68,10 +79,19 @@ class TestBacktracking:
         def trial(s):
             if s > 0.4:
                 raise NonPhysicalStateError("det F <= 0")
-            return 0.1
-        s, nrm = backtracking_step(trial, 1.0, p)
+            return np.array([0.1])
+        s, k, r, nrm = backtracking_step(trial, 1.0, p)
         assert s <= 0.4
+        assert s == p.ls_theta ** k
         assert np.isfinite(nrm)
+
+    def test_failed_last_trial_returns_no_residual(self):
+        p = NewtonParams(line_search=False)
+
+        def trial(s):
+            raise NonPhysicalStateError("det F <= 0")
+        s, k, r, nrm = backtracking_step(trial, 1.0, p)
+        assert (s, k, r, nrm) == (1.0, 0, None, np.inf)
 
 
 class TestOperatorSetup:

@@ -187,29 +187,24 @@ def initial_iterate(problem: ProblemSpec, dofmap: DofMap) -> np.ndarray:
     return u
 
 
-def nullspace_basis(problem: ProblemSpec, dofmap: DofMap) -> list[np.ndarray]:
-    n = dofmap.n_dofs
-    if problem.kind == "diffusion":
-        return [np.ones(n)]
-    if problem.kind == "beam":
-        tx = np.zeros(n)
-        ty = np.zeros(n)
-        rot = np.zeros(n)
-        fx, fy = dofmap.field("ux"), dofmap.field("uy")
-        tx[fx.offset:fx.offset + fx.n_dofs] = 1.0
-        ty[fy.offset:fy.offset + fy.n_dofs] = 1.0
-        xy = dofmap.dof_coords
-        rot[fx.offset:fx.offset + fx.n_dofs] = -xy[fx.offset:fx.offset + fx.n_dofs, 1]
-        rot[fy.offset:fy.offset + fy.n_dofs] = xy[fy.offset:fy.offset + fy.n_dofs, 0]
-        return [tx, ty, rot]
-    if problem.kind == "ldc":
-        vecs = []
-        for f in dofmap.fields:
-            v = np.zeros(n)
-            v[f.offset:f.offset + f.n_dofs] = 1.0
-            vecs.append(v)
-        return vecs
-    raise ValueError(problem.kind)
+def nullspace_basis(problem: ProblemSpec, dofmap: DofMap) -> dict[str, np.ndarray]:
+    """Named nullspace modes of the operator without boundary conditions.
+
+    The beam has the rigid body modes ``tx``, ``ty`` and ``rot``; every other
+    problem one constant per field, named after the field.
+    """
+    modes = {}
+    for f in dofmap.fields:
+        z = np.zeros(dofmap.n_dofs)
+        z[f.offset:f.offset + f.n_dofs] = 1.0
+        modes[f.name] = z
+    if problem.kind != "beam":
+        return modes
+    on_x, on_y = modes["ux"] == 1.0, modes["uy"] == 1.0
+    rot = np.zeros(dofmap.n_dofs)
+    rot[on_x] = -dofmap.dof_coords[on_x, 1]
+    rot[on_y] = dofmap.dof_coords[on_y, 0]
+    return {"tx": modes["ux"], "ty": modes["uy"], "rot": rot}
 
 
 # quadrature on the reference triangle: barycentric points, weights sum to 1

@@ -13,14 +13,13 @@ boundary.  Three families are supported:
 For runs ending at the Dirichlet boundary the reduced families default to a
 plateau (the lone eligible vertex takes the full weight).  The ``modified``
 variants instead decay toward the Dirichlet endpoint with inverse-distance
-weights; by default a complementary filler function per such run restores the
-partition of unity (``keep_pou=False`` keeps the raw deficit).
+weights, and a complementary filler function per such run restores the
+partition of unity.
 
 Interface values are turned into coarse basis columns by multiplying with the
-nullspace of the operator (constants, or rigid body modes for elasticity; one
-function per field for the monolithic saddle-point space) and extending into
-the subdomain interiors energy-minimally with the tangent at the initial
-iterate.
+nullspace modes of `assembly.nullspace_basis` (one constant per field, or the
+rigid body modes for elasticity) and extending into the subdomain interiors
+energy-minimally with the tangent at the initial iterate.
 """
 
 from __future__ import annotations
@@ -30,8 +29,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 import scipy.sparse as sp
 
-from .assembly import DofMap, ProblemSpec
-from .mesh import DIRICHLET, LID, InterfaceSkeleton, Mesh
+from .assembly import DofMap, ProblemSpec, nullspace_basis, subset_dofs
+from .mesh import DIRICHLET, LID, Decomposition, InterfaceSkeleton, Mesh
 from .sparse import factorize
 
 
@@ -46,16 +45,14 @@ class CoarseEntity:
     mid_values: np.ndarray = dc_field(default_factory=lambda: np.zeros(0))
 
 
-def _run_points(mesh: Mesh, run) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Interior nodes, interface edge pairs and midpoint coords of a run."""
+def _run_pairs(run) -> np.ndarray:
+    """Interface mesh edges of a run as sorted node pairs, start to end."""
     chain = np.concatenate([[run.start], run.interior, [run.end]])
-    pairs = np.sort(np.column_stack([chain[:-1], chain[1:]]), axis=1)
-    mids = 0.5 * (mesh.nodes[pairs[:, 0]] + mesh.nodes[pairs[:, 1]])
-    return run.interior, pairs, mids
+    return np.sort(np.column_stack([chain[:-1], chain[1:]]), axis=1)
 
 
 def interface_functions(mesh: Mesh, skeleton: InterfaceSkeleton, kind: str,
-                        modified: bool = False, keep_pou: bool = True,
+                        modified: bool = False,
                         dirichlet_nodes: np.ndarray | None = None
                         ) -> list[CoarseEntity]:
     """Node- and midpoint-valued interface functions on Gamma'.
@@ -79,11 +76,9 @@ def interface_functions(mesh: Mesh, skeleton: InterfaceSkeleton, kind: str,
         ents = [CoarseEntity("vertex", v, np.array([v]), np.array([1.0]))
                 for v in sorted(eligible)]
         for run in skeleton.edges:
-            interior, pairs, _ = _run_points(mesh, run)
-            if interior.size == 0 and pairs.shape[0] == 0:
-                continue
-            ents.append(CoarseEntity("edge", -1, interior.copy(),
-                                     np.ones(interior.size),
+            pairs = _run_pairs(run)
+            ents.append(CoarseEntity("edge", -1, run.interior.copy(),
+                                     np.ones(run.interior.size),
                                      mid_pairs=pairs,
                                      mid_values=np.ones(pairs.shape[0])))
         return ents
@@ -96,13 +91,14 @@ def interface_functions(mesh: Mesh, skeleton: InterfaceSkeleton, kind: str,
     fillers: list[CoarseEntity] = []
 
     for run in skeleton.edges:
-        interior, pairs, mids = _run_points(mesh, run)
+        interior, pairs = run.interior, _run_pairs(run)
+        mids = 0.5 * (mesh.nodes[pairs[:, 0]] + mesh.nodes[pairs[:, 1]])
         ends = [run.start, run.end]
         elig = [e for e in ends if e in eligible]
-        if not elig and not (modified and keep_pou):
+        if not elig and not modified:
             raise ValueError(
                 f"interface run {run.start}-{run.end} has no eligible vertex; "
-                "use the gdsw space or the modified variant with keep_pou")
+                "use the gdsw space or the modified variant")
         pts = np.vstack([mesh.nodes[interior], mids]) if interior.size \
             else mids
         n_int = interior.size
@@ -127,7 +123,7 @@ def interface_functions(mesh: Mesh, skeleton: InterfaceSkeleton, kind: str,
             deficit = np.ones(pts.shape[0])
             for v in elig:
                 deficit -= weights[v]
-            if keep_pou and np.any(deficit > 1e-14):
+            if np.any(deficit > 1e-14):
                 fillers.append(CoarseEntity(
                     "filler", -1, interior.copy(), deficit[:n_int].copy(),
                     mid_pairs=pairs, mid_values=deficit[n_int:].copy()))
@@ -162,94 +158,74 @@ def _edge_lookup(dofmap: DofMap, pairs: np.ndarray) -> np.ndarray:
 
 
 def coarse_interface_basis(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
-                           entities: list[CoarseEntity],
-                           pressure_entities: list[CoarseEntity] | None = None
-                           ) -> tuple[sp.csr_matrix, list[tuple[int, str]]]:
-    """Interface-valued coarse columns (n_dofs x n_cols) and their labels.
+                           skeleton: InterfaceSkeleton, kind: str,
+                           modified: bool = False
+                           ) -> tuple[sp.csr_matrix, list[CoarseEntity],
+                                      list[tuple[int, str]]]:
+    """Interface-valued coarse columns (n_dofs x n_cols), their interface
+    functions and their labels (entity index, mode name).
 
-    Each entity is multiplied by every nullspace mode of its field(s); for the
-    saddle-point problem the per-field functions have zero entries in the
-    other fields, keeping the coarse blocks decoupled.  A separate entity set
-    may be supplied for the pressure field, whose Dirichlet set (just the pin)
-    differs from the velocity one; its labels index ``entities`` continued by
-    ``pressure_entities``.
+    Each column is one nullspace mode restricted to one interface function's
+    support, on the fields where the mode is nonzero: node DOFs take the
+    function's node values, P2 midpoint DOFs its midpoint values.  Modes whose
+    fields have the same node-level Dirichlet set share one family of
+    interface functions, so the cavity pressure, pinned at one node only,
+    keeps the boundary endpoint vertices that the velocity loses.
     """
+    families: dict[bytes, tuple[np.ndarray, list]] = {}
+    for name, z in nullspace_basis(problem, dofmap).items():
+        fields = [f for f in dofmap.fields
+                  if np.any(z[f.offset:f.offset + f.n_dofs])]
+        fixed = np.zeros(dofmap.n_nodes, dtype=bool)
+        for f in fields:
+            fixed |= dofmap.dirichlet_mask[f.offset:f.offset + dofmap.n_nodes]
+        families.setdefault(fixed.tobytes(), (fixed, []))[1].append(
+            (name, z, fields))
+
+    entities: list[CoarseEntity] = []
+    labels: list[tuple[int, str]] = []
     trip_r: list[np.ndarray] = []
     trip_c: list[np.ndarray] = []
     trip_v: list[np.ndarray] = []
-    labels: list[tuple[int, str]] = []
-    n = dofmap.n_dofs
-
-    def col(rows, vals):
-        # triplets of one column; per-column sparse matrices would each carry
-        # an O(n) indptr, which dominates memory for large meshes
-        rows = np.asarray(rows)
-        keep = ~dofmap.dirichlet_mask[rows]
-        trip_r.append(rows[keep])
-        trip_c.append(np.full(int(keep.sum()), len(labels), dtype=np.int64))
-        trip_v.append(np.asarray(vals, dtype=np.float64)[keep])
-
-    for k, ent in enumerate(entities):
-        if problem.kind == "diffusion":
-            col(dofmap.node_dofs("u", ent.nodes), ent.node_values)
-            labels.append((k, "u"))
-        elif problem.kind == "beam":
-            xy = mesh.nodes[ent.nodes]
-            dx = dofmap.node_dofs("ux", ent.nodes)
-            dy = dofmap.node_dofs("uy", ent.nodes)
-            for name, vx, vy in (
-                    ("tx", ent.node_values, None),
-                    ("ty", None, ent.node_values),
-                    ("rot", -xy[:, 1] * ent.node_values, xy[:, 0] * ent.node_values)):
-                rows, vals = [], []
-                if vx is not None:
-                    rows.append(dx)
-                    vals.append(vx)
-                if vy is not None:
-                    rows.append(dy)
-                    vals.append(vy)
-                col(np.concatenate(rows), np.concatenate(vals))
-                labels.append((k, name))
-        elif problem.kind == "ldc":
-            mid = _edge_lookup(dofmap, ent.mid_pairs) if ent.mid_pairs.size \
-                else np.zeros(0, dtype=np.int64)
-            for name in ("ux", "uy"):
-                rows = np.concatenate([dofmap.node_dofs(name, ent.nodes),
-                                       dofmap.edge_dofs(name, mid)])
-                vals = np.concatenate([ent.node_values, ent.mid_values])
-                col(rows, vals)
-                labels.append((k, name))
-            if pressure_entities is None:
-                col(dofmap.node_dofs("p", ent.nodes), ent.node_values)
-                labels.append((k, "p"))
-        else:
-            raise ValueError(problem.kind)
-    if problem.kind == "ldc" and pressure_entities is not None:
-        for j, ent in enumerate(pressure_entities):
-            col(dofmap.node_dofs("p", ent.nodes), ent.node_values)
-            labels.append((len(entities) + j, "p"))
+    for fixed, modes in families.values():
+        for ent in interface_functions(mesh, skeleton, kind, modified=modified,
+                                       dirichlet_nodes=fixed):
+            for name, z, fields in modes:
+                rows, weights = [], []
+                for f in fields:
+                    rows.append(dofmap.node_dofs(f.name, ent.nodes))
+                    weights.append(ent.node_values)
+                    if f.order == 2:
+                        mid = _edge_lookup(dofmap, ent.mid_pairs)
+                        rows.append(dofmap.edge_dofs(f.name, mid))
+                        weights.append(ent.mid_values)
+                rows = np.concatenate(rows)
+                # triplets of one column; per-column sparse matrices would
+                # each carry an O(n) indptr, which dominates memory for large
+                # meshes
+                keep = ~dofmap.dirichlet_mask[rows]
+                trip_r.append(rows[keep])
+                trip_c.append(np.full(int(keep.sum()), len(labels)))
+                trip_v.append((z[rows] * np.concatenate(weights))[keep])
+                labels.append((len(entities), name))
+            entities.append(ent)
     Phi = sp.csr_matrix(
         (np.concatenate(trip_v) if trip_v else np.zeros(0),
          (np.concatenate(trip_r) if trip_r else np.zeros(0, dtype=np.int64),
           np.concatenate(trip_c) if trip_c else np.zeros(0, dtype=np.int64))),
-        shape=(n, len(labels)))
-    return Phi, labels
+        shape=(dofmap.n_dofs, len(labels)))
+    return Phi, entities, labels
 
 
-def interface_dofs(problem: ProblemSpec, dofmap: DofMap,
-                   skeleton: InterfaceSkeleton) -> np.ndarray:
+def interface_dofs(dofmap: DofMap, skeleton: InterfaceSkeleton) -> np.ndarray:
     """All DOFs sitting on the interface (every field, midpoints included)."""
-    parts = []
-    for f in dofmap.fields:
-        parts.append(f.offset + skeleton.interface_nodes)
-        if f.order == 2:
-            pairs = []
-            for run in skeleton.edges:
-                chain = np.concatenate([[run.start], run.interior, [run.end]])
-                pairs.append(np.sort(np.column_stack([chain[:-1], chain[1:]]), axis=1))
-            if pairs:
-                eids = _edge_lookup(dofmap, np.vstack(pairs))
-                parts.append(f.offset + dofmap.n_nodes + eids)
+    parts = [dofmap.node_dofs(f.name, skeleton.interface_nodes)
+             for f in dofmap.fields]
+    p2 = [f for f in dofmap.fields if f.order == 2]
+    if p2 and skeleton.edges:
+        mid = _edge_lookup(dofmap, np.vstack([_run_pairs(run)
+                                              for run in skeleton.edges]))
+        parts += [dofmap.edge_dofs(f.name, mid) for f in p2]
     return np.unique(np.concatenate(parts))
 
 
@@ -259,7 +235,6 @@ def interior_owner(dofmap: DofMap, mesh: Mesh, decomp) -> np.ndarray:
     Interface DOFs receive an arbitrary adjacent owner; the label is only
     consulted for interior DOFs, which belong to exactly one subdomain.
     """
-    from .assembly import subset_dofs
     label = np.full(dofmap.n_dofs, -1, dtype=np.int64)
     for i in range(decomp.num_subdomains):
         elems = np.flatnonzero(decomp.owner == i)
@@ -269,14 +244,13 @@ def interior_owner(dofmap: DofMap, mesh: Mesh, decomp) -> np.ndarray:
 
 def harmonic_extension(A0: sp.csr_matrix, dofmap: DofMap, iface: np.ndarray,
                        Phi_gamma: sp.csr_matrix,
-                       interior_label: np.ndarray | None = None) -> sp.csr_matrix:
+                       interior_label: np.ndarray) -> sp.csr_matrix:
     """Extend interface values energy-minimally with the frozen tangent A0.
 
     Interface and Dirichlet DOFs keep their values.  The interior block of A0
-    decouples across subdomains, so with an `interior_label` the extension is
-    computed one subdomain at a time and touches only the columns whose
-    entities border that subdomain; without a label a single global interior
-    solve is performed (fine for small problems).
+    decouples across subdomains, so the extension is computed one subdomain
+    of `interior_label` at a time and touches only the columns whose entities
+    border that subdomain.
     """
     n = dofmap.n_dofs
     fixed = np.zeros(n, dtype=bool)
@@ -288,13 +262,8 @@ def harmonic_extension(A0: sp.csr_matrix, dofmap: DofMap, iface: np.ndarray,
     n0 = Phi_gamma.shape[1]
 
     rows, cols, vals = [], [], []
-    if interior_label is None:
-        groups = [np.flatnonzero(~fixed)]
-    else:
-        nsub = interior_label.max() + 1
-        groups = [np.flatnonzero(~fixed & (interior_label == i))
-                  for i in range(nsub)]
-    for idx in groups:
+    for i in range(interior_label.max() + 1):
+        idx = np.flatnonzero(~fixed & (interior_label == i))
         if idx.size == 0:
             continue
         A_sub = A0[idx]
@@ -323,27 +292,12 @@ def harmonic_extension(A0: sp.csr_matrix, dofmap: DofMap, iface: np.ndarray,
 
 def build_coarse_space(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
                        skeleton: InterfaceSkeleton, A0: sp.csr_matrix,
-                       kind: str = "rgdsw", modified: bool = False,
-                       keep_pou: bool = True, decomp=None
+                       kind: str = "rgdsw", modified: bool = False, *,
+                       decomp: Decomposition
                        ) -> tuple[sp.csr_matrix, list[CoarseEntity], list[tuple[int, str]]]:
     """Assemble the full coarse basis P0 (n_dofs x n0)."""
-    ents = interface_functions(mesh, skeleton, kind, modified=modified,
-                               keep_pou=keep_pou)
-    ents_p = None
-    if problem.kind == "ldc":
-        # the pressure is unconstrained on the tagged boundary (only the pin
-        # is fixed), so its Gamma' keeps the boundary endpoint vertices
-        pin_only = np.zeros(mesh.n_nodes, dtype=bool)
-        if mesh.pin_node is not None:
-            pin_only[mesh.pin_node] = True
-        ents_p = interface_functions(mesh, skeleton, kind, modified=modified,
-                                     keep_pou=keep_pou,
-                                     dirichlet_nodes=pin_only)
-    Phi_gamma, labels = coarse_interface_basis(problem, mesh, dofmap, ents,
-                                               pressure_entities=ents_p)
-    iface = interface_dofs(problem, dofmap, skeleton)
-    label = interior_owner(dofmap, mesh, decomp) if decomp is not None else None
-    P0 = harmonic_extension(A0, dofmap, iface, Phi_gamma, interior_label=label)
-    if problem.kind == "ldc":
-        ents = ents + ents_p
+    Phi_gamma, ents, labels = coarse_interface_basis(
+        problem, mesh, dofmap, skeleton, kind, modified)
+    P0 = harmonic_extension(A0, dofmap, interface_dofs(dofmap, skeleton),
+                            Phi_gamma, interior_owner(dofmap, mesh, decomp))
     return P0, ents, labels

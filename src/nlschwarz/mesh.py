@@ -68,7 +68,6 @@ class SkeletonEdge:
     start: int               # endpoint vertex node
     end: int                 # endpoint vertex node
     interior: np.ndarray     # interior node run, ordered start -> end
-    subdomains: tuple[int, int]
 
 
 @dataclass
@@ -257,20 +256,16 @@ def interface_skeleton(decomp: Decomposition, mesh: Mesh) -> InterfaceSkeleton:
 
     # interface mesh edges: both adjacent elements exist and have distinct owners
     edges, e1, e2 = _shared_edges(mesh.elements)
-    o1, o2 = decomp.owner[e1], decomp.owner[e2]
-    iface = o1 != o2
-    seg_nodes = edges[iface]
-    seg_pair = np.sort(np.column_stack([o1[iface], o2[iface]]), axis=1)
-
-    nbr: dict[int, list[tuple[int, tuple[int, int]]]] = {}
-    for (a, b), (p, q) in zip(seg_nodes, seg_pair):
-        nbr.setdefault(int(a), []).append((int(b), (int(p), int(q))))
-        nbr.setdefault(int(b), []).append((int(a), (int(p), int(q))))
+    iface = decomp.owner[e1] != decomp.owner[e2]
+    nbr: dict[int, list[int]] = {}
+    for a, b in edges[iface].tolist():
+        nbr.setdefault(a, []).append(b)
+        nbr.setdefault(b, []).append(a)
 
     consumed: set[tuple[int, int]] = set()
     runs: list[SkeletonEdge] = []
     for v in vertices:
-        for w, pair in nbr.get(int(v), []):
+        for w in nbr.get(int(v), []):
             key = (min(int(v), w), max(int(v), w))
             if key in consumed:
                 continue
@@ -279,14 +274,12 @@ def interface_skeleton(decomp: Decomposition, mesh: Mesh) -> InterfaceSkeleton:
             prev, cur = int(v), w
             while not vertex_mask[cur]:
                 interior.append(cur)
-                nxt = [(x, pr) for x, pr in nbr[cur] if x != prev]
+                nxt = [x for x in nbr[cur] if x != prev]
                 if len(nxt) != 1:
                     raise RuntimeError(f"non-manifold interface at node {cur}")
-                step_key = (min(cur, nxt[0][0]), max(cur, nxt[0][0]))
-                consumed.add(step_key)
-                prev, cur = cur, nxt[0][0]
+                consumed.add((min(cur, nxt[0]), max(cur, nxt[0])))
+                prev, cur = cur, nxt[0]
             runs.append(SkeletonEdge(start=int(v), end=int(cur),
-                                     interior=np.array(interior, dtype=np.int64),
-                                     subdomains=pair))
+                                     interior=np.array(interior, dtype=np.int64)))
     return InterfaceSkeleton(interface_nodes=gamma, gamma_prime=gamma_prime,
                              vertices=vertices, edges=runs)

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import re
 from typing import Callable
 
 import numpy as np
@@ -23,9 +22,7 @@ except OSError:  # pragma: no cover - non-glibc platform
 
 
 class SingularMatrixError(RuntimeError):
-    def __init__(self, message: str, pivot: int | None = None):
-        super().__init__(message)
-        self.pivot = pivot
+    """SuperLU found the matrix singular."""
 
 
 class Factorization:
@@ -51,14 +48,13 @@ def factorize(A: sp.spmatrix, fast: bool = False) -> Factorization:
     try:
         lu = spla.splu(sp.csc_matrix(A), **kwargs)
     except RuntimeError as exc:
-        m = re.search(r"\d+", str(exc))
-        raise SingularMatrixError(str(exc), pivot=int(m.group()) if m else None) from exc
+        raise SingularMatrixError(str(exc)) from exc
     # splu may return a factorization with an exactly-zero pivot on
     # structurally singular input instead of raising
     diag_u = lu.U.diagonal()
     zero = np.flatnonzero(diag_u == 0.0)
     if zero.size:
-        raise SingularMatrixError(f"zero pivot at index {zero[0]}", pivot=int(zero[0]))
+        raise SingularMatrixError(f"zero pivot at index {zero[0]}")
     return Factorization(lu)
 
 

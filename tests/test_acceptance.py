@@ -1,8 +1,10 @@
 """Acceptance criteria for the nonlinear Schwarz solver framework.
 
 Each test prints a single PASS/FAIL line.  Criteria 1-8 are property-based
-and fast; criteria 9-13 reproduce published solver behavior at desk scale
-and are marked slow (run with `pytest -m slow` or without marker filters).
+and fast.  Criteria 9-13, which are to reproduce published solver behavior
+at desk scale under the ``slow`` marker (weak scaling, the coarse spaces on
+the beam, an Re sweep against NKS, exact against ASPIN tangent, threaded
+against serial runs), are not written yet; ROADMAP item 5 keeps them open.
 """
 
 import time
@@ -76,10 +78,8 @@ def test_criterion_1_partition_of_unity():
 
 def test_criterion_2_nullspace_reproduction():
     """Coarse columns reproduce the operator nullspace on interior subdomains."""
-    cases = [("diffusion", ["u"]), ("beam", ["tx", "ty", "rot"]),
-             ("ldc", ["ux", "uy", "p"])]
     worst = 0.0
-    for problem_kind, modes in cases:
+    for problem_kind in ("diffusion", "beam", "ldc"):
         if problem_kind == "beam":
             prob, m, dm, dec, skel = build_case("beam", 16, 4, 4, 1, 2,
                                                 domain=(0, 5, 0, 1))
@@ -90,7 +90,7 @@ def test_criterion_2_nullspace_reproduction():
         for kind, modified in (("gdsw", False), ("msfem", True)):
             P0, ents, labels = coarse_space(prob, m, dm, dec, skel, kind,
                                             modified)
-            for z, name in zip(asm.nullspace_basis(prob, dm), modes):
+            for name, z in asm.nullspace_basis(prob, dm).items():
                 cols = [c for c, (_, nm) in enumerate(labels) if nm == name]
                 x = np.asarray(P0[:, cols].sum(axis=1)).ravel()
                 for i in interior:
@@ -109,17 +109,12 @@ def test_criterion_3_harmonic_extension():
     prob, m, dm, dec, skel = build_case("ldc", 12, 12, 3, 3, 2)
     u0 = asm.initial_iterate(prob, dm)
     A0 = asm.assemble_tangent(prob, m, dm, u0)
-    # the raw monolithic extension is harmonic; the off-field blocks are
-    # zeroed only afterwards, so check the extension before that step
-    ents = crs.interface_functions(m, skel, "rgdsw", modified=True)
-    pin_only = np.zeros(m.n_nodes, dtype=bool)
-    pin_only[m.pin_node] = True
-    ents_p = crs.interface_functions(m, skel, "rgdsw", modified=True,
-                                     dirichlet_nodes=pin_only)
-    Phi0, _ = crs.coarse_interface_basis(prob, m, dm, ents,
-                                         pressure_entities=ents_p)
-    iface = crs.interface_dofs(prob, dm, skel)
-    P0 = crs.harmonic_extension(A0, dm, iface, Phi0)
+    # the monolithic extension with the full saddle-point tangent is
+    # harmonic in every field at once, off-field blocks included
+    Phi0, _, _ = crs.coarse_interface_basis(prob, m, dm, skel, "rgdsw", True)
+    iface = crs.interface_dofs(dm, skel)
+    P0 = crs.harmonic_extension(A0, dm, iface, Phi0,
+                                crs.interior_owner(dm, m, dec))
     fixed = np.zeros(dm.n_dofs, dtype=bool)
     fixed[iface] = True
     fixed |= dm.dirichlet_mask
@@ -131,10 +126,11 @@ def test_criterion_3_harmonic_extension():
     skel2 = msh.interface_skeleton(dec2, m2)
     A2 = asm.assemble_tangent(prob2, m2, dm2,
                               asm.initial_iterate(prob2, dm2))
-    ents = crs.interface_functions(m2, skel2, "msfem", modified=True)
-    Phi, _ = crs.coarse_interface_basis(prob2, m2, dm2, ents)
-    iface2 = crs.interface_dofs(prob2, dm2, skel2)
-    P2 = crs.harmonic_extension(A2, dm2, iface2, Phi)
+    Phi, _, _ = crs.coarse_interface_basis(prob2, m2, dm2, skel2, "msfem",
+                                           True)
+    iface2 = crs.interface_dofs(dm2, skel2)
+    P2 = crs.harmonic_extension(A2, dm2, iface2, Phi,
+                                crs.interior_owner(dm2, m2, dec2))
     fixed2 = np.zeros(dm2.n_dofs, dtype=bool)
     fixed2[iface2] = True
     fixed2 |= dm2.dirichlet_mask

@@ -144,7 +144,7 @@ class TestResidualProperties:
         A = asm.assemble_tangent(prob, m, dm, np.zeros(dm.n_dofs),
                                  apply_dirichlet=False).toarray()
         np.testing.assert_allclose(A, A.T, rtol=1e-10, atol=1e-10)
-        for z in asm.nullspace_basis(prob, dm):
+        for z in asm.nullspace_basis(prob, dm).values():
             assert np.linalg.norm(A @ z) < 1e-10 * np.linalg.norm(A)
         w = np.linalg.eigvalsh(A)
         assert w[0] > -1e-10 * w[-1]
@@ -231,7 +231,8 @@ class TestNullspace:
         prob = asm.diffusion_problem()
         m = msh.build_structured_mesh(4, 4, problem_kind="diffusion")
         dm = asm.build_dofmap(prob, m)
-        (z,) = asm.nullspace_basis(prob, dm)
+        ((name, z),) = asm.nullspace_basis(prob, dm).items()
+        assert name == "u"
         np.testing.assert_allclose(z, 1.0)
 
     def test_beam_rigid_modes(self):
@@ -240,8 +241,8 @@ class TestNullspace:
                                       problem_kind="beam")
         dm = asm.build_dofmap(prob, m)
         zs = asm.nullspace_basis(prob, dm)
-        assert len(zs) == 3
-        rot = zs[2]
+        assert list(zs) == ["tx", "ty", "rot"]
+        rot = zs["rot"]
         np.testing.assert_allclose(rot[dm.node_dofs("ux", np.arange(m.n_nodes))],
                                    -m.nodes[:, 1])
         np.testing.assert_allclose(rot[dm.node_dofs("uy", np.arange(m.n_nodes))],
@@ -252,8 +253,8 @@ class TestNullspace:
         m = msh.build_structured_mesh(4, 4, problem_kind="ldc")
         dm = asm.build_dofmap(prob, m)
         zs = asm.nullspace_basis(prob, dm)
-        assert len(zs) == 3
-        for z, f in zip(zs, dm.fields):
+        assert list(zs) == ["ux", "uy", "p"]
+        for z, f in zip(zs.values(), dm.fields):
             assert np.all(z[f.offset:f.offset + f.n_dofs] == 1.0)
             assert z.sum() == f.n_dofs
 

@@ -97,16 +97,6 @@ class TestInterfaceFunctions:
                         else run.interior[-1]
                     assert node_sum[nearest] < 1.0 - 1e-6
 
-    def test_keep_pou_false_leaves_deficit(self):
-        prob, m, dm, dec, skel = decomposed("diffusion")
-        ents = crs.interface_functions(m, skel, "msfem", modified=True,
-                                       keep_pou=False)
-        assert all(e.kind != "filler" for e in ents)
-        node_sum = np.zeros(m.n_nodes)
-        for e in ents:
-            node_sum[e.nodes] += e.node_values
-        assert node_sum[skel.gamma_prime].min() < 1.0 - 1e-6
-
     def test_unknown_kind_raises(self):
         prob, m, dm, dec, skel = decomposed("diffusion")
         with pytest.raises(ValueError):
@@ -116,14 +106,14 @@ class TestInterfaceFunctions:
 class TestInterfaceBasis:
     def test_dirichlet_rows_zero(self):
         prob, m, dm, dec, skel = decomposed("ldc")
-        ents = crs.interface_functions(m, skel, "gdsw")
-        Phi, labels = crs.coarse_interface_basis(prob, m, dm, ents)
+        Phi, ents, labels = crs.coarse_interface_basis(prob, m, dm, skel,
+                                                       "gdsw")
         assert Phi[dm.dirichlet_mask].nnz == 0
 
     def test_ldc_fields_decoupled(self):
         prob, m, dm, dec, skel = decomposed("ldc")
-        ents = crs.interface_functions(m, skel, "rgdsw")
-        Phi, labels = crs.coarse_interface_basis(prob, m, dm, ents)
+        Phi, ents, labels = crs.coarse_interface_basis(prob, m, dm, skel,
+                                                       "rgdsw")
         assert {name for _, name in labels} == {"ux", "uy", "p"}
         for c, (_, name) in enumerate(labels):
             rows = Phi[:, c].tocoo().row
@@ -132,28 +122,24 @@ class TestInterfaceBasis:
 
     def test_beam_modes(self):
         prob, m, dm, dec, skel = decomposed("beam", nx=12, px=3)
-        ents = crs.interface_functions(m, skel, "gdsw")
-        Phi, labels = crs.coarse_interface_basis(prob, m, dm, ents)
+        Phi, ents, labels = crs.coarse_interface_basis(prob, m, dm, skel,
+                                                       "gdsw")
         assert {name for _, name in labels} == {"tx", "ty", "rot"}
         assert Phi.shape[1] == 3 * len(ents)
 
 
 class TestHarmonicExtension:
     def test_interior_residual_small(self):
-        # the raw extension is harmonic; build_coarse_space then zeroes the
-        # off-field blocks for the saddle point, so test the extension itself
+        # the monolithic extension with the full saddle-point tangent is
+        # harmonic in every field at once, off-field blocks included
         prob, m, dm, dec, skel = decomposed("ldc")
         u0 = asm.initial_iterate(prob, dm)
         A0 = asm.assemble_tangent(prob, m, dm, u0)
-        ents = crs.interface_functions(m, skel, "rgdsw", modified=True)
-        pin_only = np.zeros(m.n_nodes, dtype=bool)
-        pin_only[m.pin_node] = True
-        ents_p = crs.interface_functions(m, skel, "rgdsw", modified=True,
-                                         dirichlet_nodes=pin_only)
-        Phi, labels = crs.coarse_interface_basis(prob, m, dm, ents,
-                                                 pressure_entities=ents_p)
-        iface = crs.interface_dofs(prob, dm, skel)
-        P0 = crs.harmonic_extension(A0, dm, iface, Phi)
+        Phi, ents, labels = crs.coarse_interface_basis(prob, m, dm, skel,
+                                                       "rgdsw", True)
+        iface = crs.interface_dofs(dm, skel)
+        P0 = crs.harmonic_extension(A0, dm, iface, Phi,
+                                    crs.interior_owner(dm, m, dec))
         fixed = np.zeros(dm.n_dofs, dtype=bool)
         fixed[iface] = True
         fixed |= dm.dirichlet_mask
@@ -162,14 +148,24 @@ class TestHarmonicExtension:
         assert np.abs(R).max() / scale < 1e-10
 
     def test_per_subdomain_matches_global(self):
+        """The extension solved one subdomain at a time equals the global
+        interior solve -A_II^{-1} A_IB Phi_B, computed densely."""
         prob, m, dm, dec, skel = decomposed("ldc")
+        assert dm.n_dofs == 1419
         u0 = asm.initial_iterate(prob, dm)
         A0 = asm.assemble_tangent(prob, m, dm, u0)
-        P_glob, _, _ = crs.build_coarse_space(prob, m, dm, skel, A0, "gdsw")
-        P_sub, _, _ = crs.build_coarse_space(prob, m, dm, skel, A0, "gdsw",
-                                             decomp=dec)
-        diff = (P_glob - P_sub)
-        assert np.abs(diff.toarray()).max() < 1e-11
+        P0, _, _ = crs.build_coarse_space(prob, m, dm, skel, A0, "gdsw",
+                                          decomp=dec)
+        Phi, _, _ = crs.coarse_interface_basis(prob, m, dm, skel, "gdsw")
+        fixed = np.zeros(dm.n_dofs, dtype=bool)
+        fixed[crs.interface_dofs(dm, skel)] = True
+        fixed |= dm.dirichlet_mask
+        I = np.flatnonzero(~fixed)
+        B = np.flatnonzero(fixed)
+        Ad = A0.toarray()
+        phi_I = -np.linalg.solve(Ad[np.ix_(I, I)],
+                                 Ad[np.ix_(I, B)] @ Phi.toarray()[B])
+        assert np.abs(P0.toarray()[I] - phi_I).max() < 1e-11
 
     def test_dense_schur_oracle_two_subdomains(self):
         """Columns equal -A_II^{-1} A_IB phi_B computed densely."""
@@ -178,10 +174,11 @@ class TestHarmonicExtension:
         skel = msh.interface_skeleton(dec, m)
         u0 = asm.initial_iterate(prob, dm)
         A0 = asm.assemble_tangent(prob, m, dm, u0)
-        ents = crs.interface_functions(m, skel, "msfem", modified=True)
-        Phi, labels = crs.coarse_interface_basis(prob, m, dm, ents)
-        iface = crs.interface_dofs(prob, dm, skel)
-        P0 = crs.harmonic_extension(A0, dm, iface, Phi)
+        Phi, ents, labels = crs.coarse_interface_basis(prob, m, dm, skel,
+                                                       "msfem", True)
+        iface = crs.interface_dofs(dm, skel)
+        P0 = crs.harmonic_extension(A0, dm, iface, Phi,
+                                    crs.interior_owner(dm, m, dec))
         fixed = np.zeros(dm.n_dofs, dtype=bool)
         fixed[iface] = True
         fixed |= dm.dirichlet_mask
@@ -210,10 +207,44 @@ class TestNullspaceReproduction:
         owned = np.flatnonzero(dec.owner == interior_sub)
         dofs = asm.subset_dofs(dm, m, owned)
         dofs = dofs[~dm.dirichlet_mask[dofs]]
-        mode_names = {"diffusion": ["u"], "beam": ["tx", "ty", "rot"],
-                      "ldc": ["ux", "uy", "p"]}[problem_kind]
-        for z, name in zip(asm.nullspace_basis(prob, dm), mode_names):
+        for name, z in asm.nullspace_basis(prob, dm).items():
             cols = [c for c, (_, nm) in enumerate(labels) if nm == name]
             x = np.asarray(P0[:, cols].sum(axis=1)).ravel()
             err = np.linalg.norm(x[dofs] - z[dofs]) / np.linalg.norm(z[dofs])
             assert err < 1e-9, (name, err)
+
+
+class TestCoarseDimensions:
+    """(columns, nnz) of P0 for the five spaces, in `ALL_KINDS` order."""
+
+    CASES = {
+        "diffusion": (dict(kind="diffusion"),
+                      [(16, 256), (4, 196), (4, 196), (12, 364), (12, 364)]),
+        "ldc": (dict(kind="ldc", Re=400.0),
+                [(56, 15277), (20, 7395), (20, 7395), (36, 11087),
+                 (36, 11087)]),
+        "beam": (dict(kind="beam", nx=16, px=4, fy=1.0),
+                 [(27, 1677), (18, 1173), (18, 1173), (18, 1173),
+                  (18, 1173)]),
+    }
+
+    @staticmethod
+    def dims(case, kind, modified):
+        prob, m, dm, dec, skel = decomposed(**case)
+        A0 = asm.assemble_tangent(prob, m, dm, asm.initial_iterate(prob, dm))
+        P0, _, _ = crs.build_coarse_space(prob, m, dm, skel, A0, kind,
+                                          modified, decomp=dec)
+        return P0.shape[1], P0.nnz
+
+    @pytest.mark.parametrize("problem_kind", list(CASES))
+    def test_pinned(self, problem_kind):
+        case, expected = self.CASES[problem_kind]
+        got = [self.dims(case, k, mod) for k, mod in ALL_KINDS]
+        assert got == expected
+        n_gdsw, n_rgdsw, n_msfem = (got[0][0], got[1][0], got[2][0])
+        assert n_gdsw > n_rgdsw == n_msfem
+
+    def test_bench_cavity(self):
+        # the 40x40 cavity on 4x4 subdomains of bench/README.md
+        case = dict(kind="ldc", nx=40, px=4, Re=400.0)
+        assert self.dims(case, "rgdsw", False) == (39, 108786)

@@ -32,7 +32,10 @@ Config schema (JSON object; every field optional unless noted):
 
 Flag overrides: --problem --re --fy --subdomains PXxPY --hh --overlap
 --variant --coarse --modified --out.  The worker count for local solves is
-read from the environment variable NLSCHWARZ_WORKERS.
+read from the environment variable NLSCHWARZ_WORKERS.  The worker threads
+overlap the subdomain assembly of the local Newton solves; SuperLU holds the
+GIL while it factorizes and solves, so those parts run one at a time.  The
+factorizations a step keeps are built on the main thread.
 """
 
 from __future__ import annotations

@@ -222,7 +222,7 @@ def solve_nonlinear_schwarz(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
                          inner=cfg.inner, coarse=cfg.coarse)
 
     def linearize(u, F):
-        ev = op.evaluate(u)
+        ev = op.evaluate(u, F)
         return _Linearization(
             ev.residual, lambda x: op.apply_tangent(ev, x),
             inner_iterations=ev.inner_iterations,

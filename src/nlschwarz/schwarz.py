@@ -82,15 +82,18 @@ def backtracking_step(residual_at, norm0: float, p: NewtonParams):
         k += 1
 
 
-def _damped_newton(residual, direction, moved, x, p: NewtonParams, label: str):
+def _damped_newton(residual, direction, moved, x, p: NewtonParams, label: str,
+                   r: np.ndarray | None = None):
     """Newton on residual(x) = 0 from `x`, damped by `backtracking_step`.
 
     `direction(x, r)` solves for the step d at x, and `moved(x, s, d)` is the
-    state a step s along d leads to; it must not modify x.  Returns
-    (x, iterations, converged).  A non-finite residual, at the start or after
-    a step, raises `NonPhysicalStateError` naming `label`.
+    state a step s along d leads to; it must not modify x.  `r` is
+    residual(x) if the caller already has it.  Returns (x, iterations,
+    converged).  A non-finite residual, at the start or after a step, raises
+    `NonPhysicalStateError` naming `label`.
     """
-    r = residual(x)
+    if r is None:
+        r = residual(x)
     nrm = np.linalg.norm(r)
     tol = max(p.rel_tol * nrm, p.abs_tol)
     its = 0
@@ -120,10 +123,12 @@ class SubdomainData:
 @dataclass
 class LocalSolveState:
     correction: np.ndarray          # T_i on dofs_ov
-    tangent: Factorization | None   # R_i DF(v_final) P_i factorized
-    coupling: sp.csr_matrix | None  # R_i DF(v_final) over dofs_ext columns
+    coupling: sp.csr_matrix         # R_i DF(v_final) over dofs_ext columns
     iterations: int
     converged: bool
+    # R_i DF(v_final) P_i factorized; `_run_locals` builds it on the thread
+    # that calls it, which also releases it (see `sparse.Factorization`)
+    tangent: Factorization | None = None
 
 
 @dataclass
@@ -227,10 +232,8 @@ class SchwarzOperator:
             A = self._local_tangent(sub, v)
         else:
             A = A_v0 if A_v0 is not None else self._local_tangent(sub, v0)
-        rect = A[sub.pos_ov].tocsr()
-        lu = factorize(rect[:, sub.pos_ov], fast=True)
         T = u[sub.dofs_ov] - v[sub.pos_ov]
-        return LocalSolveState(correction=T, tangent=lu, coupling=rect,
+        return LocalSolveState(correction=T, coupling=A[sub.pos_ov].tocsr(),
                                iterations=its, converged=converged)
 
     def _deflate_coarse(self, A0: np.ndarray) -> np.ndarray:
@@ -268,7 +271,10 @@ class SchwarzOperator:
             r = r - U @ (U.T @ r)
         return r
 
-    def coarse_correction(self, u: np.ndarray) -> CoarseSolveState:
+    def coarse_correction(self, u: np.ndarray,
+                          F: np.ndarray | None = None) -> CoarseSolveState:
+        """T_0(u) by damped Newton from c = 0; `F` is F(u) if the caller has
+        it, which is then the first residual, since u - P0 0 is exactly u."""
         P0, R0 = self.P0, self.R0
         plan = asm.global_plan(self.mesh, self.dofmap)
 
@@ -294,9 +300,11 @@ class SchwarzOperator:
             pending = None
             return pair
 
+        r0 = None if F is None else self._project_coarse_residual(R0 @ F)
         c, its, converged = _damped_newton(
             coarse_residual, lambda cc, r: np.linalg.solve(tangent(cc)[1], r),
-            lambda cc, s, d: cc + s * d, c0, self.coarse, "coarse correction")
+            lambda cc, s, d: cc + s * d, c0, self.coarse, "coarse correction",
+            r0)
         DF, A0 = tangent(c)
         lu = sla.lu_factor(A0)
         if not np.all(np.isfinite(lu[0])) or np.any(np.diag(lu[0]) == 0.0):
@@ -308,19 +316,28 @@ class SchwarzOperator:
     # -- preconditioned residual -------------------------------------------
 
     def _run_locals(self, u: np.ndarray) -> list[LocalSolveState]:
+        """Local corrections at u on `workers` threads.  Each kept tangent is
+        factorized here, on the calling thread, as its correction arrives."""
+        def kept(sub, st):
+            st.tangent = factorize(st.coupling[:, sub.pos_ov], fast=True)
+            return st
+
         if self.workers > 1:
             with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                return list(pool.map(lambda s: self.local_correction(s, u), self.subs))
-        return [self.local_correction(s, u) for s in self.subs]
+                states = pool.map(lambda s: self.local_correction(s, u), self.subs)
+                return [kept(sub, st) for sub, st in zip(self.subs, states)]
+        return [kept(s, self.local_correction(s, u)) for s in self.subs]
 
-    def evaluate(self, u: np.ndarray) -> Evaluation:
+    def evaluate(self, u: np.ndarray, F: np.ndarray | None = None) -> Evaluation:
+        """F_X(u) and its tangent's operators; `F` is F(u) if the caller has
+        it, for the coarse correction to start from."""
         t_coarse = 0.0
         coarse_state = None
         w = u
         contribution = np.zeros(self.dofmap.n_dofs)
         if self.variant in ("additive", "hybrid"):
             t0 = time.perf_counter()
-            coarse_state = self.coarse_correction(u)
+            coarse_state = self.coarse_correction(u, F)
             t_coarse = time.perf_counter() - t0
             contribution += self.P0 @ coarse_state.coefficients
             if self.variant == "hybrid":

@@ -1,6 +1,8 @@
 """SchwarzOperator tests: corrections, variants, tangent consistency."""
 
 import sys
+import threading
+import weakref
 
 import numpy as np
 import pytest
@@ -8,7 +10,9 @@ import pytest
 from nlschwarz import assembly as asm
 from nlschwarz import coarse as crs
 from nlschwarz import mesh as msh
+from nlschwarz import schwarz
 from nlschwarz.assembly import NonPhysicalStateError
+from nlschwarz.outer import SolverConfig, solve_nonlinear_schwarz
 from nlschwarz.schwarz import (VARIANTS, NewtonParams, SchwarzOperator,
                                backtracking_step)
 
@@ -259,8 +263,44 @@ class TestWorkers:
             sys.setswitchinterval(interval)
         np.testing.assert_array_equal(evs[0].residual, evs[1].residual)
 
+    def test_kept_factors_built_on_calling_thread(self, monkeypatch):
+        """SciPy's SuperLU frees a factor's memory only on the thread that
+        built it, so every factor the evaluation keeps must come from the
+        thread that calls `evaluate`, which later drops it."""
+        prob, m, dm, dec = setup_problem("ldc", nx=8, px=2, Re=100.0)
+        P0 = coarse_space(prob, m, dm, dec)
+        u = asm.initial_iterate(prob, dm)
+        built_on = weakref.WeakKeyDictionary()
+        factoring_threads = set()
+
+        def recorded(*args, _factorize=schwarz.factorize, **kwargs):
+            lu = _factorize(*args, **kwargs)
+            built_on[lu] = threading.get_ident()
+            factoring_threads.add(threading.get_ident())
+            return lu
+        monkeypatch.setattr(schwarz, "factorize", recorded)
+        ev = SchwarzOperator(prob, m, dm, dec, variant="hybrid", P0=P0,
+                             workers=4).evaluate(u)
+        kept = {built_on[st.tangent] for st in ev.local_states}
+        assert kept == {threading.get_ident()}
+        # the Newton-direction factors are built, and dropped, by the workers
+        assert factoring_threads - kept
+
 
 class TestNoRepeatedAssembly:
+    @staticmethod
+    def recorded(monkeypatch, kind, full_mesh_only=False):
+        """The states `assemble_<kind>` sees from now on, as bytes."""
+        seen = []
+
+        def counted(*args, _assemble=getattr(asm, f"assemble_{kind}"),
+                    **kwargs):
+            if not full_mesh_only or kwargs.get("subset") is None:
+                seen.append(np.array(args[3], dtype=np.float64).tobytes())
+            return _assemble(*args, **kwargs)
+        monkeypatch.setattr(asm, f"assemble_{kind}", counted)
+        return seen
+
     def test_no_state_assembled_twice(self, monkeypatch):
         """The accepted line-search trial's residual is reused, and the first
         coarse correction assembles DF(u) once for the deflation and the
@@ -269,16 +309,23 @@ class TestNoRepeatedAssembly:
         P0 = coarse_space(prob, m, dm, dec)
         op = SchwarzOperator(prob, m, dm, dec, variant="hybrid", P0=P0)
         u = asm.initial_iterate(prob, dm)
-        states = {"residual": [], "tangent": []}
-        for kind, seen in states.items():
-            def counted(*args, _assemble=getattr(asm, f"assemble_{kind}"),
-                        _seen=seen, **kwargs):
-                _seen.append(np.array(args[3], dtype=np.float64).tobytes())
-                return _assemble(*args, **kwargs)
-            monkeypatch.setattr(asm, f"assemble_{kind}", counted)
+        states = {kind: self.recorded(monkeypatch, kind)
+                  for kind in ("residual", "tangent")}
         cs = op.coarse_correction(u)
         st = op.local_correction(op.subs[0], u - P0 @ cs.coefficients)
         assert cs.iterations >= 1 and st.iterations >= 1
         for kind, seen in states.items():
             repeated = len(seen) - len(set(seen))
             assert repeated == 0, f"{repeated} {kind} states assembled twice"
+
+    def test_outer_steps_assemble_no_global_residual_twice(self, monkeypatch):
+        """Across outer steps, the accepted trial's F(u) is also the first
+        coarse residual of the next evaluation."""
+        prob, m, dm, dec = setup_problem("ldc", nx=8, px=2, Re=100.0)
+        P0 = coarse_space(prob, m, dm, dec)
+        seen = self.recorded(monkeypatch, "residual", full_mesh_only=True)
+        _, rep = solve_nonlinear_schwarz(prob, m, dm, dec, SolverConfig(),
+                                         P0=P0)
+        assert rep.outer_iterations >= 2
+        repeated = len(seen) - len(set(seen))
+        assert repeated == 0, f"{repeated} global residual states assembled twice"

@@ -21,10 +21,11 @@ state gather and the residual scatter (one ``bincount``), and the tangent's
 CSR pattern, Dirichlet identity included, with an int32 map from each
 element-matrix entry to its slot in the CSR data array; entries of Dirichlet
 rows map to one trash slot past the end.  A plan stays valid only while the
-mesh, the element subset and the subset's DOF list are unchanged.  Callers
-that assemble repeatedly pass a prebuilt plan (one per subdomain, and one for
-the full mesh kept on the DofMap by `global_plan`); without one, each call
-builds a throwaway plan, so there is a single assembly path.
+mesh, the element subset and the DofMap are unchanged.  Every assembly call
+uses the plan it is given; without one, a full-mesh call uses the DofMap's
+full-mesh plan (`global_plan`, built on first use) and a subset call builds a
+throwaway plan, so there is a single assembly path.  Callers that assemble
+one subset repeatedly keep its plan (one per subdomain).
 """
 
 from __future__ import annotations
@@ -51,8 +52,6 @@ class ProblemSpec:
     nu: float | None = None
     f_y: float | None = None       # load magnitude in MN/m^2
     coefficient: str = "constant"  # diffusion law
-    c0: float = 1.0
-    source: float = 1.0
 
 
 def ldc_problem(Re: float) -> ProblemSpec:
@@ -63,9 +62,8 @@ def beam_problem(f_y: float, E: float = 210e9, nu: float = 0.3) -> ProblemSpec:
     return ProblemSpec(kind="beam", f_y=f_y, E=E, nu=nu)
 
 
-def diffusion_problem(coefficient: str = "nonlinear", c0: float = 1.0,
-                      source: float = 1.0) -> ProblemSpec:
-    return ProblemSpec(kind="diffusion", coefficient=coefficient, c0=c0, source=source)
+def diffusion_problem(coefficient: str = "nonlinear") -> ProblemSpec:
+    return ProblemSpec(kind="diffusion", coefficient=coefficient)
 
 
 @dataclass
@@ -84,7 +82,6 @@ class DofMap:
     dirichlet_mask: np.ndarray   # (n_dofs,) bool
     dirichlet_value: np.ndarray  # (n_dofs,) float
     dof_coords: np.ndarray       # (n_dofs, 2) coordinate of each DOF's node
-    dof_field: np.ndarray        # (n_dofs,) field index
     # P2 support (ldc): unique mesh edges and per-element edge ids
     edges: np.ndarray | None = None
     elem_edges: np.ndarray | None = None
@@ -127,8 +124,7 @@ def build_dofmap(problem: ProblemSpec, mesh: Mesh) -> DofMap:
         mask = dirichlet_nodes.copy()
         value = np.zeros(n)
         coords = mesh.nodes.copy()
-        dof_field = np.zeros(n, dtype=np.int64)
-        return DofMap(n, fields, elem_dofs, mask, value, coords, dof_field, n_nodes=n)
+        return DofMap(n, fields, elem_dofs, mask, value, coords, n_nodes=n)
 
     if problem.kind == "beam":
         fields = [FieldLayout("ux", 1, 0, n), FieldLayout("uy", 1, n, n)]
@@ -136,8 +132,7 @@ def build_dofmap(problem: ProblemSpec, mesh: Mesh) -> DofMap:
         mask = np.concatenate([dirichlet_nodes, dirichlet_nodes])
         value = np.zeros(2 * n)
         coords = np.vstack([mesh.nodes, mesh.nodes])
-        dof_field = np.repeat(np.arange(2), n)
-        return DofMap(2 * n, fields, elem_dofs, mask, value, coords, dof_field, n_nodes=n)
+        return DofMap(2 * n, fields, elem_dofs, mask, value, coords, n_nodes=n)
 
     if problem.kind == "ldc":
         edges, elem_edges = _unique_edges(mesh.elements)
@@ -154,7 +149,6 @@ def build_dofmap(problem: ProblemSpec, mesh: Mesh) -> DofMap:
         mid_coords = 0.5 * (mesh.nodes[edges[:, 0]] + mesh.nodes[edges[:, 1]])
         p2_coords = np.vstack([mesh.nodes, mid_coords])
         coords = np.vstack([p2_coords, p2_coords, mesh.nodes])
-        dof_field = np.repeat(np.arange(3), [n2, n2, n])
 
         # boundary midpoints: both endpoints on the boundary and on one side
         x0, x1, y0, y1 = mesh.extents()
@@ -174,7 +168,7 @@ def build_dofmap(problem: ProblemSpec, mesh: Mesh) -> DofMap:
         value[n:n2][lid_mid] = 1.0
         if mesh.pin_node is not None:
             mask[2 * n2 + mesh.pin_node] = True
-        return DofMap(2 * n2 + n, fields, elem_dofs, mask, value, coords, dof_field,
+        return DofMap(2 * n2 + n, fields, elem_dofs, mask, value, coords,
                       edges=edges, elem_edges=elem_edges, n_nodes=n)
 
     raise ValueError(f"unknown problem kind {problem.kind!r}")
@@ -319,25 +313,21 @@ def _csr_pattern(loc: np.ndarray, n: int, dirichlet: np.ndarray):
 
 
 class AssemblyPlan:
-    """The state-independent part of assembly over one element subset (see
-    the module docstring).  `pattern=False` skips the tangent's CSR pattern,
-    for plans that only assemble residuals.  Assembly only reads a plan, so
-    threads may share it."""
+    """The state-independent part of assembly over one element subset, or
+    the full mesh if `subset` is None (see the module docstring).  An
+    assembly call takes the plan it is given, else the DofMap's full-mesh
+    plan or a throwaway subset plan.  Assembly only reads a plan, so threads
+    may share it."""
 
-    def __init__(self, mesh: Mesh, dofmap: DofMap, subset=None,
-                 dofs: np.ndarray | None = None, apply_dirichlet: bool = True,
-                 pattern: bool = True):
+    def __init__(self, mesh: Mesh, dofmap: DofMap, subset=None):
         self.mesh = mesh
         self.is_global = subset is None
         self.elems = _subset_elements(mesh, subset)
-        ed = dofmap.elem_dofs if self.is_global else dofmap.elem_dofs[self.elems]
-        if dofs is not None:
-            self.dofs = np.asarray(dofs)
-            self.loc = np.searchsorted(self.dofs, ed)
-        elif self.is_global:
+        if self.is_global:
             self.dofs = np.arange(dofmap.n_dofs)
-            self.loc = ed
+            self.loc = dofmap.elem_dofs
         else:
+            ed = dofmap.elem_dofs[self.elems]
             self.dofs, inv = np.unique(ed, return_inverse=True)
             self.loc = inv.reshape(ed.shape)
         self.n = self.dofs.shape[0]
@@ -345,13 +335,9 @@ class AssemblyPlan:
         self.G, self.area = _geometry(mesh, self.elems)
         self.dirichlet = np.flatnonzero(dofmap.dirichlet_mask[self.dofs])
         self.dirichlet_value = dofmap.dirichlet_value[self.dofs[self.dirichlet]]
-        self.apply_dirichlet = apply_dirichlet
-        self.indptr = self.indices = self.scatter = self.diagonal = None
-        if pattern:
-            rows = self.dirichlet if apply_dirichlet else self.dirichlet[:0]
-            self.indptr, self.indices, self.scatter, self.diagonal = \
-                _csr_pattern(self.loc, self.n, rows)
-        self.nnz = 0 if self.indices is None else self.indices.size
+        self.indptr, self.indices, self.scatter, self.diagonal = \
+            _csr_pattern(self.loc, self.n, self.dirichlet)
+        self.nnz = self.indices.size
 
     def local_state(self, u) -> np.ndarray:
         """The state on `dofs`, from a global or a subset-sized vector."""
@@ -375,14 +361,20 @@ def global_plan(mesh: Mesh, dofmap: DofMap) -> AssemblyPlan:
     return plan
 
 
-def _plan_for(mesh, dofmap, subset, dofs, plan, apply_dirichlet, pattern):
+def _plan_for(mesh, dofmap, subset, plan):
     if plan is None:
-        return AssemblyPlan(mesh, dofmap, subset, dofs, apply_dirichlet, pattern)
+        return (global_plan(mesh, dofmap) if subset is None
+                else AssemblyPlan(mesh, dofmap, subset))
     if ((subset is None) != plan.is_global
-            or (subset is not None and len(subset) != plan.elems.size)
-            or (dofs is not None and dofs.shape[0] != plan.n)):
+            or (subset is not None and len(subset) != plan.elems.size)):
         raise ValueError("the plan was built for another element subset")
     return plan
+
+
+# the diffusion law c(u) = C0 + u^2 ("nonlinear") or C0 ("constant"), and the
+# constant source
+DIFFUSION_C0 = 1.0
+DIFFUSION_SOURCE = 1.0
 
 
 def _element_kernels(problem: ProblemSpec, G: np.ndarray, area: np.ndarray,
@@ -401,13 +393,13 @@ def _element_kernels(problem: ProblemSpec, G: np.ndarray, area: np.ndarray,
             uq = ue @ Nq
             gu = np.einsum("ma,maj->mj", ue, G)
             if problem.coefficient == "nonlinear":
-                c = problem.c0 + uq ** 2
+                c = DIFFUSION_C0 + uq ** 2
                 cp = 2 * uq
             else:
-                c = np.full(m, problem.c0)
+                c = np.full(m, DIFFUSION_C0)
                 cp = np.zeros(m)
             flux = np.einsum("m,mj,maj->ma", c, gu, G)
-            r += w[:, None] * (flux - problem.source * Nq[None, :])
+            r += w[:, None] * (flux - DIFFUSION_SOURCE * Nq[None, :])
             if want_matrix:
                 K += w[:, None, None] * (
                     np.einsum("m,maj,mbj->mab", c, G, G)
@@ -521,28 +513,21 @@ def _element_kernels(problem: ProblemSpec, G: np.ndarray, area: np.ndarray,
 
 
 def assemble_residual(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap, u,
-                      subset=None, dofs: np.ndarray | None = None,
-                      apply_dirichlet: bool = True,
-                      plan: AssemblyPlan | None = None) -> np.ndarray:
-    plan = _plan_for(mesh, dofmap, subset, dofs, plan, apply_dirichlet, False)
+                      subset=None, plan: AssemblyPlan | None = None) -> np.ndarray:
+    plan = _plan_for(mesh, dofmap, subset, plan)
     ul = plan.local_state(u)
     out = np.zeros(plan.n)
     for c in plan.chunks():
         r, _ = _element_kernels(problem, plan.G[c], plan.area[c],
                                 ul[plan.loc[c]], False)
         out += np.bincount(plan.loc[c].ravel(), r.ravel(), minlength=plan.n)
-    if apply_dirichlet:
-        out[plan.dirichlet] = ul[plan.dirichlet] - plan.dirichlet_value
+    out[plan.dirichlet] = ul[plan.dirichlet] - plan.dirichlet_value
     return out
 
 
 def assemble_tangent(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap, u,
-                     subset=None, dofs: np.ndarray | None = None,
-                     apply_dirichlet: bool = True,
-                     plan: AssemblyPlan | None = None) -> sp.csr_matrix:
-    plan = _plan_for(mesh, dofmap, subset, dofs, plan, apply_dirichlet, True)
-    if plan.indices is None or plan.apply_dirichlet != apply_dirichlet:
-        raise ValueError("the plan has no tangent pattern for this Dirichlet mode")
+                     subset=None, plan: AssemblyPlan | None = None) -> sp.csr_matrix:
+    plan = _plan_for(mesh, dofmap, subset, plan)
     ul = plan.local_state(u)
     data = np.zeros(plan.nnz + 1)        # the last slot collects Dirichlet rows
     for c in plan.chunks():

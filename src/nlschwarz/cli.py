@@ -44,6 +44,7 @@ import argparse
 import csv
 import itertools
 import json
+import re
 import sys
 import traceback
 from dataclasses import asdict, fields
@@ -53,8 +54,7 @@ from . import assembly as asm
 from . import coarse as crs
 from . import mesh as msh
 from .outer import (GmresParams, OuterStep, SolveReport, SolverConfig,
-                    beam_config, ldc_config, solve_nks,
-                    solve_nonlinear_schwarz)
+                    beam_config, solve_nks, solve_nonlinear_schwarz)
 from .schwarz import NewtonParams
 
 HISTORY_COLUMNS = ["iteration"] + [f.name for f in fields(OuterStep)]
@@ -78,8 +78,12 @@ def _load_config(path: str, overrides: argparse.Namespace) -> dict:
         if val is not None:
             cfg[key] = val
     if getattr(overrides, "subdomains", None) is not None:
-        px, _, py = overrides.subdomains.partition("x")
-        cfg["subdomains"] = [int(px), int(py or px)]
+        counts = re.fullmatch(r"([1-9][0-9]*)x([1-9][0-9]*)",
+                              overrides.subdomains)
+        if counts is None:
+            raise ConfigError("--subdomains must be PXxPY with positive "
+                              f"integers, got {overrides.subdomains!r}")
+        cfg["subdomains"] = [int(counts[1]), int(counts[2])]
     if "problem" not in cfg:
         raise ConfigError("config must set 'problem'")
     if cfg["problem"] not in ("ldc", "beam", "diffusion"):
@@ -115,7 +119,7 @@ def _newton_params(d: dict, base: NewtonParams) -> NewtonParams:
 
 
 def _solver_config(cfg: dict, point: dict) -> SolverConfig:
-    base = beam_config() if cfg["problem"] == "beam" else ldc_config()
+    base = beam_config() if cfg["problem"] == "beam" else SolverConfig()
     s = cfg.get("solver", {})
     if "outer" in s:
         base.outer = _newton_params(s["outer"], base.outer)
@@ -172,13 +176,8 @@ def run_point(cfg: dict, point: dict) -> tuple[dict, SolveReport]:
     needs_coarse = variant in ("nks", "additive", "hybrid")
     P0 = None
     if needs_coarse:
-        skel = msh.interface_skeleton(dec, mesh)
-        u0 = asm.initial_iterate(prob, dofmap)
-        A0 = asm.assemble_tangent(prob, mesh, dofmap, u0,
-                                  plan=asm.global_plan(mesh, dofmap))
-        P0, _, _ = crs.build_coarse_space(prob, mesh, dofmap, skel, A0,
-                                          scfg.coarse_kind, scfg.modified,
-                                          decomp=dec)
+        P0, _, _ = crs.build_coarse_space(prob, mesh, dofmap, dec,
+                                          scfg.coarse_kind, scfg.modified)
     if variant == "nks":
         sol, rep = solve_nks(prob, mesh, dofmap, dec, scfg, P0=P0)
     else:
@@ -278,13 +277,8 @@ def cmd_export_coarse(args) -> int:
     prob, mesh, dofmap, px, py = _build_case(cfg, point)
     scfg = _solver_config(cfg, point)
     dec = _decompose(mesh, px, py, int(cfg.get("overlap", 2)), nks=False)
-    skel = msh.interface_skeleton(dec, mesh)
-    u0 = asm.initial_iterate(prob, dofmap)
-    A0 = asm.assemble_tangent(prob, mesh, dofmap, u0,
-                              plan=asm.global_plan(mesh, dofmap))
-    P0, ents, labels = crs.build_coarse_space(prob, mesh, dofmap, skel, A0,
-                                              scfg.coarse_kind, scfg.modified,
-                                              decomp=dec)
+    P0, ents, labels = crs.build_coarse_space(prob, mesh, dofmap, dec,
+                                              scfg.coarse_kind, scfg.modified)
     k = args.entity
     if not 0 <= k < len(ents):
         print(f"error: entity {k} out of range (0..{len(ents) - 1})",

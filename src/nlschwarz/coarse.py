@@ -29,6 +29,8 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 import scipy.sparse as sp
 
+from . import assembly as asm
+from . import mesh as msh
 from .assembly import DofMap, ProblemSpec, nullspace_basis, subset_dofs
 from .mesh import DIRICHLET, LID, Decomposition, InterfaceSkeleton, Mesh
 from .sparse import factorize
@@ -291,13 +293,17 @@ def harmonic_extension(A0: sp.csr_matrix, dofmap: DofMap, iface: np.ndarray,
 
 
 def build_coarse_space(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
-                       skeleton: InterfaceSkeleton, A0: sp.csr_matrix,
-                       kind: str = "rgdsw", modified: bool = False, *,
-                       decomp: Decomposition
+                       decomp: Decomposition, kind: str = "rgdsw",
+                       modified: bool = False
                        ) -> tuple[sp.csr_matrix, list[CoarseEntity], list[tuple[int, str]]]:
-    """Assemble the full coarse basis P0 (n_dofs x n0)."""
+    """The full coarse basis P0 (n_dofs x n0) of the decomposition, extended
+    with the tangent at the initial iterate, its interface functions and its
+    column labels (see `coarse_interface_basis`)."""
+    skeleton = msh.interface_skeleton(decomp, mesh)
     Phi_gamma, ents, labels = coarse_interface_basis(
         problem, mesh, dofmap, skeleton, kind, modified)
+    A0 = asm.assemble_tangent(problem, mesh, dofmap,
+                              asm.initial_iterate(problem, dofmap))
     P0 = harmonic_extension(A0, dofmap, interface_dofs(dofmap, skeleton),
                             Phi_gamma, interior_owner(dofmap, mesh, decomp))
     return P0, ents, labels

@@ -37,6 +37,7 @@ class GmresParams:
 
 @dataclass
 class SolverConfig:
+    """Solver settings; the defaults are the lid-driven cavity's."""
     outer: NewtonParams = field(default_factory=lambda: NewtonParams(
         rel_tol=1e-6, abs_tol=1e-6, max_iter=10))
     inner: NewtonParams = field(default_factory=NewtonParams)
@@ -46,11 +47,6 @@ class SolverConfig:
     tangent_mode: str = "exact"
     coarse_kind: str = "rgdsw"
     modified: bool = False
-
-
-def ldc_config(**overrides) -> SolverConfig:
-    """The lid-driven cavity settings, which are `SolverConfig`'s defaults."""
-    return SolverConfig(**overrides)
 
 
 def beam_config(**overrides) -> SolverConfig:
@@ -151,10 +147,9 @@ def _newton(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
     are taken and flagged in their `OuterStep`."""
     rep = SolveReport()
     p = cfg.outer
-    plan = asm.global_plan(mesh, dofmap)
 
     def F(v):
-        return asm.assemble_residual(problem, mesh, dofmap, v, plan=plan)
+        return asm.assemble_residual(problem, mesh, dofmap, v)
 
     u = asm.initial_iterate(problem, dofmap) if u0 is None else u0.copy()
     Fu = F(u)
@@ -247,11 +242,10 @@ def solve_nks(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
     R0 = P0.T.tocsr() if P0 is not None else None
     sub_dofs = [asm.subset_dofs(dofmap, mesh, decomp.overlap_elements[i])
                 for i in range(decomp.num_subdomains)]
-    plan = asm.global_plan(mesh, dofmap)
 
     def linearize(u, F):
         t0 = time.perf_counter()
-        DF = asm.assemble_tangent(problem, mesh, dofmap, u, plan=plan)
+        DF = asm.assemble_tangent(problem, mesh, dofmap, u)
         local_lus = [factorize(DF[d][:, d], fast=True) for d in sub_dofs]
         t_inner = time.perf_counter() - t0
         t0 = time.perf_counter()

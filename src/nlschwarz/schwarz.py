@@ -51,10 +51,13 @@ class NewtonParams:
     abs_tol: float = 1e-14
     max_iter: int = 10
     line_search: bool = True
-    ls_eta: float = 1e-3    # forcing tolerance eta-bar
-    ls_t: float = 1e-3      # sufficient-decrease scale
-    ls_theta: float = 0.5   # damping factor
-    ls_s_min: float = 1e-2  # increment tolerance
+
+
+# constants of `backtracking_step`
+LS_ETA = 1e-3    # forcing tolerance eta-bar
+LS_T = 1e-3      # sufficient-decrease scale
+LS_THETA = 0.5   # damping factor
+LS_S_MIN = 1e-2  # increment tolerance
 
 
 def backtracking_step(residual_at, norm0: float, p: NewtonParams):
@@ -69,15 +72,15 @@ def backtracking_step(residual_at, norm0: float, p: NewtonParams):
     """
     k = 0
     while True:
-        s = p.ls_theta ** k
+        s = LS_THETA ** k
         try:
             r = residual_at(s)
             nrm = np.linalg.norm(r)
         except NonPhysicalStateError:
             r, nrm = None, np.inf
-        if nrm <= (1.0 - p.ls_t * s * (1.0 - p.ls_eta)) * norm0:
+        if nrm <= (1.0 - LS_T * s * (1.0 - LS_ETA)) * norm0:
             return s, k, r, nrm
-        if not p.line_search or s * p.ls_theta < p.ls_s_min:
+        if not p.line_search or s * LS_THETA < LS_S_MIN:
             return s, k, r, nrm
         k += 1
 
@@ -113,17 +116,15 @@ def _damped_newton(residual, direction, moved, x, p: NewtonParams, label: str,
 @dataclass
 class SubdomainData:
     index: int
-    elems_ext: np.ndarray
     dofs_ov: np.ndarray
-    dofs_ext: np.ndarray
-    pos_ov: np.ndarray   # positions of dofs_ov inside dofs_ext
-    plan: asm.AssemblyPlan  # assembly over elems_ext onto dofs_ext
+    pos_ov: np.ndarray   # positions of dofs_ov inside plan.dofs
+    plan: asm.AssemblyPlan  # the ghost-extended elements and their DOFs
 
 
 @dataclass
 class LocalSolveState:
     correction: np.ndarray          # T_i on dofs_ov
-    coupling: sp.csr_matrix         # R_i DF(v_final) over dofs_ext columns
+    coupling: sp.csr_matrix         # R_i DF(v_final) over plan.dofs columns
     iterations: int
     converged: bool
     # R_i DF(v_final) P_i factorized; `_run_locals` builds it on the thread
@@ -190,7 +191,7 @@ class SchwarzOperator:
             dofs_ov = asm.subset_dofs(dofmap, mesh, ov)
             plan = asm.AssemblyPlan(mesh, dofmap, ext)
             pos = np.searchsorted(plan.dofs, dofs_ov)
-            self.subs.append(SubdomainData(i, ext, dofs_ov, plan.dofs, pos, plan))
+            self.subs.append(SubdomainData(i, dofs_ov, pos, plan))
             count[dofs_ov] += 1
         if np.any(count == 0):
             raise ValueError("overlapping subdomains do not cover every DOF")
@@ -200,17 +201,15 @@ class SchwarzOperator:
 
     def _local_residual(self, sub: SubdomainData, v: np.ndarray) -> np.ndarray:
         r = asm.assemble_residual(self.problem, self.mesh, self.dofmap, v,
-                                  subset=sub.elems_ext, dofs=sub.dofs_ext,
-                                  plan=sub.plan)
+                                  subset=sub.plan.elems, plan=sub.plan)
         return r[sub.pos_ov]
 
     def _local_tangent(self, sub: SubdomainData, v: np.ndarray) -> sp.csr_matrix:
         return asm.assemble_tangent(self.problem, self.mesh, self.dofmap, v,
-                                    subset=sub.elems_ext, dofs=sub.dofs_ext,
-                                    plan=sub.plan)
+                                    subset=sub.plan.elems, plan=sub.plan)
 
     def local_correction(self, sub: SubdomainData, u: np.ndarray) -> LocalSolveState:
-        v0 = u[sub.dofs_ext]
+        v0 = u[sub.plan.dofs]
         A_v0 = None  # the tangent at v0, which the aspin mode keeps
 
         def direction(v, r):
@@ -276,16 +275,15 @@ class SchwarzOperator:
         """T_0(u) by damped Newton from c = 0; `F` is F(u) if the caller has
         it, which is then the first residual, since u - P0 0 is exactly u."""
         P0, R0 = self.P0, self.R0
-        plan = asm.global_plan(self.mesh, self.dofmap)
 
         def coarse_residual(cc):
             return self._project_coarse_residual(
                 R0 @ asm.assemble_residual(self.problem, self.mesh, self.dofmap,
-                                           u - P0 @ cc, plan=plan))
+                                           u - P0 @ cc))
 
         def coarse_tangent(cc):
             DF = asm.assemble_tangent(self.problem, self.mesh, self.dofmap,
-                                      u - P0 @ cc, plan=plan)
+                                      u - P0 @ cc)
             return DF, self._deflate_coarse((R0 @ DF @ P0).toarray())
 
         # the projection of the first residual needs the deflation, so the
@@ -376,7 +374,7 @@ class SchwarzOperator:
         weight = (np.ones(self.dofmap.n_dofs) if self.variant == "aspen"
                   else self.pou_weight)
         for sub, st in zip(self.subs, ev.local_states):
-            y = st.tangent.solve(st.coupling @ x[sub.dofs_ext])
+            y = st.tangent.solve(st.coupling @ x[sub.plan.dofs])
             out[sub.dofs_ov] += weight[sub.dofs_ov] * y
         return out
 

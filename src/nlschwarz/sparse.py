@@ -14,8 +14,9 @@ try:
     # Fix the malloc mmap threshold (M_MMAP_THRESHOLD = -3) at 128 KiB, so
     # large transient assembly and factorization buffers are unmapped on free
     # instead of growing the heap.  Without it the peak RSS of the 4x4 cavity
-    # benchmarks rose from 211 to 267-329 MB (hybrid) and from 146 to
-    # 224-265 MB (NKS), 4 runs each.
+    # benchmarks rose from 150 to 165-256 MB (hybrid) and from 135 to
+    # 173-215 MB (NKS), 6 runs each on 2 cores, and the memory the process
+    # keeps grows with each SuperLU factorization.
     ctypes.CDLL("libc.so.6").mallopt(-3, 131072)
 except OSError:  # pragma: no cover - non-glibc platform
     pass

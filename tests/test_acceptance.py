@@ -16,7 +16,7 @@ from nlschwarz import assembly as asm
 from nlschwarz import coarse as crs
 from nlschwarz import mesh as msh
 from nlschwarz.outer import (GmresParams, SolverConfig, beam_config,
-                             ldc_config, solve_nks, solve_nonlinear_schwarz)
+                             solve_nks, solve_nonlinear_schwarz)
 from nlschwarz.schwarz import NewtonParams, SchwarzOperator
 from nlschwarz.sparse import factorize
 
@@ -44,13 +44,6 @@ def build_case(kind, nx, ny, px, py, overlap, domain=None, **prob_kw):
     msh.ghost_layer(dec, msh.nodal_graph(m), mesh=m)
     skel = msh.interface_skeleton(dec, m)
     return prob, m, dm, dec, skel
-
-
-def coarse_space(prob, m, dm, dec, skel, kind, modified):
-    u0 = asm.initial_iterate(prob, dm)
-    A0 = asm.assemble_tangent(prob, m, dm, u0)
-    return crs.build_coarse_space(prob, m, dm, skel, A0, kind, modified,
-                                  decomp=dec)
 
 
 ALL_SPACES = [("gdsw", False), ("rgdsw", False), ("msfem", False),
@@ -88,8 +81,8 @@ def test_criterion_2_nullspace_reproduction():
             prob, m, dm, dec, skel = build_case(problem_kind, 16, 16, 4, 4, 2)
             interior = [5, 6, 9, 10]
         for kind, modified in (("gdsw", False), ("msfem", True)):
-            P0, ents, labels = coarse_space(prob, m, dm, dec, skel, kind,
-                                            modified)
+            P0, ents, labels = crs.build_coarse_space(prob, m, dm, dec, kind,
+                                                      modified)
             for name, z in asm.nullspace_basis(prob, dm).items():
                 cols = [c for c, (_, nm) in enumerate(labels) if nm == name]
                 x = np.asarray(P0[:, cols].sum(axis=1)).ravel()
@@ -163,8 +156,7 @@ def test_criterion_4_ghost_layer_identity():
             r_glob = asm.assemble_residual(prob, m, dm, u)
             for sub in op.subs:
                 r_loc = asm.assemble_residual(prob, m, dm, u,
-                                              subset=sub.elems_ext,
-                                              dofs=sub.dofs_ext)
+                                              subset=sub.plan.elems)
                 err = (np.linalg.norm(r_loc[sub.pos_ov] - r_glob[sub.dofs_ov])
                        / max(np.linalg.norm(r_glob), 1e-30))
                 worst = max(worst, err)
@@ -175,7 +167,7 @@ def test_criterion_4_ghost_layer_identity():
 def test_criterion_5_tangent_fd_consistency():
     """FD directional derivatives of F_X match the exact tangent."""
     prob, m, dm, dec, skel = build_case("diffusion", 10, 10, 2, 2, 2)
-    P0, _, _ = coarse_space(prob, m, dm, dec, skel, "rgdsw", True)
+    P0, _, _ = crs.build_coarse_space(prob, m, dm, dec, "rgdsw", True)
     rng = np.random.default_rng(3)
     base = asm.initial_iterate(prob, dm)
     worst = 0.0
@@ -227,7 +219,7 @@ def test_criterion_7_solver_equivalence():
             break
         u = u - factorize(asm.assemble_tangent(prob, m, dm, u)).solve(r)
     u_newton = u
-    P0, _, _ = coarse_space(prob, m, dm, dec, skel, "rgdsw", True)
+    P0, _, _ = crs.build_coarse_space(prob, m, dm, dec, "rgdsw", True)
     outer = NewtonParams(rel_tol=1e-11, abs_tol=1e-12, max_iter=25)
     gp = GmresParams(rel_tol=1e-10, max_iter=500)
     worst = 0.0

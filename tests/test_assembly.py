@@ -1,5 +1,7 @@
 """Finite element assembly tests: FD oracles, boundary data, locality."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -25,6 +27,13 @@ def random_state(problem, dofmap, seed, scale=0.1):
     pert = scale * rng.standard_normal(dofmap.n_dofs)
     pert[dofmap.dirichlet_mask] = 0.0
     return u + pert
+
+
+def without_dirichlet(dofmap):
+    """The DofMap with no Dirichlet DOFs, for oracles of the bare operator.
+    `replace` copies the cached full-mesh plan, which has Dirichlet rows."""
+    return dataclasses.replace(
+        dofmap, dirichlet_mask=np.zeros_like(dofmap.dirichlet_mask), plan=None)
 
 
 class TestDofMap:
@@ -118,8 +127,7 @@ class TestResidualProperties:
             prob = asm.ldc_problem(Re)
             dm = asm.build_dofmap(prob, m)
             u = random_state(prob, dm, 2, 0.2)
-            rs.append(asm.assemble_residual(prob, m, dm, u,
-                                            apply_dirichlet=False))
+            rs.append(asm.assemble_residual(prob, m, dm, u))
         np.testing.assert_allclose(rs[0] - rs[1], 2 * (rs[1] - rs[2]),
                                    rtol=1e-10, atol=1e-12)
 
@@ -141,8 +149,8 @@ class TestResidualProperties:
         m = msh.build_structured_mesh(6, 2, domain=(0, 3, 0, 1),
                                       problem_kind="beam")
         dm = asm.build_dofmap(prob, m)
-        A = asm.assemble_tangent(prob, m, dm, np.zeros(dm.n_dofs),
-                                 apply_dirichlet=False).toarray()
+        A = asm.assemble_tangent(prob, m, without_dirichlet(dm),
+                                 np.zeros(dm.n_dofs)).toarray()
         np.testing.assert_allclose(A, A.T, rtol=1e-10, atol=1e-10)
         for z in asm.nullspace_basis(prob, dm).values():
             assert np.linalg.norm(A @ z) < 1e-10 * np.linalg.norm(A)
@@ -206,7 +214,7 @@ class TestSubsetAssembly:
         u = random_state(prob, dm, 4, 0.02)
         subset = np.arange(m.n_elements // 2)
         dofs = asm.subset_dofs(dm, m, subset)
-        r_loc = asm.assemble_residual(prob, m, dm, u, subset=subset, dofs=dofs)
+        r_loc = asm.assemble_residual(prob, m, dm, u, subset=subset)
         r_glob = asm.assemble_residual(prob, m, dm, u)
         rows = self.interior_rows(dm, m, subset, dofs)
         assert rows.sum() > 0
@@ -220,9 +228,8 @@ class TestSubsetAssembly:
         u = random_state(prob, dm, 5, 0.3)
         subset = np.arange(20)
         dofs = asm.subset_dofs(dm, m, subset)
-        r_full = asm.assemble_residual(prob, m, dm, u, subset=subset, dofs=dofs)
-        r_sub = asm.assemble_residual(prob, m, dm, u[dofs], subset=subset,
-                                      dofs=dofs)
+        r_full = asm.assemble_residual(prob, m, dm, u, subset=subset)
+        r_sub = asm.assemble_residual(prob, m, dm, u[dofs], subset=subset)
         np.testing.assert_allclose(r_sub, r_full, rtol=1e-14)
 
 
@@ -259,9 +266,10 @@ class TestNullspace:
             assert z.sum() == f.n_dofs
 
 
-def reference_assembly(problem, mesh, dofmap, u, subset, apply_dirichlet):
+def reference_assembly(problem, mesh, dofmap, u, subset):
     """Residual and dense tangent from an element-by-element loop that adds
-    each element's contribution with np.add.at."""
+    each element's contribution with np.add.at, with the DofMap's Dirichlet
+    rows."""
     elems = np.arange(mesh.n_elements) if subset is None else subset
     dofs = np.unique(dofmap.elem_dofs[elems])
     position = {g: i for i, g in enumerate(dofs)}
@@ -274,11 +282,10 @@ def reference_assembly(problem, mesh, dofmap, u, subset, apply_dirichlet):
         re, Ke = asm._element_kernels(problem, G, area, u_loc[ids][None, :], True)
         np.add.at(r, ids, re[0])
         np.add.at(A, (ids[:, None], ids[None, :]), Ke[0])
-    if apply_dirichlet:
-        d = np.flatnonzero(dofmap.dirichlet_mask[dofs])
-        r[d] = u_loc[d] - dofmap.dirichlet_value[dofs[d]]
-        A[d] = 0.0
-        A[d, d] = 1.0
+    d = np.flatnonzero(dofmap.dirichlet_mask[dofs])
+    r[d] = u_loc[d] - dofmap.dirichlet_value[dofs[d]]
+    A[d] = 0.0
+    A[d, d] = 1.0
     return r, A
 
 
@@ -302,17 +309,16 @@ class TestPlanAgainstReference:
         m = msh.build_structured_mesh(nx, ny, domain=domain, problem_kind=kind)
         dm = asm.build_dofmap(prob, m)
         u = random_state(prob, dm, 6, 0.05)
+        if not apply_dirichlet:
+            dm = without_dirichlet(dm)
         subset = None if scope == "global" else np.arange(3, m.n_elements, 2)
         dofs = None if subset is None else asm.subset_dofs(dm, m, subset)
         state = u[dofs] if scope == "subset_state" else u
         if chunked:
             monkeypatch.setattr(asm, "_CHUNK", 5)
-        r_ref, A_ref = reference_assembly(prob, m, dm, u, subset,
-                                          apply_dirichlet)
-        r = asm.assemble_residual(prob, m, dm, state, subset=subset, dofs=dofs,
-                                  apply_dirichlet=apply_dirichlet)
-        A = asm.assemble_tangent(prob, m, dm, state, subset=subset, dofs=dofs,
-                                 apply_dirichlet=apply_dirichlet)
+        r_ref, A_ref = reference_assembly(prob, m, dm, u, subset)
+        r = asm.assemble_residual(prob, m, dm, state, subset=subset)
+        A = asm.assemble_tangent(prob, m, dm, state, subset=subset)
         assert np.abs(r - r_ref).max() <= 1e-14 * np.abs(r_ref).max()
         assert np.abs(A.toarray() - A_ref).max() <= 1e-14 * np.abs(A_ref).max()
         assert not np.any(A.data == 0.0)
@@ -325,12 +331,11 @@ class TestPlanAgainstReference:
         plan = asm.AssemblyPlan(m, dm, subset)
         for seed in (1, 2):
             u = random_state(prob, dm, seed, 0.1)
-            kw = dict(subset=subset, dofs=plan.dofs)
             np.testing.assert_array_equal(
-                asm.assemble_residual(prob, m, dm, u, plan=plan, **kw),
-                asm.assemble_residual(prob, m, dm, u, **kw))
-            A = asm.assemble_tangent(prob, m, dm, u, plan=plan, **kw)
-            B = asm.assemble_tangent(prob, m, dm, u, **kw)
+                asm.assemble_residual(prob, m, dm, u, subset, plan=plan),
+                asm.assemble_residual(prob, m, dm, u, subset))
+            A = asm.assemble_tangent(prob, m, dm, u, subset, plan=plan)
+            B = asm.assemble_tangent(prob, m, dm, u, subset)
             assert (A != B).nnz == 0
 
     def test_packed_sort_matches_argsort(self):
@@ -347,6 +352,24 @@ class TestPlanAgainstReference:
         dm = asm.build_dofmap(prob, m)
         assert asm.global_plan(m, dm) is asm.global_plan(m, dm)
 
+    def test_full_mesh_calls_share_the_dofmap_plan(self):
+        prob = asm.diffusion_problem()
+        m = msh.build_structured_mesh(4, 4, problem_kind="diffusion")
+        dm = asm.build_dofmap(prob, m)
+        u = random_state(prob, dm, 7)
+        assert dm.plan is None
+        r = asm.assemble_residual(prob, m, dm, u)
+        plan = dm.plan
+        assert plan is not None and plan.is_global
+        A = asm.assemble_tangent(prob, m, dm, u)
+        np.testing.assert_array_equal(asm.assemble_residual(prob, m, dm, u), r)
+        assert dm.plan is plan
+        B = asm.assemble_tangent(prob, m, dm, u, plan=plan)
+        assert (A != B).nnz == 0
+        # a subset call leaves the full-mesh plan alone
+        asm.assemble_residual(prob, m, dm, u, subset=np.arange(5))
+        assert dm.plan is plan
+
     def test_plan_mismatch_raises(self):
         prob = asm.diffusion_problem()
         m = msh.build_structured_mesh(4, 4, problem_kind="diffusion")
@@ -358,9 +381,6 @@ class TestPlanAgainstReference:
         with pytest.raises(ValueError):
             asm.assemble_residual(prob, m, dm, u, subset=np.arange(8),
                                   plan=sub_plan)
-        with pytest.raises(ValueError):
-            asm.assemble_tangent(prob, m, dm, u, apply_dirichlet=False,
-                                 plan=asm.global_plan(m, dm))
         with pytest.raises(ValueError):
             asm.assemble_residual(prob, m, dm, np.zeros(5), plan=sub_plan,
                                   subset=np.arange(6))

@@ -95,6 +95,16 @@ class TestRun:
         path.write_text(json.dumps({"problem": "heat"}))
         assert main(["run", str(path)]) != 0
 
+    @pytest.mark.parametrize("value", ["2by2", "0x2", "2x0", "2x", "x2", "2",
+                                       "-1x2", "2x2x2"])
+    def test_malformed_subdomains_is_config_error(self, tmp_path, capsys,
+                                                  value):
+        cfg = dict(BASE, out=str(tmp_path / "out"))
+        assert main(["run", write_config(tmp_path, cfg),
+                     f"--subdomains={value}"]) == 2
+        assert capsys.readouterr().err.startswith("error: --subdomains")
+        assert not (tmp_path / "out").exists()
+
 
 def read_history(rep, tmp_path):
     path = tmp_path / "hist.csv"

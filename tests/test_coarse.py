@@ -154,8 +154,7 @@ class TestHarmonicExtension:
         assert dm.n_dofs == 1419
         u0 = asm.initial_iterate(prob, dm)
         A0 = asm.assemble_tangent(prob, m, dm, u0)
-        P0, _, _ = crs.build_coarse_space(prob, m, dm, skel, A0, "gdsw",
-                                          decomp=dec)
+        P0, _, _ = crs.build_coarse_space(prob, m, dm, dec, "gdsw")
         Phi, _, _ = crs.coarse_interface_basis(prob, m, dm, skel, "gdsw")
         fixed = np.zeros(dm.n_dofs, dtype=bool)
         fixed[crs.interface_dofs(dm, skel)] = True
@@ -192,16 +191,35 @@ class TestHarmonicExtension:
         np.testing.assert_allclose(P0d[B], Phi.toarray()[B], atol=1e-15)
 
 
+class TestBuildCoarseSpace:
+    @pytest.mark.parametrize("case,kind,modified", [
+        (dict(kind="ldc", Re=400.0), "rgdsw", False),
+        (dict(kind="beam", nx=16, px=4), "msfem", True),
+    ], ids=["cavity", "beam"])
+    def test_matches_explicit_pipeline(self, case, kind, modified):
+        """The decomposition alone gives P0 bitwise equal to the extension
+        with the explicit skeleton and the tangent at the initial iterate."""
+        prob, m, dm, dec, skel = decomposed(**case)
+        P0, _, _ = crs.build_coarse_space(prob, m, dm, dec, kind, modified)
+        A0 = asm.assemble_tangent(prob, m, dm, asm.initial_iterate(prob, dm))
+        Phi, _, _ = crs.coarse_interface_basis(prob, m, dm, skel, kind,
+                                               modified)
+        expect = crs.harmonic_extension(A0, dm, crs.interface_dofs(dm, skel),
+                                        Phi, crs.interior_owner(dm, m, dec))
+        assert P0.shape == expect.shape
+        for name in ("data", "indices", "indptr"):
+            np.testing.assert_array_equal(getattr(P0, name),
+                                          getattr(expect, name))
+
+
 class TestNullspaceReproduction:
     @pytest.mark.parametrize("kind,modified", [("gdsw", False),
                                                ("msfem", True)])
     @pytest.mark.parametrize("problem_kind", ["diffusion", "beam", "ldc"])
     def test_interior_subdomain(self, problem_kind, kind, modified):
         prob, m, dm, dec, skel = decomposed(problem_kind, nx=12, px=3)
-        u0 = asm.initial_iterate(prob, dm)
-        A0 = asm.assemble_tangent(prob, m, dm, u0)
-        P0, ents, labels = crs.build_coarse_space(prob, m, dm, skel, A0,
-                                                  kind, modified, decomp=dec)
+        P0, ents, labels = crs.build_coarse_space(prob, m, dm, dec, kind,
+                                                  modified)
         # interior subdomain: one not touching the physical boundary
         interior_sub = 4 if problem_kind != "beam" else 1
         owned = np.flatnonzero(dec.owner == interior_sub)
@@ -231,9 +249,7 @@ class TestCoarseDimensions:
     @staticmethod
     def dims(case, kind, modified):
         prob, m, dm, dec, skel = decomposed(**case)
-        A0 = asm.assemble_tangent(prob, m, dm, asm.initial_iterate(prob, dm))
-        P0, _, _ = crs.build_coarse_space(prob, m, dm, skel, A0, kind,
-                                          modified, decomp=dec)
+        P0, _, _ = crs.build_coarse_space(prob, m, dm, dec, kind, modified)
         return P0.shape[1], P0.nnz
 
     @pytest.mark.parametrize("problem_kind", list(CASES))

@@ -8,7 +8,7 @@ from nlschwarz import cli
 from nlschwarz import coarse as crs
 from nlschwarz import mesh as msh
 from nlschwarz.outer import (GmresParams, SolverConfig, beam_config,
-                             ldc_config, solve_nks, solve_nonlinear_schwarz)
+                             solve_nks, solve_nonlinear_schwarz)
 from nlschwarz.schwarz import NewtonParams, SchwarzOperator
 from nlschwarz.sparse import SingularMatrixError, factorize
 
@@ -26,11 +26,7 @@ def diffusion_case(nx=16, px=2, overlap=2):
 
 
 def coarse_space(prob, m, dm, dec, kind="rgdsw", modified=True):
-    skel = msh.interface_skeleton(dec, m)
-    u0 = asm.initial_iterate(prob, dm)
-    A0 = asm.assemble_tangent(prob, m, dm, u0)
-    P0, _, _ = crs.build_coarse_space(prob, m, dm, skel, A0, kind, modified,
-                                      decomp=dec)
+    P0, _, _ = crs.build_coarse_space(prob, m, dm, dec, kind, modified)
     return P0
 
 
@@ -47,7 +43,7 @@ def newton_reference(prob, m, dm, tol=1e-12):
 
 class TestConfigs:
     def test_ldc_defaults(self):
-        cfg = ldc_config()
+        cfg = SolverConfig()
         assert cfg.outer.rel_tol == 1e-6
         assert cfg.gmres.restart == 500
         assert cfg.outer.line_search
@@ -61,7 +57,7 @@ class TestConfigs:
         assert cfg.gmres.restart is None
 
     def test_overrides(self):
-        cfg = ldc_config(variant="aspen", modified=True)
+        cfg = SolverConfig(variant="aspen", modified=True)
         assert cfg.variant == "aspen"
         assert cfg.modified
         cfg = beam_config(coarse_kind="rgdsw", gmres=GmresParams())
@@ -69,7 +65,7 @@ class TestConfigs:
         assert cfg.gmres == GmresParams()
         assert cfg.modified
 
-    @pytest.mark.parametrize("preset", [ldc_config, beam_config])
+    @pytest.mark.parametrize("preset", [SolverConfig, beam_config])
     def test_misspelt_override_raises(self, preset):
         with pytest.raises(TypeError):
             preset(varaint="aspen")

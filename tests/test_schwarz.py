@@ -13,8 +13,8 @@ from nlschwarz import mesh as msh
 from nlschwarz import schwarz
 from nlschwarz.assembly import NonPhysicalStateError
 from nlschwarz.outer import SolverConfig, solve_nonlinear_schwarz
-from nlschwarz.schwarz import (VARIANTS, NewtonParams, SchwarzOperator,
-                               backtracking_step)
+from nlschwarz.schwarz import (LS_S_MIN, LS_THETA, VARIANTS, NewtonParams,
+                               SchwarzOperator, backtracking_step)
 
 TIGHT = NewtonParams(rel_tol=1e-14, abs_tol=1e-14, max_iter=50)
 
@@ -41,11 +41,7 @@ def setup_problem(kind="diffusion", nx=12, px=2, overlap=2, Re=10.0, fy=1.0):
 
 
 def coarse_space(prob, m, dm, dec, kind="rgdsw", modified=True):
-    skel = msh.interface_skeleton(dec, m)
-    u0 = asm.initial_iterate(prob, dm)
-    A0 = asm.assemble_tangent(prob, m, dm, u0)
-    P0, _, _ = crs.build_coarse_space(prob, m, dm, skel, A0, kind, modified,
-                                      decomp=dec)
+    P0, _, _ = crs.build_coarse_space(prob, m, dm, dec, kind, modified)
     return P0
 
 
@@ -68,14 +64,14 @@ class TestBacktracking:
         s, k, r, nrm = backtracking_step(
             self.residual(lambda s: abs(s - 0.1) + 0.5), 1.0, p)
         assert s < 1.0
-        assert s == p.ls_theta ** k
+        assert s == LS_THETA ** k
         assert r[0] == nrm == abs(s - 0.1) + 0.5
 
     def test_stops_at_increment_tolerance(self):
-        p = NewtonParams(ls_s_min=1e-2, ls_theta=0.5)
+        p = NewtonParams()
         s, k, r, nrm = backtracking_step(self.residual(lambda s: 2.0), 1.0, p)
-        assert s * p.ls_theta < p.ls_s_min <= s
-        assert s == p.ls_theta ** k
+        assert s * LS_THETA < LS_S_MIN <= s
+        assert s == LS_THETA ** k
 
     def test_nonphysical_counts_as_infinite(self):
         p = NewtonParams()
@@ -86,7 +82,7 @@ class TestBacktracking:
             return np.array([0.1])
         s, k, r, nrm = backtracking_step(trial, 1.0, p)
         assert s <= 0.4
-        assert s == p.ls_theta ** k
+        assert s == LS_THETA ** k
         assert np.isfinite(nrm)
 
     def test_failed_last_trial_returns_no_residual(self):

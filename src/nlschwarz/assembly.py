@@ -82,9 +82,8 @@ class DofMap:
     dirichlet_mask: np.ndarray   # (n_dofs,) bool
     dirichlet_value: np.ndarray  # (n_dofs,) float
     dof_coords: np.ndarray       # (n_dofs, 2) coordinate of each DOF's node
-    # P2 support (ldc): unique mesh edges and per-element edge ids
+    # P2 support (ldc): unique mesh edges, one midpoint DOF per field each
     edges: np.ndarray | None = None
-    elem_edges: np.ndarray | None = None
     n_nodes: int = 0
     # full-mesh assembly plan, see `global_plan`
     plan: AssemblyPlan | None = field(default=None, repr=False, compare=False)
@@ -169,7 +168,7 @@ def build_dofmap(problem: ProblemSpec, mesh: Mesh) -> DofMap:
         if mesh.pin_node is not None:
             mask[2 * n2 + mesh.pin_node] = True
         return DofMap(2 * n2 + n, fields, elem_dofs, mask, value, coords,
-                      edges=edges, elem_edges=elem_edges, n_nodes=n)
+                      edges=edges, n_nodes=n)
 
     raise ValueError(f"unknown problem kind {problem.kind!r}")
 

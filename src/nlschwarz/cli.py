@@ -20,15 +20,17 @@ Config schema (JSON object; every field optional unless noted):
     hh           elements per subdomain per direction (H/h)
     overlap      dual-graph overlap layers for nonlinear Schwarz; NKS uses
                  nodal layers of half that width
-    domain       [x0, x1, y0, y1]
     variant      "aspen" | "raspen" | "additive" | "hybrid" | "nks" or list
     coarse       "gdsw" | "rgdsw" | "msfem" or list
     modified     bool (Dirichlet-edge modification of the reduced spaces)
     tangent      "exact" | "aspin"
     out          output directory (default "results")
-    seed         integer, recorded in the records
     solver       {"outer"|"inner"|"coarse": {rel_tol, abs_tol, max_iter,
-                 line_search}, "gmres": {rel_tol, max_iter, restart}}
+                 line_search}, "gmres": {rel_tol, max_iter, restart}};
+                 gmres max_iter rounds up to whole restart cycles
+
+A key the schema does not list is an error.  The domain is the unit square,
+and [0, 5] x [0, 1] for the beam.
 
 Flag overrides: --problem --re --fy --subdomains PXxPY --hh --overlap
 --variant --coarse --modified --out.  The worker count for local solves is
@@ -47,19 +49,24 @@ import json
 import re
 import sys
 import traceback
-from dataclasses import asdict, fields
+from dataclasses import asdict, fields, replace
 from pathlib import Path
 
 from . import assembly as asm
 from . import coarse as crs
 from . import mesh as msh
-from .outer import (GmresParams, OuterStep, SolveReport, SolverConfig,
-                    beam_config, solve_nks, solve_nonlinear_schwarz)
-from .schwarz import NewtonParams
+from .outer import (OuterStep, SolveReport, SolverConfig, beam_config,
+                    solve_nks, solve_nonlinear_schwarz)
 
 HISTORY_COLUMNS = ["iteration"] + [f.name for f in fields(OuterStep)]
 
 SWEEP_FIELDS = ("re", "fy", "subdomains", "variant", "coarse")
+
+CONFIG_KEYS = {"problem", "re", "fy", "coefficient", "subdomains", "hh",
+               "overlap", "variant", "coarse", "modified", "tangent", "out",
+               "solver"}
+
+SOLVER_KEYS = {"outer", "inner", "coarse", "gmres"}
 
 
 class ConfigError(ValueError):
@@ -72,6 +79,12 @@ def _load_config(path: str, overrides: argparse.Namespace) -> dict:
             cfg = json.load(f)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config must be a JSON object, got {cfg!r}")
+    unknown = sorted(set(cfg) - CONFIG_KEYS) + sorted(
+        f"solver.{k}" for k in set(cfg.get("solver", {})) - SOLVER_KEYS)
+    if unknown:
+        raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     for key in ("problem", "re", "fy", "hh", "overlap", "variant", "coarse",
                 "modified", "out"):
         val = getattr(overrides, key.replace("-", "_"), None)
@@ -113,24 +126,10 @@ def _sweep_points(cfg: dict):
         yield dict(zip(keys, combo))
 
 
-def _newton_params(d: dict, base: NewtonParams) -> NewtonParams:
-    out = NewtonParams(**{**asdict(base), **d})
-    return out
-
-
 def _solver_config(cfg: dict, point: dict) -> SolverConfig:
     base = beam_config() if cfg["problem"] == "beam" else SolverConfig()
-    s = cfg.get("solver", {})
-    if "outer" in s:
-        base.outer = _newton_params(s["outer"], base.outer)
-    if "inner" in s:
-        base.inner = _newton_params(s["inner"], base.inner)
-    if "coarse" in s:
-        base.coarse = _newton_params(s["coarse"], base.coarse)
-    if "gmres" in s:
-        g = asdict(base.gmres)
-        g.update(s["gmres"])
-        base.gmres = GmresParams(**g)
+    for level, settings in cfg.get("solver", {}).items():
+        setattr(base, level, replace(getattr(base, level), **settings))
     base.variant = point.get("variant", cfg.get("variant", base.variant))
     base.coarse_kind = point.get("coarse", cfg.get("coarse", base.coarse_kind))
     base.modified = bool(cfg.get("modified", base.modified))
@@ -140,15 +139,14 @@ def _solver_config(cfg: dict, point: dict) -> SolverConfig:
 
 def _build_case(cfg: dict, point: dict):
     problem_kind = cfg["problem"]
+    domain = (0.0, 1.0, 0.0, 1.0)
     if problem_kind == "ldc":
         prob = asm.ldc_problem(float(point.get("re", cfg.get("re", 100.0))))
-        domain = tuple(cfg.get("domain", (0.0, 1.0, 0.0, 1.0)))
     elif problem_kind == "beam":
         prob = asm.beam_problem(float(point.get("fy", cfg.get("fy", 1.0))))
-        domain = tuple(cfg.get("domain", (0.0, 5.0, 0.0, 1.0)))
+        domain = (0.0, 5.0, 0.0, 1.0)
     else:
         prob = asm.diffusion_problem(cfg.get("coefficient", "nonlinear"))
-        domain = tuple(cfg.get("domain", (0.0, 1.0, 0.0, 1.0)))
     px, py = point.get("subdomains", cfg.get("subdomains", [2, 2]))
     hh = int(cfg.get("hh", 10))
     mesh = msh.build_structured_mesh(px * hh, py * hh, domain=domain,
@@ -193,7 +191,6 @@ def run_point(cfg: dict, point: dict) -> tuple[dict, SolveReport]:
         "hh": int(cfg.get("hh", 10)),
         "overlap": overlap,
         "n_dofs": dofmap.n_dofs,
-        "seed": cfg.get("seed", 0),
         "converged": rep.converged,
         "reason": rep.reason,
         "outer_iterations": rep.outer_iterations,
@@ -274,11 +271,15 @@ def cmd_export_coarse(args) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     point = next(_sweep_points(cfg))
-    prob, mesh, dofmap, px, py = _build_case(cfg, point)
-    scfg = _solver_config(cfg, point)
-    dec = _decompose(mesh, px, py, int(cfg.get("overlap", 2)), nks=False)
-    P0, ents, labels = crs.build_coarse_space(prob, mesh, dofmap, dec,
-                                              scfg.coarse_kind, scfg.modified)
+    try:
+        prob, mesh, dofmap, px, py = _build_case(cfg, point)
+        scfg = _solver_config(cfg, point)
+        dec = _decompose(mesh, px, py, int(cfg.get("overlap", 2)), nks=False)
+        P0, ents, labels = crs.build_coarse_space(
+            prob, mesh, dofmap, dec, scfg.coarse_kind, scfg.modified)
+    except ValueError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
     k = args.entity
     if not 0 <= k < len(ents):
         print(f"error: entity {k} out of range (0..{len(ents) - 1})",

@@ -24,7 +24,8 @@ import scipy.linalg as sla
 from . import assembly as asm
 from .assembly import DofMap, NonPhysicalStateError, ProblemSpec
 from .mesh import Decomposition, Mesh
-from .schwarz import NewtonParams, SchwarzOperator, backtracking_step
+from .schwarz import (NewtonParams, SchwarzOperator, backtracking_step,
+                      coarse_lu)
 from .sparse import SingularMatrixError, factorize, gmres
 
 
@@ -249,15 +250,15 @@ def solve_nks(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
         local_lus = [factorize(DF[d][:, d], fast=True) for d in sub_dofs]
         t_inner = time.perf_counter() - t0
         t0 = time.perf_counter()
-        coarse_lu = sla.lu_factor((R0 @ DF @ P0).toarray()) if P0 is not None else None
+        coarse = coarse_lu((R0 @ DF @ P0).toarray()) if P0 is not None else None
         t_coarse = time.perf_counter() - t0
 
         def precond(v):
             out = np.zeros_like(v)
             for d, lu in zip(sub_dofs, local_lus):
                 out[d] += lu.solve(v[d])
-            if coarse_lu is not None:
-                out += P0 @ sla.lu_solve(coarse_lu, R0 @ v)
+            if coarse is not None:
+                out += P0 @ sla.lu_solve(coarse, R0 @ v)
             return out
 
         return _Linearization(F, lambda x: DF @ x, precond,

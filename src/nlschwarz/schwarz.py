@@ -113,6 +113,17 @@ def _damped_newton(residual, direction, moved, x, p: NewtonParams, label: str,
         its += 1
 
 
+def coarse_lu(A0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Dense LU of a coarse tangent R_0 DF P_0, for `scipy.linalg.lu_solve`.
+    Raises `LinAlgError` if the matrix or its factor has a non-finite entry
+    or a zero pivot (LAPACK getrf, which reports that without a warning)."""
+    getrf, = sla.get_lapack_funcs(("getrf",), (A0,))
+    lu, piv, info = getrf(A0)
+    if info != 0 or not np.all(np.isfinite(lu)):
+        raise np.linalg.LinAlgError("coarse tangent is singular")
+    return lu, piv
+
+
 @dataclass
 class SubdomainData:
     index: int
@@ -304,10 +315,7 @@ class SchwarzOperator:
             lambda cc, s, d: cc + s * d, c0, self.coarse, "coarse correction",
             r0)
         DF, A0 = tangent(c)
-        lu = sla.lu_factor(A0)
-        if not np.all(np.isfinite(lu[0])) or np.any(np.diag(lu[0]) == 0.0):
-            raise np.linalg.LinAlgError("coarse tangent is singular")
-        return CoarseSolveState(coefficients=c, tangent=lu,
+        return CoarseSolveState(coefficients=c, tangent=coarse_lu(A0),
                                 global_tangent=DF, iterations=its,
                                 converged=converged)
 

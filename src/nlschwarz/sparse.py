@@ -1,7 +1,15 @@
-"""Sparse direct solves and a restarted GMRES over abstract operators."""
+"""Sparse direct solves and a restarted GMRES over abstract operators.
+
+`gmres` hands SciPy's restarted GMRES the left-preconditioned operator M A
+and the right-hand side M b, so it stops on the preconditioned residual,
+||M (b - A x)|| <= rel_tol ||M b||.  Its cap on inner iterations rounds up to
+whole restart cycles, Gram-Schmidt makes one pass, and a breakdown that
+misses the tolerance ends the solve instead of restarting it.
+"""
 
 from __future__ import annotations
 
+import math
 from typing import Callable
 
 import numpy as np
@@ -75,86 +83,34 @@ def gmres(apply: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
           rel_tol: float = 1e-8, max_iter: int = 1000, restart: int | None = None,
           left_prec: Callable[[np.ndarray], np.ndarray] | None = None
           ) -> tuple[np.ndarray, int, bool]:
-    """Restarted GMRES with modified Gram-Schmidt.
+    """Restarted GMRES (SciPy's) on the left-preconditioned system M A x = M b.
 
-    `restart` is the inner subspace size and `max_iter` the cap on total inner
-    iterations across restart cycles.  With `left_prec` the residual norm is
-    the preconditioned one.  Returns (x, total iterations, converged flag);
-    on failure the best iterate found is returned.
+    With M = `left_prec` (the identity if None), the solve stops once
+    ||M (b - A x)|| <= rel_tol ||M b||.  `restart` is the inner subspace size
+    (all of `max_iter` if None); it is clipped to `max_iter` and to the
+    system size.  Returns (x, total inner iterations, converged flag); on
+    failure the last iterate is returned.  Three edges of SciPy's loop:
+
+    - the cap `max_iter` rounds up to whole restart cycles: `max_iter=5,
+      restart=2` stops after 6 iterations;
+    - Gram-Schmidt runs once, with no second pass;
+    - a breakdown (an exactly solved Krylov space) that fails the stopping
+      test ends the solve, unconverged, instead of restarting.
     """
     b = np.asarray(b, dtype=np.float64)
     n = b.shape[0]
-    if restart is None or restart > max_iter:
-        restart = max_iter
     prec = left_prec if left_prec is not None else (lambda v: v)
-
-    x = np.zeros(n)
-    total = 0
-    r = prec(b)
-    norm_b = np.linalg.norm(r)
-    if norm_b == 0.0:
+    Mb = np.asarray(prec(b), dtype=np.float64)
+    if not Mb.any():
         return np.zeros(n), 0, True
-    tol_abs = rel_tol * norm_b
-
-    while True:
-        beta = np.linalg.norm(r)
-        if beta <= tol_abs:
-            return x, total, True
-        m = min(restart, max_iter - total)
-        if m <= 0:
-            return x, total, False
-        # rows past the last Arnoldi step are never written, so they take
-        # no resident memory
-        V = np.empty((m + 1, n))
-        H = np.zeros((m + 1, m))
-        cs = np.zeros(m)
-        sn = np.zeros(m)
-        g = np.zeros(m + 1)
-        g[0] = beta
-        V[0] = r / beta
-        j_done = 0
-        for j in range(m):
-            # copy: the operator may return its argument (e.g. the identity),
-            # and Gram-Schmidt must not modify the stored basis in place
-            w = np.array(prec(apply(V[j])), dtype=np.float64)
-            # modified Gram-Schmidt with one reorthogonalization pass if the
-            # projected mass indicates loss of orthogonality
-            norm_w0 = np.linalg.norm(w)
-            for i in range(j + 1):
-                h = V[i] @ w
-                H[i, j] = h
-                w -= h * V[i]
-            if np.linalg.norm(w) < 1e-8 * norm_w0:
-                for i in range(j + 1):
-                    c = V[i] @ w
-                    H[i, j] += c
-                    w -= c * V[i]
-            hnext = np.linalg.norm(w)
-            H[j + 1, j] = hnext
-            total += 1
-            j_done = j + 1
-            # apply stored Givens rotations to the new column
-            for i in range(j):
-                t = cs[i] * H[i, j] + sn[i] * H[i + 1, j]
-                H[i + 1, j] = -sn[i] * H[i, j] + cs[i] * H[i + 1, j]
-                H[i, j] = t
-            rho = np.hypot(H[j, j], H[j + 1, j])
-            if rho == 0.0:
-                cs[j], sn[j] = 1.0, 0.0
-            else:
-                cs[j], sn[j] = H[j, j] / rho, H[j + 1, j] / rho
-            H[j, j] = rho
-            H[j + 1, j] = 0.0
-            g[j + 1] = -sn[j] * g[j]
-            g[j] = cs[j] * g[j]
-            if hnext == 0.0 or abs(g[j + 1]) <= tol_abs or total >= max_iter:
-                break
-            V[j + 1] = w / hnext
-        k = j_done
-        y = np.linalg.solve(np.triu(H[:k, :k]), g[:k]) if k else np.zeros(0)
-        x = x + V[:k].T @ y
-        r = prec(b - apply(x))
-        if np.linalg.norm(r) <= tol_abs:
-            return x, total, True
-        if total >= max_iter:
-            return x, total, False
+    r = min(restart or max_iter, max_iter, n)
+    # copy: SciPy's Gram-Schmidt updates the returned vector in place, and
+    # the operator may return its argument (e.g. the identity)
+    op = spla.LinearOperator((n, n), dtype=np.float64,
+                             matvec=lambda v: np.array(prec(apply(v)),
+                                                       dtype=np.float64))
+    residuals = []  # one entry per inner iteration
+    x, info = spla.gmres(op, Mb, rtol=rel_tol, atol=0.0, restart=r,
+                         maxiter=math.ceil(max_iter / r),
+                         callback=residuals.append, callback_type="pr_norm")
+    return x, len(residuals), info == 0

@@ -105,6 +105,23 @@ class TestRun:
         assert capsys.readouterr().err.startswith("error: --subdomains")
         assert not (tmp_path / "out").exists()
 
+    @pytest.mark.parametrize("extra", [
+        {"subdomain": [3, 3]}, {"domain": [0.0, 2.0, 0.0, 1.0]}, {"seed": 1},
+        {"solver": {"gmress": {"restart": 10}}}],
+        ids=["subdomain", "domain", "seed", "solver.gmress"])
+    def test_unknown_key_is_config_error(self, tmp_path, capsys, extra):
+        cfg = dict(BASE, out=str(tmp_path / "out"), **extra)
+        assert main(["run", write_config(tmp_path, cfg)]) == 2
+        assert capsys.readouterr().err.startswith("error: unknown config keys")
+        assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("cfg", [5, [1, 2], "ldc", None],
+                             ids=["number", "list", "string", "null"])
+    def test_non_object_config_is_config_error(self, tmp_path, capsys, cfg):
+        assert main(["run", write_config(tmp_path, cfg)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: config must be a JSON object")
+
 
 def read_history(rep, tmp_path):
     path = tmp_path / "hist.csv"
@@ -169,6 +186,18 @@ class TestExportCoarse:
         rc = main(["export-coarse", write_config(tmp_path, cfg),
                    "--entity", "999"])
         assert rc != 0
+
+    @pytest.mark.parametrize("cfg", [
+        dict(BASE, coarse="gdsw"),
+        {"problem": "ldc", "subdomains": [2, 1], "hh": 4, "coarse": "rgdsw"}],
+        ids=["gdsw-modified", "ldc-rgdsw-2x1"])
+    def test_unbuildable_coarse_space_exits_2(self, tmp_path, capsys, cfg):
+        cfg = dict(cfg, out=str(tmp_path / "out"))
+        assert main(["export-coarse", write_config(tmp_path, cfg),
+                     "--entity", "0"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
 
     def test_beam_modes_write_both_components(self, tmp_path):
         cfg = {"problem": "beam", "subdomains": [4, 1], "hh": 4,

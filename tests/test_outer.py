@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from nlschwarz import assembly as asm
 from nlschwarz import cli
@@ -245,6 +246,24 @@ class TestFailuresRecorded:
         assert "not finite" in rep.reason
         assert np.array_equal(u, asm.initial_iterate(prob, dm))
 
+    @pytest.mark.parametrize("extra,steps", [("zero", 0), ("copy", 1)])
+    def test_singular_nks_coarse_tangent(self, extra, steps):
+        # an extra coarse column that is zero, or repeats the first, makes
+        # R0 DF P0 singular; the copy gives an exactly zero pivot from the
+        # second linearization on
+        prob, m, dm, px, py = cli._build_case(
+            {"problem": "ldc", "re": 100, "subdomains": [2, 2], "hh": 6}, {})
+        dec = cli._decompose(m, px, py, 2, nks=True)
+        P0, _, _ = crs.build_coarse_space(prob, m, dm, dec)
+        col = P0[:, :1] * (extra == "copy")
+        u, rep = solve_nks(prob, m, dm, dec, SolverConfig(variant="nks"),
+                           P0=sp.hstack([P0, col]).tocsr())
+        assert not rep.converged
+        assert rep.reason == ("linearization failed: LinAlgError: "
+                              "coarse tangent is singular")
+        assert rep.outer_iterations == steps
+        assert np.array_equal(u, asm.initial_iterate(prob, dm)) == (steps == 0)
+
     @pytest.mark.parametrize("solver", SOLVERS)
     def test_gmres_iteration_cap_counted(self, solver):
         u, rep, _ = self.solve(solver, gmres=GmresParams(max_iter=1))
@@ -269,7 +288,9 @@ LIMIT = "outer iteration limit reached"
 class TestPinnedReports:
     """Per-iteration GMRES counts, line-search steps and reasons of both
     solvers through `run_point`, as measured before the two outer loops were
-    merged into one driver."""
+    merged into one driver.  `ldc2000-hybrid` diverges, and every rounding
+    change in GMRES moves its steps after the second; it was measured again
+    when SciPy's GMRES replaced the package's own."""
 
     @pytest.mark.parametrize("config,gmres,ls,reason", [
         (dict(LDC, re=100, variant="hybrid"), [15, 13, 14, 14], [0] * 4,
@@ -283,7 +304,8 @@ class TestPinnedReports:
         (dict(BEAM, variant="hybrid"), [4, 8], [0, 0], CONVERGED),
         (dict(BEAM, variant="nks"), [8, 10], [0, 0], CONVERGED),
         (dict(LDC, re=2000, variant="hybrid"),
-         [24, 28, 54, 50, 59, 65, 68, 81, 73, 74], [5] + [6] * 9, LIMIT),
+         [24, 28, 26, 33, 50, 68, 65, 62, 69, 68],
+         [5, 6, 5, 6, 6, 6, 6, 4, 6, 6], LIMIT),
         (dict(LDC, re=2000, variant="nks"),
          [23, 24, 29, 30, 35, 31, 33, 34, 35, 32],
          [1, 4, 6, 1, 5, 4, 3, 3, 6, 3], LIMIT),

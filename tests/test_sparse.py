@@ -91,3 +91,41 @@ class TestGmres:
         x, its, ok = gmres(lambda v: v, b, rel_tol=1e-12, max_iter=10)
         assert ok and its == 1
         np.testing.assert_allclose(x, b, rtol=1e-12)
+
+
+class TestGmresPinned:
+    """Iteration counts and flags measured on the package's own GMRES
+    (modified Gram-Schmidt, Givens rotations) before it was replaced by
+    SciPy's; the replacement must reproduce them."""
+
+    def test_unpreconditioned(self):
+        A, b = random_system(seed=7)
+        _, its, ok = gmres(lambda v: A @ v, b, rel_tol=1e-10, max_iter=400)
+        assert (its, ok) == (27, True)
+
+    def test_left_preconditioned_norm_stops(self):
+        # a diagonal M spanning six orders of magnitude: the solve stops on
+        # ||M r|| <= rel_tol ||M b|| while ||r||/||b|| is still 5e-2
+        A, b = random_system(n=150, seed=5, shift=3.0)
+        d = 10.0 ** np.random.default_rng(1).uniform(-3, 3, 150)
+        x, its, ok = gmres(lambda v: A @ v, b, rel_tol=1e-6, max_iter=400,
+                           left_prec=lambda v: d * v)
+        assert (its, ok) == (111, True)
+        r = b - A @ x
+        assert np.linalg.norm(d * r) <= 1e-6 * np.linalg.norm(d * b)
+        assert np.linalg.norm(r) > 1e-2 * np.linalg.norm(b)
+
+    @pytest.mark.parametrize("n,seed,shift,expected", [
+        (200, 2, 6.0, (24, True)), (120, 11, 1.0, (400, False))])
+    def test_restarted(self, n, seed, shift, expected):
+        A, b = random_system(n=n, seed=seed, shift=shift)
+        _, its, ok = gmres(lambda v: A @ v, b, rel_tol=1e-10, max_iter=400,
+                           restart=10)
+        assert (its, ok) == expected
+
+    def test_cap_rounds_up_to_whole_cycles(self):
+        # new with SciPy's loop: the cap counts restart cycles, here 3 of 2
+        A, b = random_system(n=200, seed=2, shift=0.5)
+        _, its, ok = gmres(lambda v: A @ v, b, rel_tol=1e-14, max_iter=5,
+                           restart=2)
+        assert (its, ok) == (6, False)

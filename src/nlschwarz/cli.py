@@ -29,8 +29,8 @@ Config schema (JSON object; every field optional unless noted):
                  line_search}, "gmres": {rel_tol, max_iter, restart}};
                  gmres max_iter rounds up to whole restart cycles
 
-A key the schema does not list is an error.  The domain is the unit square,
-and [0, 5] x [0, 1] for the beam.
+A key the schema does not list, at the top level or in a solver level, is an
+error.  The domain is the unit square, and [0, 5] x [0, 1] for the beam.
 
 Flag overrides: --problem --re --fy --subdomains PXxPY --hh --overlap
 --variant --coarse --modified --out.  The worker count for local solves is
@@ -66,7 +66,9 @@ CONFIG_KEYS = {"problem", "re", "fy", "coefficient", "subdomains", "hh",
                "overlap", "variant", "coarse", "modified", "tangent", "out",
                "solver"}
 
-SOLVER_KEYS = {"outer", "inner", "coarse", "gmres"}
+# the fields each `solver` level of a config may set
+SOLVER_FIELDS = {level: {f.name for f in fields(getattr(SolverConfig(), level))}
+                 for level in ("outer", "inner", "coarse", "gmres")}
 
 
 class ConfigError(ValueError):
@@ -81,8 +83,16 @@ def _load_config(path: str, overrides: argparse.Namespace) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     if not isinstance(cfg, dict):
         raise ConfigError(f"config must be a JSON object, got {cfg!r}")
-    unknown = sorted(set(cfg) - CONFIG_KEYS) + sorted(
-        f"solver.{k}" for k in set(cfg.get("solver", {})) - SOLVER_KEYS)
+    solver = cfg.get("solver", {})
+    if not (isinstance(solver, dict)
+            and all(isinstance(v, dict) for v in solver.values())):
+        raise ConfigError("config key solver must map each level to an "
+                          f"object, got {solver!r}")
+    unknown = sorted(set(cfg) - CONFIG_KEYS)
+    for level, settings in sorted(solver.items()):
+        allowed = SOLVER_FIELDS.get(level)
+        unknown += ([f"solver.{level}"] if allowed is None else sorted(
+            f"solver.{level}.{k}" for k in set(settings) - allowed))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
     for key in ("problem", "re", "fy", "hh", "overlap", "variant", "coarse",

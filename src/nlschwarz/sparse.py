@@ -22,9 +22,9 @@ try:
     # Fix the malloc mmap threshold (M_MMAP_THRESHOLD = -3) at 128 KiB, so
     # large transient assembly and factorization buffers are unmapped on free
     # instead of growing the heap.  Without it the peak RSS of the 4x4 cavity
-    # benchmarks rose from 150 to 165-256 MB (hybrid) and from 135 to
-    # 173-215 MB (NKS), 6 runs each on 2 cores, and the memory the process
-    # keeps grows with each SuperLU factorization.
+    # benchmarks rose from 125.5-125.7 to 141.8-142.3 MB (hybrid) and from
+    # 109.3 to 125.3-128.3 MB (NKS), 2 runs each on 2 cores.  The setting
+    # costs time, as each fresh mapping page-faults on first touch.
     ctypes.CDLL("libc.so.6").mallopt(-3, 131072)
 except OSError:  # pragma: no cover - non-glibc platform
     pass
@@ -46,6 +46,12 @@ class Factorization:
     79 MB.  SuperLU also holds the GIL while it factorizes and solves: the
     16 factorizations took 112-141 ms serially and 118-149 ms on 2 threads
     (2 cores), so threads do not speed those two up.
+
+    Never read a factor's `L` or `U`.  On the first read of either, SciPy's
+    SuperLU object builds CSC copies of both and keeps them for the factor's
+    lifetime, at about 12 bytes per factor nonzero: 982 KiB for a 1,193-DOF
+    cavity subdomain block with 82,838 factor nonzeros, which doubles what a
+    held factor costs.  `SuperLU.nnz` gives the factor size without them.
     """
 
     def __init__(self, lu: spla.SuperLU):
@@ -59,8 +65,10 @@ def factorize(A: sp.spmatrix, fast: bool = False) -> Factorization:
     """Sparse LU.  `fast` trades strict partial pivoting for a symmetric-mode
     ordering with relaxed pivoting, which roughly halves the factorization
     cost on the near-symmetric subdomain blocks; accuracy stays far below
-    the nonlinear solver tolerances.  The result must be released on the
-    calling thread (see `Factorization`)."""
+    the nonlinear solver tolerances.  An exactly-zero pivot, numerical or
+    structural, raises `SingularMatrixError` through SuperLU's own flag.
+    The result must be released on the calling thread (see
+    `Factorization`)."""
     if A.shape[0] != A.shape[1]:
         raise ValueError(f"matrix is not square: {A.shape}")
     kwargs = (dict(permc_spec="MMD_AT_PLUS_A",
@@ -70,12 +78,6 @@ def factorize(A: sp.spmatrix, fast: bool = False) -> Factorization:
         lu = spla.splu(sp.csc_matrix(A), **kwargs)
     except RuntimeError as exc:
         raise SingularMatrixError(str(exc)) from exc
-    # splu may return a factorization with an exactly-zero pivot on
-    # structurally singular input instead of raising
-    diag_u = lu.U.diagonal()
-    zero = np.flatnonzero(diag_u == 0.0)
-    if zero.size:
-        raise SingularMatrixError(f"zero pivot at index {zero[0]}")
     return Factorization(lu)
 
 

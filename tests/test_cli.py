@@ -105,14 +105,22 @@ class TestRun:
         assert capsys.readouterr().err.startswith("error: --subdomains")
         assert not (tmp_path / "out").exists()
 
-    @pytest.mark.parametrize("extra", [
-        {"subdomain": [3, 3]}, {"domain": [0.0, 2.0, 0.0, 1.0]}, {"seed": 1},
-        {"solver": {"gmress": {"restart": 10}}}],
-        ids=["subdomain", "domain", "seed", "solver.gmress"])
-    def test_unknown_key_is_config_error(self, tmp_path, capsys, extra):
+    @pytest.mark.parametrize("extra,error", [
+        ({"subdomain": [3, 3]}, "unknown config keys: subdomain"),
+        ({"domain": [0.0, 2.0, 0.0, 1.0]}, "unknown config keys: domain"),
+        ({"seed": 1}, "unknown config keys: seed"),
+        ({"solver": {"gmress": {"restart": 10}}},
+         "unknown config keys: solver.gmress"),
+        ({"solver": {"outer": {"tol": 1e-3}}},
+         "unknown config keys: solver.outer.tol"),
+        ({"solver": {"outer": 5}}, "config key solver must map each level"),
+        ({"solver": 5}, "config key solver must map each level")],
+        ids=["subdomain", "domain", "seed", "solver.gmress", "solver.outer.tol",
+             "solver.outer-number", "solver-number"])
+    def test_unknown_key_is_config_error(self, tmp_path, capsys, extra, error):
         cfg = dict(BASE, out=str(tmp_path / "out"), **extra)
         assert main(["run", write_config(tmp_path, cfg)]) == 2
-        assert capsys.readouterr().err.startswith("error: unknown config keys")
+        assert capsys.readouterr().err.startswith(f"error: {error}")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("cfg", [5, [1, 2], "ldc", None],

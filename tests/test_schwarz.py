@@ -2,10 +2,12 @@
 
 import sys
 import threading
+import tracemalloc
 import weakref
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from nlschwarz import assembly as asm
 from nlschwarz import coarse as crs
@@ -281,6 +283,34 @@ class TestWorkers:
         assert kept == {threading.get_ident()}
         # the Newton-direction factors are built, and dropped, by the workers
         assert factoring_threads - kept
+
+
+class TestHeldMemory:
+    def test_evaluation_holds_little_beyond_its_arrays(self):
+        """What one hybrid evaluation keeps, as tracemalloc sees it, is
+        about the bytes of the arrays it returns: the 4 held SuperLU factors
+        add no numpy copies of their L and U (see `sparse.Factorization`)."""
+        prob, m, dm, dec = setup_problem("ldc", nx=12, px=2, Re=100.0)
+        P0 = coarse_space(prob, m, dm, dec)
+        op = SchwarzOperator(prob, m, dm, dec, variant="hybrid", P0=P0)
+        u = asm.initial_iterate(prob, dm)
+        tracemalloc.start()
+        try:
+            ev = op.evaluate(u)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+
+        def nbytes(a):
+            if sp.issparse(a):
+                return a.data.nbytes + a.indices.nbytes + a.indptr.nbytes
+            return a.nbytes
+        cs = ev.coarse_state
+        arrays = ([st.correction for st in ev.local_states]
+                  + [st.coupling for st in ev.local_states]
+                  + [cs.coefficients, *cs.tangent, cs.global_tangent,
+                     ev.residual])
+        assert held <= 1.1 * sum(nbytes(a) for a in arrays), held
 
 
 class TestNoRepeatedAssembly:

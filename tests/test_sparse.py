@@ -1,9 +1,14 @@
 """Direct solver wrapper and GMRES tests against dense oracles."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
+from nlschwarz import assembly as asm
+from nlschwarz import mesh as msh
+from nlschwarz.schwarz import SchwarzOperator
 from nlschwarz.sparse import SingularMatrixError, factorize, gmres
 
 
@@ -13,6 +18,21 @@ def random_system(n=120, seed=0, shift=4.0):
     A = A + shift * sp.eye(n)
     b = rng.standard_normal(n)
     return A.tocsr(), b
+
+
+def cavity_block():
+    """The local tangent block R_i DF P_i of the first subdomain of the 2x2,
+    H/h=6 cavity at Re 100, at the initial iterate."""
+    prob = asm.ldc_problem(100.0)
+    m = msh.build_structured_mesh(12, 12, problem_kind="ldc")
+    dm = asm.build_dofmap(prob, m)
+    dec = msh.partition_structured(m, 2, 2)
+    msh.extend_overlap(dec, msh.dual_graph(m), 2)
+    msh.ghost_layer(dec, msh.nodal_graph(m), mesh=m)
+    sub = SchwarzOperator(prob, m, dm, dec, variant="raspen").subs[0]
+    A = asm.assemble_tangent(prob, m, dm, asm.initial_iterate(prob, dm),
+                             subset=sub.plan.elems, plan=sub.plan)
+    return A[sub.pos_ov][:, sub.pos_ov]
 
 
 class TestFactorize:
@@ -35,20 +55,38 @@ class TestFactorize:
             b = rng.standard_normal(A.shape[0])
             assert np.linalg.norm(A @ f.solve(b) - b) < 1e-8
 
-    def test_singular_raises(self):
+    @pytest.mark.parametrize("fast", [False, True])
+    def test_singular_raises(self, fast):
         A = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 4.0]]))
         with pytest.raises(SingularMatrixError):
-            factorize(A)
+            factorize(A, fast=fast)
 
-    def test_structurally_singular_raises(self):
+    @pytest.mark.parametrize("fast", [False, True])
+    def test_structurally_singular_raises(self, fast):
         A = sp.eye(5).tolil()
         A[2, 2] = 0.0
         with pytest.raises(SingularMatrixError):
-            factorize(A.tocsr())
+            factorize(A.tocsr(), fast=fast)
 
     def test_nonsquare_raises(self):
         with pytest.raises(ValueError):
             factorize(sp.csr_matrix(np.ones((3, 4))))
+
+    @pytest.mark.parametrize("fast", [False, True])
+    def test_factor_holds_no_copy_of_l_and_u(self, fast):
+        """SciPy's SuperLU builds numpy CSC copies of L and U on the first
+        read of either and keeps them; tracemalloc sees those copies but not
+        SuperLU's own storage, so a factor that is never read that way
+        leaves almost nothing traced."""
+        A = cavity_block()
+        tracemalloc.start()
+        try:
+            lu = factorize(A, fast=fast)
+            held = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        assert lu._lu.nnz >= 20_000
+        assert held < 64 * 1024, held
 
 
 class TestGmres:

@@ -34,7 +34,8 @@ error.  The domain is the unit square, and [0, 5] x [0, 1] for the beam.
 
 Flag overrides: --problem --re --fy --subdomains PXxPY --hh --overlap
 --variant --coarse --modified --out.  The worker count for local solves is
-read from the environment variable NLSCHWARZ_WORKERS.  The worker threads
+read from the environment variable NLSCHWARZ_WORKERS (default 1); a value
+that is not a positive integer ends `run` with exit code 2.  The worker threads
 overlap the subdomain assembly of the local Newton solves; SuperLU holds the
 GIL while it factorizes and solves, so those parts run one at a time.  The
 factorizations a step keeps are built on the main thread.
@@ -57,6 +58,7 @@ from . import coarse as crs
 from . import mesh as msh
 from .outer import (OuterStep, SolveReport, SolverConfig, beam_config,
                     solve_nks, solve_nonlinear_schwarz)
+from .schwarz import workers_from_env
 
 HISTORY_COLUMNS = ["iteration"] + [f.name for f in fields(OuterStep)]
 
@@ -245,7 +247,8 @@ def emit_history(report: SolveReport, path) -> None:
 def cmd_run(args) -> int:
     try:
         cfg = _load_config(args.config, args)
-    except ConfigError as exc:
+        workers_from_env()
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     out_dir = Path(cfg.get("out", "results"))

@@ -24,6 +24,18 @@ local iterate: with Q_i(v) = P_i (R_i DF(v) P_i)^{-1} R_i DF(v),
     D F_H = [sum_i Qt_i(u_iH)] (I - Q_0(u_0)) + Q_0(u_0).
 
 The inexact (ASPIN-style) mode substitutes u for the final local iterates.
+
+Each Q_i is applied through the overlap block A_i = R_i DF(v) P_i and the
+ghost coupling C_i, the columns of R_i DF(v) on the ghost DOFs
+Gamma_i = plan.dofs minus dofs_ov.  The rows R_i DF(v) vanish outside
+plan.dofs, so R_i DF(v) x = A_i x_i + C_i x_Gamma and
+
+    A_i^{-1} R_i DF(v) x = x_i + A_i^{-1} (C_i x_Gamma).
+
+An evaluation therefore holds, per subdomain, the SuperLU factor of A_i and
+the sparse C_i (A_i itself is dropped once factorized), and for the coarse
+level the dense LU of R_0 DF(u_0) P_0 and the sparse R_0 DF(u_0), so that
+Q_0(u_0) x = P_0 (R_0 DF(u_0) P_0)^{-1} (R_0 DF(u_0)) x.
 """
 
 from __future__ import annotations
@@ -113,6 +125,20 @@ def _damped_newton(residual, direction, moved, x, p: NewtonParams, label: str,
         its += 1
 
 
+def workers_from_env() -> int:
+    """The local-solve thread count NLSCHWARZ_WORKERS, 1 if it is unset.
+    Raises `ValueError` unless it is a positive integer."""
+    raw = os.environ.get("NLSCHWARZ_WORKERS", "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError("NLSCHWARZ_WORKERS must be a positive integer, "
+                         f"got {raw!r}")
+    return workers
+
+
 def coarse_lu(A0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Dense LU of a coarse tangent R_0 DF P_0, for `scipy.linalg.lu_solve`.
     Raises `LinAlgError` if the matrix or its factor has a non-finite entry
@@ -128,18 +154,23 @@ def coarse_lu(A0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 class SubdomainData:
     index: int
     dofs_ov: np.ndarray
-    pos_ov: np.ndarray   # positions of dofs_ov inside plan.dofs
+    pos_ov: np.ndarray     # positions of dofs_ov inside plan.dofs
+    ghosts: np.ndarray     # Gamma_i: the DOFs of plan.dofs not in dofs_ov
+    pos_ghost: np.ndarray  # positions of ghosts inside plan.dofs
     plan: asm.AssemblyPlan  # the ghost-extended elements and their DOFs
 
 
 @dataclass
 class LocalSolveState:
     correction: np.ndarray          # T_i on dofs_ov
-    coupling: sp.csr_matrix         # R_i DF(v_final) over plan.dofs columns
+    coupling: sp.csr_matrix         # C_i: R_i DF(v_final) on the ghost columns
     iterations: int
     converged: bool
-    # R_i DF(v_final) P_i factorized; `_run_locals` builds it on the thread
-    # that calls it, which also releases it (see `sparse.Factorization`)
+    # A_i = R_i DF(v_final) P_i, as `local_correction` returns it;
+    # `_run_locals` factorizes it into `tangent` and drops it
+    block: sp.csc_matrix | None = None
+    # A_i factorized on the thread that calls `_run_locals`, which also
+    # releases it (see `sparse.Factorization`)
     tangent: Factorization | None = None
 
 
@@ -147,7 +178,7 @@ class LocalSolveState:
 class CoarseSolveState:
     coefficients: np.ndarray
     tangent: tuple | None           # dense LU of R_0 DF(u_0) P_0
-    global_tangent: sp.csr_matrix | None  # DF(u_0)
+    coupling: sp.csr_matrix | None  # R_0 DF(u_0), coarse dim x n_dofs
     iterations: int
     converged: bool
 
@@ -189,9 +220,9 @@ class SchwarzOperator:
         self.tangent_mode = tangent_mode
         self.inner = inner or NewtonParams()
         self.coarse = coarse or NewtonParams()
-        if workers is None:
-            workers = int(os.environ.get("NLSCHWARZ_WORKERS", "1"))
-        self.workers = max(1, workers)
+        self.workers = workers_from_env() if workers is None else workers
+        if self.workers < 1:
+            raise ValueError(f"workers must be positive, got {self.workers}")
         self._coarse_deflation: tuple | None = None
 
         self.subs: list[SubdomainData] = []
@@ -202,7 +233,9 @@ class SchwarzOperator:
             dofs_ov = asm.subset_dofs(dofmap, mesh, ov)
             plan = asm.AssemblyPlan(mesh, dofmap, ext)
             pos = np.searchsorted(plan.dofs, dofs_ov)
-            self.subs.append(SubdomainData(i, dofs_ov, pos, plan))
+            ghost = np.setdiff1d(np.arange(plan.n), pos, assume_unique=True)
+            self.subs.append(SubdomainData(i, dofs_ov, pos, plan.dofs[ghost],
+                                           ghost, plan))
             count[dofs_ov] += 1
         if np.any(count == 0):
             raise ValueError("overlapping subdomains do not cover every DOF")
@@ -243,8 +276,11 @@ class SchwarzOperator:
         else:
             A = A_v0 if A_v0 is not None else self._local_tangent(sub, v0)
         T = u[sub.dofs_ov] - v[sub.pos_ov]
-        return LocalSolveState(correction=T, coupling=A[sub.pos_ov].tocsr(),
-                               iterations=its, converged=converged)
+        rows = A[sub.pos_ov].tocsc()
+        return LocalSolveState(correction=T,
+                               coupling=rows[:, sub.pos_ghost].tocsr(),
+                               iterations=its, converged=converged,
+                               block=rows[:, sub.pos_ov])
 
     def _deflate_coarse(self, A0: np.ndarray) -> np.ndarray:
         """Lift near-null singular directions of the coarse tangent.
@@ -293,13 +329,13 @@ class SchwarzOperator:
                                            u - P0 @ cc))
 
         def coarse_tangent(cc):
-            DF = asm.assemble_tangent(self.problem, self.mesh, self.dofmap,
-                                      u - P0 @ cc)
-            return DF, self._deflate_coarse((R0 @ DF @ P0).toarray())
+            R0DF = R0 @ asm.assemble_tangent(self.problem, self.mesh,
+                                             self.dofmap, u - P0 @ cc)
+            return R0DF, self._deflate_coarse((R0DF @ P0).toarray())
 
         # the projection of the first residual needs the deflation, so the
-        # first call assembles DF and the deflated R0 DF P0 at c0 before it;
-        # that pair serves the first step, or the final factorization
+        # first call assembles R0 DF and the deflated R0 DF P0 at c0 before
+        # it; that pair serves the first step, or the final factorization
         c0 = np.zeros(P0.shape[1])
         pending = coarse_tangent(c0) if self._coarse_deflation is None else None
 
@@ -314,25 +350,27 @@ class SchwarzOperator:
             coarse_residual, lambda cc, r: np.linalg.solve(tangent(cc)[1], r),
             lambda cc, s, d: cc + s * d, c0, self.coarse, "coarse correction",
             r0)
-        DF, A0 = tangent(c)
+        R0DF, A0 = tangent(c)
         return CoarseSolveState(coefficients=c, tangent=coarse_lu(A0),
-                                global_tangent=DF, iterations=its,
+                                coupling=R0DF, iterations=its,
                                 converged=converged)
 
     # -- preconditioned residual -------------------------------------------
 
     def _run_locals(self, u: np.ndarray) -> list[LocalSolveState]:
-        """Local corrections at u on `workers` threads.  Each kept tangent is
-        factorized here, on the calling thread, as its correction arrives."""
-        def kept(sub, st):
-            st.tangent = factorize(st.coupling[:, sub.pos_ov], fast=True)
+        """Local corrections at u on `workers` threads.  Each kept block A_i
+        is factorized here, on the calling thread, as its correction
+        arrives, and then dropped."""
+        def kept(st):
+            st.tangent = factorize(st.block, fast=True)
+            st.block = None
             return st
 
         if self.workers > 1:
             with ThreadPoolExecutor(max_workers=self.workers) as pool:
                 states = pool.map(lambda s: self.local_correction(s, u), self.subs)
-                return [kept(sub, st) for sub, st in zip(self.subs, states)]
-        return [kept(s, self.local_correction(s, u)) for s in self.subs]
+                return [kept(st) for st in states]
+        return [kept(self.local_correction(s, u)) for s in self.subs]
 
     def evaluate(self, u: np.ndarray, F: np.ndarray | None = None) -> Evaluation:
         """F_X(u) and its tangent's operators; `F` is F(u) if the caller has
@@ -374,15 +412,14 @@ class SchwarzOperator:
 
     def _apply_q0(self, ev: Evaluation, x: np.ndarray) -> np.ndarray:
         cs = ev.coarse_state
-        y = self.R0 @ (cs.global_tangent @ x)
-        return self.P0 @ sla.lu_solve(cs.tangent, y)
+        return self.P0 @ sla.lu_solve(cs.tangent, cs.coupling @ x)
 
     def _apply_locals(self, ev: Evaluation, x: np.ndarray) -> np.ndarray:
         out = np.zeros_like(x)
         weight = (np.ones(self.dofmap.n_dofs) if self.variant == "aspen"
                   else self.pou_weight)
         for sub, st in zip(self.subs, ev.local_states):
-            y = st.tangent.solve(st.coupling @ x[sub.plan.dofs])
+            y = x[sub.dofs_ov] + st.tangent.solve(st.coupling @ x[sub.ghosts])
             out[sub.dofs_ov] += weight[sub.dofs_ov] * y
         return out
 

@@ -130,6 +130,17 @@ class TestRun:
         assert capsys.readouterr().err.startswith(
             "error: config must be a JSON object")
 
+    @pytest.mark.parametrize("value", ["abc", "0", "-3", "1.5"])
+    def test_malformed_workers_is_an_error(self, tmp_path, capsys,
+                                           monkeypatch, value):
+        monkeypatch.setenv("NLSCHWARZ_WORKERS", value)
+        cfg = dict(BASE, out=str(tmp_path / "out"))
+        assert main(["run", write_config(tmp_path, cfg)]) == 2
+        assert capsys.readouterr().err == (
+            "error: NLSCHWARZ_WORKERS must be a positive integer, "
+            f"got {value!r}\n")
+        assert not (tmp_path / "out").exists()
+
 
 def read_history(rep, tmp_path):
     path = tmp_path / "hist.csv"

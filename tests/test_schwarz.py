@@ -222,6 +222,51 @@ class TestTangent:
         err = np.linalg.norm(ap - fd) / np.linalg.norm(fd)
         assert err < 1e-5, err
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_matches_dense_operator(self, variant):
+        """In the aspin mode every local tangent is DF at the state w the
+        locals start from, so D F_X is known in closed form: with
+        Q_i = P_i (R_i DF P_i)^{-1} R_i DF from a freshly assembled DF(w) and
+        Q_0 from DF(u - P0 c), the apply must match the dense operator."""
+        prob, m, dm, dec = setup_problem("ldc", nx=8, px=2, Re=100.0)
+        two_level = variant in ("additive", "hybrid")
+        P0 = coarse_space(prob, m, dm, dec) if two_level else None
+        op = SchwarzOperator(prob, m, dm, dec, variant=variant, P0=P0,
+                             tangent_mode="aspin", inner=TIGHT, coarse=TIGHT)
+        rng = np.random.default_rng(5)
+        u = asm.initial_iterate(prob, dm)
+        u = np.where(dm.dirichlet_mask, u,
+                     u + 0.1 * rng.standard_normal(dm.n_dofs))
+        ev = op.evaluate(u)
+        n = dm.n_dofs
+
+        def q(P, R, DF):
+            return P @ np.linalg.solve(R @ DF @ P, R @ DF)
+
+        w, Q0 = u, np.zeros((n, n))
+        if two_level:
+            assert not op._coarse_deflation
+            P0d = P0.toarray()
+            u0 = u - P0 @ ev.coarse_state.coefficients
+            DF0 = asm.assemble_tangent(prob, m, dm, u0).toarray()
+            Q0 = q(P0d, P0d.T, DF0)
+            if variant == "hybrid":
+                w = u0
+        DF = asm.assemble_tangent(prob, m, dm, w).toarray()
+        weight = np.ones(n) if variant == "aspen" else op.pou_weight
+        locals_ = np.zeros((n, n))
+        for sub in op.subs:
+            P = np.eye(n)[:, sub.dofs_ov]
+            locals_ += weight[:, None] * q(P, P.T, DF)
+        dense = (locals_ @ (np.eye(n) - Q0) + Q0 if variant == "hybrid"
+                 else locals_ + Q0)
+        for _ in range(3):
+            x = rng.standard_normal(n)
+            expect = dense @ x
+            err = (np.linalg.norm(op.apply_tangent(ev, x) - expect)
+                   / np.linalg.norm(expect))
+            assert err < 1e-10, err
+
     def test_aspin_mode_differs_from_exact(self):
         prob, m, dm, dec = setup_problem("diffusion", nx=8, px=2)
         rng = np.random.default_rng(3)
@@ -289,7 +334,10 @@ class TestHeldMemory:
     def test_evaluation_holds_little_beyond_its_arrays(self):
         """What one hybrid evaluation keeps, as tracemalloc sees it, is
         about the bytes of the arrays it returns: the 4 held SuperLU factors
-        add no numpy copies of their L and U (see `sparse.Factorization`)."""
+        add no numpy copies of their L and U (see `sparse.Factorization`).
+        Each local coupling covers only the subdomain's ghost columns, the
+        overlap block living on in the factor alone, and the coarse level
+        keeps R0 DF, not DF."""
         prob, m, dm, dec = setup_problem("ldc", nx=12, px=2, Re=100.0)
         P0 = coarse_space(prob, m, dm, dec)
         op = SchwarzOperator(prob, m, dm, dec, variant="hybrid", P0=P0)
@@ -306,10 +354,16 @@ class TestHeldMemory:
                 return a.data.nbytes + a.indices.nbytes + a.indptr.nbytes
             return a.nbytes
         cs = ev.coarse_state
+        for sub, st in zip(op.subs, ev.local_states):
+            np.testing.assert_array_equal(
+                sub.ghosts, np.setdiff1d(sub.plan.dofs, sub.dofs_ov))
+            assert st.coupling.shape == (sub.dofs_ov.size,
+                                         sub.plan.n - sub.dofs_ov.size)
+            assert st.block is None
+        assert cs.coupling.shape == (P0.shape[1], dm.n_dofs)
         arrays = ([st.correction for st in ev.local_states]
                   + [st.coupling for st in ev.local_states]
-                  + [cs.coefficients, *cs.tangent, cs.global_tangent,
-                     ev.residual])
+                  + [cs.coefficients, *cs.tangent, cs.coupling, ev.residual])
         assert held <= 1.1 * sum(nbytes(a) for a in arrays), held
 
 

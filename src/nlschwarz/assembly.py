@@ -14,23 +14,40 @@ identity rows, so Newton updates keep the boundary data exact.  Assembly over
 an element subset produces the subset's rows only; with a ghost ring around an
 overlapping subdomain those rows coincide with the global ones.
 
-Everything about an element subset that does not depend on the state lives in
-an `AssemblyPlan`: the element geometry (barycentric gradients and areas), the
-position of every element DOF among the subset's DOFs, which serves both the
-state gather and the residual scatter (one ``bincount``), and the tangent's
-CSR pattern, Dirichlet identity included, with an int32 map from each
-element-matrix entry to its slot in the CSR data array; entries of Dirichlet
-rows map to one trash slot past the end.  A plan stays valid only while the
-mesh, the element subset and the DofMap are unchanged.  Every assembly call
-uses the plan it is given; without one, a full-mesh call uses the DofMap's
-full-mesh plan (`global_plan`, built on first use) and a subset call builds a
-throwaway plan, so there is a single assembly path.  Callers that assemble
-one subset repeatedly keep its plan (one per subdomain).
+Everything about assembly for one problem over an element subset that does
+not depend on the state lives in an `AssemblyPlan`: the element geometry
+(barycentric gradients and areas), the position of every element DOF among
+the subset's DOFs, which serves both the state gather and the residual
+scatter (one ``bincount``), and the tangent's CSR pattern, Dirichlet
+identity included, with an int32 map from each element-matrix entry to its
+slot in the CSR data array; entries of Dirichlet rows map to one trash slot
+past the end.  The cavity's operator splits into a constant Stokes part
+(viscous blocks and pressure coupling) and convection.  Its plan assembles
+the Stokes part once, at construction, into one float64 array of ``nnz + 1``
+entries on the plan's own pattern, and then keeps the slot map for the
+12 x 12 velocity block only, which is all convection touches: per plan,
+8 (nnz + 1) bytes of Stokes data and 576 bytes per element of map, in place
+of 900 for the full map.  On the 40 x 40 cavity (3,200 elements) that is
+3.3 MB and 1.8 MB for the full-mesh plan, against a 2.9 MB full map, and
+about 0.35 MB and 0.19 MB for one of the 16 subdomain plans of a 4 x 4
+decomposition.  An assembly call then computes and scatters only
+convection: the residual adds it to one product of the Stokes matrix with
+the state, the tangent to a copy of the Stokes data.  The beam and
+diffusion have no constant part; their plans keep the full map and go
+through the same functions.
+
+A plan is valid for one mesh, element subset, DofMap and problem, and
+assembly rejects a plan built for another subset or problem.  Every
+assembly call uses the plan it is given; without one, a full-mesh call uses
+the DofMap's full-mesh plan (`global_plan`, built on first use and rebuilt
+for another mesh or problem) and a subset call builds a throwaway plan, so
+there is a single assembly path.  Callers that assemble one subset
+repeatedly keep its plan (one per subdomain).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 import scipy.sparse as sp
@@ -212,23 +229,6 @@ _QP6 = np.array([
 _QW6 = np.array([_wa, _wa, _wa, _wb, _wb, _wb])
 
 
-def _geometry(mesh: Mesh, elems: np.ndarray):
-    """Barycentric gradients G (m,3,2) and element areas (m,)."""
-    xy = mesh.nodes[mesh.elements[elems]]          # (m,3,2)
-    v0, v1, v2 = xy[:, 0], xy[:, 1], xy[:, 2]
-    d = (v1[:, 0] - v0[:, 0]) * (v2[:, 1] - v0[:, 1]) \
-        - (v2[:, 0] - v0[:, 0]) * (v1[:, 1] - v0[:, 1])
-    area = 0.5 * d
-    G = np.empty((elems.size, 3, 2))
-    G[:, 0, 0] = (v1[:, 1] - v2[:, 1]) / d
-    G[:, 0, 1] = (v2[:, 0] - v1[:, 0]) / d
-    G[:, 1, 0] = (v2[:, 1] - v0[:, 1]) / d
-    G[:, 1, 1] = (v0[:, 0] - v2[:, 0]) / d
-    G[:, 2, 0] = (v0[:, 1] - v1[:, 1]) / d
-    G[:, 2, 1] = (v1[:, 0] - v0[:, 0]) / d
-    return G, area
-
-
 def _p2_shapes(bary: np.ndarray):
     """P2 values (q,6) and barycentric-derivative table (q,6,3)."""
     q = bary.shape[0]
@@ -244,6 +244,47 @@ def _p2_shapes(bary: np.ndarray):
         D[:, 3 + k, i] = 4 * l[:, j]
         D[:, 3 + k, j] = 4 * l[:, i]
     return N, D
+
+
+def _convection_table(N: np.ndarray, D: np.ndarray) -> np.ndarray:
+    """The (7q, 144) map from an element's convection coefficients to its
+    flat 12 x 12 convection tangent, K[(c,a),(d,b)] = sum over q of
+    N_a (delta_cd (u . grad phi_b) + d_d u_c N_b) w.  Rows 0..4q hold
+    (c, d, q) for the coefficient w d_d u_c, rows 4q..7q hold (i, q) for
+    w u . grad lambda_i; grad phi_b = sum_i D[q,b,i] grad lambda_i."""
+    q = N.shape[0]
+    T = np.zeros((7, q, 2, 6, 2, 6))
+    for c in range(2):
+        for d in range(2):
+            T[2 * c + d, :, c, :, d, :] = N[:, :, None] * N[:, None, :]
+        T[4:, :, c, :, c, :] = np.einsum("qa,qbi->iqab", N, D)
+    return T.reshape(7 * q, 144)
+
+
+# P2 values (q,6) and barycentric derivatives (q,6,3) at the points of _QP6,
+# the derivatives as one (6, 3q) GEMM operand, and the convection table
+_N2, _D2 = _p2_shapes(_QP6)
+_D2_FLAT = _D2.transpose(1, 0, 2).reshape(6, 3 * _QW6.size)
+_CONVECTION = _convection_table(_N2, _D2)
+# the cavity's convection touches only the 12 velocity DOFs of an element
+_LDC_VELOCITY = 12
+
+
+def _geometry(mesh: Mesh, elems: np.ndarray):
+    """Barycentric gradients G (m,3,2) and element areas (m,)."""
+    xy = mesh.nodes[mesh.elements[elems]]          # (m,3,2)
+    v0, v1, v2 = xy[:, 0], xy[:, 1], xy[:, 2]
+    d = (v1[:, 0] - v0[:, 0]) * (v2[:, 1] - v0[:, 1]) \
+        - (v2[:, 0] - v0[:, 0]) * (v1[:, 1] - v0[:, 1])
+    area = 0.5 * d
+    G = np.empty((elems.size, 3, 2))
+    G[:, 0, 0] = (v1[:, 1] - v2[:, 1]) / d
+    G[:, 0, 1] = (v2[:, 0] - v1[:, 0]) / d
+    G[:, 1, 0] = (v2[:, 1] - v0[:, 1]) / d
+    G[:, 1, 1] = (v0[:, 0] - v2[:, 0]) / d
+    G[:, 2, 0] = (v0[:, 1] - v1[:, 1]) / d
+    G[:, 2, 1] = (v1[:, 0] - v0[:, 0]) / d
+    return G, area
 
 
 _CHUNK = 20000
@@ -284,7 +325,8 @@ def _csr_pattern(loc: np.ndarray, n: int, dirichlet: np.ndarray):
     Rows listed in `dirichlet` keep only their diagonal.  Returns `indptr`,
     `indices`, the (m, k*k) int32 slot of every element-matrix entry in the
     data array - entries of Dirichlet rows share the trash slot ``nnz`` - and
-    the slots of the Dirichlet diagonals.
+    the slots of the Dirichlet diagonals, as an array of their own, so that
+    dropping the element map frees it.
     """
     m, k = loc.shape
     size = m * k * k
@@ -308,18 +350,31 @@ def _csr_pattern(loc: np.ndarray, n: int, dirichlet: np.ndarray):
     row, col = np.divmod(unique, n)
     indptr = np.zeros(n + 1, dtype=np.int32)
     np.cumsum(np.bincount(row, minlength=n), out=indptr[1:])
-    return indptr, col.astype(np.int32), slot[:size].reshape(m, k * k), slot[size:]
+    return (indptr, col.astype(np.int32), slot[:size].reshape(m, k * k),
+            slot[size:].copy())
 
 
 class AssemblyPlan:
-    """The state-independent part of assembly over one element subset, or
-    the full mesh if `subset` is None (see the module docstring).  An
-    assembly call takes the plan it is given, else the DofMap's full-mesh
-    plan or a throwaway subset plan.  Assembly only reads a plan, so threads
-    may share it."""
+    """The state-independent part of assembly for `problem` over one element
+    subset, or the full mesh if `subset` is None (see the module docstring).
 
-    def __init__(self, mesh: Mesh, dofmap: DofMap, subset=None):
+    Besides the geometry, the DOF positions and the CSR pattern, a cavity
+    plan holds its Stokes part, assembled at construction: `stokes`, a CSR
+    matrix on the plan's `indices` and `indptr` whose data, with the trash
+    slot, is one float64 array of ``nnz + 1`` entries (8 (nnz + 1) bytes),
+    and `scatter` for the 12 x 12 velocity block only, 576 bytes per element
+    in place of 900.  Beam and diffusion plans have no constant part
+    (`stokes` is None) and keep the full `scatter`.  `kernel_loc` are the
+    positions of the element DOFs that `_element_kernels` reads and writes:
+    the velocities of the cavity, every DOF otherwise.
+
+    A plan is valid for one mesh, subset, DofMap and problem; it keeps a
+    copy of `problem`, and assembly for any other problem rejects it.
+    Assembly only reads a plan, so threads may share it."""
+
+    def __init__(self, mesh: Mesh, dofmap: DofMap, subset, problem: ProblemSpec):
         self.mesh = mesh
+        self.problem = replace(problem)
         self.is_global = subset is None
         self.elems = _subset_elements(mesh, subset)
         if self.is_global:
@@ -337,6 +392,21 @@ class AssemblyPlan:
         self.indptr, self.indices, self.scatter, self.diagonal = \
             _csr_pattern(self.loc, self.n, self.dirichlet)
         self.nnz = self.indices.size
+        self.kernel_loc = self.loc
+        self.stokes = None
+        if problem.kind == "ldc":
+            data = np.zeros(self.nnz + 1)
+            for c in self.chunks():
+                data += np.bincount(
+                    self.scatter[c].ravel(),
+                    _stokes_matrices(problem, self.G[c], self.area[c]).ravel(),
+                    minlength=self.nnz + 1)
+            self.stokes = sp.csr_matrix((data[:-1], self.indices, self.indptr),
+                                        shape=(self.n, self.n))
+            k, nloc = _LDC_VELOCITY, self.loc.shape[1]
+            self.kernel_loc = self.loc[:, :k]
+            self.scatter = self.scatter.reshape(-1, nloc, nloc)[:, :k, :k] \
+                .reshape(-1, k * k)
 
     def local_state(self, u) -> np.ndarray:
         """The state on `dofs`, from a global or a subset-sized vector."""
@@ -352,21 +422,24 @@ class AssemblyPlan:
             yield slice(s, s + _CHUNK)
 
 
-def global_plan(mesh: Mesh, dofmap: DofMap) -> AssemblyPlan:
-    """The full-mesh plan, built on first use and kept on the DofMap."""
+def global_plan(mesh: Mesh, dofmap: DofMap, problem: ProblemSpec) -> AssemblyPlan:
+    """The full-mesh plan, kept on the DofMap; it is built on first use and
+    again when the mesh or the problem is not the one it was built for."""
     plan = dofmap.plan
-    if plan is None or plan.mesh is not mesh:
-        plan = dofmap.plan = AssemblyPlan(mesh, dofmap)
+    if plan is None or plan.mesh is not mesh or plan.problem != problem:
+        plan = dofmap.plan = AssemblyPlan(mesh, dofmap, None, problem)
     return plan
 
 
-def _plan_for(mesh, dofmap, subset, plan):
+def _plan_for(problem, mesh, dofmap, subset, plan):
     if plan is None:
-        return (global_plan(mesh, dofmap) if subset is None
-                else AssemblyPlan(mesh, dofmap, subset))
+        return (global_plan(mesh, dofmap, problem) if subset is None
+                else AssemblyPlan(mesh, dofmap, subset, problem))
     if ((subset is None) != plan.is_global
             or (subset is not None and len(subset) != plan.elems.size)):
         raise ValueError("the plan was built for another element subset")
+    if plan.problem != problem:
+        raise ValueError("the plan was built for another problem")
     return plan
 
 
@@ -376,11 +449,61 @@ DIFFUSION_C0 = 1.0
 DIFFUSION_SOURCE = 1.0
 
 
+def _stokes_matrices(problem: ProblemSpec, G: np.ndarray,
+                     area: np.ndarray) -> np.ndarray:
+    """The cavity's Stokes element matrices (m, 15, 15), the state-independent
+    part of its tangent: the viscous blocks invRe * int grad phi_a . grad
+    phi_b and the pressure coupling B, -B^T.  Times the element state they
+    give the Stokes part of the residual."""
+    m, q = area.size, _QW6.size
+    w = _QW6[:, None] * area[None, :]                  # (q,m)
+    # P2 gradients at all quadrature points, (q,m,6,2)
+    g2 = np.tensordot(_D2, G, axes=(2, 1)).transpose(0, 2, 1, 3)
+    # hg[m,a,(q,j)] carries sqrt(w) so hg @ hg^T is the viscous block
+    hg = (np.sqrt(w)[:, :, None, None] * g2).transpose(1, 2, 0, 3) \
+        .reshape(m, 6, 2 * q)
+    visc = (1.0 / problem.Re) * (hg @ hg.transpose(0, 2, 1))
+    S = np.zeros((m, 15, 15))
+    S[:, :6, :6] = visc
+    S[:, 6:12, 6:12] = visc
+    for j in range(2):
+        B = -((w[:, :, None] * g2[..., j]).transpose(1, 2, 0)
+              .reshape(m * 6, q) @ _QP6).reshape(m, 6, 3)
+        S[:, 6 * j:6 * j + 6, 12:] = B
+        S[:, 12:, 6 * j:6 * j + 6] = -np.transpose(B, (0, 2, 1))
+    return S
+
+
 def _element_kernels(problem: ProblemSpec, G: np.ndarray, area: np.ndarray,
                      ue: np.ndarray, want_matrix: bool):
-    """Per-element residual vectors and (optionally) tangent matrices from the
-    geometry and the (m, nloc) element states."""
+    """Per-element residual vectors and (optionally) tangent matrices of the
+    state-dependent part of the operator, from the geometry and the (m, k)
+    element states at `AssemblyPlan.kernel_loc`: the cavity's convection on
+    its 12 velocity DOFs, the whole operator of the other problems."""
     m, nloc = ue.shape
+    if problem.kind == "ldc":
+        # convection only, (u . grad) u tested with the P2 velocity functions;
+        # the Stokes part is in the plan.  Each contraction over the
+        # quadrature points is one GEMM or one batched product: plain einsum
+        # falls back to scalar loops for these shapes
+        q = _QW6.size
+        uv = ue.reshape(m, 2, 6)                           # (m,c,a)
+        w = area[:, None] * _QW6                           # (m,q)
+        uq = uv @ _N2.T                                    # u_c at the points
+        # grad[m,c,q,j] = d_j u_c: barycentric derivatives, then G
+        grad = ((uv.reshape(2 * m, 6) @ _D2_FLAT).reshape(m, 2 * q, 3)
+                @ G).reshape(m, 2, q, 2)
+        conv = uq[:, None, 0] * grad[..., 0] + uq[:, None, 1] * grad[..., 1]
+        r = ((w[:, None] * conv).reshape(2 * m, q) @ _N2).reshape(m, 12)
+        K = None
+        if want_matrix:
+            coef = np.empty((m, 7, q))
+            coef[:, :4] = (w[:, None, None] * grad.transpose(0, 1, 3, 2)) \
+                .reshape(m, 4, q)
+            np.multiply(w[:, None], G @ uq, out=coef[:, 4:])
+            K = (coef.reshape(m, 7 * q) @ _CONVECTION).reshape(m, 12, 12)
+        return r, K
+
     r = np.zeros((m, nloc))
     K = np.zeros((m, nloc, nloc)) if want_matrix else None
 
@@ -455,83 +578,32 @@ def _element_kernels(problem: ProblemSpec, G: np.ndarray, area: np.ndarray,
                         blk * area[:, None, None]
         return r, K
 
-    if problem.kind == "ldc":
-        # all quadrature points are handled in single einsum calls; the per-
-        # call overhead dominates otherwise for the small subdomain chunks
-        # contractions are phrased as batched GEMMs; plain einsum falls back
-        # to scalar loops for these shapes and dominates the assembly cost
-        invRe = 1.0 / problem.Re
-        N2, D2 = _p2_shapes(_QP6)
-        N1 = _QP6
-        q = N1.shape[0]
-        uex, uey, pe = ue[:, :6], ue[:, 6:12], ue[:, 12:]
-        w = _QW6[:, None] * area[None, :]                  # (q,m)
-        sqw = np.sqrt(w)
-        # P2 gradients at all quadrature points, (q,m,6,2)
-        g2 = np.tensordot(D2, G, axes=(2, 1)).transpose(0, 2, 1, 3)
-        uxq = uex @ N2.T                                   # (m,q)
-        uyq = uey @ N2.T
-        pq = pe @ N1.T
-        gux = np.einsum("ma,qmaj->qmj", uex, g2)           # (q,m,2)
-        guy = np.einsum("ma,qmaj->qmj", uey, g2)
-        conv_x = uxq.T * gux[:, :, 0] + uyq.T * gux[:, :, 1]   # (q,m)
-        conv_y = uxq.T * guy[:, :, 0] + uyq.T * guy[:, :, 1]
-        # hg[m,a,(q,j)] carries sqrt(w) so hg @ hg^T is the viscous block
-        hg = (sqw[:, :, None, None] * g2).transpose(1, 2, 0, 3).reshape(m, 6, 2 * q)
-        guxs = (sqw[:, :, None] * gux).transpose(1, 0, 2).reshape(m, 2 * q, 1)
-        guys = (sqw[:, :, None] * guy).transpose(1, 0, 2).reshape(m, 2 * q, 1)
-        wp = w * pq.T
-        r[:, :6] = invRe * (hg @ guxs)[:, :, 0] + (w * conv_x).T @ N2 \
-            - np.einsum("qm,qma->ma", wp, g2[..., 0])
-        r[:, 6:12] = invRe * (hg @ guys)[:, :, 0] + (w * conv_y).T @ N2 \
-            - np.einsum("qm,qma->ma", wp, g2[..., 1])
-        div = gux[:, :, 0] + guy[:, :, 1]
-        r[:, 12:] = (w * div).T @ N1
-        if want_matrix:
-            visc = invRe * (hg @ hg.transpose(0, 2, 1))
-            ugb = uxq.T[:, :, None] * g2[..., 0] + uyq.T[:, :, None] * g2[..., 1]
-            term_u = np.tensordot(N2, w[:, :, None] * ugb, axes=(0, 0)).transpose(1, 0, 2)
-            NN = (N2[:, :, None] * N2[:, None, :]).reshape(q, 36)
-            K[:, :6, :6] = visc + term_u \
-                + ((w * gux[:, :, 0]).T @ NN).reshape(m, 6, 6)
-            K[:, 6:12, 6:12] = visc + term_u \
-                + ((w * guy[:, :, 1]).T @ NN).reshape(m, 6, 6)
-            K[:, :6, 6:12] = ((w * gux[:, :, 1]).T @ NN).reshape(m, 6, 6)
-            K[:, 6:12, :6] = ((w * guy[:, :, 0]).T @ NN).reshape(m, 6, 6)
-            Bx = -((w[:, :, None] * g2[..., 0]).transpose(1, 2, 0)
-                   .reshape(m * 6, q) @ N1).reshape(m, 6, 3)
-            By = -((w[:, :, None] * g2[..., 1]).transpose(1, 2, 0)
-                   .reshape(m * 6, q) @ N1).reshape(m, 6, 3)
-            K[:, :6, 12:] = Bx
-            K[:, 6:12, 12:] = By
-            K[:, 12:, :6] = -np.transpose(Bx, (0, 2, 1))
-            K[:, 12:, 6:12] = -np.transpose(By, (0, 2, 1))
-        return r, K
-
     raise ValueError(problem.kind)
 
 
 def assemble_residual(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap, u,
                       subset=None, plan: AssemblyPlan | None = None) -> np.ndarray:
-    plan = _plan_for(mesh, dofmap, subset, plan)
+    plan = _plan_for(problem, mesh, dofmap, subset, plan)
     ul = plan.local_state(u)
-    out = np.zeros(plan.n)
+    out = np.zeros(plan.n) if plan.stokes is None else plan.stokes @ ul
     for c in plan.chunks():
-        r, _ = _element_kernels(problem, plan.G[c], plan.area[c],
-                                ul[plan.loc[c]], False)
-        out += np.bincount(plan.loc[c].ravel(), r.ravel(), minlength=plan.n)
+        loc = plan.kernel_loc[c]
+        r, _ = _element_kernels(problem, plan.G[c], plan.area[c], ul[loc], False)
+        out += np.bincount(loc.ravel(), r.ravel(), minlength=plan.n)
     out[plan.dirichlet] = ul[plan.dirichlet] - plan.dirichlet_value
     return out
 
 
 def assemble_tangent(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap, u,
                      subset=None, plan: AssemblyPlan | None = None) -> sp.csr_matrix:
-    plan = _plan_for(mesh, dofmap, subset, plan)
+    plan = _plan_for(problem, mesh, dofmap, subset, plan)
     ul = plan.local_state(u)
     data = np.zeros(plan.nnz + 1)        # the last slot collects Dirichlet rows
+    if plan.stokes is not None:
+        data[:-1] = plan.stokes.data
     for c in plan.chunks():
         _, K = _element_kernels(problem, plan.G[c], plan.area[c],
-                                ul[plan.loc[c]], True)
+                                ul[plan.kernel_loc[c]], True)
         data += np.bincount(plan.scatter[c].ravel(), K.ravel(),
                             minlength=plan.nnz + 1)
     data[plan.diagonal] = 1.0

@@ -158,6 +158,8 @@ class SubdomainData:
     ghosts: np.ndarray     # Gamma_i: the DOFs of plan.dofs not in dofs_ov
     pos_ghost: np.ndarray  # positions of ghosts inside plan.dofs
     plan: asm.AssemblyPlan  # the ghost-extended elements and their DOFs
+    weight: np.ndarray     # recombination weights on dofs_ov: 1 for ASPEN,
+                           # else 1 / the DOF's multiplicity
 
 
 @dataclass
@@ -225,21 +227,26 @@ class SchwarzOperator:
             raise ValueError(f"workers must be positive, got {self.workers}")
         self._coarse_deflation: tuple | None = None
 
-        self.subs: list[SubdomainData] = []
+        overlaps = [asm.subset_dofs(dofmap, mesh, ov)
+                    for ov in decomp.overlap_elements]
         count = np.zeros(dofmap.n_dofs, dtype=np.int64)
-        for i in range(decomp.num_subdomains):
-            ov = decomp.overlap_elements[i]
-            ext = np.unique(np.concatenate([ov, decomp.ghost_elements[i]]))
-            dofs_ov = asm.subset_dofs(dofmap, mesh, ov)
-            plan = asm.AssemblyPlan(mesh, dofmap, ext)
-            pos = np.searchsorted(plan.dofs, dofs_ov)
-            ghost = np.setdiff1d(np.arange(plan.n), pos, assume_unique=True)
-            self.subs.append(SubdomainData(i, dofs_ov, pos, plan.dofs[ghost],
-                                           ghost, plan))
+        for dofs_ov in overlaps:
             count[dofs_ov] += 1
         if np.any(count == 0):
             raise ValueError("overlapping subdomains do not cover every DOF")
         self.pou_weight = 1.0 / count
+
+        self.subs: list[SubdomainData] = []
+        for i, dofs_ov in enumerate(overlaps):
+            ext = np.unique(np.concatenate([decomp.overlap_elements[i],
+                                            decomp.ghost_elements[i]]))
+            plan = asm.AssemblyPlan(mesh, dofmap, ext, problem)
+            pos = np.searchsorted(plan.dofs, dofs_ov)
+            ghost = np.setdiff1d(np.arange(plan.n), pos, assume_unique=True)
+            weight = (np.ones(dofs_ov.size) if variant == "aspen"
+                      else self.pou_weight[dofs_ov])
+            self.subs.append(SubdomainData(i, dofs_ov, pos, plan.dofs[ghost],
+                                           ghost, plan, weight))
 
     # -- corrections -------------------------------------------------------
 
@@ -391,10 +398,8 @@ class SchwarzOperator:
         locals_ = self._run_locals(w)
         t_inner = time.perf_counter() - t0
 
-        weight = (np.ones(self.dofmap.n_dofs) if self.variant == "aspen"
-                  else self.pou_weight)
         for sub, st in zip(self.subs, locals_):
-            contribution[sub.dofs_ov] += weight[sub.dofs_ov] * st.correction
+            contribution[sub.dofs_ov] += sub.weight * st.correction
 
         ok = all(st.converged for st in locals_)
         cits = 0
@@ -416,11 +421,9 @@ class SchwarzOperator:
 
     def _apply_locals(self, ev: Evaluation, x: np.ndarray) -> np.ndarray:
         out = np.zeros_like(x)
-        weight = (np.ones(self.dofmap.n_dofs) if self.variant == "aspen"
-                  else self.pou_weight)
         for sub, st in zip(self.subs, ev.local_states):
             y = x[sub.dofs_ov] + st.tangent.solve(st.coupling @ x[sub.ghosts])
-            out[sub.dofs_ov] += weight[sub.dofs_ov] * y
+            out[sub.dofs_ov] += sub.weight * y
         return out
 
     def apply_tangent(self, ev: Evaluation, x: np.ndarray) -> np.ndarray:

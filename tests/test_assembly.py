@@ -266,6 +266,20 @@ class TestNullspace:
             assert z.sum() == f.n_dofs
 
 
+def element_system(problem, G, area, ue):
+    """Full element residuals and matrices: the state-dependent kernels on
+    their DOFs plus, for the cavity, the constant Stokes part."""
+    if problem.kind != "ldc":
+        return asm._element_kernels(problem, G, area, ue, True)
+    k = asm._LDC_VELOCITY
+    r, K = asm._element_kernels(problem, G, area, ue[:, :k], True)
+    S = asm._stokes_matrices(problem, G, area)
+    rs = np.einsum("mab,mb->ma", S, ue)
+    rs[:, :k] += r
+    S[:, :k, :k] += K
+    return rs, S
+
+
 def reference_assembly(problem, mesh, dofmap, u, subset):
     """Residual and dense tangent from an element-by-element loop that adds
     each element's contribution with np.add.at, with the DofMap's Dirichlet
@@ -279,7 +293,7 @@ def reference_assembly(problem, mesh, dofmap, u, subset):
     for e in elems:
         ids = np.array([position[g] for g in dofmap.elem_dofs[e]])
         G, area = asm._geometry(mesh, np.array([e]))
-        re, Ke = asm._element_kernels(problem, G, area, u_loc[ids][None, :], True)
+        re, Ke = element_system(problem, G, area, u_loc[ids][None, :])
         np.add.at(r, ids, re[0])
         np.add.at(A, (ids[:, None], ids[None, :]), Ke[0])
     d = np.flatnonzero(dofmap.dirichlet_mask[dofs])
@@ -328,7 +342,7 @@ class TestPlanAgainstReference:
         m = msh.build_structured_mesh(4, 4, problem_kind="ldc")
         dm = asm.build_dofmap(prob, m)
         subset = np.arange(10)
-        plan = asm.AssemblyPlan(m, dm, subset)
+        plan = asm.AssemblyPlan(m, dm, subset, prob)
         for seed in (1, 2):
             u = random_state(prob, dm, seed, 0.1)
             np.testing.assert_array_equal(
@@ -350,7 +364,7 @@ class TestPlanAgainstReference:
         prob = asm.diffusion_problem()
         m = msh.build_structured_mesh(4, 4, problem_kind="diffusion")
         dm = asm.build_dofmap(prob, m)
-        assert asm.global_plan(m, dm) is asm.global_plan(m, dm)
+        assert asm.global_plan(m, dm, prob) is asm.global_plan(m, dm, prob)
 
     def test_full_mesh_calls_share_the_dofmap_plan(self):
         prob = asm.diffusion_problem()
@@ -375,7 +389,7 @@ class TestPlanAgainstReference:
         m = msh.build_structured_mesh(4, 4, problem_kind="diffusion")
         dm = asm.build_dofmap(prob, m)
         u = np.zeros(dm.n_dofs)
-        sub_plan = asm.AssemblyPlan(m, dm, np.arange(6))
+        sub_plan = asm.AssemblyPlan(m, dm, np.arange(6), prob)
         with pytest.raises(ValueError):
             asm.assemble_residual(prob, m, dm, u, plan=sub_plan)
         with pytest.raises(ValueError):
@@ -384,3 +398,67 @@ class TestPlanAgainstReference:
         with pytest.raises(ValueError):
             asm.assemble_residual(prob, m, dm, np.zeros(5), plan=sub_plan,
                                   subset=np.arange(6))
+
+    def test_plan_for_another_problem_raises(self):
+        prob = asm.ldc_problem(30.0)
+        m = msh.build_structured_mesh(4, 4, problem_kind="ldc")
+        dm = asm.build_dofmap(prob, m)
+        u = random_state(prob, dm, 3)
+        subset = np.arange(10)
+        plan = asm.AssemblyPlan(m, dm, subset, prob)
+        asm.assemble_residual(asm.ldc_problem(30.0), m, dm, u, subset, plan=plan)
+        for assemble in (asm.assemble_residual, asm.assemble_tangent):
+            with pytest.raises(ValueError, match="another problem"):
+                assemble(asm.ldc_problem(400.0), m, dm, u, subset, plan=plan)
+
+    def test_full_mesh_plan_follows_the_problem(self):
+        """One mesh and DofMap assembled at two Reynolds numbers: the
+        full-mesh plan is rebuilt for the second, and both match the
+        element loop."""
+        m = msh.build_structured_mesh(4, 4, problem_kind="ldc")
+        dm = asm.build_dofmap(asm.ldc_problem(30.0), m)
+        plans = []
+        for Re in (30.0, 400.0):
+            prob = asm.ldc_problem(Re)
+            u = random_state(prob, dm, 4, 0.1)
+            r_ref, A_ref = reference_assembly(prob, m, dm, u, None)
+            r = asm.assemble_residual(prob, m, dm, u)
+            A = asm.assemble_tangent(prob, m, dm, u)
+            assert np.abs(r - r_ref).max() <= 1e-14 * np.abs(r_ref).max()
+            assert np.abs(A.toarray() - A_ref).max() <= \
+                1e-14 * np.abs(A_ref).max()
+            plans.append(dm.plan)
+        assert plans[0] is not plans[1]
+        assert [p.problem.Re for p in plans] == [30.0, 400.0]
+
+    def test_stokes_part_assembled_once_per_chunk(self, monkeypatch):
+        prob = asm.ldc_problem(30.0)
+        m = msh.build_structured_mesh(4, 4, problem_kind="ldc")
+        dm = asm.build_dofmap(prob, m)
+        monkeypatch.setattr(asm, "_CHUNK", 5)
+        calls = []
+
+        def counted(*args, _stokes=asm._stokes_matrices):
+            calls.append(args[2].size)
+            return _stokes(*args)
+        monkeypatch.setattr(asm, "_stokes_matrices", counted)
+        subset = np.arange(2, 24, 2)
+        plan = asm.AssemblyPlan(m, dm, subset, prob)
+        for seed in range(3):
+            u = random_state(prob, dm, seed)
+            asm.assemble_residual(prob, m, dm, u, subset, plan=plan)
+            asm.assemble_tangent(prob, m, dm, u, subset, plan=plan)
+        assert calls == [5, 5, 1]
+
+    def test_plan_holds_the_velocity_scatter_only(self):
+        prob = asm.ldc_problem(30.0)
+        m = msh.build_structured_mesh(4, 4, problem_kind="ldc")
+        dm = asm.build_dofmap(prob, m)
+        plan = asm.AssemblyPlan(m, dm, np.arange(10), prob)
+        assert plan.scatter.shape == (10, 144)
+        # neither keeps the full element-to-slot map alive as its base
+        for a in (plan.scatter, plan.diagonal):
+            assert (a if a.base is None else a.base).nbytes == a.nbytes
+        assert plan.stokes.data.size == plan.nnz
+        assert np.shares_memory(plan.stokes.indices, plan.indices)
+        assert np.shares_memory(plan.stokes.indptr, plan.indptr)

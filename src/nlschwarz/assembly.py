@@ -17,32 +17,53 @@ overlapping subdomain those rows coincide with the global ones.
 Everything about assembly for one problem over an element subset that does
 not depend on the state lives in an `AssemblyPlan`: the element geometry
 (barycentric gradients and areas), the position of every element DOF among
-the subset's DOFs, which serves both the state gather and the residual
-scatter (one ``bincount``), and the tangent's CSR pattern, Dirichlet
-identity included, with an int32 map from each element-matrix entry to its
-slot in the CSR data array; entries of Dirichlet rows map to one trash slot
-past the end.  The cavity's operator splits into a constant Stokes part
-(viscous blocks and pressure coupling) and convection.  Its plan assembles
-the Stokes part once, at construction, into one float64 array of ``nnz + 1``
-entries on the plan's own pattern, and then keeps the slot map for the
-12 x 12 velocity block only, which is all convection touches: per plan,
-8 (nnz + 1) bytes of Stokes data and 576 bytes per element of map, in place
-of 900 for the full map.  On the 40 x 40 cavity (3,200 elements) that is
-3.3 MB and 1.8 MB for the full-mesh plan, against a 2.9 MB full map, and
-about 0.35 MB and 0.19 MB for one of the 16 subdomain plans of a 4 x 4
-decomposition.  An assembly call then computes and scatters only
-convection: the residual adds it to one product of the Stokes matrix with
-the state, the tangent to a copy of the Stokes data.  The beam and
-diffusion have no constant part; their plans keep the full map and go
-through the same functions.
+the plan's DOFs, which serves both the state gather and the residual
+scatter, and the tangent's sparse pattern, Dirichlet identity included,
+with an int32 map from each element-matrix entry to its slot in the data
+array.  Entries of Dirichlet rows, and of rows the plan does not assemble,
+map to one trash slot past the end.
 
-A plan is valid for one mesh, element subset, DofMap and problem, and
-assembly rejects a plan built for another subset or problem.  Every
-assembly call uses the plan it is given; without one, a full-mesh call uses
-the DofMap's full-mesh plan (`global_plan`, built on first use and rebuilt
-for another mesh or problem) and a subset call builds a throwaway plan, so
-there is a single assembly path.  Callers that assemble one subset
-repeatedly keep its plan (one per subdomain).
+A subset plan may assemble only some of its rows: a subdomain's plan spans
+the ghost-extended elements but assembles the rows of the overlapping
+subdomain's DOFs only.  It numbers those DOFs first, then the ghost DOFs,
+and compresses its tangent by column (CSC), so that the tangent comes out
+as [A_i | C_i]: the square block A_i in the form SuperLU takes, and the
+ghost coupling C_i, split at one offset of the column pointers without a
+copy.  Subset plans that assemble every row use the same layout; the
+full-mesh plan is compressed by row (CSR), for its products with vectors
+and with R_0.
+
+The kernels run in chunks of at most `_CHUNK` (96) elements, whose arrays
+stay below the malloc mmap threshold, and each chunk accumulates into the
+one data (or residual) array with ``np.add.at``, in element order.  The
+sums are then those of a single scatter of all elements: chunking changes
+no bit.
+
+The cavity's operator splits into a constant Stokes part (viscous blocks
+and pressure coupling) and convection.  Its plan assembles the Stokes part
+once, at construction, and keeps its nonzero entries as a CSR matrix whose
+rows list their columns in global DOF order, with the tangent slot of each
+entry, and the slot map for the 12 x 12 velocity block only, which is all
+convection touches.  Per plan that is 16 bytes per Stokes nonzero (value,
+column, slot) and 576 bytes per element of map, in place of 900 for the
+full map.  On the 40 x 40 cavity (3,200 elements) that is 4.1 MB and
+1.8 MB for the full-mesh plan (255,324 Stokes nonzeros on a pattern of
+418,232 entries), and 0.33-0.42 MB and 0.16-0.22 MB for one of the 16
+subdomain plans of a 4 x 4 decomposition.  An assembly call then computes
+and scatters only convection; the residual adds one product of the Stokes
+matrix with the state, which sums each row in global column order whatever
+the plan's numbering, and the tangent adds the Stokes values at their
+slots after all convection.  The beam and diffusion have no constant part;
+their plans keep the full map and go through the same functions.
+
+A plan is valid for one mesh, element subset, DofMap, problem and set of
+assembled rows, and assembly rejects a plan built for another subset or
+problem.  Every assembly call uses the plan it is given; without one, a
+full-mesh call uses the DofMap's full-mesh plan (`global_plan`, built on
+first use and rebuilt for another mesh or problem) and a subset call builds
+a throwaway plan that assembles every row, so there is a single assembly
+path.  Callers that assemble one subset repeatedly keep its plan (one per
+subdomain).
 """
 
 from __future__ import annotations
@@ -287,7 +308,11 @@ def _geometry(mesh: Mesh, elems: np.ndarray):
     return G, area
 
 
-_CHUNK = 20000
+# elements per kernel call: 96 x 144 float64 of cavity tangent entries
+# (110,592 bytes) stay under the 128 KiB malloc mmap threshold that
+# `sparse` sets, so a chunk's kernel arrays are reused heap memory, not
+# fresh mappings that fault on first touch
+_CHUNK = 96
 
 
 def _subset_elements(mesh: Mesh, subset) -> np.ndarray:
@@ -319,24 +344,33 @@ def _sort_with_positions(keys: np.ndarray, bound: int):
     return order, keys
 
 
-def _csr_pattern(loc: np.ndarray, n: int, dirichlet: np.ndarray):
-    """CSR pattern of the element matrices scattered at local positions `loc`.
+def _pattern(loc: np.ndarray, n_rows: int, n: int, dirichlet: np.ndarray,
+             by_column: bool):
+    """Sparse pattern of the element matrices scattered at local positions
+    `loc`, on rows 0..n_rows-1 and columns 0..n-1, compressed by column
+    (CSC) if `by_column`, else by row (CSR).
 
-    Rows listed in `dirichlet` keep only their diagonal.  Returns `indptr`,
-    `indices`, the (m, k*k) int32 slot of every element-matrix entry in the
-    data array - entries of Dirichlet rows share the trash slot ``nnz`` - and
-    the slots of the Dirichlet diagonals, as an array of their own, so that
-    dropping the element map frees it.
+    Entries of rows at or past `n_rows` are dropped, and rows listed in
+    `dirichlet` keep only their diagonal.  Returns `indptr`, `indices`, the
+    (m, k*k) int32 slot of every element-matrix entry in the data array -
+    dropped entries share the trash slot ``nnz`` - and the slots of the
+    Dirichlet diagonals, as an array of their own, so that dropping the
+    element map frees it.
     """
     m, k = loc.shape
     size = m * k * k
-    trash = n * n                        # sorts after every real entry
-    row_key = loc.astype(np.int64) * n
-    row_key[np.isin(loc, dirichlet)] = trash   # clamped to trash once sorted
+    trash = n_rows * n                   # sorts after every kept entry
+    loc = loc.astype(np.int64)
+    if by_column:
+        row_key, col_key, diagonal = loc, loc * n_rows, dirichlet * (n_rows + 1)
+    else:
+        row_key, col_key, diagonal = loc * n, loc, dirichlet * (n + 1)
+    # clamped to trash once sorted
+    row_key = np.where((loc >= n_rows) | np.isin(loc, dirichlet), trash, row_key)
     keys = np.empty(size + dirichlet.size, dtype=np.int64)
-    np.add(row_key[:, :, None], loc[:, None, :], out=keys[:size].reshape(m, k, k))
-    keys[size:] = dirichlet * (n + 1)
-    order, sorted_keys = _sort_with_positions(keys, trash + n)
+    np.add(row_key[:, :, None], col_key[:, None, :], out=keys[:size].reshape(m, k, k))
+    keys[size:] = diagonal
+    order, sorted_keys = _sort_with_positions(keys, 2 * trash)
     np.minimum(sorted_keys, trash, out=sorted_keys)
     head = np.ones(keys.size, dtype=bool)
     np.not_equal(sorted_keys[1:], sorted_keys[:-1], out=head[1:])
@@ -347,10 +381,11 @@ def _csr_pattern(loc: np.ndarray, n: int, dirichlet: np.ndarray):
     unique = sorted_keys[head]
     if unique.size and unique[-1] == trash:
         unique = unique[:-1]
-    row, col = np.divmod(unique, n)
-    indptr = np.zeros(n + 1, dtype=np.int32)
-    np.cumsum(np.bincount(row, minlength=n), out=indptr[1:])
-    return (indptr, col.astype(np.int32), slot[:size].reshape(m, k * k),
+    n_major, n_minor = (n, n_rows) if by_column else (n_rows, n)
+    major, minor = np.divmod(unique, n_minor)
+    indptr = np.zeros(n_major + 1, dtype=np.int32)
+    np.cumsum(np.bincount(major, minlength=n_major), out=indptr[1:])
+    return (indptr, minor.astype(np.int32), slot[:size].reshape(m, k * k),
             slot[size:].copy())
 
 
@@ -358,55 +393,101 @@ class AssemblyPlan:
     """The state-independent part of assembly for `problem` over one element
     subset, or the full mesh if `subset` is None (see the module docstring).
 
-    Besides the geometry, the DOF positions and the CSR pattern, a cavity
-    plan holds its Stokes part, assembled at construction: `stokes`, a CSR
-    matrix on the plan's `indices` and `indptr` whose data, with the trash
-    slot, is one float64 array of ``nnz + 1`` entries (8 (nnz + 1) bytes),
-    and `scatter` for the 12 x 12 velocity block only, 576 bytes per element
-    in place of 900.  Beam and diffusion plans have no constant part
-    (`stokes` is None) and keep the full `scatter`.  `kernel_loc` are the
-    positions of the element DOFs that `_element_kernels` reads and writes:
-    the velocities of the cavity, every DOF otherwise.
+    `dofs` are the global ids of the DOFs the subset touches, in plan order.
+    A subset plan assembles the rows of `rows` (global DOF ids, all of the
+    subset's DOFs if None) and numbers them first, `n_rows` of them, the
+    other DOFs after them, each group in global order; the other DOFs are
+    columns only.  Its tangent is compressed by column (CSC), so its first
+    `n_rows` columns are one contiguous block.  The full-mesh plan numbers
+    the DOFs globally and assembles every row, compressed by row (CSR).
 
-    A plan is valid for one mesh, subset, DofMap and problem; it keeps a
-    copy of `problem`, and assembly for any other problem rejects it.
-    Assembly only reads a plan, so threads may share it."""
+    Besides the geometry, the element DOF positions and the pattern, a
+    cavity plan holds its Stokes part, assembled at construction: `stokes`,
+    a CSR matrix of its nonzero entries whose rows list their columns in
+    global DOF order, and `stokes_slot`, the data slot of each entry in the
+    tangent's pattern; and `scatter` for the 12 x 12 velocity block only.
+    Beam and diffusion plans have no constant part (`stokes` is None) and
+    keep the full `scatter`.  `kernel_loc` are the positions of the element
+    DOFs that `_element_kernels` reads and writes: the velocities of the
+    cavity, every DOF otherwise.  A cavity plan holds, per element, 576
+    bytes of velocity map, 96 of kernel positions and 56 of geometry, and
+    4 bytes per pattern entry and 16 per Stokes nonzero: 8.2 MB for the
+    40 x 40 full mesh, 0.68-0.90 MB for each subdomain of its 4 x 4
+    decomposition.
 
-    def __init__(self, mesh: Mesh, dofmap: DofMap, subset, problem: ProblemSpec):
+    A plan is valid for one mesh, subset, DofMap, problem and set of rows;
+    it keeps a copy of `problem`, and assembly for any other problem or
+    subset rejects it.  Assembly only reads a plan, so threads may share
+    it."""
+
+    def __init__(self, mesh: Mesh, dofmap: DofMap, subset, problem: ProblemSpec,
+                 rows=None):
         self.mesh = mesh
         self.problem = replace(problem)
         self.is_global = subset is None
         self.elems = _subset_elements(mesh, subset)
         if self.is_global:
+            if rows is not None:
+                raise ValueError("the full-mesh plan assembles every row")
             self.dofs = np.arange(dofmap.n_dofs)
-            self.loc = dofmap.elem_dofs
+            loc = dofmap.elem_dofs
+            self.n_rows = dofmap.n_dofs
         else:
             ed = dofmap.elem_dofs[self.elems]
             self.dofs, inv = np.unique(ed, return_inverse=True)
-            self.loc = inv.reshape(ed.shape)
+            self.n_rows = self.dofs.size
+            if rows is not None:
+                is_row = np.isin(self.dofs, rows)
+                self.n_rows = int(is_row.sum())
+                if self.n_rows != np.unique(rows).size:
+                    raise ValueError("rows must be DOFs of the element subset")
+                order = np.argsort(~is_row, kind="stable")
+                position = np.empty_like(order)
+                position[order] = np.arange(order.size)
+                self.dofs, inv = self.dofs[order], position[inv]
+            loc = inv.reshape(ed.shape)
         self.n = self.dofs.shape[0]
         self.n_global = dofmap.n_dofs
         self.G, self.area = _geometry(mesh, self.elems)
-        self.dirichlet = np.flatnonzero(dofmap.dirichlet_mask[self.dofs])
+        self.dirichlet = np.flatnonzero(dofmap.dirichlet_mask[self.dofs[:self.n_rows]])
         self.dirichlet_value = dofmap.dirichlet_value[self.dofs[self.dirichlet]]
         self.indptr, self.indices, self.scatter, self.diagonal = \
-            _csr_pattern(self.loc, self.n, self.dirichlet)
+            _pattern(loc, self.n_rows, self.n, self.dirichlet,
+                     by_column=not self.is_global)
         self.nnz = self.indices.size
-        self.kernel_loc = self.loc
-        self.stokes = None
+        self.kernel_loc = loc
+        self.stokes = self.stokes_slot = None
         if problem.kind == "ldc":
             data = np.zeros(self.nnz + 1)
             for c in self.chunks():
-                data += np.bincount(
-                    self.scatter[c].ravel(),
-                    _stokes_matrices(problem, self.G[c], self.area[c]).ravel(),
-                    minlength=self.nnz + 1)
-            self.stokes = sp.csr_matrix((data[:-1], self.indices, self.indptr),
-                                        shape=(self.n, self.n))
-            k, nloc = _LDC_VELOCITY, self.loc.shape[1]
-            self.kernel_loc = self.loc[:, :k]
+                np.add.at(data, self.scatter[c].ravel(),
+                          _stokes_matrices(problem, self.G[c], self.area[c]).ravel())
+            self.stokes, self.stokes_slot = self._by_row(data[:-1])
+            k, nloc = _LDC_VELOCITY, loc.shape[1]
+            self.kernel_loc = loc[:, :k]
             self.scatter = self.scatter.reshape(-1, nloc, nloc)[:, :k, :k] \
                 .reshape(-1, k * k)
+
+    def _by_row(self, data: np.ndarray):
+        """The nonzero entries of `data`, on the plan's pattern, as a CSR
+        matrix whose rows list their columns in global DOF order, so that a
+        product with it sums each row in that order whatever the plan's
+        numbering; and the pattern slot of each entry."""
+        slot = np.flatnonzero(data)
+        kept = np.zeros(self.nnz + 1, dtype=np.int32)
+        np.cumsum(data != 0.0, out=kept[1:])
+        layout = sp.csr_matrix if self.is_global else sp.csc_matrix
+        slots = layout((slot, self.indices[slot], kept[self.indptr]),
+                       shape=(self.n_rows, self.n))
+        columns = np.arange(self.n)   # the full-mesh plan's are in global order
+        if not self.is_global:
+            # put the columns in global order, then convert by a stable
+            # counting sort on the rows
+            columns = np.argsort(self.dofs)
+            slots = slots[:, columns].tocsr()
+        matrix = sp.csr_matrix((data[slots.data], columns[slots.indices].astype(np.int32),
+                                slots.indptr), shape=(self.n_rows, self.n))
+        return matrix, slots.data.astype(np.int32)
 
     def local_state(self, u) -> np.ndarray:
         """The state on `dofs`, from a global or a subset-sized vector."""
@@ -418,8 +499,15 @@ class AssemblyPlan:
         raise ValueError("state vector matches neither the global nor the subset size")
 
     def chunks(self):
-        for s in range(0, self.elems.size, _CHUNK):
-            yield slice(s, s + _CHUNK)
+        """Slices of at most `_CHUNK` elements, of sizes that differ by at
+        most one.  No chunk holds a single element unless the subset does:
+        the tangent kernel's GEMM then takes BLAS's matrix-vector path,
+        which rounds differently, and the assembled values would depend on
+        the subset's size."""
+        m = self.elems.size
+        k = -(-m // _CHUNK)
+        for i in range(k):
+            yield slice(i * m // k, (i + 1) * m // k)
 
 
 def global_plan(mesh: Mesh, dofmap: DofMap, problem: ProblemSpec) -> AssemblyPlan:
@@ -436,7 +524,7 @@ def _plan_for(problem, mesh, dofmap, subset, plan):
         return (global_plan(mesh, dofmap, problem) if subset is None
                 else AssemblyPlan(mesh, dofmap, subset, problem))
     if ((subset is None) != plan.is_global
-            or (subset is not None and len(subset) != plan.elems.size)):
+            or (subset is not None and not np.array_equal(subset, plan.elems))):
         raise ValueError("the plan was built for another element subset")
     if plan.problem != problem:
         raise ValueError("the plan was built for another problem")
@@ -583,32 +671,40 @@ def _element_kernels(problem: ProblemSpec, G: np.ndarray, area: np.ndarray,
 
 def assemble_residual(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap, u,
                       subset=None, plan: AssemblyPlan | None = None) -> np.ndarray:
+    """The residual rows of the plan's `rows` (all rows without a plan)."""
     plan = _plan_for(problem, mesh, dofmap, subset, plan)
     ul = plan.local_state(u)
-    out = np.zeros(plan.n) if plan.stokes is None else plan.stokes @ ul
+    out = np.zeros(plan.n)
     for c in plan.chunks():
         loc = plan.kernel_loc[c]
         r, _ = _element_kernels(problem, plan.G[c], plan.area[c], ul[loc], False)
-        out += np.bincount(loc.ravel(), r.ravel(), minlength=plan.n)
+        np.add.at(out, loc.ravel(), r.ravel())
+    out = out[:plan.n_rows]
+    if plan.stokes is not None:
+        out += plan.stokes @ ul
     out[plan.dirichlet] = ul[plan.dirichlet] - plan.dirichlet_value
     return out
 
 
 def assemble_tangent(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap, u,
-                     subset=None, plan: AssemblyPlan | None = None) -> sp.csr_matrix:
+                     subset=None, plan: AssemblyPlan | None = None):
+    """The tangent rows of the plan's `rows` on all of its columns: a CSC
+    matrix for a subset, a CSR matrix for the full mesh."""
     plan = _plan_for(problem, mesh, dofmap, subset, plan)
     ul = plan.local_state(u)
-    data = np.zeros(plan.nnz + 1)        # the last slot collects Dirichlet rows
-    if plan.stokes is not None:
-        data[:-1] = plan.stokes.data
+    data = np.zeros(plan.nnz + 1)        # the last slot collects dropped entries
     for c in plan.chunks():
         _, K = _element_kernels(problem, plan.G[c], plan.area[c],
                                 ul[plan.kernel_loc[c]], True)
-        data += np.bincount(plan.scatter[c].ravel(), K.ravel(),
-                            minlength=plan.nnz + 1)
+        np.add.at(data, plan.scatter[c].ravel(), K.ravel())
+    if plan.stokes is not None:
+        # after all convection, so that each entry is the convection sum
+        # plus the Stokes value, rounded once
+        np.add.at(data, plan.stokes_slot, plan.stokes.data)
     data[plan.diagonal] = 1.0
-    A = sp.csr_matrix((data[:-1], plan.indices.copy(), plan.indptr.copy()),
-                      shape=(plan.n, plan.n))
+    layout = sp.csr_matrix if plan.is_global else sp.csc_matrix
+    A = layout((data[:-1], plan.indices.copy(), plan.indptr.copy()),
+               shape=(plan.n_rows, plan.n))
     # entries that sum to exactly zero (the pressure block of the cavity, the
     # convection terms where the velocity vanishes) would enlarge the sparse
     # LU's fill and every product with A, so they are dropped

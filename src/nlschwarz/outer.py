@@ -26,7 +26,7 @@ from .assembly import DofMap, NonPhysicalStateError, ProblemSpec
 from .mesh import Decomposition, Mesh
 from .schwarz import (NewtonParams, SchwarzOperator, backtracking_step,
                       coarse_lu)
-from .sparse import SingularMatrixError, factorize, gmres
+from .sparse import SingularMatrixError, StackedSolves, factorize, gmres
 
 
 @dataclass
@@ -243,6 +243,7 @@ def solve_nks(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
     R0 = P0.T.tocsr() if P0 is not None else None
     sub_dofs = [asm.subset_dofs(dofmap, mesh, decomp.overlap_elements[i])
                 for i in range(decomp.num_subdomains)]
+    local_solves = StackedSolves(sub_dofs, dofmap.n_dofs)
 
     def linearize(u, F):
         t0 = time.perf_counter()
@@ -254,9 +255,7 @@ def solve_nks(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
         t_coarse = time.perf_counter() - t0
 
         def precond(v):
-            out = np.zeros_like(v)
-            for d, lu in zip(sub_dofs, local_lus):
-                out[d] += lu.solve(v[d])
+            out = local_solves.apply(local_lus, local_solves.restrict(v))
             if coarse is not None:
                 out += P0 @ sla.lu_solve(coarse, R0 @ v)
             return out

@@ -32,10 +32,16 @@ plan.dofs, so R_i DF(v) x = A_i x_i + C_i x_Gamma and
 
     A_i^{-1} R_i DF(v) x = x_i + A_i^{-1} (C_i x_Gamma).
 
-An evaluation therefore holds, per subdomain, the SuperLU factor of A_i and
-the sparse C_i (A_i itself is dropped once factorized), and for the coarse
-level the dense LU of R_0 DF(u_0) P_0 and the sparse R_0 DF(u_0), so that
-Q_0(u_0) x = P_0 (R_0 DF(u_0) P_0)^{-1} (R_0 DF(u_0)) x.
+A_i and C_i come straight out of assembly: each subdomain's plan assembles
+only the rows of dofs_ov, numbers dofs_ov first and compresses by column,
+so R_i DF(v) on plan.dofs is the CSC matrix [A_i | C_i].  A_i, in the form
+SuperLU takes, is its leading columns, on its arrays; C_i is copied out of
+the rest, so that holding it does not hold A_i.  An evaluation therefore
+holds, per subdomain, the SuperLU factor of A_i and the sparse C_i (A_i
+itself is dropped once factorized), and for the coarse level the dense LU
+of R_0 DF(u_0) P_0 and the sparse R_0 DF(u_0), so that
+Q_0(u_0) x = P_0 (R_0 DF(u_0) P_0)^{-1} (R_0 DF(u_0)) x.  The local terms
+of a tangent apply go through one `sparse.StackedSolves`.
 """
 
 from __future__ import annotations
@@ -52,7 +58,7 @@ import scipy.sparse as sp
 from . import assembly as asm
 from .assembly import DofMap, NonPhysicalStateError, ProblemSpec
 from .mesh import Decomposition, Mesh
-from .sparse import Factorization, factorize
+from .sparse import Factorization, StackedSolves, factorize
 
 VARIANTS = ("aspen", "raspen", "additive", "hybrid")
 
@@ -150,14 +156,29 @@ def coarse_lu(A0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return lu, piv
 
 
+def _leading_columns(A: sp.csc_matrix, n: int) -> sp.csc_matrix:
+    """The first n columns of A, on A's arrays."""
+    end = A.indptr[n]
+    return sp.csc_matrix((A.data[:end], A.indices[:end], A.indptr[:n + 1]),
+                         shape=(A.shape[0], n))
+
+
+def _trailing_columns(A: sp.csc_matrix, n: int) -> sp.csc_matrix:
+    """The columns of A after the first n, copied, so that holding them does
+    not hold A."""
+    start = A.indptr[n]
+    return sp.csc_matrix((A.data[start:].copy(), A.indices[start:].copy(),
+                          A.indptr[n:] - start),
+                         shape=(A.shape[0], A.shape[1] - n))
+
+
 @dataclass
 class SubdomainData:
     index: int
     dofs_ov: np.ndarray
-    pos_ov: np.ndarray     # positions of dofs_ov inside plan.dofs
     ghosts: np.ndarray     # Gamma_i: the DOFs of plan.dofs not in dofs_ov
-    pos_ghost: np.ndarray  # positions of ghosts inside plan.dofs
-    plan: asm.AssemblyPlan  # the ghost-extended elements and their DOFs
+    plan: asm.AssemblyPlan  # the ghost-extended elements, assembling the
+                            # rows of dofs_ov, which it numbers first
     weight: np.ndarray     # recombination weights on dofs_ov: 1 for ASPEN,
                            # else 1 / the DOF's multiplicity
 
@@ -165,7 +186,7 @@ class SubdomainData:
 @dataclass
 class LocalSolveState:
     correction: np.ndarray          # T_i on dofs_ov
-    coupling: sp.csr_matrix         # C_i: R_i DF(v_final) on the ghost columns
+    coupling: sp.csc_matrix         # C_i: R_i DF(v_final) on the ghost columns
     iterations: int
     converged: bool
     # A_i = R_i DF(v_final) P_i, as `local_correction` returns it;
@@ -240,26 +261,28 @@ class SchwarzOperator:
         for i, dofs_ov in enumerate(overlaps):
             ext = np.unique(np.concatenate([decomp.overlap_elements[i],
                                             decomp.ghost_elements[i]]))
-            plan = asm.AssemblyPlan(mesh, dofmap, ext, problem)
-            pos = np.searchsorted(plan.dofs, dofs_ov)
-            ghost = np.setdiff1d(np.arange(plan.n), pos, assume_unique=True)
+            plan = asm.AssemblyPlan(mesh, dofmap, ext, problem, rows=dofs_ov)
             weight = (np.ones(dofs_ov.size) if variant == "aspen"
                       else self.pou_weight[dofs_ov])
-            self.subs.append(SubdomainData(i, dofs_ov, pos, plan.dofs[ghost],
-                                           ghost, plan, weight))
+            self.subs.append(SubdomainData(i, dofs_ov, plan.dofs[dofs_ov.size:],
+                                           plan, weight))
+        self._local_solves = StackedSolves([sub.dofs_ov for sub in self.subs],
+                                           dofmap.n_dofs,
+                                           [sub.weight for sub in self.subs])
 
     # -- corrections -------------------------------------------------------
 
     def _local_residual(self, sub: SubdomainData, v: np.ndarray) -> np.ndarray:
-        r = asm.assemble_residual(self.problem, self.mesh, self.dofmap, v,
-                                  subset=sub.plan.elems, plan=sub.plan)
-        return r[sub.pos_ov]
+        return asm.assemble_residual(self.problem, self.mesh, self.dofmap, v,
+                                     subset=sub.plan.elems, plan=sub.plan)
 
-    def _local_tangent(self, sub: SubdomainData, v: np.ndarray) -> sp.csr_matrix:
+    def _local_tangent(self, sub: SubdomainData, v: np.ndarray) -> sp.csc_matrix:
+        """R_i DF(v) on the plan's columns: [A_i | C_i]."""
         return asm.assemble_tangent(self.problem, self.mesh, self.dofmap, v,
                                     subset=sub.plan.elems, plan=sub.plan)
 
     def local_correction(self, sub: SubdomainData, u: np.ndarray) -> LocalSolveState:
+        n = sub.dofs_ov.size   # v holds the state on plan.dofs, dofs_ov first
         v0 = u[sub.plan.dofs]
         A_v0 = None  # the tangent at v0, which the aspin mode keeps
 
@@ -268,11 +291,11 @@ class SchwarzOperator:
             A = self._local_tangent(sub, v)
             if A_v0 is None and self.tangent_mode == "aspin":
                 A_v0 = A
-            return factorize(A[sub.pos_ov][:, sub.pos_ov], fast=True).solve(r)
+            return factorize(_leading_columns(A, n), fast=True).solve(r)
 
         def moved(v, s, d):
             w = v.copy()
-            w[sub.pos_ov] -= s * d
+            w[:n] -= s * d
             return w
 
         v, its, converged = _damped_newton(
@@ -282,12 +305,10 @@ class SchwarzOperator:
             A = self._local_tangent(sub, v)
         else:
             A = A_v0 if A_v0 is not None else self._local_tangent(sub, v0)
-        T = u[sub.dofs_ov] - v[sub.pos_ov]
-        rows = A[sub.pos_ov].tocsc()
-        return LocalSolveState(correction=T,
-                               coupling=rows[:, sub.pos_ghost].tocsr(),
+        return LocalSolveState(correction=u[sub.dofs_ov] - v[:n],
+                               coupling=_trailing_columns(A, n),
                                iterations=its, converged=converged,
-                               block=rows[:, sub.pos_ov])
+                               block=_leading_columns(A, n))
 
     def _deflate_coarse(self, A0: np.ndarray) -> np.ndarray:
         """Lift near-null singular directions of the coarse tangent.
@@ -420,11 +441,11 @@ class SchwarzOperator:
         return self.P0 @ sla.lu_solve(cs.tangent, cs.coupling @ x)
 
     def _apply_locals(self, ev: Evaluation, x: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(x)
-        for sub, st in zip(self.subs, ev.local_states):
-            y = x[sub.dofs_ov] + st.tangent.solve(st.coupling @ x[sub.ghosts])
-            out[sub.dofs_ov] += sub.weight * y
-        return out
+        states = ev.local_states
+        return self._local_solves.apply(
+            [st.tangent for st in states],
+            [st.coupling @ x[sub.ghosts] for sub, st in zip(self.subs, states)],
+            x)
 
     def apply_tangent(self, ev: Evaluation, x: np.ndarray) -> np.ndarray:
         """D F_X(u) x using the operators stored in the evaluation."""

@@ -81,6 +81,44 @@ def factorize(A: sp.spmatrix, fast: bool = False) -> Factorization:
     return Factorization(lu)
 
 
+class StackedSolves:
+    """Block solves on overlapping index sets d_i of an n-vector, summed:
+
+        out = sum_i w_i P_i (A_i^{-1} b_i + s_i),
+
+    with P_i the extension by zero from d_i, w_i given weights (1 if None)
+    and s_i = x[d_i] for an optional `x`.  Both solvers' local solves apply
+    this.  `restrict` gathers x on every d_i at once, `apply` writes the
+    block solves into one buffer and scatters the weighted results with one
+    `bincount`, which adds them in block order, as a loop of
+    ``out[d_i] += w_i y_i`` would."""
+
+    def __init__(self, blocks: list[np.ndarray], n: int,
+                 weights: list[np.ndarray] | None = None):
+        self.index = np.concatenate(blocks)
+        self.bounds = np.cumsum([0] + [d.size for d in blocks]).tolist()
+        self.weight = None if weights is None else np.concatenate(weights)
+        self.n = n
+
+    def restrict(self, x: np.ndarray) -> list[np.ndarray]:
+        """x on each d_i, as views of one gathered array."""
+        xs = x[self.index]
+        return [xs[a:b] for a, b in zip(self.bounds[:-1], self.bounds[1:])]
+
+    def apply(self, factors: list[Factorization], rhs, x: np.ndarray | None = None
+              ) -> np.ndarray:
+        """The sum above for the factors of A_i and right-hand sides b_i,
+        block by block."""
+        y = np.empty(self.index.size)
+        for lu, b, lo, hi in zip(factors, rhs, self.bounds[:-1], self.bounds[1:]):
+            y[lo:hi] = lu.solve(b)
+        if x is not None:
+            y += x[self.index]
+        if self.weight is not None:
+            y *= self.weight
+        return np.bincount(self.index, y, minlength=self.n)
+
+
 def gmres(apply: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
           rel_tol: float = 1e-8, max_iter: int = 1000, restart: int | None = None,
           left_prec: Callable[[np.ndarray], np.ndarray] | None = None

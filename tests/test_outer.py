@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg as sla
 import scipy.sparse as sp
 
 from nlschwarz import assembly as asm
@@ -157,6 +158,43 @@ class TestNks:
         assert rep_prec.converged
         # the preconditioned counts must be far below the system size
         assert max(st.gmres_its for st in rep_prec.steps) < dm.n_dofs // 4
+
+
+    def test_preconditioner_matches_loop(self, monkeypatch):
+        """The stacked local solves of the NKS preconditioner add the
+        subdomain terms in the order of a loop over the subdomains, then
+        the coarse term, to the bit."""
+        prob = asm.ldc_problem(100.0)
+        m = msh.build_structured_mesh(8, 8, problem_kind="ldc")
+        dm = asm.build_dofmap(prob, m)
+        dec = msh.partition_structured(m, 2, 2)
+        msh.extend_overlap(dec, msh.dual_graph(m), 1)
+        P0 = coarse_space(prob, m, dm, dec)
+        factors, coarse, captured = [], [], {}
+
+        def recorded(record, fn):
+            def call(*args, **kwargs):
+                record.append(fn(*args, **kwargs))
+                return record[-1]
+            return call
+
+        def first_gmres(apply, b, left_prec=None, **kwargs):
+            captured["precond"] = left_prec
+            raise np.linalg.LinAlgError("stop after the first linearization")
+        monkeypatch.setattr(outer, "factorize", recorded(factors, factorize))
+        monkeypatch.setattr(outer, "coarse_lu", recorded(coarse, outer.coarse_lu))
+        monkeypatch.setattr(outer, "gmres", first_gmres)
+        with pytest.raises(np.linalg.LinAlgError):
+            solve_nks(prob, m, dm, dec, SolverConfig(variant="nks"), P0=P0)
+        sub_dofs = [asm.subset_dofs(dm, m, ov) for ov in dec.overlap_elements]
+        rng = np.random.default_rng(4)
+        for _ in range(2):
+            v = rng.standard_normal(dm.n_dofs)
+            expect = np.zeros_like(v)
+            for d, lu in zip(sub_dofs, factors):
+                expect[d] += lu.solve(v[d])
+            expect += P0 @ sla.lu_solve(coarse[0], P0.T.tocsr() @ v)
+            np.testing.assert_array_equal(captured["precond"](v), expect)
 
 
 def nan_global_residual(monkeypatch, after: int):

@@ -148,6 +148,42 @@ class TestLocalCorrection:
         assert np.linalg.norm(st.correction) < 1e-8
 
 
+class TestLocalBlocks:
+    @pytest.mark.parametrize("state", ["initial", "perturbed"])
+    @pytest.mark.parametrize("kind", ["ldc", "beam", "diffusion"])
+    def test_blocks_equal_cut_of_extended_tangent(self, kind, state):
+        """A_i and C_i come out of the subdomain plan's assembly with the
+        bits, indices and pointers of the cut of the tangent assembled on
+        every row of the ghost-extended patch: rows dofs_ov, then columns
+        dofs_ov and the ghosts, in CSC form.  At the initial iterate the
+        cavity's tangent has exact zeros to eliminate."""
+        prob, m, dm, dec = setup_problem(kind, nx=16 if kind == "beam" else 12,
+                                         Re=100.0)
+        op = SchwarzOperator(prob, m, dm, dec, variant="raspen")
+        u = asm.initial_iterate(prob, dm)
+        if state == "perturbed":
+            rng = np.random.default_rng(2)
+            scale = 1e-4 if kind == "beam" else 0.05
+            u = np.where(dm.dirichlet_mask, u,
+                         u + scale * rng.standard_normal(dm.n_dofs))
+        for sub in op.subs:
+            A = op._local_tangent(sub, u[sub.plan.dofs])
+            extended = asm.assemble_tangent(prob, m, dm, u,
+                                            subset=sub.plan.elems).tocsr()
+            dofs = asm.subset_dofs(dm, m, sub.plan.elems)
+            rows = extended[np.searchsorted(dofs, sub.dofs_ov)].tocsc()
+            n = sub.dofs_ov.size
+            for new, cut in (
+                    (schwarz._leading_columns(A, n),
+                     rows[:, np.searchsorted(dofs, sub.dofs_ov)]),
+                    (schwarz._trailing_columns(A, n),
+                     rows[:, np.searchsorted(dofs, sub.ghosts)])):
+                assert new.format == "csc" and new.shape == cut.shape
+                for name in ("data", "indices", "indptr"):
+                    np.testing.assert_array_equal(getattr(new, name),
+                                                  getattr(cut, name))
+
+
 class TestEvaluate:
     def test_aspen_unweighted_sum(self):
         prob, m, dm, dec = setup_problem("diffusion")
@@ -267,6 +303,27 @@ class TestTangent:
                    / np.linalg.norm(expect))
             assert err < 1e-10, err
 
+    @pytest.mark.parametrize("variant", VARIANTS)
+    def test_stacked_apply_matches_loop(self, variant):
+        """The stacked local apply adds the weighted local terms in the
+        order of a loop over the subdomains, to the bit."""
+        prob, m, dm, dec = setup_problem("ldc", nx=8, px=2, Re=100.0)
+        P0 = (coarse_space(prob, m, dm, dec)
+              if variant in ("additive", "hybrid") else None)
+        op = SchwarzOperator(prob, m, dm, dec, variant=variant, P0=P0)
+        rng = np.random.default_rng(11)
+        u = asm.initial_iterate(prob, dm)
+        u = np.where(dm.dirichlet_mask, u,
+                     u + 0.05 * rng.standard_normal(dm.n_dofs))
+        ev = op.evaluate(u)
+        for _ in range(2):
+            x = rng.standard_normal(dm.n_dofs)
+            expect = np.zeros_like(x)
+            for sub, st in zip(op.subs, ev.local_states):
+                y = x[sub.dofs_ov] + st.tangent.solve(st.coupling @ x[sub.ghosts])
+                expect[sub.dofs_ov] += sub.weight * y
+            np.testing.assert_array_equal(op._apply_locals(ev, x), expect)
+
     def test_aspin_mode_differs_from_exact(self):
         prob, m, dm, dec = setup_problem("diffusion", nx=8, px=2)
         rng = np.random.default_rng(3)
@@ -365,6 +422,26 @@ class TestHeldMemory:
                   + [st.coupling for st in ev.local_states]
                   + [cs.coefficients, *cs.tangent, cs.coupling, ev.residual])
         assert held <= 1.1 * sum(nbytes(a) for a in arrays), held
+
+    def test_local_correction_peak(self):
+        """One local correction allocates little beyond the tangents it
+        assembles: A_i and C_i come out of assembly, not out of copies cut
+        from a tangent over the ghost-extended rows.  The peak measured
+        330-350 kB on the four subdomains (580-600 kB when each tangent was
+        cut into blocks), and the bound leaves 20% over 350 kB."""
+        prob, m, dm, dec = setup_problem("ldc", nx=12, px=2, Re=100.0)
+        P0 = coarse_space(prob, m, dm, dec)
+        op = SchwarzOperator(prob, m, dm, dec, variant="hybrid", P0=P0)
+        u = asm.initial_iterate(prob, dm)
+        sub = op.subs[-1]     # at the lid, so that Newton iterates
+        tracemalloc.start()
+        try:
+            st = op.local_correction(sub, u)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert st.iterations >= 1
+        assert peak <= 420_000, peak
 
 
 class TestNoRepeatedAssembly:

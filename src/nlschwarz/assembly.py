@@ -33,9 +33,10 @@ copy.  Subset plans that assemble every row use the same layout; the
 full-mesh plan is compressed by row (CSR), for its products with vectors
 and with R_0.
 
-The kernels run in chunks of at most `_CHUNK` (96) elements, whose arrays
-stay below the malloc mmap threshold, and each chunk accumulates into the
-one data (or residual) array with ``np.add.at``, in element order.  The
+The kernels run in chunks whose arrays stay below the malloc mmap
+threshold - at most `_CHUNK` (96) elements for a tangent, six times as
+many for a residual - and each chunk accumulates into the one data (or
+residual) array with ``np.add.at``, in element order.  The
 sums are then those of a single scatter of all elements: chunking changes
 no bit.
 
@@ -308,10 +309,12 @@ def _geometry(mesh: Mesh, elems: np.ndarray):
     return G, area
 
 
-# elements per kernel call: 96 x 144 float64 of cavity tangent entries
-# (110,592 bytes) stay under the 128 KiB malloc mmap threshold that
+# elements per tangent kernel call: 96 x 144 float64 of cavity tangent
+# entries (110,592 bytes) stay under the 128 KiB malloc mmap threshold that
 # `sparse` sets, so a chunk's kernel arrays are reused heap memory, not
-# fresh mappings that fault on first touch
+# fresh mappings that fault on first touch.  The residual kernel's widest
+# array holds 24 float64 per element, a sixth as many, so residual chunks
+# are six times as long
 _CHUNK = 96
 
 
@@ -421,7 +424,7 @@ class AssemblyPlan:
     it."""
 
     def __init__(self, mesh: Mesh, dofmap: DofMap, subset, problem: ProblemSpec,
-                 rows=None):
+                 rows: np.ndarray | None = None):
         self.mesh = mesh
         self.problem = replace(problem)
         self.is_global = subset is None
@@ -498,14 +501,14 @@ class AssemblyPlan:
             return u[self.dofs]
         raise ValueError("state vector matches neither the global nor the subset size")
 
-    def chunks(self):
-        """Slices of at most `_CHUNK` elements, of sizes that differ by at
-        most one.  No chunk holds a single element unless the subset does:
-        the tangent kernel's GEMM then takes BLAS's matrix-vector path,
-        which rounds differently, and the assembled values would depend on
-        the subset's size."""
+    def chunks(self, size: int | None = None):
+        """Slices of at most `size` elements (`_CHUNK` if None), of sizes
+        that differ by at most one.  No chunk holds a single element unless
+        the subset does: the tangent kernel's GEMM then takes BLAS's
+        matrix-vector path, which rounds differently, and the assembled
+        values would depend on the subset's size."""
         m = self.elems.size
-        k = -(-m // _CHUNK)
+        k = -(-m // (size or _CHUNK))
         for i in range(k):
             yield slice(i * m // k, (i + 1) * m // k)
 
@@ -675,7 +678,7 @@ def assemble_residual(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap, u,
     plan = _plan_for(problem, mesh, dofmap, subset, plan)
     ul = plan.local_state(u)
     out = np.zeros(plan.n)
-    for c in plan.chunks():
+    for c in plan.chunks(6 * _CHUNK):
         loc = plan.kernel_loc[c]
         r, _ = _element_kernels(problem, plan.G[c], plan.area[c], ul[loc], False)
         np.add.at(out, loc.ravel(), r.ravel())

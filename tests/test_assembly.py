@@ -304,7 +304,7 @@ def reference_assembly(problem, mesh, dofmap, u, subset):
 
 
 class TestPlanAgainstReference:
-    """Plan-based assembly (gather, bincount scatter, CSR pattern with the
+    """Plan-based assembly (gather, chunked scatter, sparse pattern with the
     Dirichlet trash slot) reproduces the element loop."""
 
     CASES = {

@@ -426,9 +426,9 @@ class TestHeldMemory:
     def test_local_correction_peak(self):
         """One local correction allocates little beyond the tangents it
         assembles: A_i and C_i come out of assembly, not out of copies cut
-        from a tangent over the ghost-extended rows.  The peak measured
-        330-350 kB on the four subdomains (580-600 kB when each tangent was
-        cut into blocks), and the bound leaves 20% over 350 kB."""
+        from a tangent over the ghost-extended rows.  The peak measures
+        330-350 kB on the four subdomains, against 580-600 kB with such
+        cuts; the bound leaves 20% over 350 kB."""
         prob, m, dm, dec = setup_problem("ldc", nx=12, px=2, Re=100.0)
         P0 = coarse_space(prob, m, dm, dec)
         op = SchwarzOperator(prob, m, dm, dec, variant="hybrid", P0=P0)

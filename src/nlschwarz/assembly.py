@@ -42,19 +42,20 @@ no bit.
 
 The cavity's operator splits into a constant Stokes part (viscous blocks
 and pressure coupling) and convection.  Its plan assembles the Stokes part
-once, at construction, and keeps its nonzero entries as a CSR matrix whose
-rows list their columns in global DOF order, with the tangent slot of each
-entry, and the slot map for the 12 x 12 velocity block only, which is all
-convection touches.  Per plan that is 16 bytes per Stokes nonzero (value,
-column, slot) and 576 bytes per element of map, in place of 900 for the
-full map.  On the 40 x 40 cavity (3,200 elements) that is 4.1 MB and
-1.8 MB for the full-mesh plan (255,324 Stokes nonzeros on a pattern of
-418,232 entries), and 0.33-0.42 MB and 0.16-0.22 MB for one of the 16
+once, at construction, as a CSR matrix whose rows list their columns in
+global DOF order, and keeps the slot map for the 12 x 12 velocity block
+only, which is all convection touches: 576 bytes per element of map, in
+place of 900 for the full map.  The full-mesh plan's Stokes matrix is its
+own pattern with the Stokes data, 8 bytes per pattern entry; a subdomain
+plan, whose column order is not global, keeps the nonzero entries with
+the tangent slot of each, 16 bytes per nonzero.  On the 40 x 40 cavity
+(3,200 elements) that is 3.3 MB of Stokes data and 1.8 MB of map for the
+full-mesh plan, and 0.33-0.42 MB and 0.16-0.22 MB for one of the 16
 subdomain plans of a 4 x 4 decomposition.  An assembly call then computes
 and scatters only convection; the residual adds one product of the Stokes
 matrix with the state, which sums each row in global column order whatever
-the plan's numbering, and the tangent adds the Stokes values at their
-slots after all convection.  The beam and diffusion have no constant part;
+the plan's numbering, and the tangent adds the Stokes values after all
+convection.  The beam and diffusion have no constant part;
 their plans keep the full map and go through the same functions.
 
 A plan is valid for one mesh, element subset, DofMap, problem and set of
@@ -406,17 +407,19 @@ class AssemblyPlan:
 
     Besides the geometry, the element DOF positions and the pattern, a
     cavity plan holds its Stokes part, assembled at construction: `stokes`,
-    a CSR matrix of its nonzero entries whose rows list their columns in
-    global DOF order, and `stokes_slot`, the data slot of each entry in the
-    tangent's pattern; and `scatter` for the 12 x 12 velocity block only.
+    a CSR matrix whose rows list their columns in global DOF order - on the
+    full-mesh plan's own pattern, or the nonzero entries of a subset plan
+    with `stokes_slot`, the data slot of each in the tangent's pattern
+    (None for the full mesh); and `scatter` for the 12 x 12 velocity block
+    only.
     Beam and diffusion plans have no constant part (`stokes` is None) and
     keep the full `scatter`.  `kernel_loc` are the positions of the element
     DOFs that `_element_kernels` reads and writes: the velocities of the
     cavity, every DOF otherwise.  A cavity plan holds, per element, 576
-    bytes of velocity map, 96 of kernel positions and 56 of geometry, and
-    4 bytes per pattern entry and 16 per Stokes nonzero: 8.2 MB for the
-    40 x 40 full mesh, 0.68-0.90 MB for each subdomain of its 4 x 4
-    decomposition.
+    bytes of velocity map, 56 of geometry and, on a subset, 120 of DOF
+    positions; and 4 bytes per pattern entry, plus 8 more on the full mesh
+    or 16 per Stokes nonzero on a subset: about 7.2 MB for the 40 x 40 full
+    mesh, 0.7-0.9 MB for each subdomain of its 4 x 4 decomposition.
 
     A plan is valid for one mesh, subset, DofMap, problem and set of rows;
     it keeps a copy of `problem`, and assembly for any other problem or
@@ -472,22 +475,24 @@ class AssemblyPlan:
                 .reshape(-1, k * k)
 
     def _by_row(self, data: np.ndarray):
-        """The nonzero entries of `data`, on the plan's pattern, as a CSR
-        matrix whose rows list their columns in global DOF order, so that a
-        product with it sums each row in that order whatever the plan's
-        numbering; and the pattern slot of each entry."""
+        """`data` on the plan's pattern as a CSR matrix whose rows list their
+        columns in global DOF order, so that a product with it sums each row
+        in that order whatever the plan's numbering, and the pattern slot of
+        each of its entries.  The full-mesh pattern is row-major in global
+        order already: the matrix is the pattern itself, 8 bytes per entry,
+        and needs no slots.  A subset plan keeps the nonzero entries only,
+        16 bytes each with their slots."""
+        if self.is_global:
+            return sp.csr_matrix((data, self.indices, self.indptr),
+                                 shape=(self.n_rows, self.n)), None
         slot = np.flatnonzero(data)
         kept = np.zeros(self.nnz + 1, dtype=np.int32)
         np.cumsum(data != 0.0, out=kept[1:])
-        layout = sp.csr_matrix if self.is_global else sp.csc_matrix
-        slots = layout((slot, self.indices[slot], kept[self.indptr]),
-                       shape=(self.n_rows, self.n))
-        columns = np.arange(self.n)   # the full-mesh plan's are in global order
-        if not self.is_global:
-            # put the columns in global order, then convert by a stable
-            # counting sort on the rows
-            columns = np.argsort(self.dofs)
-            slots = slots[:, columns].tocsr()
+        # put the columns in global order, then convert by a stable counting
+        # sort on the rows
+        columns = np.argsort(self.dofs)
+        slots = sp.csc_matrix((slot, self.indices[slot], kept[self.indptr]),
+                              shape=(self.n_rows, self.n))[:, columns].tocsr()
         matrix = sp.csr_matrix((data[slots.data], columns[slots.indices].astype(np.int32),
                                 slots.indptr), shape=(self.n_rows, self.n))
         return matrix, slots.data.astype(np.int32)
@@ -700,10 +705,12 @@ def assemble_tangent(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap, u,
         _, K = _element_kernels(problem, plan.G[c], plan.area[c],
                                 ul[plan.kernel_loc[c]], True)
         np.add.at(data, plan.scatter[c].ravel(), K.ravel())
-    if plan.stokes is not None:
-        # after all convection, so that each entry is the convection sum
-        # plus the Stokes value, rounded once
+    # the Stokes part goes in after all convection, so that each entry is
+    # the convection sum plus the Stokes value, rounded once
+    if plan.stokes_slot is not None:
         np.add.at(data, plan.stokes_slot, plan.stokes.data)
+    elif plan.stokes is not None:           # the full mesh: on the pattern
+        data[:-1] += plan.stokes.data
     data[plan.diagonal] = 1.0
     layout = sp.csr_matrix if plan.is_global else sp.csc_matrix
     A = layout((data[:-1], plan.indices.copy(), plan.indptr.copy()),

@@ -411,11 +411,10 @@ class AssemblyPlan:
     full-mesh plan's own pattern, or the nonzero entries of a subset plan
     with `stokes_slot`, the data slot of each in the tangent's pattern
     (None for the full mesh); and `scatter` for the 12 x 12 velocity block
-    only.
-    Beam and diffusion plans have no constant part (`stokes` is None) and
-    keep the full `scatter`.  `kernel_loc` are the positions of the element
-    DOFs that `_element_kernels` reads and writes: the velocities of the
-    cavity, every DOF otherwise.  A cavity plan holds, per element, 576
+    only.  Beam and diffusion plans have no constant part (`stokes` is
+    None) and keep the full `scatter`.  `kernel_loc` are the positions of
+    the element DOFs that `_element_kernels` reads and writes: the
+    velocities of the cavity, every DOF otherwise.  A cavity plan holds, per element, 576
     bytes of velocity map, 56 of geometry and, on a subset, 120 of DOF
     positions; and 4 bytes per pattern entry, plus 8 more on the full mesh
     or 16 per Stokes nonzero on a subset: about 7.2 MB for the 40 x 40 full

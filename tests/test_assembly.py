@@ -503,3 +503,7 @@ class TestPlanAgainstReference:
         rows = np.repeat(np.arange(plan.n_rows), np.diff(S.indptr))
         cols = plan.dofs[S.indices]
         assert np.all((np.diff(rows) > 0) | (np.diff(cols) > 0))
+        # the full-mesh plan's Stokes data lies on its own pattern
+        full = asm.global_plan(m, dm, prob)
+        assert full.stokes_slot is None and full.stokes.nnz == full.nnz
+        assert np.shares_memory(full.stokes.indices, full.indices)

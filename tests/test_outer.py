@@ -159,7 +159,6 @@ class TestNks:
         # the preconditioned counts must be far below the system size
         assert max(st.gmres_its for st in rep_prec.steps) < dm.n_dofs // 4
 
-
     def test_preconditioner_matches_loop(self, monkeypatch):
         """The stacked local solves of the NKS preconditioner add the
         subdomain terms in the order of a loop over the subdomains, then

@@ -1,6 +1,7 @@
 """Sparse direct solves and a restarted GMRES over abstract operators.
 
-`gmres` hands SciPy's restarted GMRES the left-preconditioned operator M A
+`StackedSolves` applies the sum of block solves on overlapping index sets
+that both solvers' local preconditioning terms are made of.  `gmres` hands SciPy's restarted GMRES the left-preconditioned operator M A
 and the right-hand side M b, so it stops on the preconditioned residual,
 ||M (b - A x)|| <= rel_tol ||M b||.  Its cap on inner iterations rounds up to
 whole restart cycles, Gram-Schmidt makes one pass, and a breakdown that

@@ -20,6 +20,11 @@ Interface values are turned into coarse basis columns by multiplying with the
 nullspace modes of `assembly.nullspace_basis` (one constant per field, or the
 rigid body modes for elasticity) and extending into the subdomain interiors
 energy-minimally with the tangent at the initial iterate.
+
+The basis has full column rank: a column within `RANK_TOL` of its norm of
+the span of the columns before it, on the interface, is dropped.  Only beam
+`rot` columns go: one per GDSW vertex, one per run of a one-row strip with
+MsFEM, and one filler's with modified MsFEM on a 2D grid.
 """
 
 from __future__ import annotations
@@ -28,12 +33,17 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 import scipy.sparse as sp
+from scipy.sparse.csgraph import connected_components
 
 from . import assembly as asm
 from . import mesh as msh
 from .assembly import DofMap, ProblemSpec, nullspace_basis, subset_dofs
 from .mesh import DIRICHLET, LID, Decomposition, InterfaceSkeleton, Mesh
 from .sparse import factorize
+
+# distance from the span of the kept columns, relative to a column's norm,
+# at or below which the column is dropped
+RANK_TOL = 1e-12
 
 
 @dataclass
@@ -159,6 +169,35 @@ def _edge_lookup(dofmap: DofMap, pairs: np.ndarray) -> np.ndarray:
     return pos
 
 
+def _independent_columns(B: np.ndarray) -> np.ndarray:
+    """Indices, in order, of the columns of B that are not linear
+    combinations of the columns kept before them.
+
+    A greedy pass projects each column twice against an orthonormal basis
+    of the kept ones (CGS2), so the earliest columns of a dependent set stay,
+    which a pivoted QR would not ensure.  Groups of columns connected by
+    shared nonzero rows are mutually orthogonal, so each group runs alone.
+    """
+    support = sp.csr_matrix(B != 0, dtype=np.float64)
+    n_groups, group = connected_components(support.T @ support,
+                                           directed=False)
+    keep: list[int] = []
+    for g in range(n_groups):
+        cols = np.flatnonzero(group == g)
+        Bg = B[np.ix_(np.flatnonzero(np.any(B[:, cols], axis=1)), cols)]
+        Q = np.zeros_like(Bg)
+        k = 0
+        for j, b in zip(cols, Bg.T):
+            v = b - Q[:, :k] @ (Q[:, :k].T @ b)
+            v -= Q[:, :k] @ (Q[:, :k].T @ v)
+            nrm = np.linalg.norm(v)
+            if nrm > RANK_TOL * np.linalg.norm(b):
+                Q[:, k] = v / nrm
+                k += 1
+                keep.append(j)
+    return np.sort(np.array(keep, dtype=np.int64))
+
+
 def coarse_interface_basis(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
                            skeleton: InterfaceSkeleton, kind: str,
                            modified: bool = False
@@ -173,6 +212,13 @@ def coarse_interface_basis(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
     fields have the same node-level Dirichlet set share one family of
     interface functions, so the cavity pressure, pinned at one node only,
     keeps the boundary endpoint vertices that the velocity loses.
+
+    Columns are generated entity by entity, modes in `nullspace_basis`
+    order.  A column within `RANK_TOL` of its norm of the span of the
+    columns before it, on the interface rows, is dropped, and the rest are
+    kept unchanged: one `rot` per GDSW beam vertex, one per run of a
+    one-row beam strip with MsFEM (the weights of its two vertices are
+    linear along it) and one filler's with modified MsFEM on a 2D beam grid.
     """
     families: dict[bytes, tuple[np.ndarray, list]] = {}
     for name, z in nullspace_basis(problem, dofmap).items():
@@ -216,7 +262,9 @@ def coarse_interface_basis(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
          (np.concatenate(trip_r) if trip_r else np.zeros(0, dtype=np.int64),
           np.concatenate(trip_c) if trip_c else np.zeros(0, dtype=np.int64))),
         shape=(dofmap.n_dofs, len(labels)))
-    return Phi, entities, labels
+    keep = _independent_columns(
+        Phi[np.flatnonzero(np.diff(Phi.indptr))].toarray())
+    return Phi[:, keep], entities, [labels[j] for j in keep]
 
 
 def interface_dofs(dofmap: DofMap, skeleton: InterfaceSkeleton) -> np.ndarray:

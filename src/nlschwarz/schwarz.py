@@ -200,8 +200,8 @@ class LocalSolveState:
 @dataclass
 class CoarseSolveState:
     coefficients: np.ndarray
-    tangent: tuple | None           # dense LU of R_0 DF(u_0) P_0
-    coupling: sp.csr_matrix | None  # R_0 DF(u_0), coarse dim x n_dofs
+    tangent: tuple           # dense LU of R_0 DF(u_0) P_0
+    coupling: sp.csr_matrix  # R_0 DF(u_0), coarse dim x n_dofs
     iterations: int
     converged: bool
 
@@ -246,7 +246,6 @@ class SchwarzOperator:
         self.workers = workers_from_env() if workers is None else workers
         if self.workers < 1:
             raise ValueError(f"workers must be positive, got {self.workers}")
-        self._coarse_deflation: tuple | None = None
 
         overlaps = [asm.subset_dofs(dofmap, mesh, ov)
                     for ov in decomp.overlap_elements]
@@ -310,41 +309,6 @@ class SchwarzOperator:
                                iterations=its, converged=converged,
                                block=_leading_columns(A, n))
 
-    def _deflate_coarse(self, A0: np.ndarray) -> np.ndarray:
-        """Lift near-null singular directions of the coarse tangent.
-
-        The monolithic pressure coarse functions sum to the global pressure
-        constant, which only the pin equation - invisible to the coarse space,
-        since the pinned row of P0 is zero - controls.  The matching near-null
-        direction of R0 DF P0 would let the coarse Newton update drift by
-        arbitrary pressure shifts.  Shifting those singular values up to the
-        reference scale removes the drift without touching the well-resolved
-        directions; the directions are structural, so they are computed once
-        and reused.
-        """
-        if self._coarse_deflation is None:
-            U, s, Vt = np.linalg.svd(A0)
-            near = s < 1e-4 * s[0]
-            self._coarse_deflation = (
-                (U[:, near], Vt[near].T, float(s[0])) if near.any() else ())
-        if self._coarse_deflation:
-            U, V, s0 = self._coarse_deflation
-            A0 = A0 + s0 * (U @ V.T)
-        return A0
-
-    def _project_coarse_residual(self, r: np.ndarray) -> np.ndarray:
-        """Remove the residual components the coarse space cannot control.
-
-        The image of the near-null directions (the left singular vectors) is
-        invariant under coarse updates, so the coarse Newton iteration can
-        never reduce the residual along them; measuring convergence on the
-        complement solves the quotient problem instead.
-        """
-        if self._coarse_deflation:
-            U = self._coarse_deflation[0]
-            r = r - U @ (U.T @ r)
-        return r
-
     def coarse_correction(self, u: np.ndarray,
                           F: np.ndarray | None = None) -> CoarseSolveState:
         """T_0(u) by damped Newton from c = 0; `F` is F(u) if the caller has
@@ -352,33 +316,20 @@ class SchwarzOperator:
         P0, R0 = self.P0, self.R0
 
         def coarse_residual(cc):
-            return self._project_coarse_residual(
-                R0 @ asm.assemble_residual(self.problem, self.mesh, self.dofmap,
-                                           u - P0 @ cc))
+            return R0 @ asm.assemble_residual(self.problem, self.mesh,
+                                              self.dofmap, u - P0 @ cc)
 
         def coarse_tangent(cc):
             R0DF = R0 @ asm.assemble_tangent(self.problem, self.mesh,
                                              self.dofmap, u - P0 @ cc)
-            return R0DF, self._deflate_coarse((R0DF @ P0).toarray())
+            return R0DF, (R0DF @ P0).toarray()
 
-        # the projection of the first residual needs the deflation, so the
-        # first call assembles R0 DF and the deflated R0 DF P0 at c0 before
-        # it; that pair serves the first step, or the final factorization
-        c0 = np.zeros(P0.shape[1])
-        pending = coarse_tangent(c0) if self._coarse_deflation is None else None
-
-        def tangent(cc):
-            nonlocal pending
-            pair = pending if pending is not None else coarse_tangent(cc)
-            pending = None
-            return pair
-
-        r0 = None if F is None else self._project_coarse_residual(R0 @ F)
         c, its, converged = _damped_newton(
-            coarse_residual, lambda cc, r: np.linalg.solve(tangent(cc)[1], r),
-            lambda cc, s, d: cc + s * d, c0, self.coarse, "coarse correction",
-            r0)
-        R0DF, A0 = tangent(c)
+            coarse_residual,
+            lambda cc, r: np.linalg.solve(coarse_tangent(cc)[1], r),
+            lambda cc, s, d: cc + s * d, np.zeros(P0.shape[1]), self.coarse,
+            "coarse correction", None if F is None else R0 @ F)
+        R0DF, A0 = coarse_tangent(c)
         return CoarseSolveState(coefficients=c, tangent=coarse_lu(A0),
                                 coupling=R0DF, iterations=its,
                                 converged=converged)

@@ -50,6 +50,18 @@ ALL_SPACES = [("gdsw", False), ("rgdsw", False), ("msfem", False),
               ("rgdsw", True), ("msfem", True)]
 
 
+def reproduced(P0, labels, iface, name, z):
+    """The mode `name`, z, from P0: the sum of the mode's columns if it kept
+    one on every entity of its family, else the combination of all columns
+    that fits z on the interface DOFs `iface` best."""
+    ents = {nm: {e for e, n in labels if n == nm} for _, nm in labels}
+    family = set().union(*(s for s in ents.values() if s & ents[name]))
+    if ents[name] == family:
+        cols = [c for c, (_, nm) in enumerate(labels) if nm == name]
+        return np.asarray(P0[:, cols].sum(axis=1)).ravel()
+    return P0 @ np.linalg.lstsq(P0[iface].toarray(), z[iface], rcond=None)[0]
+
+
 def test_criterion_1_partition_of_unity():
     """All five interface-function families sum to one on Gamma'."""
     prob, m, dm, dec, skel = build_case("diffusion", 16, 16, 4, 4, 2)
@@ -70,7 +82,9 @@ def test_criterion_1_partition_of_unity():
 
 
 def test_criterion_2_nullspace_reproduction():
-    """Coarse columns reproduce the operator nullspace on interior subdomains."""
+    """Coarse columns reproduce the operator nullspace on interior subdomains:
+    their sum does, or, for a beam mode that lost dependent columns, their
+    fit on the interface."""
     worst = 0.0
     for problem_kind in ("diffusion", "beam", "ldc"):
         if problem_kind == "beam":
@@ -83,9 +97,10 @@ def test_criterion_2_nullspace_reproduction():
         for kind, modified in (("gdsw", False), ("msfem", True)):
             P0, ents, labels = crs.build_coarse_space(prob, m, dm, dec, kind,
                                                       modified)
+            iface = crs.interface_dofs(dm, skel)
+            iface = iface[~dm.dirichlet_mask[iface]]
             for name, z in asm.nullspace_basis(prob, dm).items():
-                cols = [c for c, (_, nm) in enumerate(labels) if nm == name]
-                x = np.asarray(P0[:, cols].sum(axis=1)).ravel()
+                x = reproduced(P0, labels, iface, name, z)
                 for i in interior:
                     dofs = asm.subset_dofs(dm, m, np.flatnonzero(dec.owner == i))
                     dofs = dofs[~dm.dirichlet_mask[dofs]]

@@ -34,6 +34,18 @@ ALL_KINDS = [("gdsw", False), ("rgdsw", False), ("msfem", False),
              ("rgdsw", True), ("msfem", True)]
 
 
+def reproduced(P0, labels, iface, name, z):
+    """The mode `name`, z, from P0: the sum of the mode's columns if it kept
+    one on every entity of its family, else the combination of all columns
+    that fits z on the interface DOFs `iface` best."""
+    ents = {nm: {e for e, n in labels if n == nm} for _, nm in labels}
+    family = set().union(*(s for s in ents.values() if s & ents[name]))
+    if ents[name] == family:
+        cols = [c for c, (_, nm) in enumerate(labels) if nm == name]
+        return np.asarray(P0[:, cols].sum(axis=1)).ravel()
+    return P0 @ np.linalg.lstsq(P0[iface].toarray(), z[iface], rcond=None)[0]
+
+
 class TestInterfaceFunctions:
     @pytest.mark.parametrize("kind,modified", ALL_KINDS)
     def test_partition_of_unity_nodes_and_midpoints(self, kind, modified):
@@ -124,8 +136,11 @@ class TestInterfaceBasis:
         prob, m, dm, dec, skel = decomposed("beam", nx=12, px=3)
         Phi, ents, labels = crs.coarse_interface_basis(prob, m, dm, skel,
                                                        "gdsw")
-        assert {name for _, name in labels} == {"tx", "ty", "rot"}
-        assert Phi.shape[1] == 3 * len(ents)
+        # at a single node the rotation is a combination of the translations
+        modes = {"vertex": ["tx", "ty"], "edge": ["tx", "ty", "rot"]}
+        assert labels == [(i, nm) for i, e in enumerate(ents)
+                          for nm in modes[e.kind]]
+        assert Phi.shape[1] == len(labels)
 
 
 class TestHarmonicExtension:
@@ -225,9 +240,10 @@ class TestNullspaceReproduction:
         owned = np.flatnonzero(dec.owner == interior_sub)
         dofs = asm.subset_dofs(dm, m, owned)
         dofs = dofs[~dm.dirichlet_mask[dofs]]
+        iface = crs.interface_dofs(dm, skel)
+        iface = iface[~dm.dirichlet_mask[iface]]
         for name, z in asm.nullspace_basis(prob, dm).items():
-            cols = [c for c, (_, nm) in enumerate(labels) if nm == name]
-            x = np.asarray(P0[:, cols].sum(axis=1)).ravel()
+            x = reproduced(P0, labels, iface, name, z)
             err = np.linalg.norm(x[dofs] - z[dofs]) / np.linalg.norm(z[dofs])
             assert err < 1e-9, (name, err)
 
@@ -242,8 +258,8 @@ class TestCoarseDimensions:
                 [(56, 15277), (20, 7395), (20, 7395), (36, 11087),
                  (36, 11087)]),
         "beam": (dict(kind="beam", nx=16, px=4, fy=1.0),
-                 [(27, 1677), (18, 1173), (18, 1173), (18, 1173),
-                  (18, 1173)]),
+                 [(21, 1308), (18, 1173), (15, 969), (18, 1173),
+                  (15, 969)]),
     }
 
     @staticmethod
@@ -258,9 +274,36 @@ class TestCoarseDimensions:
         got = [self.dims(case, k, mod) for k, mod in ALL_KINDS]
         assert got == expected
         n_gdsw, n_rgdsw, n_msfem = (got[0][0], got[1][0], got[2][0])
-        assert n_gdsw > n_rgdsw == n_msfem
+        assert n_gdsw > n_rgdsw
+        if problem_kind == "beam":
+            # on the one-row strip MsFEM loses one rotation per run
+            assert n_rgdsw > n_msfem
+        else:
+            assert n_rgdsw == n_msfem
 
     def test_bench_cavity(self):
         # the 40x40 cavity on 4x4 subdomains of bench/README.md
         case = dict(kind="ldc", nx=40, px=4, Re=400.0)
         assert self.dims(case, "rgdsw", False) == (39, 108786)
+
+
+class TestCoarseRank:
+    """P0 has full column rank: dependent columns go at build time."""
+
+    @pytest.mark.parametrize("kind,modified", ALL_KINDS)
+    @pytest.mark.parametrize("problem_kind,px,py", [
+        ("diffusion", 2, 2), ("diffusion", 3, 3), ("ldc", 2, 2), ("ldc", 3, 3),
+        ("beam", 2, 2), ("beam", 3, 3), ("beam", 4, 1)])
+    def test_full_column_rank(self, problem_kind, px, py, kind, modified):
+        prob = {"diffusion": asm.diffusion_problem(),
+                "ldc": asm.ldc_problem(400.0),
+                "beam": asm.beam_problem(1.0)}[problem_kind]
+        domain = (0, 5, 0, 1) if problem_kind == "beam" else (0, 1, 0, 1)
+        m = msh.build_structured_mesh(4 * px, 4 * py, domain=domain,
+                                      problem_kind=problem_kind)
+        dm = asm.build_dofmap(prob, m)
+        dec = msh.partition_structured(m, px, py)
+        P0, _, labels = crs.build_coarse_space(prob, m, dm, dec, kind,
+                                               modified)
+        assert P0.shape[1] == len(labels) > 0
+        assert np.linalg.matrix_rank(P0.toarray()) == P0.shape[1]

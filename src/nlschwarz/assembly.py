@@ -422,8 +422,7 @@ class AssemblyPlan:
 
     A plan is valid for one mesh, subset, DofMap, problem and set of rows;
     it keeps a copy of `problem`, and assembly for any other problem or
-    subset rejects it.  Assembly only reads a plan, so threads may share
-    it."""
+    subset rejects it.  Assembly only reads a plan."""
 
     def __init__(self, mesh: Mesh, dofmap: DofMap, subset, problem: ProblemSpec,
                  rows: np.ndarray | None = None):

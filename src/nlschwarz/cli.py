@@ -33,12 +33,13 @@ A key the schema does not list, at the top level or in a solver level, is an
 error.  The domain is the unit square, and [0, 5] x [0, 1] for the beam.
 
 Flag overrides: --problem --re --fy --subdomains PXxPY --hh --overlap
---variant --coarse --modified --out.  The worker count for local solves is
-read from the environment variable NLSCHWARZ_WORKERS (default 1); a value
-that is not a positive integer ends `run` with exit code 2.  The worker threads
-overlap the subdomain assembly of the local Newton solves; SuperLU holds the
-GIL while it factorizes and solves, so those parts run one at a time.  The
-factorizations a step keeps are built on the main thread.
+--variant --coarse --modified --out.  The number of processes that own
+subdomains is read from the environment variable NLSCHWARZ_WORKERS (default
+1); a value that is not a positive integer ends `run` with exit code 2.  The
+workers are processes, and the calling process is one of them: with W
+workers, a nonlinear Schwarz solve forks W - 1 processes, and each of the W
+runs the local Newton solves, factorizations and tangent solves of its
+share of the subdomains.  NKS runs in the calling process alone.
 """
 
 from __future__ import annotations

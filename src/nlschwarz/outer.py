@@ -212,21 +212,24 @@ def solve_nonlinear_schwarz(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
                             decomp: Decomposition, cfg: SolverConfig,
                             P0=None, u0: np.ndarray | None = None
                             ) -> tuple[np.ndarray, SolveReport]:
+    """Newton on F_X(u) with the operator's owner processes (see
+    `SchwarzOperator`), which are stopped when the solve returns or
+    raises."""
     t_start = time.perf_counter()
-    op = SchwarzOperator(problem, mesh, dofmap, decomp, variant=cfg.variant,
+    with SchwarzOperator(problem, mesh, dofmap, decomp, variant=cfg.variant,
                          P0=P0, tangent_mode=cfg.tangent_mode,
-                         inner=cfg.inner, coarse=cfg.coarse)
+                         inner=cfg.inner, coarse=cfg.coarse) as op:
 
-    def linearize(u, F):
-        ev = op.evaluate(u, F)
-        return _Linearization(
-            ev.residual, lambda x: op.apply_tangent(ev, x),
-            inner_iterations=ev.inner_iterations,
-            coarse_iterations=ev.coarse_iterations,
-            corrections_converged=ev.all_converged,
-            t_inner=ev.timings["inner"], t_coarse=ev.timings["coarse"])
+        def linearize(u, F):
+            ev = op.evaluate(u, F)
+            return _Linearization(
+                ev.residual, lambda x: op.apply_tangent(ev, x),
+                inner_iterations=ev.inner_iterations,
+                coarse_iterations=ev.coarse_iterations,
+                corrections_converged=ev.all_converged,
+                t_inner=ev.timings["inner"], t_coarse=ev.timings["coarse"])
 
-    return _newton(problem, mesh, dofmap, cfg, u0, linearize, t_start)
+        return _newton(problem, mesh, dofmap, cfg, u0, linearize, t_start)
 
 
 def solve_nks(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,

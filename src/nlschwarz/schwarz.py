@@ -36,19 +36,32 @@ A_i and C_i come straight out of assembly: each subdomain's plan assembles
 only the rows of dofs_ov, numbers dofs_ov first and compresses by column,
 so R_i DF(v) on plan.dofs is the CSC matrix [A_i | C_i].  A_i, in the form
 SuperLU takes, is its leading columns, on its arrays; C_i is copied out of
-the rest, so that holding it does not hold A_i.  An evaluation therefore
-holds, per subdomain, the SuperLU factor of A_i and the sparse C_i (A_i
-itself is dropped once factorized), and for the coarse level the dense LU
-of R_0 DF(u_0) P_0 and the sparse R_0 DF(u_0), so that
-Q_0(u_0) x = P_0 (R_0 DF(u_0) P_0)^{-1} (R_0 DF(u_0)) x.  The local terms
-of a tangent apply go through one `sparse.StackedSolves`.
+the rest, so that holding it does not hold A_i.  Per subdomain, the
+latest evaluation's tangent therefore holds the SuperLU factor of A_i and
+the sparse C_i (A_i itself is dropped once factorized), and for the
+coarse level the dense LU of R_0 DF(u_0) P_0 and the sparse R_0 DF(u_0),
+so that Q_0(u_0) x = P_0 (R_0 DF(u_0) P_0)^{-1} (R_0 DF(u_0)) x.  The
+local terms of a tangent apply go through one `sparse.StackedSolves`.
+
+With W workers, each subdomain is owned by one of W processes: the caller
+owns subdomains 0, W, 2W, ..., and W - 1 processes, forked at the first
+evaluation, own the rest (`_Owners`).  An owner runs the local Newton
+solves of its subdomains, factorizes their A_i and keeps the factors and
+the C_i until the next evaluation; it also runs their solves of every
+tangent apply.  So each factor is built, used and released by the only
+thread of one process, and SuperLU, which holds the GIL, runs on W cores.
+The caller recombines the owners' results in subdomain order, so the bits
+do not depend on W.
 """
 
 from __future__ import annotations
 
+import mmap
+import multiprocessing
 import os
+import signal
 import time
-from concurrent.futures import ThreadPoolExecutor
+import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -132,8 +145,8 @@ def _damped_newton(residual, direction, moved, x, p: NewtonParams, label: str,
 
 
 def workers_from_env() -> int:
-    """The local-solve thread count NLSCHWARZ_WORKERS, 1 if it is unset.
-    Raises `ValueError` unless it is a positive integer."""
+    """The number of processes that own subdomains, NLSCHWARZ_WORKERS, 1 if
+    it is unset.  Raises `ValueError` unless it is a positive integer."""
     raw = os.environ.get("NLSCHWARZ_WORKERS", "1")
     try:
         workers = int(raw)
@@ -186,15 +199,13 @@ class SubdomainData:
 @dataclass
 class LocalSolveState:
     correction: np.ndarray          # T_i on dofs_ov
-    coupling: sp.csc_matrix         # C_i: R_i DF(v_final) on the ghost columns
     iterations: int
     converged: bool
-    # A_i = R_i DF(v_final) P_i, as `local_correction` returns it;
-    # `_run_locals` factorizes it into `tangent` and drops it
-    block: sp.csc_matrix | None = None
-    # A_i factorized on the thread that calls `_run_locals`, which also
-    # releases it (see `sparse.Factorization`)
+    # A_i = R_i DF(v_final) P_i factorized, and C_i, R_i DF(v_final) on the
+    # ghost columns; None in an evaluation's states of the subdomains that
+    # another process owns
     tangent: Factorization | None = None
+    coupling: sp.csc_matrix | None = None
 
 
 @dataclass
@@ -215,11 +226,110 @@ class Evaluation:
     inner_iterations: float      # average over subdomains
     coarse_iterations: int
     all_converged: bool
+    stamp: int                   # the operator's evaluation count after it
     timings: dict = field(default_factory=dict)
 
 
+def _stop_owners(procs: list, conns: list) -> None:
+    """Close the caller's end of each owner's pipe, which ends the owner's
+    command loop, and reap the owners."""
+    for conn in conns:
+        conn.close()
+    for proc in procs:
+        proc.join(timeout=5)
+        if proc.is_alive():
+            proc.kill()
+            proc.join()
+
+
+class _Owners:
+    """The owner processes 1, ..., W - 1 of a `SchwarzOperator`, forked from
+    the caller, which is owner 0.
+
+    Owner k owns subdomains k, k + W, k + 2W, ....  The caller and the
+    owners share one anonymous mapping, made before the fork: `vector`, the
+    state u or the vector x that a command reads, and `blocks`, the stacked
+    per-subdomain results that the owners write (the correction T_i, or
+    A_i^{-1}(C_i x_Gamma) of a tangent apply; block i is the block of
+    `StackedSolves`).  One pipe per owner carries the commands and the
+    small replies."""
+
+    def __init__(self, op: "SchwarzOperator"):
+        n, m = op.dofmap.n_dofs, op._local_solves.index.size
+        shared = mmap.mmap(-1, 8 * (n + m))
+        self.vector = np.frombuffer(shared, np.float64, n)
+        self.blocks = np.frombuffer(shared, np.float64, m, 8 * n)
+        # fork, not spawn: the owners need the operator's assembly plans,
+        # which the fork shares copy-on-write; the caller must then run no
+        # other thread
+        ctx = multiprocessing.get_context("fork")
+        self.procs, self.conns = [], []
+        try:
+            for k in range(1, op.workers):
+                caller_end, owner_end = ctx.Pipe()
+                proc = ctx.Process(target=self._serve,
+                                   args=(op, k, owner_end, caller_end),
+                                   name=f"nlschwarz-owner-{k}", daemon=True)
+                proc.start()
+                owner_end.close()
+                self.procs.append(proc)
+                self.conns.append(caller_end)
+        except BaseException:
+            _stop_owners(self.procs, self.conns)
+            raise
+        self.stop = weakref.finalize(op, _stop_owners, self.procs, self.conns)
+
+    def _serve(self, op: "SchwarzOperator", k: int, conn, caller_end) -> None:
+        """Owner k's command loop, until the caller's end of its pipe
+        closes.  The owner first closes its copies of the caller's ends of
+        the pipes, its own and those of the owners forked before it, so that
+        each owner sees the caller exit.  It leaves interrupts to the
+        caller, which stops it through the pipe."""
+        caller_end.close()
+        for other in self.conns:
+            other.close()
+        signal.signal(signal.SIGINT, signal.SIG_IGN)
+        share = op.subs[k::op.workers]
+        try:
+            while True:
+                try:
+                    command = conn.recv()
+                except EOFError:
+                    return
+                conn.send(op._run_share(command, share, self.vector,
+                                        self.blocks))
+        finally:
+            op._held = []
+
+    def send(self, command: str, vector: np.ndarray) -> None:
+        self.vector[:] = vector
+        for conn in self.conns:
+            conn.send(command)
+
+    def replies(self) -> list:
+        """Each owner's reply to the last command, in owner order.  Reads
+        every reply before it raises `RuntimeError` for an owner that
+        exited."""
+        out, lost = [], []
+        for k, conn in enumerate(self.conns, 1):
+            try:
+                out.append(conn.recv())
+            except EOFError:
+                lost.append(k)
+        if lost:
+            raise RuntimeError(f"subdomain owner processes {lost} exited")
+        return out
+
+
 class SchwarzOperator:
-    """Evaluates F_X(u) and applies D F_X(u) for one decomposition."""
+    """Evaluates F_X(u) and applies D F_X(u) for one decomposition.
+
+    `workers` (NLSCHWARZ_WORKERS if None), capped at the number of
+    subdomains, is the number of processes that own subdomains (see the
+    module docstring).  The other owners start at the first evaluation;
+    `close`, or leaving a ``with`` block, stops them and releases the held
+    local operators.  An evaluation after that starts them again.  Only the
+    latest evaluation's tangent can be applied."""
 
     def __init__(self, problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
                  decomp: Decomposition, variant: str = "hybrid",
@@ -243,9 +353,9 @@ class SchwarzOperator:
         self.tangent_mode = tangent_mode
         self.inner = inner or NewtonParams()
         self.coarse = coarse or NewtonParams()
-        self.workers = workers_from_env() if workers is None else workers
-        if self.workers < 1:
-            raise ValueError(f"workers must be positive, got {self.workers}")
+        workers = workers_from_env() if workers is None else workers
+        if workers < 1:
+            raise ValueError(f"workers must be positive, got {workers}")
 
         overlaps = [asm.subset_dofs(dofmap, mesh, ov)
                     for ov in decomp.overlap_elements]
@@ -268,6 +378,24 @@ class SchwarzOperator:
         self._local_solves = StackedSolves([sub.dofs_ov for sub in self.subs],
                                            dofmap.n_dofs,
                                            [sub.weight for sub in self.subs])
+        self.workers = min(workers, len(self.subs))
+        self._owners: _Owners | None = None
+        self._held: list[LocalSolveState] = []  # this process's share
+        self._evaluations = 0
+
+    def close(self) -> None:
+        """Stop the other owner processes and release the local operators
+        this process holds."""
+        self._held = []
+        if self._owners is not None:
+            self._owners.stop()
+            self._owners = None
+
+    def __enter__(self) -> "SchwarzOperator":
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     # -- corrections -------------------------------------------------------
 
@@ -305,9 +433,10 @@ class SchwarzOperator:
         else:
             A = A_v0 if A_v0 is not None else self._local_tangent(sub, v0)
         return LocalSolveState(correction=u[sub.dofs_ov] - v[:n],
-                               coupling=_trailing_columns(A, n),
                                iterations=its, converged=converged,
-                               block=_leading_columns(A, n))
+                               tangent=factorize(_leading_columns(A, n),
+                                                 fast=True),
+                               coupling=_trailing_columns(A, n))
 
     def coarse_correction(self, u: np.ndarray,
                           F: np.ndarray | None = None) -> CoarseSolveState:
@@ -334,26 +463,82 @@ class SchwarzOperator:
                                 coupling=R0DF, iterations=its,
                                 converged=converged)
 
+    # -- owners ------------------------------------------------------------
+
+    def _block(self, i: int) -> slice:
+        """Subdomain i's block of the stacked per-subdomain arrays."""
+        bounds = self._local_solves.bounds
+        return slice(bounds[i], bounds[i + 1])
+
+    def _run_share(self, command: str, share: list[SubdomainData],
+                   vector: np.ndarray, blocks: np.ndarray):
+        """Run `command` on the subdomains of `share`, writing each one's
+        result into its block of `blocks`: "evaluate", the local
+        corrections at the state `vector`, whose states this process then
+        holds; or "apply", the local solves of the tangent applied to
+        `vector`.  Returns the (iterations, converged) of each subdomain it
+        evaluated and the first failure as (subdomain index, exception), or
+        None."""
+        done = []
+        try:
+            if command == "evaluate":
+                self._held = []
+                for sub in share:
+                    st = self.local_correction(sub, vector)
+                    self._held.append(st)
+                    blocks[self._block(sub.index)] = st.correction
+                    done.append((st.iterations, st.converged))
+            else:
+                for sub, st in zip(share, self._held):
+                    blocks[self._block(sub.index)] = st.tangent.solve(
+                        st.coupling @ vector[sub.ghosts])
+        except Exception as exc:  # handed to the caller, which raises it
+            return done, (sub.index, exc)
+        return done, None
+
+    def _command(self, command: str, vector: np.ndarray):
+        """Run `command` on every owner, the caller's share here, and
+        return the owners' lists of (iterations, converged), in owner order,
+        and the blocks.  Every owner's reply is read before the failure of
+        the lowest-numbered subdomain, if any, is raised, so that the bits
+        and the failure do not depend on `workers`."""
+        if self.workers > 1 and self._owners is None:
+            self._owners = _Owners(self)
+        owners = self._owners
+        if owners is None:
+            blocks = np.empty(self._local_solves.index.size)
+        else:
+            blocks = owners.blocks
+            owners.send(command, vector)
+        replies = [self._run_share(command, self.subs[::self.workers], vector,
+                                   blocks)]
+        if owners is not None:
+            replies += owners.replies()
+        failures = [failure for _, failure in replies if failure is not None]
+        if failures:
+            raise min(failures, key=lambda failure: failure[0])[1]
+        return [done for done, _ in replies], blocks
+
     # -- preconditioned residual -------------------------------------------
 
     def _run_locals(self, u: np.ndarray) -> list[LocalSolveState]:
-        """Local corrections at u on `workers` threads.  Each kept block A_i
-        is factorized here, on the calling thread, as its correction
-        arrives, and then dropped."""
-        def kept(st):
-            st.tangent = factorize(st.block, fast=True)
-            st.block = None
-            return st
-
-        if self.workers > 1:
-            with ThreadPoolExecutor(max_workers=self.workers) as pool:
-                states = pool.map(lambda s: self.local_correction(s, u), self.subs)
-                return [kept(st) for st in states]
-        return [kept(self.local_correction(s, u)) for s in self.subs]
+        """Local corrections at u, each in the process that owns its
+        subdomain.  The states of the caller's share hold its operators;
+        the others hold only the correction and the counts."""
+        done, blocks = self._command("evaluate", u)
+        states = [None] * len(self.subs)
+        states[::self.workers] = self._held
+        for k in range(1, self.workers):
+            for sub, (its, converged) in zip(self.subs[k::self.workers], done[k]):
+                states[sub.index] = LocalSolveState(
+                    blocks[self._block(sub.index)].copy(), its, converged)
+        return states
 
     def evaluate(self, u: np.ndarray, F: np.ndarray | None = None) -> Evaluation:
         """F_X(u) and its tangent's operators; `F` is F(u) if the caller has
-        it, for the coarse correction to start from."""
+        it, for the coarse correction to start from.  It supersedes every
+        earlier evaluation, whose tangent can no longer be applied."""
+        self._evaluations += 1
         t_coarse = 0.0
         coarse_state = None
         w = u
@@ -383,6 +568,7 @@ class SchwarzOperator:
             coarse_state=coarse_state,
             inner_iterations=float(np.mean([st.iterations for st in locals_])),
             coarse_iterations=cits, all_converged=ok,
+            stamp=self._evaluations,
             timings={"inner": t_inner, "coarse": t_coarse})
 
     # -- tangent -----------------------------------------------------------
@@ -391,18 +577,19 @@ class SchwarzOperator:
         cs = ev.coarse_state
         return self.P0 @ sla.lu_solve(cs.tangent, cs.coupling @ x)
 
-    def _apply_locals(self, ev: Evaluation, x: np.ndarray) -> np.ndarray:
-        states = ev.local_states
-        return self._local_solves.apply(
-            [st.tangent for st in states],
-            [st.coupling @ x[sub.ghosts] for sub, st in zip(self.subs, states)],
-            x)
+    def _apply_locals(self, x: np.ndarray) -> np.ndarray:
+        _, blocks = self._command("apply", x)
+        return self._local_solves.combine(blocks, x)
 
     def apply_tangent(self, ev: Evaluation, x: np.ndarray) -> np.ndarray:
-        """D F_X(u) x using the operators stored in the evaluation."""
+        """D F_X(u) x using the operators of the evaluation, which must be
+        the latest; the owners hold only its local operators."""
+        if ev.stamp != self._evaluations:
+            raise RuntimeError("the evaluation was superseded by a later "
+                               "evaluate; its tangent is gone")
         if self.variant in ("aspen", "raspen"):
-            return self._apply_locals(ev, x)
+            return self._apply_locals(x)
         if self.variant == "additive":
-            return self._apply_q0(ev, x) + self._apply_locals(ev, x)
+            return self._apply_q0(ev, x) + self._apply_locals(x)
         q0x = self._apply_q0(ev, x)
-        return self._apply_locals(ev, x - q0x) + q0x
+        return self._apply_locals(x - q0x) + q0x

@@ -38,15 +38,17 @@ class SingularMatrixError(RuntimeError):
 class Factorization:
     """Reusable sparse LU of a square matrix (SuperLU with partial pivoting).
 
-    Release a factorization on the thread that built it.  SciPy's SuperLU
+    Build, use and release a factorization on one thread of one process;
+    the nonlinear Schwarz solver does all three in the process that owns
+    the subdomain, which has one thread.  SciPy's SuperLU
     wrapper (SciPy 1.17.1) frees a factor's memory only on the thread that
     built it; dropped on another thread, the memory is never returned.  The
     16 subdomain blocks of the 4x4, H/h=10 cavity, factorized on a 2-thread
     pool and dropped on the main thread, raised the RSS by 17-18 MB per
     round; factorized and dropped on the workers, they left it flat at
-    79 MB.  SuperLU also holds the GIL while it factorizes and solves: the
-    16 factorizations took 112-141 ms serially and 118-149 ms on 2 threads
-    (2 cores), so threads do not speed those two up.
+    79 MB.  SuperLU also holds the GIL while it factorizes and solves, so
+    the local solves of different subdomains run in parallel only in
+    different processes (`schwarz.SchwarzOperator`).
 
     Never read a factor's `L` or `U`.  On the first read of either, SciPy's
     SuperLU object builds CSC copies of both and keeps them for the factor's
@@ -68,8 +70,8 @@ def factorize(A: sp.spmatrix, fast: bool = False) -> Factorization:
     cost on the near-symmetric subdomain blocks; accuracy stays far below
     the nonlinear solver tolerances.  An exactly-zero pivot, numerical or
     structural, raises `SingularMatrixError` through SuperLU's own flag.
-    The result must be released on the calling thread (see
-    `Factorization`)."""
+    The result must be released on the calling thread, in the calling
+    process (see `Factorization`)."""
     if A.shape[0] != A.shape[1]:
         raise ValueError(f"matrix is not square: {A.shape}")
     kwargs = (dict(permc_spec="MMD_AT_PLUS_A",
@@ -88,10 +90,11 @@ class StackedSolves:
         out = sum_i w_i P_i (A_i^{-1} b_i + s_i),
 
     with P_i the extension by zero from d_i, w_i given weights (1 if None)
-    and s_i = x[d_i] for an optional `x`.  Both solvers' local solves apply
-    this.  `restrict` gathers x on every d_i at once, `apply` writes the
-    block solves into one buffer and scatters the weighted results with one
-    `bincount`, which adds them in block order, as a loop of
+    and s_i = x[d_i] for an optional `x` of `combine`.  Both solvers' local
+    solves apply this.  `restrict` gathers x on every d_i at once, `apply`
+    writes the block solves into one buffer, whose block i is
+    `bounds[i]:bounds[i+1]`, and `combine` scatters the weighted results
+    with one `bincount`, which adds them in block order, as a loop of
     ``out[d_i] += w_i y_i`` would."""
 
     def __init__(self, blocks: list[np.ndarray], n: int,
@@ -106,13 +109,18 @@ class StackedSolves:
         xs = x[self.index]
         return [xs[a:b] for a, b in zip(self.bounds[:-1], self.bounds[1:])]
 
-    def apply(self, factors: list[Factorization], rhs, x: np.ndarray | None = None
-              ) -> np.ndarray:
-        """The sum above for the factors of A_i and right-hand sides b_i,
-        block by block."""
+    def apply(self, factors: list[Factorization], rhs) -> np.ndarray:
+        """The sum above, without s_i, for the factors of A_i and right-hand
+        sides b_i, block by block."""
         y = np.empty(self.index.size)
         for lu, b, lo, hi in zip(factors, rhs, self.bounds[:-1], self.bounds[1:]):
             y[lo:hi] = lu.solve(b)
+        return self.combine(y)
+
+    def combine(self, y: np.ndarray, x: np.ndarray | None = None
+                ) -> np.ndarray:
+        """The sum above for the block solves y_i = A_i^{-1} b_i, stacked in
+        `y`, which it overwrites."""
         if x is not None:
             y += x[self.index]
         if self.weight is not None:

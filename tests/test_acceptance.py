@@ -3,8 +3,9 @@
 Each test prints a single PASS/FAIL line.  Criteria 1-8 are property-based
 and fast.  Criteria 9-13, which are to reproduce published solver behavior
 at desk scale under the ``slow`` marker (weak scaling, the coarse spaces on
-the beam, an Re sweep against NKS, exact against ASPIN tangent, threaded
-against serial runs), are not written yet; ROADMAP item 5 keeps them open.
+the beam, an Re sweep against NKS, exact against ASPIN tangent, runs on
+several owner processes against serial runs), are not written yet; ROADMAP
+item 5 keeps them open.
 """
 
 import time
@@ -189,21 +190,25 @@ def test_criterion_5_tangent_fd_consistency():
     worst = 0.0
     for variant in ("aspen", "raspen", "additive", "hybrid"):
         p0 = P0 if variant in ("additive", "hybrid") else None
-        op = SchwarzOperator(prob, m, dm, dec, variant=variant, P0=p0,
-                             inner=TIGHT, coarse=TIGHT)
-        for state in range(5):
-            u = base + 0.2 * rng.standard_normal(dm.n_dofs)
-            u[dm.dirichlet_mask] = base[dm.dirichlet_mask]
-            ev = op.evaluate(u)
-            for direction in range(3):
-                d = rng.standard_normal(dm.n_dofs)
-                d[dm.dirichlet_mask] = 0.0
+        with SchwarzOperator(prob, m, dm, dec, variant=variant, P0=p0,
+                             inner=TIGHT, coarse=TIGHT) as op:
+            for state in range(5):
+                u = base + 0.2 * rng.standard_normal(dm.n_dofs)
+                u[dm.dirichlet_mask] = base[dm.dirichlet_mask]
+                ev = op.evaluate(u)
+                ds = []
+                for direction in range(3):
+                    d = rng.standard_normal(dm.n_dofs)
+                    d[dm.dirichlet_mask] = 0.0
+                    ds.append(d)
+                # before the FD evaluations supersede ev
+                aps = [op.apply_tangent(ev, d) for d in ds]
                 eps = 1e-6
-                fd = (op.evaluate(u + eps * d).residual
-                      - op.evaluate(u - eps * d).residual) / (2 * eps)
-                ap = op.apply_tangent(ev, d)
-                err = np.linalg.norm(ap - fd) / np.linalg.norm(fd)
-                worst = max(worst, err)
+                for d, ap in zip(ds, aps):
+                    fd = (op.evaluate(u + eps * d).residual
+                          - op.evaluate(u - eps * d).residual) / (2 * eps)
+                    err = np.linalg.norm(ap - fd) / np.linalg.norm(fd)
+                    worst = max(worst, err)
     ok = worst < 1e-5
     report(5, "tangent consistency (FD oracle, all variants)", ok,
            f"max rel err = {worst:.2e}")
@@ -267,22 +272,23 @@ def test_criterion_8_linear_degeneration():
     A = asm.assemble_tangent(prob, m, dm, np.zeros(dm.n_dofs)).toarray()
     worst = 0.0
     for variant in ("aspen", "raspen"):
-        op = SchwarzOperator(prob, m, dm, dec, variant=variant, inner=TIGHT)
-        u = asm.initial_iterate(prob, dm)
-        ev = op.evaluate(u)
-        M = np.zeros_like(A)
-        for sub in op.subs:
-            d = sub.dofs_ov
-            w = np.ones(d.size) if variant == "aspen" \
-                else op.pou_weight[d]
-            Ai = np.linalg.inv(A[np.ix_(d, d)])
-            M[d] += (w[:, None] * Ai) @ A[d]
-        rng = np.random.default_rng(5)
-        for _ in range(5):
-            x = rng.standard_normal(dm.n_dofs)
-            err = (np.linalg.norm(op.apply_tangent(ev, x) - M @ x)
-                   / np.linalg.norm(M @ x))
-            worst = max(worst, err)
+        with SchwarzOperator(prob, m, dm, dec, variant=variant,
+                             inner=TIGHT) as op:
+            u = asm.initial_iterate(prob, dm)
+            ev = op.evaluate(u)
+            M = np.zeros_like(A)
+            for sub in op.subs:
+                d = sub.dofs_ov
+                w = np.ones(d.size) if variant == "aspen" \
+                    else op.pou_weight[d]
+                Ai = np.linalg.inv(A[np.ix_(d, d)])
+                M[d] += (w[:, None] * Ai) @ A[d]
+            rng = np.random.default_rng(5)
+            for _ in range(5):
+                x = rng.standard_normal(dm.n_dofs)
+                err = (np.linalg.norm(op.apply_tangent(ev, x) - M @ x)
+                       / np.linalg.norm(M @ x))
+                worst = max(worst, err)
     ok = worst < 1e-10
     report(8, "linear-problem degeneration to linear Schwarz", ok,
            f"max rel err = {worst:.2e}")

@@ -1,5 +1,7 @@
 """Outer Newton driver tests for nonlinear Schwarz and NKS."""
 
+import multiprocessing
+
 import numpy as np
 import pytest
 import scipy.linalg as sla
@@ -9,7 +11,7 @@ from nlschwarz import assembly as asm
 from nlschwarz import cli
 from nlschwarz import coarse as crs
 from nlschwarz import mesh as msh
-from nlschwarz import outer
+from nlschwarz import outer, schwarz
 from nlschwarz.outer import (GmresParams, SolverConfig, beam_config,
                              solve_nks, solve_nonlinear_schwarz)
 from nlschwarz.schwarz import NewtonParams
@@ -209,6 +211,16 @@ def nan_global_residual(monkeypatch, after: int):
     monkeypatch.setattr(asm, "assemble_residual", patched)
 
 
+def nan_local_residual(monkeypatch):
+    """Make every subdomain residual NaN."""
+    original = asm.assemble_residual
+
+    def patched(*args, **kwargs):
+        r = original(*args, **kwargs)
+        return r if kwargs.get("subset") is None else r * np.nan
+    monkeypatch.setattr(asm, "assemble_residual", patched)
+
+
 SOLVERS = {"raspen": solve_nonlinear_schwarz, "nks": solve_nks}
 
 
@@ -259,12 +271,7 @@ class TestFailuresRecorded:
         assert np.array_equal(u, u0)
 
     def test_nan_local_residual(self, monkeypatch):
-        original = asm.assemble_residual
-
-        def patched(*args, **kwargs):
-            r = original(*args, **kwargs)
-            return r if kwargs.get("subset") is None else r * np.nan
-        monkeypatch.setattr(asm, "assemble_residual", patched)
+        nan_local_residual(monkeypatch)
         u, rep, u0 = self.solve("raspen")
         assert not rep.converged
         assert rep.reason.startswith("linearization failed")
@@ -327,6 +334,52 @@ class TestFailuresRecorded:
         assert rep.outer_iterations > 0
         assert not any(st.corrections_converged for st in rep.steps)
         assert all(st.gmres_converged for st in rep.steps)
+
+
+class TestOwnerProcesses:
+    """A solve stops the subdomain owner processes it started, whether it
+    converges or fails, and its bits do not depend on their number."""
+
+    @staticmethod
+    def started(monkeypatch):
+        """The `_Owners` that operators start from now on."""
+        started = []
+
+        class Recorded(schwarz._Owners):
+            def __init__(self, op):
+                super().__init__(op)
+                started.append(self)
+        monkeypatch.setattr(schwarz, "_Owners", Recorded)
+        return started
+
+    def solve(self, workers, monkeypatch):
+        monkeypatch.setenv("NLSCHWARZ_WORKERS", str(workers))
+        prob, m, dm, dec = diffusion_case()
+        return solve_nonlinear_schwarz(prob, m, dm, dec,
+                                       SolverConfig(variant="hybrid"),
+                                       P0=coarse_space(prob, m, dm, dec))
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_converged_solve(self, workers, monkeypatch):
+        u1, rep1 = self.solve(1, monkeypatch)
+        started = self.started(monkeypatch)
+        u, rep = self.solve(workers, monkeypatch)
+        assert rep.converged
+        np.testing.assert_array_equal(u, u1)
+        assert [len(owners.procs) for owners in started] == [workers - 1]
+        assert not any(proc.is_alive() for proc in started[0].procs)
+        assert multiprocessing.active_children() == []
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_failed_solve(self, workers, monkeypatch):
+        nan_local_residual(monkeypatch)
+        started = self.started(monkeypatch)
+        u, rep = self.solve(workers, monkeypatch)
+        assert rep.reason.startswith("linearization failed")
+        assert "local correction on subdomain 0" in rep.reason
+        assert [len(owners.procs) for owners in started] == [workers - 1]
+        assert not any(proc.is_alive() for proc in started[0].procs)
+        assert multiprocessing.active_children() == []
 
 
 class TestBeamLoad:

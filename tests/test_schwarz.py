@@ -1,9 +1,14 @@
 """SchwarzOperator tests: corrections, variants, tangent consistency."""
 
+import itertools
+import os
+import signal
+import subprocess
 import sys
-import threading
+import time
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -253,8 +258,8 @@ class TestTangent:
         ev = op.evaluate(u)
         d = rng.standard_normal(dm.n_dofs)
         d[dm.dirichlet_mask] = 0.0
+        ap = op.apply_tangent(ev, d)  # before the FD evaluations supersede ev
         fd = self.fd_directional(op, u, d, 1e-6)
-        ap = op.apply_tangent(ev, d)
         err = np.linalg.norm(ap - fd) / np.linalg.norm(fd)
         assert err < 1e-5, err
 
@@ -309,7 +314,8 @@ class TestTangent:
         prob, m, dm, dec = setup_problem("ldc", nx=8, px=2, Re=100.0)
         P0 = (coarse_space(prob, m, dm, dec)
               if variant in ("additive", "hybrid") else None)
-        op = SchwarzOperator(prob, m, dm, dec, variant=variant, P0=P0)
+        op = SchwarzOperator(prob, m, dm, dec, variant=variant, P0=P0,
+                             workers=1)
         rng = np.random.default_rng(11)
         u = asm.initial_iterate(prob, dm)
         u = np.where(dm.dirichlet_mask, u,
@@ -321,7 +327,7 @@ class TestTangent:
             for sub, st in zip(op.subs, ev.local_states):
                 y = x[sub.dofs_ov] + st.tangent.solve(st.coupling @ x[sub.ghosts])
                 expect[sub.dofs_ov] += sub.weight * y
-            np.testing.assert_array_equal(op._apply_locals(ev, x), expect)
+            np.testing.assert_array_equal(op._apply_locals(x), expect)
 
     def test_aspin_mode_differs_from_exact(self):
         prob, m, dm, dec = setup_problem("diffusion", nx=8, px=2)
@@ -338,52 +344,184 @@ class TestTangent:
         assert not np.allclose(outs["exact"], outs["aspin"])
 
 
+def perturbed_cavity():
+    """The 2x2 cavity at Re 100 on an 8x8 mesh, its coarse space, a
+    perturbed state and a direction."""
+    prob, m, dm, dec = setup_problem("ldc", nx=8, px=2, Re=100.0)
+    P0 = coarse_space(prob, m, dm, dec)
+    rng = np.random.default_rng(13)
+    u = asm.initial_iterate(prob, dm)
+    u = np.where(dm.dirichlet_mask, u,
+                 u + 0.05 * rng.standard_normal(dm.n_dofs))
+    x = np.where(dm.dirichlet_mask, 0.0, rng.standard_normal(dm.n_dofs))
+    return (prob, m, dm, dec), P0, u, x
+
+
+def is_running(pid):
+    """Whether process `pid` exists and is not a zombie."""
+    try:
+        with open(f"/proc/{pid}/stat") as f:
+            return f.read().rsplit(")", 1)[1].split()[0] not in "ZX"
+    except FileNotFoundError:
+        return False
+
+
+# a caller that starts its owner processes, prints their pids and waits
+CALLER = """
+import sys, time
+from nlschwarz import assembly as asm, mesh as msh
+from nlschwarz.schwarz import SchwarzOperator
+prob = asm.diffusion_problem()
+m = msh.build_structured_mesh(8, 8, problem_kind="diffusion")
+dm = asm.build_dofmap(prob, m)
+dec = msh.partition_structured(m, 2, 2)
+msh.extend_overlap(dec, msh.dual_graph(m), 2)
+msh.ghost_layer(dec, msh.nodal_graph(m), mesh=m)
+op = SchwarzOperator(prob, m, dm, dec, variant="raspen",
+                     workers=int(sys.argv[1]))
+op.evaluate(asm.initial_iterate(prob, dm))
+print(*(proc.pid for proc in op._owners.procs), flush=True)
+time.sleep(60)
+"""
+
+
 class TestWorkers:
-    def test_threaded_matches_serial(self):
+    def test_owner_processes_match_serial(self):
+        """1, 2 and 3 owner processes give the same bits, in every variant
+        and tangent mode."""
         prob, m, dm, dec = setup_problem("diffusion", nx=8, px=2)
         u = asm.initial_iterate(prob, dm)
         ev1 = SchwarzOperator(prob, m, dm, dec, variant="raspen",
                               inner=TIGHT, workers=1).evaluate(u)
-        ev2 = SchwarzOperator(prob, m, dm, dec, variant="raspen",
-                              inner=TIGHT, workers=4).evaluate(u)
-        np.testing.assert_allclose(ev1.residual, ev2.residual, atol=1e-15)
+        with SchwarzOperator(prob, m, dm, dec, variant="raspen",
+                             inner=TIGHT, workers=4) as op:
+            np.testing.assert_array_equal(op.evaluate(u).residual,
+                                          ev1.residual)
 
-        # two-level cavity: the worker threads share the assembly plans, so
-        # switch threads often to expose any write to shared plan data
-        prob, m, dm, dec = setup_problem("ldc", nx=8, px=2, Re=100.0)
-        P0 = coarse_space(prob, m, dm, dec)
-        u = asm.initial_iterate(prob, dm)
-        interval = sys.getswitchinterval()
-        sys.setswitchinterval(1e-6)
-        try:
-            evs = [SchwarzOperator(prob, m, dm, dec, variant="hybrid", P0=P0,
-                                   workers=w).evaluate(u) for w in (1, 4)]
-        finally:
-            sys.setswitchinterval(interval)
-        np.testing.assert_array_equal(evs[0].residual, evs[1].residual)
+        case, P0, u, x = perturbed_cavity()
+        for variant in VARIANTS:
+            for mode in ("exact", "aspin"):
+                out = []
+                for workers in (1, 2, 3):
+                    with SchwarzOperator(*case, variant=variant, P0=P0,
+                                         tangent_mode=mode,
+                                         workers=workers) as op:
+                        ev = op.evaluate(u)
+                        out.append((ev.residual, op.apply_tangent(ev, x),
+                                    [st.iterations for st in ev.local_states]))
+                for residual, applied, its in out[1:]:
+                    np.testing.assert_array_equal(residual, out[0][0])
+                    np.testing.assert_array_equal(applied, out[0][1])
+                    assert its == out[0][2]
 
-    def test_kept_factors_built_on_calling_thread(self, monkeypatch):
+    def test_factors_built_and_released_in_one_process(self, monkeypatch,
+                                                        tmp_path):
         """SciPy's SuperLU frees a factor's memory only on the thread that
-        built it, so every factor the evaluation keeps must come from the
-        thread that calls `evaluate`, which later drops it."""
-        prob, m, dm, dec = setup_problem("ldc", nx=8, px=2, Re=100.0)
-        P0 = coarse_space(prob, m, dm, dec)
-        u = asm.initial_iterate(prob, dm)
-        built_on = weakref.WeakKeyDictionary()
-        factoring_threads = set()
+        built it, so every factor must be built and released in one
+        process: the owner of its subdomain, which has one thread.  The
+        patch is installed before the fork, and the owners log to a file."""
+        log = tmp_path / "factors"
+        counter = itertools.count()
+
+        def record(event, key):
+            with open(log, "a") as f:
+                f.write(f"{event} {key} {os.getpid()}\n")
 
         def recorded(*args, _factorize=schwarz.factorize, **kwargs):
             lu = _factorize(*args, **kwargs)
-            built_on[lu] = threading.get_ident()
-            factoring_threads.add(threading.get_ident())
+            key = f"{os.getpid()}-{next(counter)}"
+            record("built", key)
+            weakref.finalize(lu, record, "released", key)
             return lu
         monkeypatch.setattr(schwarz, "factorize", recorded)
-        ev = SchwarzOperator(prob, m, dm, dec, variant="hybrid", P0=P0,
-                             workers=4).evaluate(u)
-        kept = {built_on[st.tangent] for st in ev.local_states}
-        assert kept == {threading.get_ident()}
-        # the Newton-direction factors are built, and dropped, by the workers
-        assert factoring_threads - kept
+        case, P0, u, x = perturbed_cavity()
+        with SchwarzOperator(*case, variant="hybrid", P0=P0, workers=3) as op:
+            for state in (u, 0.5 * u):
+                ev = op.evaluate(state)
+                op.apply_tangent(ev, x)
+            owners = {proc.pid for proc in op._owners.procs}
+        del ev
+        pid = {"built": {}, "released": {}}
+        for line in log.read_text().splitlines():
+            event, key, in_pid = line.split()
+            pid[event][key] = int(in_pid)
+        assert pid["released"] == pid["built"]
+        assert set(pid["built"].values()) == owners | {os.getpid()}
+
+    def test_stale_evaluation_rejected(self):
+        case, P0, u, x = perturbed_cavity()
+        for workers in (1, 2):
+            with SchwarzOperator(*case, variant="hybrid", P0=P0,
+                                 workers=workers) as op:
+                old = op.evaluate(u)
+                new = op.evaluate(0.5 * u)
+                with pytest.raises(RuntimeError, match="superseded"):
+                    op.apply_tangent(old, x)
+                assert np.all(np.isfinite(op.apply_tangent(new, x)))
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_call_after_a_raising_call(self, workers, monkeypatch):
+        """The caller's share raises at once, while the owners still work;
+        their replies must not be read as replies to the next command."""
+        case, P0, u, x = perturbed_cavity()
+        xs = [x * (1.0 + 0.1 * j) for j in range(5)]
+        with SchwarzOperator(*case, variant="hybrid", P0=P0, workers=1) as op:
+            ev = op.evaluate(u)
+            expect = [ev.residual] + [op.apply_tangent(ev, x) for x in xs]
+        caller, failed = os.getpid(), []
+        original = SchwarzOperator.local_correction
+
+        def first_fails(self, sub, v):
+            if os.getpid() == caller and not failed:
+                failed.append(sub.index)
+                raise NonPhysicalStateError("injected")
+            return original(self, sub, v)
+        monkeypatch.setattr(SchwarzOperator, "local_correction", first_fails)
+        with SchwarzOperator(*case, variant="hybrid", P0=P0,
+                             workers=workers) as op:
+            with pytest.raises(NonPhysicalStateError, match="injected"):
+                op.evaluate(0.5 * u)
+            ev = op.evaluate(u)
+            got = [ev.residual] + [op.apply_tangent(ev, x) for x in xs]
+            for a, b in zip(got, expect):
+                np.testing.assert_array_equal(a, b)
+
+    @staticmethod
+    def gone_within(pids, seconds):
+        deadline = time.monotonic() + seconds
+        while any(map(is_running, pids)) and time.monotonic() < deadline:
+            time.sleep(0.05)
+        return not any(map(is_running, pids))
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_owners_exit_when_the_caller_is_killed(self, workers):
+        """Each owner sees the caller exit by itself: with 3 workers, the
+        last owner is stopped while the caller is killed, and the first
+        must still exit."""
+        src = Path(schwarz.__file__).resolve().parents[1]
+        env = dict(os.environ, PYTHONPATH=str(src))
+        caller = subprocess.Popen([sys.executable, "-c", CALLER, str(workers)],
+                                  stdout=subprocess.PIPE, text=True, env=env)
+        pids = []
+        try:
+            pids = [int(pid) for pid in caller.stdout.readline().split()]
+            assert len(pids) == workers - 1
+            assert all(is_running(pid) for pid in pids)
+            stopped = pids[1:]
+            for pid in stopped:
+                os.kill(pid, signal.SIGSTOP)
+            caller.send_signal(signal.SIGKILL)
+            caller.wait(timeout=10)
+            assert self.gone_within(pids[:1], 5)
+            for pid in stopped:
+                os.kill(pid, signal.SIGCONT)
+            assert self.gone_within(stopped, 5)
+        finally:
+            caller.kill()
+            caller.wait(timeout=10)
+            caller.stdout.close()
+            for pid in filter(is_running, pids):
+                os.kill(pid, signal.SIGKILL)
 
 
 class TestHeldMemory:
@@ -396,7 +534,8 @@ class TestHeldMemory:
         keeps R0 DF, not DF."""
         prob, m, dm, dec = setup_problem("ldc", nx=12, px=2, Re=100.0)
         P0 = coarse_space(prob, m, dm, dec)
-        op = SchwarzOperator(prob, m, dm, dec, variant="hybrid", P0=P0)
+        op = SchwarzOperator(prob, m, dm, dec, variant="hybrid", P0=P0,
+                             workers=1)
         u = asm.initial_iterate(prob, dm)
         tracemalloc.start()
         try:
@@ -415,7 +554,6 @@ class TestHeldMemory:
                 sub.ghosts, np.setdiff1d(sub.plan.dofs, sub.dofs_ov))
             assert st.coupling.shape == (sub.dofs_ov.size,
                                          sub.plan.n - sub.dofs_ov.size)
-            assert st.block is None
         assert cs.coupling.shape == (P0.shape[1], dm.n_dofs)
         arrays = ([st.correction for st in ev.local_states]
                   + [st.coupling for st in ev.local_states]

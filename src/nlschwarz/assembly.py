@@ -693,9 +693,12 @@ def assemble_residual(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap, u,
 
 
 def assemble_tangent(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap, u,
-                     subset=None, plan: AssemblyPlan | None = None):
+                     subset=None, plan: AssemblyPlan | None = None,
+                     values: np.ndarray | None = None):
     """The tangent rows of the plan's `rows` on all of its columns: a CSC
-    matrix for a subset, a CSR matrix for the full mesh."""
+    matrix for a subset, a CSR matrix for the full mesh.  `values`, if
+    given, receives the plan.nnz values on the plan's pattern, the exact
+    zeros that the matrix drops included."""
     plan = _plan_for(problem, mesh, dofmap, subset, plan)
     ul = plan.local_state(u)
     data = np.zeros(plan.nnz + 1)        # the last slot collects dropped entries
@@ -710,6 +713,8 @@ def assemble_tangent(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap, u,
     elif plan.stokes is not None:           # the full mesh: on the pattern
         data[:-1] += plan.stokes.data
     data[plan.diagonal] = 1.0
+    if values is not None:
+        values[:] = data[:-1]
     layout = sp.csr_matrix if plan.is_global else sp.csc_matrix
     A = layout((data[:-1], plan.indices.copy(), plan.indptr.copy()),
                shape=(plan.n_rows, plan.n))

@@ -37,9 +37,10 @@ Flag overrides: --problem --re --fy --subdomains PXxPY --hh --overlap
 subdomains is read from the environment variable NLSCHWARZ_WORKERS (default
 1); a value that is not a positive integer ends `run` with exit code 2.  The
 workers are processes, and the calling process is one of them: with W
-workers, a nonlinear Schwarz solve forks W - 1 processes, and each of the W
-runs the local Newton solves, factorizations and tangent solves of its
-share of the subdomains.  NKS runs in the calling process alone.
+workers, a solve forks W - 1 processes, and each of the W runs the local
+work of its share of the subdomains: the local Newton solves,
+factorizations and tangent solves of nonlinear Schwarz, or the
+factorizations and solves of the NKS preconditioner's blocks.
 """
 
 from __future__ import annotations

@@ -10,6 +10,10 @@ preconditioned norm is recorded alongside.
 The NKS baseline is Newton on F(u) with GMRES left-preconditioned by a linear
 additive two-level Schwarz operator built from the same subdomains and coarse
 space, refreshed at every Newton step.
+
+Both solvers run their local work on the processes that own the subdomains
+(`owners.OwnerPool`, NLSCHWARZ_WORKERS of them, the caller included), which
+they stop when the solve returns or raises.
 """
 
 from __future__ import annotations
@@ -20,12 +24,14 @@ from typing import Callable
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from . import assembly as asm
 from .assembly import DofMap, NonPhysicalStateError, ProblemSpec
 from .mesh import Decomposition, Mesh
+from .owners import OwnerPool
 from .schwarz import (NewtonParams, SchwarzOperator, backtracking_step,
-                      coarse_lu)
+                      coarse_lu, workers_from_env)
 from .sparse import SingularMatrixError, StackedSolves, factorize, gmres
 
 
@@ -232,6 +238,84 @@ def solve_nonlinear_schwarz(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
         return _newton(problem, mesh, dofmap, cfg, u0, linearize, t_start)
 
 
+def _block_gathers(plan: asm.AssemblyPlan, blocks: list[np.ndarray]) -> list:
+    """Where each block R_i DF P_i, on the rows and columns d_i of
+    `blocks`, lies among the values of a tangent on the full-mesh `plan`'s
+    pattern: per block, the pattern slot of each of its entries in CSC
+    order, its row indices and its column pointers."""
+    slots = sp.csr_matrix((np.arange(1, plan.nnz + 1), plan.indices,
+                           plan.indptr), shape=(plan.n_rows, plan.n))
+    out = []
+    for d in blocks:
+        block = sp.csc_matrix(slots[d][:, d])
+        out.append((block.data - 1, block.indices, block.indptr))
+    return out
+
+
+def _gathered_block(values: np.ndarray, gather) -> sp.csc_matrix:
+    """The block of `gather` (see `_block_gathers`) out of the tangent
+    values on the plan's pattern, with its exact zeros dropped: the arrays
+    of ``sp.csc_matrix(DF[d][:, d])`` for the DF that `assemble_tangent`
+    returns."""
+    slots, indices, indptr = gather
+    n = indptr.size - 1
+    # eliminate_zeros rewrites the index arrays it is handed, so it gets
+    # copies of the gather's
+    A = sp.csc_matrix((values[slots], indices.copy(), indptr.copy()),
+                      shape=(n, n))
+    A.eliminate_zeros()
+    return A
+
+
+class _LocalBlocks:
+    """The local blocks A_i = R_i DF P_i of the NKS preconditioner, as the
+    share function of an `OwnerPool` (see `owners`).
+
+    The pool's shared mapping holds DF's values on the full-mesh plan's
+    pattern, the vector of an apply and the stacked block solves
+    (`views`).  On "factorize", each process gathers its own blocks out of
+    DF's values, through gathers it builds at its first factorization, and
+    factorizes them; on "apply", it solves them."""
+
+    def __init__(self, plan: asm.AssemblyPlan, sub_dofs: list[np.ndarray],
+                 workers: int):
+        self.plan = plan
+        self.sub_dofs = sub_dofs
+        self.workers = min(workers, len(sub_dofs))
+        self.stacked = StackedSolves(sub_dofs, plan.n)
+        self.size = plan.nnz + plan.n + self.stacked.index.size
+        self.gathers = None   # this process's share's
+        self.factors = []     # this process's share's
+
+    def views(self, shared: np.ndarray):
+        """The DF values, the vector and the block solves in `shared`."""
+        nnz, n = self.plan.nnz, self.plan.n
+        return shared[:nnz], shared[nnz:nnz + n], shared[nnz + n:]
+
+    def __call__(self, k: int, command: str | None, shared: np.ndarray):
+        values, vector, solves = self.views(shared)
+        share = range(k, len(self.sub_dofs), self.workers)
+        i = k
+        try:
+            if command == "factorize":
+                self.factors = []
+                if self.gathers is None:
+                    self.gathers = _block_gathers(
+                        self.plan, self.sub_dofs[k::self.workers])
+                for i, gather in zip(share, self.gathers):
+                    self.factors.append(
+                        factorize(_gathered_block(values, gather), fast=True))
+            elif command == "apply":
+                for i, lu in zip(share, self.factors):
+                    solves[self.stacked.block(i)] = lu.solve(
+                        vector[self.sub_dofs[i]])
+            else:
+                self.factors = []
+        except Exception as exc:  # handed to the caller, which raises it
+            return None, (i, exc)
+        return None, None
+
+
 def solve_nks(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
               decomp: Decomposition, cfg: SolverConfig, P0=None,
               u0: np.ndarray | None = None) -> tuple[np.ndarray, SolveReport]:
@@ -241,29 +325,54 @@ def solve_nks(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
     every block rebuilt from the Jacobian at the current Newton iterate; the
     decomposition is expected to carry nodal-graph overlaps of half the width
     used by the nonlinear Schwarz methods.
+
+    The local blocks run on an `OwnerPool` of NLSCHWARZ_WORKERS processes,
+    which is stopped when the solve returns or raises.  Each Newton step,
+    the caller assembles DF and hands its values to the owners, which
+    gather, factorize and keep their blocks, while the caller factorizes
+    the coarse block; in each apply the caller computes the coarse term
+    while the owners solve theirs.  The caller adds the local terms in
+    subdomain order, then the coarse term, so the bits do not depend on the
+    number of processes.
     """
     t_start = time.perf_counter()
     R0 = P0.T.tocsr() if P0 is not None else None
     sub_dofs = [asm.subset_dofs(dofmap, mesh, decomp.overlap_elements[i])
                 for i in range(decomp.num_subdomains)]
-    local_solves = StackedSolves(sub_dofs, dofmap.n_dofs)
+    plan = asm.global_plan(mesh, dofmap, problem)
+    blocks = _LocalBlocks(plan, sub_dofs, workers_from_env())
 
-    def linearize(u, F):
-        t0 = time.perf_counter()
-        DF = asm.assemble_tangent(problem, mesh, dofmap, u)
-        local_lus = [factorize(DF[d][:, d], fast=True) for d in sub_dofs]
-        t_inner = time.perf_counter() - t0
-        t0 = time.perf_counter()
-        coarse = coarse_lu((R0 @ DF @ P0).toarray()) if P0 is not None else None
-        t_coarse = time.perf_counter() - t0
+    with OwnerPool(blocks.workers, blocks.size) as owners:
+        values, vector, solves = blocks.views(owners.shared)
 
-        def precond(v):
-            out = local_solves.apply(local_lus, local_solves.restrict(v))
-            if coarse is not None:
-                out += P0 @ sla.lu_solve(coarse, R0 @ v)
-            return out
+        def linearize(u, F):
+            t0 = time.perf_counter()
+            DF = asm.assemble_tangent(problem, mesh, dofmap, u, plan=plan,
+                                      values=values)
+            t_coarse = 0.0
 
-        return _Linearization(F, lambda x: DF @ x, precond,
-                              t_inner=t_inner, t_coarse=t_coarse)
+            def coarse_factor():
+                nonlocal t_coarse
+                t = time.perf_counter()
+                lu = coarse_lu((R0 @ DF @ P0).toarray())
+                t_coarse = time.perf_counter() - t
+                return lu
 
-    return _newton(problem, mesh, dofmap, cfg, u0, linearize, t_start)
+            coarse, _ = owners.run("factorize", blocks,
+                                   coarse_factor if P0 is not None else None)
+            t_inner = time.perf_counter() - t0 - t_coarse
+
+            def precond(v):
+                vector[:] = v
+                term, _ = owners.run(
+                    "apply", blocks, None if coarse is None
+                    else lambda: P0 @ sla.lu_solve(coarse, R0 @ v))
+                out = blocks.stacked.combine(solves)
+                if term is not None:
+                    out += term
+                return out
+
+            return _Linearization(F, lambda x: DF @ x, precond,
+                                  t_inner=t_inner, t_coarse=t_coarse)
+
+        return _newton(problem, mesh, dofmap, cfg, u0, linearize, t_start)

@@ -43,25 +43,19 @@ coarse level the dense LU of R_0 DF(u_0) P_0 and the sparse R_0 DF(u_0),
 so that Q_0(u_0) x = P_0 (R_0 DF(u_0) P_0)^{-1} (R_0 DF(u_0)) x.  The
 local terms of a tangent apply go through one `sparse.StackedSolves`.
 
-With W workers, each subdomain is owned by one of W processes: the caller
-owns subdomains 0, W, 2W, ..., and W - 1 processes, forked at the first
-evaluation, own the rest (`_Owners`).  An owner runs the local Newton
-solves of its subdomains, factorizes their A_i and keeps the factors and
-the C_i until the next evaluation; it also runs their solves of every
-tangent apply.  So each factor is built, used and released by the only
-thread of one process, and SuperLU, which holds the GIL, runs on W cores.
-The caller recombines the owners' results in subdomain order, so the bits
-do not depend on W.
+With W workers, each subdomain is owned by one of W processes of an
+`owners.OwnerPool`: the caller owns subdomains 0, W, 2W, ..., and W - 1
+processes, forked at the first evaluation, own the rest.  An owner runs
+the local Newton solves of its subdomains, factorizes their A_i and keeps
+the factors and the C_i until the next evaluation; it also runs their
+solves of every tangent apply.  The caller recombines the owners' results
+in subdomain order, so the bits do not depend on W.
 """
 
 from __future__ import annotations
 
-import mmap
-import multiprocessing
 import os
-import signal
 import time
-import weakref
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -71,6 +65,7 @@ import scipy.sparse as sp
 from . import assembly as asm
 from .assembly import DofMap, NonPhysicalStateError, ProblemSpec
 from .mesh import Decomposition, Mesh
+from .owners import OwnerPool
 from .sparse import Factorization, StackedSolves, factorize
 
 VARIANTS = ("aspen", "raspen", "additive", "hybrid")
@@ -230,97 +225,6 @@ class Evaluation:
     timings: dict = field(default_factory=dict)
 
 
-def _stop_owners(procs: list, conns: list) -> None:
-    """Close the caller's end of each owner's pipe, which ends the owner's
-    command loop, and reap the owners."""
-    for conn in conns:
-        conn.close()
-    for proc in procs:
-        proc.join(timeout=5)
-        if proc.is_alive():
-            proc.kill()
-            proc.join()
-
-
-class _Owners:
-    """The owner processes 1, ..., W - 1 of a `SchwarzOperator`, forked from
-    the caller, which is owner 0.
-
-    Owner k owns subdomains k, k + W, k + 2W, ....  The caller and the
-    owners share one anonymous mapping, made before the fork: `vector`, the
-    state u or the vector x that a command reads, and `blocks`, the stacked
-    per-subdomain results that the owners write (the correction T_i, or
-    A_i^{-1}(C_i x_Gamma) of a tangent apply; block i is the block of
-    `StackedSolves`).  One pipe per owner carries the commands and the
-    small replies."""
-
-    def __init__(self, op: "SchwarzOperator"):
-        n, m = op.dofmap.n_dofs, op._local_solves.index.size
-        shared = mmap.mmap(-1, 8 * (n + m))
-        self.vector = np.frombuffer(shared, np.float64, n)
-        self.blocks = np.frombuffer(shared, np.float64, m, 8 * n)
-        # fork, not spawn: the owners need the operator's assembly plans,
-        # which the fork shares copy-on-write; the caller must then run no
-        # other thread
-        ctx = multiprocessing.get_context("fork")
-        self.procs, self.conns = [], []
-        try:
-            for k in range(1, op.workers):
-                caller_end, owner_end = ctx.Pipe()
-                proc = ctx.Process(target=self._serve,
-                                   args=(op, k, owner_end, caller_end),
-                                   name=f"nlschwarz-owner-{k}", daemon=True)
-                proc.start()
-                owner_end.close()
-                self.procs.append(proc)
-                self.conns.append(caller_end)
-        except BaseException:
-            _stop_owners(self.procs, self.conns)
-            raise
-        self.stop = weakref.finalize(op, _stop_owners, self.procs, self.conns)
-
-    def _serve(self, op: "SchwarzOperator", k: int, conn, caller_end) -> None:
-        """Owner k's command loop, until the caller's end of its pipe
-        closes.  The owner first closes its copies of the caller's ends of
-        the pipes, its own and those of the owners forked before it, so that
-        each owner sees the caller exit.  It leaves interrupts to the
-        caller, which stops it through the pipe."""
-        caller_end.close()
-        for other in self.conns:
-            other.close()
-        signal.signal(signal.SIGINT, signal.SIG_IGN)
-        share = op.subs[k::op.workers]
-        try:
-            while True:
-                try:
-                    command = conn.recv()
-                except EOFError:
-                    return
-                conn.send(op._run_share(command, share, self.vector,
-                                        self.blocks))
-        finally:
-            op._held = []
-
-    def send(self, command: str, vector: np.ndarray) -> None:
-        self.vector[:] = vector
-        for conn in self.conns:
-            conn.send(command)
-
-    def replies(self) -> list:
-        """Each owner's reply to the last command, in owner order.  Reads
-        every reply before it raises `RuntimeError` for an owner that
-        exited."""
-        out, lost = [], []
-        for k, conn in enumerate(self.conns, 1):
-            try:
-                out.append(conn.recv())
-            except EOFError:
-                lost.append(k)
-        if lost:
-            raise RuntimeError(f"subdomain owner processes {lost} exited")
-        return out
-
-
 class SchwarzOperator:
     """Evaluates F_X(u) and applies D F_X(u) for one decomposition.
 
@@ -379,7 +283,10 @@ class SchwarzOperator:
                                            dofmap.n_dofs,
                                            [sub.weight for sub in self.subs])
         self.workers = min(workers, len(self.subs))
-        self._owners: _Owners | None = None
+        # the shared mapping holds the state u or the vector x that a
+        # command reads, then the stacked per-subdomain results
+        self._owners = OwnerPool(self.workers, dofmap.n_dofs
+                                 + self._local_solves.index.size)
         self._held: list[LocalSolveState] = []  # this process's share
         self._evaluations = 0
 
@@ -387,9 +294,7 @@ class SchwarzOperator:
         """Stop the other owner processes and release the local operators
         this process holds."""
         self._held = []
-        if self._owners is not None:
-            self._owners.stop()
-            self._owners = None
+        self._owners.close()
 
     def __enter__(self) -> "SchwarzOperator":
         return self
@@ -411,14 +316,17 @@ class SchwarzOperator:
     def local_correction(self, sub: SubdomainData, u: np.ndarray) -> LocalSolveState:
         n = sub.dofs_ov.size   # v holds the state on plan.dofs, dofs_ov first
         v0 = u[sub.plan.dofs]
-        A_v0 = None  # the tangent at v0, which the aspin mode keeps
+        # the factor of A_i and C_i that the state keeps; the aspin mode
+        # keeps those of the first Newton step, at v0
+        kept = None
 
         def direction(v, r):
-            nonlocal A_v0
+            nonlocal kept
             A = self._local_tangent(sub, v)
-            if A_v0 is None and self.tangent_mode == "aspin":
-                A_v0 = A
-            return factorize(_leading_columns(A, n), fast=True).solve(r)
+            lu = factorize(_leading_columns(A, n), fast=True)
+            if kept is None and self.tangent_mode == "aspin":
+                kept = lu, _trailing_columns(A, n)
+            return lu.solve(r)
 
         def moved(v, s, d):
             w = v.copy()
@@ -428,15 +336,12 @@ class SchwarzOperator:
         v, its, converged = _damped_newton(
             lambda v: self._local_residual(sub, v), direction, moved, v0,
             self.inner, f"local correction on subdomain {sub.index}")
-        if self.tangent_mode == "exact":
-            A = self._local_tangent(sub, v)
-        else:
-            A = A_v0 if A_v0 is not None else self._local_tangent(sub, v0)
-        return LocalSolveState(correction=u[sub.dofs_ov] - v[:n],
-                               iterations=its, converged=converged,
-                               tangent=factorize(_leading_columns(A, n),
-                                                 fast=True),
-                               coupling=_trailing_columns(A, n))
+        if kept is None:
+            A = self._local_tangent(sub, v if self.tangent_mode == "exact"
+                                    else v0)
+            kept = (factorize(_leading_columns(A, n), fast=True),
+                    _trailing_columns(A, n))
+        return LocalSolveState(u[sub.dofs_ov] - v[:n], its, converged, *kept)
 
     def coarse_correction(self, u: np.ndarray,
                           F: np.ndarray | None = None) -> CoarseSolveState:
@@ -465,20 +370,19 @@ class SchwarzOperator:
 
     # -- owners ------------------------------------------------------------
 
-    def _block(self, i: int) -> slice:
-        """Subdomain i's block of the stacked per-subdomain arrays."""
-        bounds = self._local_solves.bounds
-        return slice(bounds[i], bounds[i + 1])
-
-    def _run_share(self, command: str, share: list[SubdomainData],
-                   vector: np.ndarray, blocks: np.ndarray):
-        """Run `command` on the subdomains of `share`, writing each one's
-        result into its block of `blocks`: "evaluate", the local
-        corrections at the state `vector`, whose states this process then
-        holds; or "apply", the local solves of the tangent applied to
-        `vector`.  Returns the (iterations, converged) of each subdomain it
-        evaluated and the first failure as (subdomain index, exception), or
-        None."""
+    def _run_share(self, k: int, command: str | None, shared: np.ndarray):
+        """Owner k's share of `command` (see `owners.OwnerPool`), writing
+        each subdomain's result into its block of the stacked results after
+        the n_dofs-vector at the start of `shared`: "evaluate", the local
+        corrections at that state, whose states this process then holds;
+        "apply", the local solves of the tangent applied to that vector; or
+        None, which releases the held states.  Returns the (iterations,
+        converged) of each subdomain it evaluated and the first failure as
+        (subdomain index, exception), or None."""
+        n = self.dofmap.n_dofs
+        vector, blocks = shared[:n], shared[n:]
+        share = self.subs[k::self.workers]
+        block = self._local_solves.block
         done = []
         try:
             if command == "evaluate":
@@ -486,12 +390,14 @@ class SchwarzOperator:
                 for sub in share:
                     st = self.local_correction(sub, vector)
                     self._held.append(st)
-                    blocks[self._block(sub.index)] = st.correction
+                    blocks[block(sub.index)] = st.correction
                     done.append((st.iterations, st.converged))
-            else:
+            elif command == "apply":
                 for sub, st in zip(share, self._held):
-                    blocks[self._block(sub.index)] = st.tangent.solve(
+                    blocks[block(sub.index)] = st.tangent.solve(
                         st.coupling @ vector[sub.ghosts])
+            else:
+                self._held = []
         except Exception as exc:  # handed to the caller, which raises it
             return done, (sub.index, exc)
         return done, None
@@ -499,25 +405,12 @@ class SchwarzOperator:
     def _command(self, command: str, vector: np.ndarray):
         """Run `command` on every owner, the caller's share here, and
         return the owners' lists of (iterations, converged), in owner order,
-        and the blocks.  Every owner's reply is read before the failure of
-        the lowest-numbered subdomain, if any, is raised, so that the bits
-        and the failure do not depend on `workers`."""
-        if self.workers > 1 and self._owners is None:
-            self._owners = _Owners(self)
+        and the stacked results."""
         owners = self._owners
-        if owners is None:
-            blocks = np.empty(self._local_solves.index.size)
-        else:
-            blocks = owners.blocks
-            owners.send(command, vector)
-        replies = [self._run_share(command, self.subs[::self.workers], vector,
-                                   blocks)]
-        if owners is not None:
-            replies += owners.replies()
-        failures = [failure for _, failure in replies if failure is not None]
-        if failures:
-            raise min(failures, key=lambda failure: failure[0])[1]
-        return [done for done, _ in replies], blocks
+        n = self.dofmap.n_dofs
+        owners.shared[:n] = vector
+        _, done = owners.run(command, self._run_share)
+        return done, owners.shared[n:]
 
     # -- preconditioned residual -------------------------------------------
 
@@ -526,12 +419,13 @@ class SchwarzOperator:
         subdomain.  The states of the caller's share hold its operators;
         the others hold only the correction and the counts."""
         done, blocks = self._command("evaluate", u)
+        block = self._local_solves.block
         states = [None] * len(self.subs)
         states[::self.workers] = self._held
         for k in range(1, self.workers):
             for sub, (its, converged) in zip(self.subs[k::self.workers], done[k]):
                 states[sub.index] = LocalSolveState(
-                    blocks[self._block(sub.index)].copy(), its, converged)
+                    blocks[block(sub.index)].copy(), its, converged)
         return states
 
     def evaluate(self, u: np.ndarray, F: np.ndarray | None = None) -> Evaluation:

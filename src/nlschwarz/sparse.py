@@ -1,11 +1,12 @@
 """Sparse direct solves and a restarted GMRES over abstract operators.
 
-`StackedSolves` applies the sum of block solves on overlapping index sets
-that both solvers' local preconditioning terms are made of.  `gmres` hands SciPy's restarted GMRES the left-preconditioned operator M A
-and the right-hand side M b, so it stops on the preconditioned residual,
-||M (b - A x)|| <= rel_tol ||M b||.  Its cap on inner iterations rounds up to
-whole restart cycles, Gram-Schmidt makes one pass, and a breakdown that
-misses the tolerance ends the solve instead of restarting it.
+`StackedSolves` sums the block solves on overlapping index sets that both
+solvers' local preconditioning terms are made of.  `gmres` hands SciPy's
+restarted GMRES the left-preconditioned operator M A and the right-hand
+side M b, so it stops on the preconditioned residual, ||M (b - A x)|| <=
+rel_tol ||M b||.  Its cap on inner iterations rounds up to whole restart
+cycles, Gram-Schmidt makes one pass, and a breakdown that misses the
+tolerance ends the solve instead of restarting it.
 """
 
 from __future__ import annotations
@@ -39,16 +40,16 @@ class Factorization:
     """Reusable sparse LU of a square matrix (SuperLU with partial pivoting).
 
     Build, use and release a factorization on one thread of one process;
-    the nonlinear Schwarz solver does all three in the process that owns
-    the subdomain, which has one thread.  SciPy's SuperLU
-    wrapper (SciPy 1.17.1) frees a factor's memory only on the thread that
-    built it; dropped on another thread, the memory is never returned.  The
-    16 subdomain blocks of the 4x4, H/h=10 cavity, factorized on a 2-thread
+    both solvers do all three in the process that owns the subdomain, which
+    has one thread (`owners.OwnerPool`).  SciPy's SuperLU wrapper (SciPy
+    1.17.1) frees a factor's memory only on the thread that built it;
+    dropped on another thread, the memory is never returned.  The 16
+    subdomain blocks of the 4x4, H/h=10 cavity, factorized on a 2-thread
     pool and dropped on the main thread, raised the RSS by 17-18 MB per
     round; factorized and dropped on the workers, they left it flat at
     79 MB.  SuperLU also holds the GIL while it factorizes and solves, so
     the local solves of different subdomains run in parallel only in
-    different processes (`schwarz.SchwarzOperator`).
+    different processes.
 
     Never read a factor's `L` or `U`.  On the first read of either, SciPy's
     SuperLU object builds CSC copies of both and keeps them for the factor's
@@ -87,15 +88,14 @@ def factorize(A: sp.spmatrix, fast: bool = False) -> Factorization:
 class StackedSolves:
     """Block solves on overlapping index sets d_i of an n-vector, summed:
 
-        out = sum_i w_i P_i (A_i^{-1} b_i + s_i),
+        out = sum_i w_i P_i (y_i + s_i),
 
-    with P_i the extension by zero from d_i, w_i given weights (1 if None)
-    and s_i = x[d_i] for an optional `x` of `combine`.  Both solvers' local
-    solves apply this.  `restrict` gathers x on every d_i at once, `apply`
-    writes the block solves into one buffer, whose block i is
-    `bounds[i]:bounds[i+1]`, and `combine` scatters the weighted results
-    with one `bincount`, which adds them in block order, as a loop of
-    ``out[d_i] += w_i y_i`` would."""
+    with y_i = A_i^{-1} b_i the solve of block i, P_i the extension by zero
+    from d_i, w_i given weights (1 if None) and s_i = x[d_i] for an optional
+    `x`.  Both solvers' local solves apply this: the process that owns
+    block i writes y_i into `block(i)` of one stacked array, and `combine`
+    scatters the weighted results with one `bincount`, which adds them in
+    block order, as a loop of ``out[d_i] += w_i y_i`` would."""
 
     def __init__(self, blocks: list[np.ndarray], n: int,
                  weights: list[np.ndarray] | None = None):
@@ -104,23 +104,14 @@ class StackedSolves:
         self.weight = None if weights is None else np.concatenate(weights)
         self.n = n
 
-    def restrict(self, x: np.ndarray) -> list[np.ndarray]:
-        """x on each d_i, as views of one gathered array."""
-        xs = x[self.index]
-        return [xs[a:b] for a, b in zip(self.bounds[:-1], self.bounds[1:])]
-
-    def apply(self, factors: list[Factorization], rhs) -> np.ndarray:
-        """The sum above, without s_i, for the factors of A_i and right-hand
-        sides b_i, block by block."""
-        y = np.empty(self.index.size)
-        for lu, b, lo, hi in zip(factors, rhs, self.bounds[:-1], self.bounds[1:]):
-            y[lo:hi] = lu.solve(b)
-        return self.combine(y)
+    def block(self, i: int) -> slice:
+        """Block i of a stacked array."""
+        return slice(self.bounds[i], self.bounds[i + 1])
 
     def combine(self, y: np.ndarray, x: np.ndarray | None = None
                 ) -> np.ndarray:
-        """The sum above for the block solves y_i = A_i^{-1} b_i, stacked in
-        `y`, which it overwrites."""
+        """The sum above for the block solves y_i stacked in `y`, which it
+        overwrites if `x` or the weights are given."""
         if x is not None:
             y += x[self.index]
         if self.weight is not None:

@@ -11,7 +11,7 @@ from nlschwarz import assembly as asm
 from nlschwarz import cli
 from nlschwarz import coarse as crs
 from nlschwarz import mesh as msh
-from nlschwarz import outer, schwarz
+from nlschwarz import outer, owners
 from nlschwarz.outer import (GmresParams, SolverConfig, beam_config,
                              solve_nks, solve_nonlinear_schwarz)
 from nlschwarz.schwarz import NewtonParams
@@ -164,7 +164,9 @@ class TestNks:
     def test_preconditioner_matches_loop(self, monkeypatch):
         """The stacked local solves of the NKS preconditioner add the
         subdomain terms in the order of a loop over the subdomains, then
-        the coarse term, to the bit."""
+        the coarse term, to the bit.  The factors are recorded in this
+        process, so it owns every subdomain."""
+        monkeypatch.setenv("NLSCHWARZ_WORKERS", "1")
         prob = asm.ldc_problem(100.0)
         m = msh.build_structured_mesh(8, 8, problem_kind="ldc")
         dm = asm.build_dofmap(prob, m)
@@ -196,6 +198,39 @@ class TestNks:
                 expect[d] += lu.solve(v[d])
             expect += P0 @ sla.lu_solve(coarse[0], P0.T.tocsr() @ v)
             np.testing.assert_array_equal(captured["precond"](v), expect)
+
+    @pytest.mark.parametrize("state", ["initial", "perturbed"])
+    @pytest.mark.parametrize("config", [
+        {"problem": "ldc", "re": 100, "subdomains": [2, 2], "hh": 6},
+        {"problem": "beam", "fy": 1.0, "subdomains": [4, 1], "hh": 4},
+        {"problem": "diffusion", "subdomains": [2, 2], "hh": 6}],
+        ids=["ldc", "beam", "diffusion"])
+    def test_gathered_blocks_equal_cut(self, config, state):
+        """Each block gathered out of DF's values on the plan's pattern has
+        the data, indices and pointers of the CSC cut DF[d][:, d].  Every
+        problem has exact zeros in its blocks at the initial state, and the
+        cavity also at the perturbed one (its pressure block)."""
+        prob, m, dm, px, py = cli._build_case(config, {})
+        dec = cli._decompose(m, px, py, 2, nks=True)
+        u = asm.initial_iterate(prob, dm)
+        if state == "perturbed":
+            rng = np.random.default_rng(5)
+            u = np.where(dm.dirichlet_mask, u,
+                         u + 1e-3 * rng.standard_normal(dm.n_dofs))
+        plan = asm.global_plan(m, dm, prob)
+        values = np.empty(plan.nnz)
+        DF = asm.assemble_tangent(prob, m, dm, u, plan=plan, values=values)
+        sub_dofs = [asm.subset_dofs(dm, m, ov) for ov in dec.overlap_elements]
+        dropped = 0
+        for d, gather in zip(sub_dofs, outer._block_gathers(plan, sub_dofs)):
+            for _ in range(2):   # the gather survives its first use
+                got = outer._gathered_block(values, gather)
+                cut = sp.csc_matrix(DF[d][:, d])
+                for name in ("data", "indices", "indptr"):
+                    np.testing.assert_array_equal(getattr(got, name),
+                                                  getattr(cut, name))
+            dropped += gather[0].size - got.nnz
+        assert (dropped > 0) == (state == "initial" or prob.kind == "ldc")
 
 
 def nan_global_residual(monkeypatch, after: int):
@@ -338,49 +373,85 @@ class TestFailuresRecorded:
 
 class TestOwnerProcesses:
     """A solve stops the subdomain owner processes it started, whether it
-    converges or fails, and its bits do not depend on their number."""
+    converges or fails, and its bits, its report and its failure reason do
+    not depend on their number."""
 
     @staticmethod
     def started(monkeypatch):
-        """The `_Owners` that operators start from now on."""
+        """The `OwnerPool`s that start owner processes from now on."""
         started = []
 
-        class Recorded(schwarz._Owners):
-            def __init__(self, op):
-                super().__init__(op)
-                started.append(self)
-        monkeypatch.setattr(schwarz, "_Owners", Recorded)
+        def recorded(self, share, _start=owners.OwnerPool._start):
+            _start(self, share)
+            started.append(self)
+        monkeypatch.setattr(owners.OwnerPool, "_start", recorded)
         return started
 
-    def solve(self, workers, monkeypatch):
+    def solve(self, solver, workers, monkeypatch):
         monkeypatch.setenv("NLSCHWARZ_WORKERS", str(workers))
-        prob, m, dm, dec = diffusion_case()
-        return solve_nonlinear_schwarz(prob, m, dm, dec,
-                                       SolverConfig(variant="hybrid"),
-                                       P0=coarse_space(prob, m, dm, dec))
+        prob, m, dm, dec = diffusion_case(nx=18, px=3)
+        solve = solve_nks if solver == "nks" else solve_nonlinear_schwarz
+        return solve(prob, m, dm, dec, SolverConfig(variant="hybrid"),
+                     P0=coarse_space(prob, m, dm, dec))
+
+    @staticmethod
+    def stopped(started, workers):
+        assert [len(pool.procs) for pool in started] == [workers - 1]
+        assert not any(proc.is_alive() for proc in started[0].procs)
+        assert multiprocessing.active_children() == []
+
+    def converged(self, solver, workers, monkeypatch):
+        u1, rep1 = self.solve(solver, 1, monkeypatch)
+        started = self.started(monkeypatch)
+        u, rep = self.solve(solver, workers, monkeypatch)
+        assert rep.converged
+        np.testing.assert_array_equal(u, u1)
+        assert rep.residuals == rep1.residuals
+        assert [st.gmres_its for st in rep.steps] == \
+            [st.gmres_its for st in rep1.steps]
+        self.stopped(started, workers)
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_converged_solve(self, workers, monkeypatch):
-        u1, rep1 = self.solve(1, monkeypatch)
-        started = self.started(monkeypatch)
-        u, rep = self.solve(workers, monkeypatch)
-        assert rep.converged
-        np.testing.assert_array_equal(u, u1)
-        assert [len(owners.procs) for owners in started] == [workers - 1]
-        assert not any(proc.is_alive() for proc in started[0].procs)
-        assert multiprocessing.active_children() == []
+        self.converged("hybrid", workers, monkeypatch)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_converged_nks_solve(self, workers, monkeypatch):
+        self.converged("nks", workers, monkeypatch)
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_failed_solve(self, workers, monkeypatch):
         nan_local_residual(monkeypatch)
         started = self.started(monkeypatch)
-        u, rep = self.solve(workers, monkeypatch)
+        u, rep = self.solve("hybrid", workers, monkeypatch)
         assert rep.reason.startswith("linearization failed")
         assert "local correction on subdomain 0" in rep.reason
-        assert [len(owners.procs) for owners in started] == [workers - 1]
-        assert not any(proc.is_alive() for proc in started[0].procs)
-        assert multiprocessing.active_children() == []
+        self.stopped(started, workers)
 
+    @pytest.mark.parametrize("workers", [1, 2, 3])
+    def test_failed_nks_solve(self, workers, monkeypatch):
+        """Every block but the corner blocks of the 3 x 3 decomposition is
+        singular.  The first singular block is subdomain 1's, which an
+        owner process factorizes, while the caller's subdomain 4 fails as
+        well; the solve reports the first."""
+        prob, m, dm, dec = diffusion_case(nx=18, px=3)
+        sizes = [asm.subset_dofs(dm, m, ov).size
+                 for ov in dec.overlap_elements]
+        assert len({sizes[0], sizes[1], sizes[4]}) == 3
+
+        def singular(A, fast=False, _factorize=factorize):
+            if A.shape[0] != sizes[0]:
+                raise SingularMatrixError(f"block of {A.shape[0]} rows")
+            return _factorize(A, fast=fast)
+        monkeypatch.setattr(outer, "factorize", singular)
+        started = self.started(monkeypatch)
+        u, rep = self.solve("nks", workers, monkeypatch)
+        assert rep.reason == ("linearization failed: SingularMatrixError: "
+                              f"block of {sizes[1]} rows")
+        assert rep.outer_iterations == 0
+        np.testing.assert_array_equal(u, asm.initial_iterate(prob, dm))
+        if workers > 1:
+            self.stopped(started, workers)
 
 class TestBeamLoad:
     def test_gdsw_hybrid_converges_at_large_load(self):

@@ -1,5 +1,6 @@
 """SchwarzOperator tests: corrections, variants, tangent consistency."""
 
+import gc
 import itertools
 import os
 import signal
@@ -329,6 +330,36 @@ class TestTangent:
                 expect[sub.dofs_ov] += sub.weight * y
             np.testing.assert_array_equal(op._apply_locals(x), expect)
 
+    def test_aspin_mode_factorizes_the_initial_tangent_once(self,
+                                                             monkeypatch):
+        """In aspin mode, the factor of A_i(u) from the first local Newton
+        step is the one the tangent keeps: one factorization fewer per
+        subdomain that took a Newton step, and the tangent of a fresh
+        factorization of A_i(u), to the bit."""
+        case, P0, u, x = perturbed_cavity()
+        calls = []
+
+        def counted(*args, _factorize=schwarz.factorize, **kwargs):
+            calls.append(1)
+            return _factorize(*args, **kwargs)
+        monkeypatch.setattr(schwarz, "factorize", counted)
+        with SchwarzOperator(*case, variant="raspen", tangent_mode="aspin",
+                             workers=1) as op:
+            ev = op.evaluate(u)
+            its = [st.iterations for st in ev.local_states]
+            assert max(its) > 0
+            assert len(calls) == sum(its) + its.count(0)
+            expect = np.zeros_like(x)
+            for sub in op.subs:
+                n = sub.dofs_ov.size
+                A = op._local_tangent(sub, u[sub.plan.dofs])
+                lu = schwarz.factorize(schwarz._leading_columns(A, n),
+                                       fast=True)
+                coupling = schwarz._trailing_columns(A, n)
+                expect[sub.dofs_ov] += sub.weight * (
+                    x[sub.dofs_ov] + lu.solve(coupling @ x[sub.ghosts]))
+            np.testing.assert_array_equal(op.apply_tangent(ev, x), expect)
+
     def test_aspin_mode_differs_from_exact(self):
         prob, m, dm, dec = setup_problem("diffusion", nx=8, px=2)
         rng = np.random.default_rng(3)
@@ -382,6 +413,27 @@ op = SchwarzOperator(prob, m, dm, dec, variant="raspen",
 op.evaluate(asm.initial_iterate(prob, dm))
 print(*(proc.pid for proc in op._owners.procs), flush=True)
 time.sleep(60)
+"""
+
+
+# an NKS solve that prints its owners' pids in fork order at its first
+# GMRES call and waits there
+NKS_CALLER = """
+import multiprocessing, os, sys, time
+os.environ["NLSCHWARZ_WORKERS"] = sys.argv[1]
+from nlschwarz import assembly as asm, mesh as msh, outer
+prob = asm.diffusion_problem()
+m = msh.build_structured_mesh(8, 8, problem_kind="diffusion")
+dm = asm.build_dofmap(prob, m)
+dec = msh.partition_structured(m, 2, 2)
+msh.extend_overlap(dec, msh.dual_graph(m), 1)
+
+def wait(*args, **kwargs):
+    print(*sorted(proc.pid for proc in multiprocessing.active_children()),
+          flush=True)
+    time.sleep(60)
+outer.gmres = wait
+outer.solve_nks(prob, m, dm, dec, outer.SolverConfig(variant="nks"))
 """
 
 
@@ -448,6 +500,22 @@ class TestWorkers:
         assert pid["released"] == pid["built"]
         assert set(pid["built"].values()) == owners | {os.getpid()}
 
+    def test_dropped_operator_stops_its_owners(self):
+        """The owner pool holds no reference back to the operator, so
+        dropping the last reference to an operator stops its owners, with
+        the cyclic garbage collector off."""
+        case, P0, u, x = perturbed_cavity()
+        op = SchwarzOperator(*case, variant="hybrid", P0=P0, workers=3)
+        op.evaluate(u)
+        procs = op._owners.procs
+        assert all(proc.is_alive() for proc in procs)
+        gc.disable()
+        try:
+            del op
+        finally:
+            gc.enable()
+        assert not any(proc.is_alive() for proc in procs)
+
     def test_stale_evaluation_rejected(self):
         case, P0, u, x = perturbed_cavity()
         for workers in (1, 2):
@@ -493,14 +561,13 @@ class TestWorkers:
             time.sleep(0.05)
         return not any(map(is_running, pids))
 
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_owners_exit_when_the_caller_is_killed(self, workers):
+    def killed_caller_leaves_no_owner(self, script, workers):
         """Each owner sees the caller exit by itself: with 3 workers, the
         last owner is stopped while the caller is killed, and the first
         must still exit."""
         src = Path(schwarz.__file__).resolve().parents[1]
         env = dict(os.environ, PYTHONPATH=str(src))
-        caller = subprocess.Popen([sys.executable, "-c", CALLER, str(workers)],
+        caller = subprocess.Popen([sys.executable, "-c", script, str(workers)],
                                   stdout=subprocess.PIPE, text=True, env=env)
         pids = []
         try:
@@ -522,6 +589,14 @@ class TestWorkers:
             caller.stdout.close()
             for pid in filter(is_running, pids):
                 os.kill(pid, signal.SIGKILL)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_owners_exit_when_the_caller_is_killed(self, workers):
+        self.killed_caller_leaves_no_owner(CALLER, workers)
+
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_nks_owners_exit_when_the_caller_is_killed(self, workers):
+        self.killed_caller_leaves_no_owner(NKS_CALLER, workers)
 
 
 class TestHeldMemory:

@@ -36,9 +36,8 @@ Flag overrides: --problem --re --fy --subdomains PXxPY --hh --overlap
 --variant --coarse --modified --out.  The number of processes that own
 subdomains is read from the environment variable NLSCHWARZ_WORKERS (default
 1); a value that is not a positive integer ends `run` with exit code 2.  The
-workers are processes, and the calling process is one of them: with W
-workers, a solve forks W - 1 processes, and each of the W runs the local
-work of its share of the subdomains: the local Newton solves,
+calling process is one of them, and each runs the local work of the
+subdomains it owns (see `owners`): the local Newton solves,
 factorizations and tangent solves of nonlinear Schwarz, or the
 factorizations and solves of the NKS preconditioner's blocks.
 """
@@ -60,7 +59,7 @@ from . import coarse as crs
 from . import mesh as msh
 from .outer import (OuterStep, SolveReport, SolverConfig, beam_config,
                     solve_nks, solve_nonlinear_schwarz)
-from .schwarz import workers_from_env
+from .owners import workers_from_env
 
 HISTORY_COLUMNS = ["iteration"] + [f.name for f in fields(OuterStep)]
 

@@ -12,8 +12,7 @@ additive two-level Schwarz operator built from the same subdomains and coarse
 space, refreshed at every Newton step.
 
 Both solvers run their local work on the processes that own the subdomains
-(`owners.OwnerPool`, NLSCHWARZ_WORKERS of them, the caller included), which
-they stop when the solve returns or raises.
+(see `owners`), which they stop when the solve returns or raises.
 """
 
 from __future__ import annotations
@@ -31,7 +30,7 @@ from .assembly import DofMap, NonPhysicalStateError, ProblemSpec
 from .mesh import Decomposition, Mesh
 from .owners import OwnerPool
 from .schwarz import (NewtonParams, SchwarzOperator, backtracking_step,
-                      coarse_lu, workers_from_env)
+                      coarse_lu)
 from .sparse import SingularMatrixError, StackedSolves, factorize, gmres
 
 
@@ -238,22 +237,24 @@ def solve_nonlinear_schwarz(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
         return _newton(problem, mesh, dofmap, cfg, u0, linearize, t_start)
 
 
-def _block_gathers(plan: asm.AssemblyPlan, blocks: list[np.ndarray]) -> list:
-    """Where each block R_i DF P_i, on the rows and columns d_i of
-    `blocks`, lies among the values of a tangent on the full-mesh `plan`'s
-    pattern: per block, the pattern slot of each of its entries in CSC
-    order, its row indices and its column pointers."""
-    slots = sp.csr_matrix((np.arange(1, plan.nnz + 1), plan.indices,
-                           plan.indptr), shape=(plan.n_rows, plan.n))
-    out = []
-    for d in blocks:
-        block = sp.csc_matrix(slots[d][:, d])
-        out.append((block.data - 1, block.indices, block.indptr))
-    return out
+def _slot_matrix(plan: asm.AssemblyPlan) -> sp.csr_matrix:
+    """The full-mesh `plan`'s pattern holding 1 + each entry's slot among
+    the values of a tangent on it."""
+    return sp.csr_matrix((np.arange(1, plan.nnz + 1), plan.indices,
+                          plan.indptr), shape=(plan.n_rows, plan.n))
+
+
+def _block_gather(slots: sp.csr_matrix, d: np.ndarray) -> tuple:
+    """Where the block R_i DF P_i on the rows and columns `d` lies among the
+    values of a tangent on the pattern of `slots` (see `_slot_matrix`): the
+    pattern slot of each of its entries in CSC order, its row indices and
+    its column pointers."""
+    block = sp.csc_matrix(slots[d][:, d])
+    return block.data - 1, block.indices, block.indptr
 
 
 def _gathered_block(values: np.ndarray, gather) -> sp.csc_matrix:
-    """The block of `gather` (see `_block_gathers`) out of the tangent
+    """The block of `gather` (see `_block_gather`) out of the tangent
     values on the plan's pattern, with its exact zeros dropped: the arrays
     of ``sp.csc_matrix(DF[d][:, d])`` for the DF that `assemble_tangent`
     returns."""
@@ -269,51 +270,46 @@ def _gathered_block(values: np.ndarray, gather) -> sp.csc_matrix:
 
 class _LocalBlocks:
     """The local blocks A_i = R_i DF P_i of the NKS preconditioner, as the
-    share function of an `OwnerPool` (see `owners`).
+    task of an `OwnerPool` (see `owners`).
 
     The pool's shared mapping holds DF's values on the full-mesh plan's
     pattern, the vector of an apply and the stacked block solves
-    (`views`).  On "factorize", each process gathers its own blocks out of
-    DF's values, through gathers it builds at its first factorization, and
-    factorizes them; on "apply", it solves them."""
+    (`views`).  On "factorize", block i is gathered out of DF's values,
+    through the gather this process builds at the block's first
+    factorization, and factorized; on "apply", it is solved."""
 
-    def __init__(self, plan: asm.AssemblyPlan, sub_dofs: list[np.ndarray],
-                 workers: int):
+    def __init__(self, plan: asm.AssemblyPlan, sub_dofs: list[np.ndarray]):
         self.plan = plan
         self.sub_dofs = sub_dofs
-        self.workers = min(workers, len(sub_dofs))
         self.stacked = StackedSolves(sub_dofs, plan.n)
         self.size = plan.nnz + plan.n + self.stacked.index.size
-        self.gathers = None   # this process's share's
-        self.factors = []     # this process's share's
+        self.slots = None     # this process's `_slot_matrix`
+        self.gathers = {}     # of this process's blocks, by index
+        self.factors = {}     # of this process's blocks, by index
 
     def views(self, shared: np.ndarray):
         """The DF values, the vector and the block solves in `shared`."""
         nnz, n = self.plan.nnz, self.plan.n
         return shared[:nnz], shared[nnz:nnz + n], shared[nnz + n:]
 
-    def __call__(self, k: int, command: str | None, shared: np.ndarray):
+    def __call__(self, i: int, command: str | None, shared: np.ndarray):
         values, vector, solves = self.views(shared)
-        share = range(k, len(self.sub_dofs), self.workers)
-        i = k
-        try:
-            if command == "factorize":
-                self.factors = []
-                if self.gathers is None:
-                    self.gathers = _block_gathers(
-                        self.plan, self.sub_dofs[k::self.workers])
-                for i, gather in zip(share, self.gathers):
-                    self.factors.append(
-                        factorize(_gathered_block(values, gather), fast=True))
-            elif command == "apply":
-                for i, lu in zip(share, self.factors):
-                    solves[self.stacked.block(i)] = lu.solve(
-                        vector[self.sub_dofs[i]])
-            else:
-                self.factors = []
-        except Exception as exc:  # handed to the caller, which raises it
-            return None, (i, exc)
-        return None, None
+        if command == "apply":
+            # each of this process's blocks has its gather by now
+            self.slots = None
+            solves[self.stacked.block(i)] = self.factors[i].solve(
+                vector[self.sub_dofs[i]])
+            return None
+        # the old factor goes before its replacement is built
+        self.factors.pop(i, None)
+        if command == "factorize":
+            if i not in self.gathers:
+                if self.slots is None:
+                    self.slots = _slot_matrix(self.plan)
+                self.gathers[i] = _block_gather(self.slots, self.sub_dofs[i])
+            self.factors[i] = factorize(
+                _gathered_block(values, self.gathers[i]), fast=True)
+        return None
 
 
 def solve_nks(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
@@ -326,8 +322,8 @@ def solve_nks(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
     decomposition is expected to carry nodal-graph overlaps of half the width
     used by the nonlinear Schwarz methods.
 
-    The local blocks run on an `OwnerPool` of NLSCHWARZ_WORKERS processes,
-    which is stopped when the solve returns or raises.  Each Newton step,
+    The local blocks run on an `OwnerPool` (see `owners`), which is
+    stopped when the solve returns or raises.  Each Newton step,
     the caller assembles DF and hands its values to the owners, which
     gather, factorize and keep their blocks, while the caller factorizes
     the coarse block; in each apply the caller computes the coarse term
@@ -340,9 +336,9 @@ def solve_nks(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
     sub_dofs = [asm.subset_dofs(dofmap, mesh, decomp.overlap_elements[i])
                 for i in range(decomp.num_subdomains)]
     plan = asm.global_plan(mesh, dofmap, problem)
-    blocks = _LocalBlocks(plan, sub_dofs, workers_from_env())
+    blocks = _LocalBlocks(plan, sub_dofs)
 
-    with OwnerPool(blocks.workers, blocks.size) as owners:
+    with OwnerPool(len(sub_dofs), blocks.size) as owners:
         values, vector, solves = blocks.views(owners.shared)
 
         def linearize(u, F):

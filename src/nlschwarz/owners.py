@@ -1,9 +1,11 @@
 """The processes that own a solver's subdomains.
 
-With W workers, the calling process is owner 0 and W - 1 processes, forked
-at the first command, are owners 1, ..., W - 1; owner k owns subdomains
-k, k + W, k + 2W, ....  Both solvers run their local work on one
-`OwnerPool`: the nonlinear Schwarz operator its local Newton solves,
+With W workers, NLSCHWARZ_WORKERS capped at the number of subdomains, the
+calling process is owner 0 and W - 1 processes, forked at the first
+command, are owners 1, ..., W - 1; owner k owns subdomains k, k + W,
+k + 2W, ....  This module is the only one that knows that map.  Both
+solvers run their local work on one `OwnerPool`, as a task that handles
+one subdomain: the nonlinear Schwarz operator its local Newton solves,
 factorizations and tangent solves, NKS the factorizations and solves of its
 preconditioner's blocks.  So each factor is built, used and released by the
 only thread of one process (see `sparse.Factorization`), and SuperLU, which
@@ -14,10 +16,25 @@ from __future__ import annotations
 
 import mmap
 import multiprocessing
+import os
 import signal
 import weakref
 
 import numpy as np
+
+
+def workers_from_env() -> int:
+    """The number of processes that own subdomains, NLSCHWARZ_WORKERS, 1 if
+    it is unset.  Raises `ValueError` unless it is a positive integer."""
+    raw = os.environ.get("NLSCHWARZ_WORKERS", "1")
+    try:
+        workers = int(raw)
+    except ValueError:
+        workers = 0
+    if workers < 1:
+        raise ValueError("NLSCHWARZ_WORKERS must be a positive integer, "
+                         f"got {raw!r}")
+    return workers
 
 
 def _stop_owners(procs: list, conns: list) -> None:
@@ -33,24 +50,28 @@ def _stop_owners(procs: list, conns: list) -> None:
 
 
 class OwnerPool:
-    """Owners 1, ..., W - 1 of one solver, forked from the caller, owner 0.
+    """Owners 1, ..., W - 1 of one solver's `subdomains`, forked from the
+    caller, owner 0 (see the module docstring for W and the map).
 
     The caller and the owners share `shared`, `size` doubles in one
     anonymous mapping made before the fork; the solver lays out in it what
-    a command reads and what the owners write.  One pipe per owner carries
+    a command reads and what the tasks write.  One pipe per owner carries
     the commands and the small replies.  The owners start at the first
     `run`; `close`, leaving a ``with`` block or the pool's garbage
     collection stops them, and a `run` after `close` starts them again.
 
-    A command runs through a share function, `share(k, command, shared)`,
-    which runs `command` on owner k's subdomains and returns (result,
-    failure): failure is None or (subdomain index, exception), the first
-    failure in the share.  When an owner stops it calls `share(k, None,
-    shared)`, to release what it holds.  The pool does not keep the share
-    function, so it holds no reference to the solver that made it."""
+    A command runs through a task, `task(i, command, shared)`, which runs
+    `command` on subdomain i and returns a small picklable result.  Each
+    owner calls it for its subdomains in increasing order and stops at the
+    first that raises.  When an owner process stops, it calls `task(i, None,
+    shared)` for each of its subdomains, to release what the task holds
+    for them.  The owners run the task of the `run` that started them, so
+    every `run` hands the same one.  The pool does not keep the task, so it
+    holds no reference to the solver that made it."""
 
-    def __init__(self, workers: int, size: int):
-        self.workers = workers
+    def __init__(self, subdomains: int, size: int):
+        self.subdomains = subdomains
+        self.workers = min(workers_from_env(), subdomains)
         self.shared = np.frombuffer(mmap.mmap(-1, 8 * max(size, 1)),
                                     np.float64, size)
         self.procs, self.conns = [], []
@@ -68,7 +89,7 @@ class OwnerPool:
     def __exit__(self, *exc) -> None:
         self.close()
 
-    def _start(self, share) -> None:
+    def _start(self, task) -> None:
         # fork, not spawn: the owners need the solver's assembly plans,
         # which the fork shares copy-on-write; the caller must then run no
         # other thread
@@ -78,7 +99,7 @@ class OwnerPool:
             for k in range(1, self.workers):
                 caller_end, owner_end = ctx.Pipe()
                 proc = ctx.Process(target=self._serve,
-                                   args=(k, share, owner_end, caller_end),
+                                   args=(k, task, owner_end, caller_end),
                                    name=f"nlschwarz-owner-{k}", daemon=True)
                 proc.start()
                 owner_end.close()
@@ -90,7 +111,19 @@ class OwnerPool:
         self._stop = weakref.finalize(self, _stop_owners, self.procs,
                                       self.conns)
 
-    def _serve(self, k: int, share, conn, caller_end) -> None:
+    def _share(self, k: int, command, task) -> tuple[list, tuple | None]:
+        """Owner k's results of `command`, in subdomain order, and its
+        failure: None, or (subdomain index, exception) for the task that
+        raised, the last that ran."""
+        results = []
+        for i in range(k, self.subdomains, self.workers):
+            try:
+                results.append(task(i, command, self.shared))
+            except Exception as exc:  # handed to the caller, which raises it
+                return results, (i, exc)
+        return results, None
+
+    def _serve(self, k: int, task, conn, caller_end) -> None:
         """Owner k's command loop, until the caller's end of its pipe
         closes.  The owner first closes its copies of the caller's ends of
         the pipes, its own and those of the owners forked before it, so that
@@ -106,9 +139,10 @@ class OwnerPool:
                     command = conn.recv()
                 except EOFError:
                     return
-                conn.send(share(k, command, self.shared))
+                conn.send(self._share(k, command, task))
         finally:
-            share(k, None, self.shared)
+            for i in range(k, self.subdomains, self.workers):
+                task(i, None, self.shared)
 
     def _replies(self) -> list:
         """Each owner's reply to the last command, in owner order.  Reads
@@ -124,16 +158,16 @@ class OwnerPool:
             raise RuntimeError(f"subdomain owner processes {lost} exited")
         return out
 
-    def run(self, command, share, first=None):
-        """Run `command` on every owner's share: send it to the owners,
-        call `first()` if given, the caller's own work meanwhile, then run
-        the caller's share here and read every owner's reply.  Only then is
+    def run(self, command, task, first=None) -> tuple:
+        """Run `command` on every subdomain: send it to the owners, call
+        `first()` if given, the caller's own work meanwhile, then run the
+        caller's subdomains here and read every owner's reply.  Only then is
         the failure of the lowest-numbered subdomain raised, or else an
         exception of `first`, so that the bits and the failure do not depend
         on the number of owners.  Returns the result of `first` and the
-        share results in owner order."""
+        task results in subdomain order."""
         if self.workers > 1 and self._stop is None:
-            self._start(share)
+            self._start(task)
         for conn in self.conns:
             conn.send(command)
         early = error = None
@@ -142,10 +176,13 @@ class OwnerPool:
                 early = first()
         except Exception as exc:  # raised after the replies are read
             error = exc
-        replies = [share(0, command, self.shared)] + self._replies()
-        failures = [failure for _, failure in replies if failure is not None]
+        shares = [self._share(0, command, task)] + self._replies()
+        failures = [failure for _, failure in shares if failure is not None]
         if failures:
             raise min(failures, key=lambda failure: failure[0])[1]
         if error is not None:
             raise error
-        return early, [result for result, _ in replies]
+        results = [None] * self.subdomains
+        for k, (share, _) in enumerate(shares):
+            results[k::self.workers] = share
+        return early, results

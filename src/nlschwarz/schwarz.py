@@ -43,18 +43,17 @@ coarse level the dense LU of R_0 DF(u_0) P_0 and the sparse R_0 DF(u_0),
 so that Q_0(u_0) x = P_0 (R_0 DF(u_0) P_0)^{-1} (R_0 DF(u_0)) x.  The
 local terms of a tangent apply go through one `sparse.StackedSolves`.
 
-With W workers, each subdomain is owned by one of W processes of an
-`owners.OwnerPool`: the caller owns subdomains 0, W, 2W, ..., and W - 1
-processes, forked at the first evaluation, own the rest.  An owner runs
-the local Newton solves of its subdomains, factorizes their A_i and keeps
-the factors and the C_i until the next evaluation; it also runs their
-solves of every tangent apply.  The caller recombines the owners' results
-in subdomain order, so the bits do not depend on W.
+Each subdomain is owned by one process of an `owners.OwnerPool`, the
+caller or one forked at the first evaluation (see `owners` for the map).
+The owner runs the subdomain's local Newton solve, factorizes its A_i and
+keeps the factor and C_i until the next evaluation; it also runs the
+subdomain's solve of every tangent apply.  The caller recombines the
+results in subdomain order, so the bits do not depend on the number of
+owners.
 """
 
 from __future__ import annotations
 
-import os
 import time
 from dataclasses import dataclass, field
 
@@ -139,20 +138,6 @@ def _damped_newton(residual, direction, moved, x, p: NewtonParams, label: str,
         its += 1
 
 
-def workers_from_env() -> int:
-    """The number of processes that own subdomains, NLSCHWARZ_WORKERS, 1 if
-    it is unset.  Raises `ValueError` unless it is a positive integer."""
-    raw = os.environ.get("NLSCHWARZ_WORKERS", "1")
-    try:
-        workers = int(raw)
-    except ValueError:
-        workers = 0
-    if workers < 1:
-        raise ValueError("NLSCHWARZ_WORKERS must be a positive integer, "
-                         f"got {raw!r}")
-    return workers
-
-
 def coarse_lu(A0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Dense LU of a coarse tangent R_0 DF P_0, for `scipy.linalg.lu_solve`.
     Raises `LinAlgError` if the matrix or its factor has a non-finite entry
@@ -228,19 +213,17 @@ class Evaluation:
 class SchwarzOperator:
     """Evaluates F_X(u) and applies D F_X(u) for one decomposition.
 
-    `workers` (NLSCHWARZ_WORKERS if None), capped at the number of
-    subdomains, is the number of processes that own subdomains (see the
-    module docstring).  The other owners start at the first evaluation;
-    `close`, or leaving a ``with`` block, stops them and releases the held
-    local operators.  An evaluation after that starts them again.  Only the
-    latest evaluation's tangent can be applied."""
+    The subdomains' local work runs on an `owners.OwnerPool` (see the
+    module docstring), whose other processes start at the first
+    evaluation; `close`, or leaving a ``with`` block, stops them and
+    releases the held local operators.  An evaluation after that starts
+    them again.  Only the latest evaluation's tangent can be applied."""
 
     def __init__(self, problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
                  decomp: Decomposition, variant: str = "hybrid",
                  P0: sp.csr_matrix | None = None, tangent_mode: str = "exact",
                  inner: NewtonParams | None = None,
-                 coarse: NewtonParams | None = None,
-                 workers: int | None = None):
+                 coarse: NewtonParams | None = None):
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}")
         if variant in ("additive", "hybrid") and P0 is None:
@@ -257,9 +240,6 @@ class SchwarzOperator:
         self.tangent_mode = tangent_mode
         self.inner = inner or NewtonParams()
         self.coarse = coarse or NewtonParams()
-        workers = workers_from_env() if workers is None else workers
-        if workers < 1:
-            raise ValueError(f"workers must be positive, got {workers}")
 
         overlaps = [asm.subset_dofs(dofmap, mesh, ov)
                     for ov in decomp.overlap_elements]
@@ -282,18 +262,19 @@ class SchwarzOperator:
         self._local_solves = StackedSolves([sub.dofs_ov for sub in self.subs],
                                            dofmap.n_dofs,
                                            [sub.weight for sub in self.subs])
-        self.workers = min(workers, len(self.subs))
         # the shared mapping holds the state u or the vector x that a
         # command reads, then the stacked per-subdomain results
-        self._owners = OwnerPool(self.workers, dofmap.n_dofs
+        self._owners = OwnerPool(len(self.subs), dofmap.n_dofs
                                  + self._local_solves.index.size)
-        self._held: list[LocalSolveState] = []  # this process's share
+        self.workers = self._owners.workers
+        # the states of the subdomains this process owns, by index
+        self._held: dict[int, LocalSolveState] = {}
         self._evaluations = 0
 
     def close(self) -> None:
         """Stop the other owner processes and release the local operators
         this process holds."""
-        self._held = []
+        self._held = {}
         self._owners.close()
 
     def __enter__(self) -> "SchwarzOperator":
@@ -370,63 +351,49 @@ class SchwarzOperator:
 
     # -- owners ------------------------------------------------------------
 
-    def _run_share(self, k: int, command: str | None, shared: np.ndarray):
-        """Owner k's share of `command` (see `owners.OwnerPool`), writing
-        each subdomain's result into its block of the stacked results after
-        the n_dofs-vector at the start of `shared`: "evaluate", the local
-        corrections at that state, whose states this process then holds;
-        "apply", the local solves of the tangent applied to that vector; or
-        None, which releases the held states.  Returns the (iterations,
-        converged) of each subdomain it evaluated and the first failure as
-        (subdomain index, exception), or None."""
+    def _local_task(self, i: int, command: str | None, shared: np.ndarray):
+        """Subdomain i's part of `command`, the task of the `OwnerPool`,
+        writing its result into its block of the stacked results after the
+        n_dofs-vector at the start of `shared`: "evaluate", the local
+        correction at that state, whose state this process then holds, and
+        returns its (iterations, converged); "apply", the local solve of the
+        tangent applied to that vector; or None, which releases the held
+        state."""
         n = self.dofmap.n_dofs
-        vector, blocks = shared[:n], shared[n:]
-        share = self.subs[k::self.workers]
-        block = self._local_solves.block
-        done = []
-        try:
-            if command == "evaluate":
-                self._held = []
-                for sub in share:
-                    st = self.local_correction(sub, vector)
-                    self._held.append(st)
-                    blocks[block(sub.index)] = st.correction
-                    done.append((st.iterations, st.converged))
-            elif command == "apply":
-                for sub, st in zip(share, self._held):
-                    blocks[block(sub.index)] = st.tangent.solve(
-                        st.coupling @ vector[sub.ghosts])
-            else:
-                self._held = []
-        except Exception as exc:  # handed to the caller, which raises it
-            return done, (sub.index, exc)
-        return done, None
+        vector, out = shared[:n], shared[n:][self._local_solves.block(i)]
+        if command == "apply":
+            st = self._held[i]
+            out[:] = st.tangent.solve(st.coupling @ vector[self.subs[i].ghosts])
+            return None
+        # the old state goes before its replacement is built
+        self._held.pop(i, None)
+        if command == "evaluate":
+            st = self._held[i] = self.local_correction(self.subs[i], vector)
+            out[:] = st.correction
+            return st.iterations, st.converged
+        return None
 
     def _command(self, command: str, vector: np.ndarray):
-        """Run `command` on every owner, the caller's share here, and
-        return the owners' lists of (iterations, converged), in owner order,
-        and the stacked results."""
-        owners = self._owners
+        """Run `command` on every subdomain with `vector` as its input and
+        return the task results, in subdomain order, and the stacked
+        results."""
         n = self.dofmap.n_dofs
-        owners.shared[:n] = vector
-        _, done = owners.run(command, self._run_share)
-        return done, owners.shared[n:]
+        shared = self._owners.shared
+        shared[:n] = vector
+        _, results = self._owners.run(command, self._local_task)
+        return results, shared[n:]
 
     # -- preconditioned residual -------------------------------------------
 
     def _run_locals(self, u: np.ndarray) -> list[LocalSolveState]:
         """Local corrections at u, each in the process that owns its
-        subdomain.  The states of the caller's share hold its operators;
-        the others hold only the correction and the counts."""
+        subdomain.  The states of this process's subdomains hold their
+        operators; the others hold only the correction and the counts."""
         done, blocks = self._command("evaluate", u)
         block = self._local_solves.block
-        states = [None] * len(self.subs)
-        states[::self.workers] = self._held
-        for k in range(1, self.workers):
-            for sub, (its, converged) in zip(self.subs[k::self.workers], done[k]):
-                states[sub.index] = LocalSolveState(
-                    blocks[block(sub.index)].copy(), its, converged)
-        return states
+        return [self._held[i] if i in self._held
+                else LocalSolveState(blocks[block(i)].copy(), its, converged)
+                for i, (its, converged) in enumerate(done)]
 
     def evaluate(self, u: np.ndarray, F: np.ndarray | None = None) -> Evaluation:
         """F_X(u) and its tangent's operators; `F` is F(u) if the caller has

@@ -14,7 +14,7 @@ from nlschwarz import mesh as msh
 from nlschwarz import outer, owners
 from nlschwarz.outer import (GmresParams, SolverConfig, beam_config,
                              solve_nks, solve_nonlinear_schwarz)
-from nlschwarz.schwarz import NewtonParams
+from nlschwarz.schwarz import NewtonParams, SchwarzOperator
 from nlschwarz.sparse import SingularMatrixError, factorize
 
 TIGHT = NewtonParams(rel_tol=1e-12, abs_tol=1e-14, max_iter=30)
@@ -222,7 +222,9 @@ class TestNks:
         DF = asm.assemble_tangent(prob, m, dm, u, plan=plan, values=values)
         sub_dofs = [asm.subset_dofs(dm, m, ov) for ov in dec.overlap_elements]
         dropped = 0
-        for d, gather in zip(sub_dofs, outer._block_gathers(plan, sub_dofs)):
+        slots = outer._slot_matrix(plan)
+        for d in sub_dofs:
+            gather = outer._block_gather(slots, d)
             for _ in range(2):   # the gather survives its first use
                 got = outer._gathered_block(values, gather)
                 cut = sp.csc_matrix(DF[d][:, d])
@@ -381,8 +383,8 @@ class TestOwnerProcesses:
         """The `OwnerPool`s that start owner processes from now on."""
         started = []
 
-        def recorded(self, share, _start=owners.OwnerPool._start):
-            _start(self, share)
+        def recorded(self, task, _start=owners.OwnerPool._start):
+            _start(self, task)
             started.append(self)
         monkeypatch.setattr(owners.OwnerPool, "_start", recorded)
         return started
@@ -418,6 +420,32 @@ class TestOwnerProcesses:
     @pytest.mark.parametrize("workers", [2, 3])
     def test_converged_nks_solve(self, workers, monkeypatch):
         self.converged("nks", workers, monkeypatch)
+
+    def test_workers_capped_at_subdomains(self, monkeypatch):
+        """Six workers on four subdomains fork three owners, in the
+        nonlinear Schwarz operator and in NKS, with the bits of one
+        process."""
+        prob, m, dm, dec = diffusion_case(nx=8, px=2)
+        P0 = coarse_space(prob, m, dm, dec)
+        rng = np.random.default_rng(6)
+        u = asm.initial_iterate(prob, dm)
+        u = np.where(dm.dirichlet_mask, u,
+                     u + 0.3 * rng.standard_normal(u.size))
+        x = rng.standard_normal(u.size)
+        started = self.started(monkeypatch)
+        out = []
+        for workers in (1, 6):
+            monkeypatch.setenv("NLSCHWARZ_WORKERS", str(workers))
+            with SchwarzOperator(prob, m, dm, dec, P0=P0) as op:
+                ev = op.evaluate(u)
+                applied = op.apply_tangent(ev, x)
+            u_nks, rep = solve_nks(prob, m, dm, dec,
+                                   SolverConfig(variant="nks"), P0=P0)
+            assert rep.converged
+            out.append((ev.residual, applied, u_nks))
+        assert [len(pool.procs) for pool in started] == [3, 3]
+        for got, expect in zip(out[1], out[0]):
+            np.testing.assert_array_equal(got, expect)
 
     @pytest.mark.parametrize("workers", [2, 3])
     def test_failed_solve(self, workers, monkeypatch):

@@ -309,14 +309,14 @@ class TestTangent:
             assert err < 1e-10, err
 
     @pytest.mark.parametrize("variant", VARIANTS)
-    def test_stacked_apply_matches_loop(self, variant):
+    def test_stacked_apply_matches_loop(self, variant, monkeypatch):
         """The stacked local apply adds the weighted local terms in the
         order of a loop over the subdomains, to the bit."""
+        monkeypatch.setenv("NLSCHWARZ_WORKERS", "1")
         prob, m, dm, dec = setup_problem("ldc", nx=8, px=2, Re=100.0)
         P0 = (coarse_space(prob, m, dm, dec)
               if variant in ("additive", "hybrid") else None)
-        op = SchwarzOperator(prob, m, dm, dec, variant=variant, P0=P0,
-                             workers=1)
+        op = SchwarzOperator(prob, m, dm, dec, variant=variant, P0=P0)
         rng = np.random.default_rng(11)
         u = asm.initial_iterate(prob, dm)
         u = np.where(dm.dirichlet_mask, u,
@@ -343,8 +343,9 @@ class TestTangent:
             calls.append(1)
             return _factorize(*args, **kwargs)
         monkeypatch.setattr(schwarz, "factorize", counted)
-        with SchwarzOperator(*case, variant="raspen", tangent_mode="aspin",
-                             workers=1) as op:
+        monkeypatch.setenv("NLSCHWARZ_WORKERS", "1")
+        with SchwarzOperator(*case, variant="raspen",
+                             tangent_mode="aspin") as op:
             ev = op.evaluate(u)
             its = [st.iterations for st in ev.local_states]
             assert max(its) > 0
@@ -399,7 +400,8 @@ def is_running(pid):
 
 # a caller that starts its owner processes, prints their pids and waits
 CALLER = """
-import sys, time
+import os, sys, time
+os.environ["NLSCHWARZ_WORKERS"] = sys.argv[1]
 from nlschwarz import assembly as asm, mesh as msh
 from nlschwarz.schwarz import SchwarzOperator
 prob = asm.diffusion_problem()
@@ -408,8 +410,7 @@ dm = asm.build_dofmap(prob, m)
 dec = msh.partition_structured(m, 2, 2)
 msh.extend_overlap(dec, msh.dual_graph(m), 2)
 msh.ghost_layer(dec, msh.nodal_graph(m), mesh=m)
-op = SchwarzOperator(prob, m, dm, dec, variant="raspen",
-                     workers=int(sys.argv[1]))
+op = SchwarzOperator(prob, m, dm, dec, variant="raspen")
 op.evaluate(asm.initial_iterate(prob, dm))
 print(*(proc.pid for proc in op._owners.procs), flush=True)
 time.sleep(60)
@@ -438,15 +439,17 @@ outer.solve_nks(prob, m, dm, dec, outer.SolverConfig(variant="nks"))
 
 
 class TestWorkers:
-    def test_owner_processes_match_serial(self):
+    def test_owner_processes_match_serial(self, monkeypatch):
         """1, 2 and 3 owner processes give the same bits, in every variant
         and tangent mode."""
         prob, m, dm, dec = setup_problem("diffusion", nx=8, px=2)
         u = asm.initial_iterate(prob, dm)
+        monkeypatch.setenv("NLSCHWARZ_WORKERS", "1")
         ev1 = SchwarzOperator(prob, m, dm, dec, variant="raspen",
-                              inner=TIGHT, workers=1).evaluate(u)
+                              inner=TIGHT).evaluate(u)
+        monkeypatch.setenv("NLSCHWARZ_WORKERS", "4")
         with SchwarzOperator(prob, m, dm, dec, variant="raspen",
-                             inner=TIGHT, workers=4) as op:
+                             inner=TIGHT) as op:
             np.testing.assert_array_equal(op.evaluate(u).residual,
                                           ev1.residual)
 
@@ -455,9 +458,9 @@ class TestWorkers:
             for mode in ("exact", "aspin"):
                 out = []
                 for workers in (1, 2, 3):
+                    monkeypatch.setenv("NLSCHWARZ_WORKERS", str(workers))
                     with SchwarzOperator(*case, variant=variant, P0=P0,
-                                         tangent_mode=mode,
-                                         workers=workers) as op:
+                                         tangent_mode=mode) as op:
                         ev = op.evaluate(u)
                         out.append((ev.residual, op.apply_tangent(ev, x),
                                     [st.iterations for st in ev.local_states]))
@@ -487,7 +490,8 @@ class TestWorkers:
             return lu
         monkeypatch.setattr(schwarz, "factorize", recorded)
         case, P0, u, x = perturbed_cavity()
-        with SchwarzOperator(*case, variant="hybrid", P0=P0, workers=3) as op:
+        monkeypatch.setenv("NLSCHWARZ_WORKERS", "3")
+        with SchwarzOperator(*case, variant="hybrid", P0=P0) as op:
             for state in (u, 0.5 * u):
                 ev = op.evaluate(state)
                 op.apply_tangent(ev, x)
@@ -500,12 +504,13 @@ class TestWorkers:
         assert pid["released"] == pid["built"]
         assert set(pid["built"].values()) == owners | {os.getpid()}
 
-    def test_dropped_operator_stops_its_owners(self):
+    def test_dropped_operator_stops_its_owners(self, monkeypatch):
         """The owner pool holds no reference back to the operator, so
         dropping the last reference to an operator stops its owners, with
         the cyclic garbage collector off."""
         case, P0, u, x = perturbed_cavity()
-        op = SchwarzOperator(*case, variant="hybrid", P0=P0, workers=3)
+        monkeypatch.setenv("NLSCHWARZ_WORKERS", "3")
+        op = SchwarzOperator(*case, variant="hybrid", P0=P0)
         op.evaluate(u)
         procs = op._owners.procs
         assert all(proc.is_alive() for proc in procs)
@@ -516,11 +521,11 @@ class TestWorkers:
             gc.enable()
         assert not any(proc.is_alive() for proc in procs)
 
-    def test_stale_evaluation_rejected(self):
+    def test_stale_evaluation_rejected(self, monkeypatch):
         case, P0, u, x = perturbed_cavity()
         for workers in (1, 2):
-            with SchwarzOperator(*case, variant="hybrid", P0=P0,
-                                 workers=workers) as op:
+            monkeypatch.setenv("NLSCHWARZ_WORKERS", str(workers))
+            with SchwarzOperator(*case, variant="hybrid", P0=P0) as op:
                 old = op.evaluate(u)
                 new = op.evaluate(0.5 * u)
                 with pytest.raises(RuntimeError, match="superseded"):
@@ -533,7 +538,8 @@ class TestWorkers:
         their replies must not be read as replies to the next command."""
         case, P0, u, x = perturbed_cavity()
         xs = [x * (1.0 + 0.1 * j) for j in range(5)]
-        with SchwarzOperator(*case, variant="hybrid", P0=P0, workers=1) as op:
+        monkeypatch.setenv("NLSCHWARZ_WORKERS", "1")
+        with SchwarzOperator(*case, variant="hybrid", P0=P0) as op:
             ev = op.evaluate(u)
             expect = [ev.residual] + [op.apply_tangent(ev, x) for x in xs]
         caller, failed = os.getpid(), []
@@ -545,8 +551,8 @@ class TestWorkers:
                 raise NonPhysicalStateError("injected")
             return original(self, sub, v)
         monkeypatch.setattr(SchwarzOperator, "local_correction", first_fails)
-        with SchwarzOperator(*case, variant="hybrid", P0=P0,
-                             workers=workers) as op:
+        monkeypatch.setenv("NLSCHWARZ_WORKERS", str(workers))
+        with SchwarzOperator(*case, variant="hybrid", P0=P0) as op:
             with pytest.raises(NonPhysicalStateError, match="injected"):
                 op.evaluate(0.5 * u)
             ev = op.evaluate(u)
@@ -600,7 +606,7 @@ class TestWorkers:
 
 
 class TestHeldMemory:
-    def test_evaluation_holds_little_beyond_its_arrays(self):
+    def test_evaluation_holds_little_beyond_its_arrays(self, monkeypatch):
         """What one hybrid evaluation keeps, as tracemalloc sees it, is
         about the bytes of the arrays it returns: the 4 held SuperLU factors
         add no numpy copies of their L and U (see `sparse.Factorization`).
@@ -609,8 +615,8 @@ class TestHeldMemory:
         keeps R0 DF, not DF."""
         prob, m, dm, dec = setup_problem("ldc", nx=12, px=2, Re=100.0)
         P0 = coarse_space(prob, m, dm, dec)
-        op = SchwarzOperator(prob, m, dm, dec, variant="hybrid", P0=P0,
-                             workers=1)
+        monkeypatch.setenv("NLSCHWARZ_WORKERS", "1")
+        op = SchwarzOperator(prob, m, dm, dec, variant="hybrid", P0=P0)
         u = asm.initial_iterate(prob, dm)
         tracemalloc.start()
         try:

@@ -32,16 +32,12 @@ def pool(request, monkeypatch):
         yield pool
 
 
-def owner_pids(pool):
-    return [os.getpid()] + [proc.pid for proc in pool.procs]
-
-
 def test_results_in_subdomain_order(pool):
     """Owner k runs subdomains k, k + W, ...; with W = 2 and 3 the owners
     hold unequal numbers of them."""
     early, results = pool.run((1.0, ()), toy)
     assert early is None
-    pids = owner_pids(pool)
+    pids = [os.getpid()] + [proc.pid for proc in pool.procs]
     assert len(set(pids)) == pool.workers
     assert results == [(i, pids[i % pool.workers]) for i in range(N)]
     np.testing.assert_array_equal(pool.shared[:N], 1.0)

@@ -418,7 +418,10 @@ class AssemblyPlan:
     bytes of velocity map, 56 of geometry and, on a subset, 120 of DOF
     positions; and 4 bytes per pattern entry, plus 8 more on the full mesh
     or 16 per Stokes nonzero on a subset: about 7.2 MB for the 40 x 40 full
-    mesh, 0.7-0.9 MB for each subdomain of its 4 x 4 decomposition.
+    mesh, 0.7-0.9 MB for each subdomain of its 4 x 4 decomposition.  Each
+    subdomain plan is held only by the process that owns the subdomain
+    (see `schwarz.SubdomainData`), so each of W owner processes holds
+    about 1/W of them.
 
     A plan is valid for one mesh, subset, DofMap, problem and set of rows;
     it keeps a copy of `problem`, and assembly for any other problem or

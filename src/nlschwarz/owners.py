@@ -9,7 +9,11 @@ one subdomain: the nonlinear Schwarz operator its local Newton solves,
 factorizations and tangent solves, NKS the factorizations and solves of its
 preconditioner's blocks.  So each factor is built, used and released by the
 only thread of one process (see `sparse.Factorization`), and SuperLU, which
-holds the GIL, runs on W cores.
+holds the GIL, runs on W cores.  Each process also builds the per-subdomain
+data of its own subdomains, at their first task: the operator's subdomain
+assembly plans, NKS's block gathers.  Only global data, such as the mesh, the
+DOF map and NKS's full-mesh plan, reach the owners from the caller, through
+the fork.
 """
 
 from __future__ import annotations
@@ -90,9 +94,9 @@ class OwnerPool:
         self.close()
 
     def _start(self, task) -> None:
-        # fork, not spawn: the owners need the solver's assembly plans,
-        # which the fork shares copy-on-write; the caller must then run no
-        # other thread
+        # fork, not spawn: the owners need the solver's global data, which
+        # the fork shares copy-on-write; the caller must then run no other
+        # thread
         ctx = multiprocessing.get_context("fork")
         self.procs, self.conns = [], []
         try:

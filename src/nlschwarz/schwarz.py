@@ -45,17 +45,19 @@ local terms of a tangent apply go through one `sparse.StackedSolves`.
 
 Each subdomain is owned by one process of an `owners.OwnerPool`, the
 caller or one forked at the first evaluation (see `owners` for the map).
-The owner runs the subdomain's local Newton solve, factorizes its A_i and
-keeps the factor and C_i until the next evaluation; it also runs the
-subdomain's solve of every tangent apply.  The caller recombines the
-results in subdomain order, so the bits do not depend on the number of
-owners.
+The owner builds the subdomain's assembly plan in its share of the first
+evaluation and holds it; no other process builds it.  It runs the
+subdomain's local Newton solve, factorizes its A_i and keeps the factor
+and C_i until the next evaluation; it also runs the subdomain's solve of
+every tangent apply.  The caller recombines the results in subdomain
+order, so the bits do not depend on the number of owners.
 """
 
 from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg as sla
@@ -167,13 +169,29 @@ def _trailing_columns(A: sp.csc_matrix, n: int) -> sp.csc_matrix:
 
 @dataclass
 class SubdomainData:
+    """One subdomain's data.  Its assembly plan and ghost DOFs are built
+    on first use, by the process that uses them: each owner process builds
+    those of its own subdomains only."""
     index: int
     dofs_ov: np.ndarray
-    ghosts: np.ndarray     # Gamma_i: the DOFs of plan.dofs not in dofs_ov
-    plan: asm.AssemblyPlan  # the ghost-extended elements, assembling the
-                            # rows of dofs_ov, which it numbers first
+    elements: np.ndarray   # the ghost-extended elements: overlap and ghosts
     weight: np.ndarray     # recombination weights on dofs_ov: 1 for ASPEN,
                            # else 1 / the DOF's multiplicity
+    problem: ProblemSpec
+    mesh: Mesh
+    dofmap: DofMap
+
+    @cached_property
+    def plan(self) -> asm.AssemblyPlan:
+        """The plan over `elements`, assembling the rows of dofs_ov, which
+        it numbers first."""
+        return asm.AssemblyPlan(self.mesh, self.dofmap, self.elements,
+                                self.problem, rows=self.dofs_ov)
+
+    @cached_property
+    def ghosts(self) -> np.ndarray:
+        """Gamma_i: the DOFs of plan.dofs not in dofs_ov."""
+        return self.plan.dofs[self.dofs_ov.size:]
 
 
 @dataclass
@@ -254,11 +272,10 @@ class SchwarzOperator:
         for i, dofs_ov in enumerate(overlaps):
             ext = np.unique(np.concatenate([decomp.overlap_elements[i],
                                             decomp.ghost_elements[i]]))
-            plan = asm.AssemblyPlan(mesh, dofmap, ext, problem, rows=dofs_ov)
             weight = (np.ones(dofs_ov.size) if variant == "aspen"
                       else self.pou_weight[dofs_ov])
-            self.subs.append(SubdomainData(i, dofs_ov, plan.dofs[dofs_ov.size:],
-                                           plan, weight))
+            self.subs.append(SubdomainData(i, dofs_ov, ext, weight, problem,
+                                           mesh, dofmap))
         self._local_solves = StackedSolves([sub.dofs_ov for sub in self.subs],
                                            dofmap.n_dofs,
                                            [sub.weight for sub in self.subs])
@@ -356,9 +373,10 @@ class SchwarzOperator:
         writing its result into its block of the stacked results after the
         n_dofs-vector at the start of `shared`: "evaluate", the local
         correction at that state, whose state this process then holds, and
-        returns its (iterations, converged); "apply", the local solve of the
-        tangent applied to that vector; or None, which releases the held
-        state."""
+        returns its (iterations, converged), the first building the
+        subdomain's plan here; "apply", the local solve of the tangent
+        applied to that vector; or None, which releases the held state but
+        not the plan."""
         n = self.dofmap.n_dofs
         vector, out = shared[:n], shared[n:][self._local_solves.block(i)]
         if command == "apply":

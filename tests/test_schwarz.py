@@ -504,6 +504,42 @@ class TestWorkers:
         assert pid["released"] == pid["built"]
         assert set(pid["built"].values()) == owners | {os.getpid()}
 
+    @pytest.mark.parametrize("workers", [2, 3])
+    def test_each_plan_built_once_by_its_owner(self, workers, monkeypatch,
+                                              tmp_path):
+        """Each subdomain's plan is built by its owner alone, in the first
+        evaluation: the caller holds the plans of subdomains 0, W, 2W, ...
+        only, and later evaluations and applies build none.  The patch is
+        installed before the fork, and the owners log to a file."""
+        log = tmp_path / "plans"
+        prob, m, dm, dec = setup_problem("diffusion", nx=12, px=3)
+        # subdomain index by ghost-extended element set
+        index = {np.union1d(*pair).tobytes(): i for i, pair in
+                 enumerate(zip(dec.overlap_elements, dec.ghost_elements))}
+
+        def recorded(mesh, dofmap, subset, *args, _plan=asm.AssemblyPlan,
+                     **kwargs):
+            with open(log, "a") as f:
+                f.write(f"{index[subset.tobytes()]} {os.getpid()}\n")
+            return _plan(mesh, dofmap, subset, *args, **kwargs)
+        monkeypatch.setattr(asm, "AssemblyPlan", recorded)
+        x = np.where(dm.dirichlet_mask, 0.0, 1.0)
+        monkeypatch.setenv("NLSCHWARZ_WORKERS", str(workers))
+        with SchwarzOperator(prob, m, dm, dec, variant="raspen") as op:
+            ev = op.evaluate(asm.initial_iterate(prob, dm))
+            n = len(op.subs)
+            assert n == 9
+            assert [sub.index for sub in op.subs if "plan" in vars(sub)] \
+                == list(range(0, n, workers))
+            first = log.read_text()
+            op.apply_tangent(ev, x)
+            op.apply_tangent(op.evaluate(0.5 * x), x)
+            owners = [os.getpid()] + [proc.pid for proc in op._owners.procs]
+        assert log.read_text() == first
+        built = sorted(tuple(map(int, line.split()))
+                       for line in first.splitlines())
+        assert built == [(i, owners[i % workers]) for i in range(n)]
+
     def test_dropped_operator_stops_its_owners(self, monkeypatch):
         """The owner pool holds no reference back to the operator, so
         dropping the last reference to an operator stops its owners, with
@@ -618,6 +654,8 @@ class TestHeldMemory:
         monkeypatch.setenv("NLSCHWARZ_WORKERS", "1")
         op = SchwarzOperator(prob, m, dm, dec, variant="hybrid", P0=P0)
         u = asm.initial_iterate(prob, dm)
+        for sub in op.subs:   # the plans are built outside the window
+            sub.plan
         tracemalloc.start()
         try:
             ev = op.evaluate(u)
@@ -652,6 +690,7 @@ class TestHeldMemory:
         op = SchwarzOperator(prob, m, dm, dec, variant="hybrid", P0=P0)
         u = asm.initial_iterate(prob, dm)
         sub = op.subs[-1]     # at the lid, so that Newton iterates
+        sub.plan              # built outside the window
         tracemalloc.start()
         try:
             st = op.local_correction(sub, u)

@@ -39,7 +39,9 @@ subdomains is read from the environment variable NLSCHWARZ_WORKERS (default
 calling process is one of them, and each runs the local work of the
 subdomains it owns (see `owners`): the local Newton solves,
 factorizations and tangent solves of nonlinear Schwarz, or the
-factorizations and solves of the NKS preconditioner's blocks.
+assemblies, factorizations and solves of the NKS preconditioner's blocks.
+In both solvers each process builds and holds the assembly plans of its own
+subdomains only.
 """
 
 from __future__ import annotations

@@ -50,7 +50,9 @@ evaluation and holds it; no other process builds it.  It runs the
 subdomain's local Newton solve, factorizes its A_i and keeps the factor
 and C_i until the next evaluation; it also runs the subdomain's solve of
 every tangent apply.  The caller recombines the results in subdomain
-order, so the bits do not depend on the number of owners.
+order, so the bits do not depend on the number of owners.  The NKS
+preconditioner (`outer.solve_nks`) takes the same `subdomains` and assembles
+its blocks A_i on the same plans, each in its owner.
 """
 
 from __future__ import annotations
@@ -169,14 +171,15 @@ def _trailing_columns(A: sp.csc_matrix, n: int) -> sp.csc_matrix:
 
 @dataclass
 class SubdomainData:
-    """One subdomain's data.  Its assembly plan and ghost DOFs are built
-    on first use, by the process that uses them: each owner process builds
-    those of its own subdomains only."""
+    """One overlapping subdomain, as both solvers see it (see
+    `subdomains`).  Its assembly plan and ghost DOFs are built on first
+    use, by the process that uses them: in either solver, each owner
+    process builds and holds those of its own subdomains only."""
     index: int
     dofs_ov: np.ndarray
     elements: np.ndarray   # the ghost-extended elements: overlap and ghosts
-    weight: np.ndarray     # recombination weights on dofs_ov: 1 for ASPEN,
-                           # else 1 / the DOF's multiplicity
+    weight: np.ndarray     # partition-of-unity weights on dofs_ov: 1 / the
+                           # DOF's multiplicity
     problem: ProblemSpec
     mesh: Mesh
     dofmap: DofMap
@@ -192,6 +195,39 @@ class SubdomainData:
     def ghosts(self) -> np.ndarray:
         """Gamma_i: the DOFs of plan.dofs not in dofs_ov."""
         return self.plan.dofs[self.dofs_ov.size:]
+
+    def residual(self, v: np.ndarray) -> np.ndarray:
+        """R_i F(v) for the state v on plan.dofs."""
+        return asm.assemble_residual(self.problem, self.mesh, self.dofmap, v,
+                                     subset=self.plan.elems, plan=self.plan)
+
+    def tangent(self, v: np.ndarray) -> sp.csc_matrix:
+        """R_i DF(v) on the plan's columns, [A_i | C_i], for the state v on
+        plan.dofs."""
+        return asm.assemble_tangent(self.problem, self.mesh, self.dofmap, v,
+                                    subset=self.plan.elems, plan=self.plan)
+
+
+def subdomains(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
+               decomp: Decomposition) -> list[SubdomainData]:
+    """The overlapping subdomains of `decomp`, which must carry the overlaps
+    of `mesh.extend_overlap` and the ghost layers of `mesh.ghost_layer`,
+    and whose overlaps must cover every DOF.  Raises `ValueError` otherwise."""
+    for layers, name, step in (
+            (decomp.overlap_elements, "overlaps", "extend_overlap"),
+            (decomp.ghost_elements, "ghost layers", "ghost_layer")):
+        if layers is None:
+            raise ValueError(f"the decomposition has no {name}: "
+                             f"run mesh.{step} first")
+    overlaps = [asm.subset_dofs(dofmap, mesh, ov)
+                for ov in decomp.overlap_elements]
+    count = np.bincount(np.concatenate(overlaps), minlength=dofmap.n_dofs)
+    if np.any(count == 0):
+        raise ValueError("overlapping subdomains do not cover every DOF")
+    return [SubdomainData(i, dofs_ov, np.union1d(ov, ghosts),
+                          1.0 / count[dofs_ov], problem, mesh, dofmap)
+            for i, (dofs_ov, ov, ghosts) in enumerate(zip(
+                overlaps, decomp.overlap_elements, decomp.ghost_elements))]
 
 
 @dataclass
@@ -259,26 +295,12 @@ class SchwarzOperator:
         self.inner = inner or NewtonParams()
         self.coarse = coarse or NewtonParams()
 
-        overlaps = [asm.subset_dofs(dofmap, mesh, ov)
-                    for ov in decomp.overlap_elements]
-        count = np.zeros(dofmap.n_dofs, dtype=np.int64)
-        for dofs_ov in overlaps:
-            count[dofs_ov] += 1
-        if np.any(count == 0):
-            raise ValueError("overlapping subdomains do not cover every DOF")
-        self.pou_weight = 1.0 / count
-
-        self.subs: list[SubdomainData] = []
-        for i, dofs_ov in enumerate(overlaps):
-            ext = np.unique(np.concatenate([decomp.overlap_elements[i],
-                                            decomp.ghost_elements[i]]))
-            weight = (np.ones(dofs_ov.size) if variant == "aspen"
-                      else self.pou_weight[dofs_ov])
-            self.subs.append(SubdomainData(i, dofs_ov, ext, weight, problem,
-                                           mesh, dofmap))
+        self.subs = subdomains(problem, mesh, dofmap, decomp)
+        # the recombination weights: 1 for ASPEN, else the partition of unity
+        self.weights = [np.ones(sub.dofs_ov.size) if variant == "aspen"
+                        else sub.weight for sub in self.subs]
         self._local_solves = StackedSolves([sub.dofs_ov for sub in self.subs],
-                                           dofmap.n_dofs,
-                                           [sub.weight for sub in self.subs])
+                                           dofmap.n_dofs, self.weights)
         # the shared mapping holds the state u or the vector x that a
         # command reads, then the stacked per-subdomain results
         self._owners = OwnerPool(len(self.subs), dofmap.n_dofs
@@ -302,15 +324,6 @@ class SchwarzOperator:
 
     # -- corrections -------------------------------------------------------
 
-    def _local_residual(self, sub: SubdomainData, v: np.ndarray) -> np.ndarray:
-        return asm.assemble_residual(self.problem, self.mesh, self.dofmap, v,
-                                     subset=sub.plan.elems, plan=sub.plan)
-
-    def _local_tangent(self, sub: SubdomainData, v: np.ndarray) -> sp.csc_matrix:
-        """R_i DF(v) on the plan's columns: [A_i | C_i]."""
-        return asm.assemble_tangent(self.problem, self.mesh, self.dofmap, v,
-                                    subset=sub.plan.elems, plan=sub.plan)
-
     def local_correction(self, sub: SubdomainData, u: np.ndarray) -> LocalSolveState:
         n = sub.dofs_ov.size   # v holds the state on plan.dofs, dofs_ov first
         v0 = u[sub.plan.dofs]
@@ -320,7 +333,7 @@ class SchwarzOperator:
 
         def direction(v, r):
             nonlocal kept
-            A = self._local_tangent(sub, v)
+            A = sub.tangent(v)
             lu = factorize(_leading_columns(A, n), fast=True)
             if kept is None and self.tangent_mode == "aspin":
                 kept = lu, _trailing_columns(A, n)
@@ -332,11 +345,10 @@ class SchwarzOperator:
             return w
 
         v, its, converged = _damped_newton(
-            lambda v: self._local_residual(sub, v), direction, moved, v0,
+            sub.residual, direction, moved, v0,
             self.inner, f"local correction on subdomain {sub.index}")
         if kept is None:
-            A = self._local_tangent(sub, v if self.tangent_mode == "exact"
-                                    else v0)
+            A = sub.tangent(v if self.tangent_mode == "exact" else v0)
             kept = (factorize(_leading_columns(A, n), fast=True),
                     _trailing_columns(A, n))
         return LocalSolveState(u[sub.dofs_ov] - v[:n], its, converged, *kept)
@@ -434,8 +446,8 @@ class SchwarzOperator:
         locals_ = self._run_locals(w)
         t_inner = time.perf_counter() - t0
 
-        for sub, st in zip(self.subs, locals_):
-            contribution[sub.dofs_ov] += sub.weight * st.correction
+        for sub, weight, st in zip(self.subs, self.weights, locals_):
+            contribution[sub.dofs_ov] += weight * st.correction
 
         ok = all(st.converged for st in locals_)
         cits = 0

@@ -122,7 +122,7 @@ class TestOperatorSetup:
             x = rng.standard_normal(dm.n_dofs)
             acc = np.zeros_like(x)
             for sub in op.subs:
-                acc[sub.dofs_ov] += (op.pou_weight * x)[sub.dofs_ov]
+                acc[sub.dofs_ov] += sub.weight * x[sub.dofs_ov]
             assert np.abs(acc - x).max() < 1e-15
 
 
@@ -173,7 +173,7 @@ class TestLocalBlocks:
             u = np.where(dm.dirichlet_mask, u,
                          u + scale * rng.standard_normal(dm.n_dofs))
         for sub in op.subs:
-            A = op._local_tangent(sub, u[sub.plan.dofs])
+            A = sub.tangent(u[sub.plan.dofs])
             extended = asm.assemble_tangent(prob, m, dm, u,
                                             subset=sub.plan.elems).tocsr()
             dofs = asm.subset_dofs(dm, m, sub.plan.elems)
@@ -208,8 +208,7 @@ class TestEvaluate:
         ev = op.evaluate(u)
         expect = np.zeros(dm.n_dofs)
         for sub, st in zip(op.subs, ev.local_states):
-            expect[sub.dofs_ov] += (op.pou_weight[sub.dofs_ov]
-                                    * st.correction)
+            expect[sub.dofs_ov] += sub.weight * st.correction
         np.testing.assert_allclose(ev.residual, expect, atol=1e-15)
 
     def test_additive_adds_coarse(self):
@@ -294,7 +293,9 @@ class TestTangent:
             if variant == "hybrid":
                 w = u0
         DF = asm.assemble_tangent(prob, m, dm, w).toarray()
-        weight = np.ones(n) if variant == "aspen" else op.pou_weight
+        multiplicity = np.bincount(
+            np.concatenate([sub.dofs_ov for sub in op.subs]), minlength=n)
+        weight = np.ones(n) if variant == "aspen" else 1.0 / multiplicity
         locals_ = np.zeros((n, n))
         for sub in op.subs:
             P = np.eye(n)[:, sub.dofs_ov]
@@ -325,9 +326,9 @@ class TestTangent:
         for _ in range(2):
             x = rng.standard_normal(dm.n_dofs)
             expect = np.zeros_like(x)
-            for sub, st in zip(op.subs, ev.local_states):
+            for sub, w, st in zip(op.subs, op.weights, ev.local_states):
                 y = x[sub.dofs_ov] + st.tangent.solve(st.coupling @ x[sub.ghosts])
-                expect[sub.dofs_ov] += sub.weight * y
+                expect[sub.dofs_ov] += w * y
             np.testing.assert_array_equal(op._apply_locals(x), expect)
 
     def test_aspin_mode_factorizes_the_initial_tangent_once(self,
@@ -353,7 +354,7 @@ class TestTangent:
             expect = np.zeros_like(x)
             for sub in op.subs:
                 n = sub.dofs_ov.size
-                A = op._local_tangent(sub, u[sub.plan.dofs])
+                A = sub.tangent(u[sub.plan.dofs])
                 lu = schwarz.factorize(schwarz._leading_columns(A, n),
                                        fast=True)
                 coupling = schwarz._trailing_columns(A, n)
@@ -428,6 +429,7 @@ m = msh.build_structured_mesh(8, 8, problem_kind="diffusion")
 dm = asm.build_dofmap(prob, m)
 dec = msh.partition_structured(m, 2, 2)
 msh.extend_overlap(dec, msh.dual_graph(m), 1)
+msh.ghost_layer(dec, msh.nodal_graph(m), mesh=m)
 
 def wait(*args, **kwargs):
     print(*sorted(proc.pid for proc in multiprocessing.active_children()),

@@ -418,11 +418,10 @@ class AssemblyPlan:
     bytes of velocity map, 56 of geometry and, on a subset, 120 of DOF
     positions; and 4 bytes per pattern entry, plus 8 more on the full mesh
     or 16 per Stokes nonzero on a subset: about 7.2 MB for the 40 x 40 full
-    mesh, 0.7-0.9 MB for each subdomain of its 4 x 4 decomposition.  In
-    both solvers, nonlinear Schwarz and NKS, each subdomain plan is held
-    only by the process that owns the subdomain (see
-    `schwarz.SubdomainData`), so each of W owner processes holds about 1/W
-    of them.
+    mesh, 0.7-0.9 MB for each subdomain of its 4 x 4 decomposition.  Each
+    subdomain plan is held only by the process that owns the subdomain
+    (see `schwarz.SubdomainData`), so each of W owner processes holds
+    about 1/W of them.
 
     A plan is valid for one mesh, subset, DofMap, problem and set of rows;
     it keeps a copy of `problem`, and assembly for any other problem or
@@ -697,9 +696,12 @@ def assemble_residual(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap, u,
 
 
 def assemble_tangent(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap, u,
-                     subset=None, plan: AssemblyPlan | None = None):
+                     subset=None, plan: AssemblyPlan | None = None,
+                     values: np.ndarray | None = None):
     """The tangent rows of the plan's `rows` on all of its columns: a CSC
-    matrix for a subset, a CSR matrix for the full mesh."""
+    matrix for a subset, a CSR matrix for the full mesh.  `values`, if
+    given, receives the plan.nnz values on the plan's pattern, the exact
+    zeros that the matrix drops included."""
     plan = _plan_for(problem, mesh, dofmap, subset, plan)
     ul = plan.local_state(u)
     data = np.zeros(plan.nnz + 1)        # the last slot collects dropped entries
@@ -714,6 +716,8 @@ def assemble_tangent(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap, u,
     elif plan.stokes is not None:           # the full mesh: on the pattern
         data[:-1] += plan.stokes.data
     data[plan.diagonal] = 1.0
+    if values is not None:
+        values[:] = data[:-1]
     layout = sp.csr_matrix if plan.is_global else sp.csc_matrix
     A = layout((data[:-1], plan.indices.copy(), plan.indptr.copy()),
                shape=(plan.n_rows, plan.n))

@@ -39,9 +39,7 @@ subdomains is read from the environment variable NLSCHWARZ_WORKERS (default
 calling process is one of them, and each runs the local work of the
 subdomains it owns (see `owners`): the local Newton solves,
 factorizations and tangent solves of nonlinear Schwarz, or the
-assemblies, factorizations and solves of the NKS preconditioner's blocks.
-In both solvers each process builds and holds the assembly plans of its own
-subdomains only.
+factorizations and solves of the NKS preconditioner's blocks.
 """
 
 from __future__ import annotations

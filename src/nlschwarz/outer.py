@@ -13,8 +13,7 @@ space, refreshed at every Newton step.
 
 Both solvers take their subdomains from `schwarz.subdomains` and run their
 local work on the processes that own them (see `owners`), which they stop
-when the solve returns or raises.  Each owner assembles its subdomains'
-blocks on their plans from the state that the caller hands it, u under NKS.
+when the solve returns or raises.
 """
 
 from __future__ import annotations
@@ -25,14 +24,14 @@ from typing import Callable
 
 import numpy as np
 import scipy.linalg as sla
+import scipy.sparse as sp
 
 from . import assembly as asm
 from .assembly import DofMap, NonPhysicalStateError, ProblemSpec
 from .mesh import Decomposition, Mesh
 from .owners import OwnerPool
-from .schwarz import (NewtonParams, SchwarzOperator, SubdomainData,
-                      _leading_columns, backtracking_step, coarse_lu,
-                      subdomains)
+from .schwarz import (NewtonParams, SchwarzOperator, backtracking_step,
+                      coarse_lu, subdomains)
 from .sparse import SingularMatrixError, StackedSolves, factorize, gmres
 
 
@@ -239,37 +238,78 @@ def solve_nonlinear_schwarz(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
         return _newton(problem, mesh, dofmap, cfg, u0, linearize, t_start)
 
 
+def _slot_matrix(plan: asm.AssemblyPlan) -> sp.csr_matrix:
+    """The full-mesh `plan`'s pattern holding 1 + each entry's slot among
+    the values of a tangent on it."""
+    return sp.csr_matrix((np.arange(1, plan.nnz + 1), plan.indices,
+                          plan.indptr), shape=(plan.n_rows, plan.n))
+
+
+def _block_gather(slots: sp.csr_matrix, d: np.ndarray) -> tuple:
+    """Where the block R_i DF P_i on the rows and columns `d` lies among the
+    values of a tangent on the pattern of `slots` (see `_slot_matrix`): the
+    pattern slot of each of its entries in CSC order, its row indices and
+    its column pointers."""
+    block = sp.csc_matrix(slots[d][:, d])
+    return block.data - 1, block.indices, block.indptr
+
+
+def _gathered_block(values: np.ndarray, gather) -> sp.csc_matrix:
+    """The block of `gather` (see `_block_gather`) out of the tangent
+    values on the plan's pattern, with its exact zeros dropped: the arrays
+    of ``sp.csc_matrix(DF[d][:, d])`` for the DF that `assemble_tangent`
+    returns."""
+    slots, indices, indptr = gather
+    n = indptr.size - 1
+    # eliminate_zeros rewrites the index arrays it is handed, so it gets
+    # copies of the gather's
+    A = sp.csc_matrix((values[slots], indices.copy(), indptr.copy()),
+                      shape=(n, n))
+    A.eliminate_zeros()
+    return A
+
+
 class _LocalBlocks:
-    """The local blocks A_i = R_i DF(u) P_i of the NKS preconditioner, as the
+    """The local blocks A_i = R_i DF P_i of the NKS preconditioner, as the
     task of an `OwnerPool` (see `owners`).
 
-    The pool's shared mapping holds an n-vector, the state u of a
-    "factorize" or the vector of an "apply", then the stacked block solves,
-    as in `SchwarzOperator`.  On "factorize", block i is assembled at u on
-    subdomain i's plan, which this process builds at the block's first
-    task, as the leading columns of [A_i | C_i] (see `schwarz`), and
-    factorized; on "apply", it is solved."""
+    The pool's shared mapping holds DF's values on the full-mesh plan's
+    pattern, the vector of an apply and the stacked block solves
+    (`views`).  On "factorize", block i is gathered out of DF's values,
+    through the gather this process builds at the block's first
+    factorization, and factorized; on "apply", it is solved."""
 
-    def __init__(self, subs: list[SubdomainData], n: int):
-        self.subs = subs
-        self.stacked = StackedSolves([sub.dofs_ov for sub in subs], n)
-        self.size = n + self.stacked.index.size
+    def __init__(self, plan: asm.AssemblyPlan, sub_dofs: list[np.ndarray]):
+        self.plan = plan
+        self.sub_dofs = sub_dofs
+        self.stacked = StackedSolves(sub_dofs, plan.n)
+        self.size = plan.nnz + plan.n + self.stacked.index.size
+        self.slots = None     # this process's `_slot_matrix`
+        self.gathers = {}     # of this process's blocks, by index
         self.factors = {}     # of this process's blocks, by index
 
+    def views(self, shared: np.ndarray):
+        """The DF values, the vector and the block solves in `shared`."""
+        nnz, n = self.plan.nnz, self.plan.n
+        return shared[:nnz], shared[nnz:nnz + n], shared[nnz + n:]
+
     def __call__(self, i: int, command: str | None, shared: np.ndarray):
-        sub, n = self.subs[i], self.stacked.n
-        vector, solves = shared[:n], shared[n:]
+        values, vector, solves = self.views(shared)
         if command == "apply":
+            # each of this process's blocks has its gather by now
+            self.slots = None
             solves[self.stacked.block(i)] = self.factors[i].solve(
-                vector[sub.dofs_ov])
+                vector[self.sub_dofs[i]])
             return None
         # the old factor goes before its replacement is built
         self.factors.pop(i, None)
         if command == "factorize":
+            if i not in self.gathers:
+                if self.slots is None:
+                    self.slots = _slot_matrix(self.plan)
+                self.gathers[i] = _block_gather(self.slots, self.sub_dofs[i])
             self.factors[i] = factorize(
-                _leading_columns(sub.tangent(vector[sub.plan.dofs]),
-                                 sub.dofs_ov.size),
-                fast=True)
+                _gathered_block(values, self.gathers[i]), fast=True)
         return None
 
 
@@ -281,41 +321,43 @@ def solve_nks(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
     M^{-1} = P_0 (R_0 DF P_0)^{-1} R_0 + sum_i P_i (R_i DF P_i)^{-1} R_i with
     every block rebuilt from the Jacobian at the current Newton iterate; the
     decomposition is expected to carry nodal-graph overlaps of half the width
-    used by the nonlinear Schwarz methods, and ghost layers.
+    used by the nonlinear Schwarz methods, and ghost layers, which
+    `schwarz.subdomains` checks for both solvers.
 
     The local blocks run on an `OwnerPool` (see `owners`), which is
-    stopped when the solve returns or raises.  Each Newton step, the
-    caller hands the owners u, and each owner assembles, factorizes and
-    keeps its blocks on its subdomains' plans, while the caller assembles
-    DF and factorizes the coarse block; in each apply the caller computes
-    the coarse term while the owners solve theirs.  The caller adds the
-    local terms in subdomain order, then the coarse term, so the bits do
-    not depend on the number of processes.
+    stopped when the solve returns or raises.  Each Newton step,
+    the caller assembles DF and hands its values to the owners, which
+    gather, factorize and keep their blocks, while the caller factorizes
+    the coarse block; in each apply the caller computes the coarse term
+    while the owners solve theirs.  The caller adds the local terms in
+    subdomain order, then the coarse term, so the bits do not depend on the
+    number of processes.
     """
     t_start = time.perf_counter()
     R0 = P0.T.tocsr() if P0 is not None else None
-    n = dofmap.n_dofs
-    blocks = _LocalBlocks(subdomains(problem, mesh, dofmap, decomp), n)
+    sub_dofs = [sub.dofs_ov
+                for sub in subdomains(problem, mesh, dofmap, decomp)]
+    plan = asm.global_plan(mesh, dofmap, problem)
+    blocks = _LocalBlocks(plan, sub_dofs)
 
-    with OwnerPool(len(blocks.subs), blocks.size) as owners:
-        vector, solves = owners.shared[:n], owners.shared[n:]
+    with OwnerPool(len(sub_dofs), blocks.size) as owners:
+        values, vector, solves = blocks.views(owners.shared)
 
         def linearize(u, F):
             t0 = time.perf_counter()
+            DF = asm.assemble_tangent(problem, mesh, dofmap, u, plan=plan,
+                                      values=values)
             t_coarse = 0.0
 
-            def global_part():
+            def coarse_factor():
                 nonlocal t_coarse
-                DF = asm.assemble_tangent(problem, mesh, dofmap, u)
-                if P0 is None:
-                    return DF, None
                 t = time.perf_counter()
                 lu = coarse_lu((R0 @ DF @ P0).toarray())
                 t_coarse = time.perf_counter() - t
-                return DF, lu
+                return lu
 
-            vector[:] = u
-            (DF, coarse), _ = owners.run("factorize", blocks, global_part)
+            coarse, _ = owners.run("factorize", blocks,
+                                   coarse_factor if P0 is not None else None)
             t_inner = time.perf_counter() - t0 - t_coarse
 
             def precond(v):

@@ -6,13 +6,14 @@ command, are owners 1, ..., W - 1; owner k owns subdomains k, k + W,
 k + 2W, ....  This module is the only one that knows that map.  Both
 solvers run their local work on one `OwnerPool`, as a task that handles
 one subdomain: the nonlinear Schwarz operator its local Newton solves,
-factorizations and tangent solves, NKS the assemblies, factorizations and
-solves of its preconditioner's blocks.  So each factor is built, used and
-released by the only thread of one process (see `sparse.Factorization`), and
-SuperLU, which holds the GIL, runs on W cores.  In both solvers each process
-also builds the assembly plans of its own subdomains, at their first task.
-Only global data, such as the mesh and the DOF map, reach the owners from the
-caller, through the fork.
+factorizations and tangent solves, NKS the factorizations and solves of its
+preconditioner's blocks.  So each factor is built, used and released by the
+only thread of one process (see `sparse.Factorization`), and SuperLU, which
+holds the GIL, runs on W cores.  Each process also builds the per-subdomain
+data of its own subdomains, at their first task: the operator's subdomain
+assembly plans, NKS's block gathers.  Only global data, such as the mesh, the
+DOF map and NKS's full-mesh plan, reach the owners from the caller, through
+the fork.
 """
 
 from __future__ import annotations

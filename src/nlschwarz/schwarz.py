@@ -51,8 +51,8 @@ subdomain's local Newton solve, factorizes its A_i and keeps the factor
 and C_i until the next evaluation; it also runs the subdomain's solve of
 every tangent apply.  The caller recombines the results in subdomain
 order, so the bits do not depend on the number of owners.  The NKS
-preconditioner (`outer.solve_nks`) takes the same `subdomains` and assembles
-its blocks A_i on the same plans, each in its owner.
+preconditioner (`outer.solve_nks`) takes its blocks' DOFs from the same
+`subdomains`.
 """
 
 from __future__ import annotations
@@ -173,8 +173,8 @@ def _trailing_columns(A: sp.csc_matrix, n: int) -> sp.csc_matrix:
 class SubdomainData:
     """One overlapping subdomain, as both solvers see it (see
     `subdomains`).  Its assembly plan and ghost DOFs are built on first
-    use, by the process that uses them: in either solver, each owner
-    process builds and holds those of its own subdomains only."""
+    use, by the process that uses them: each owner process builds and
+    holds those of its own subdomains only."""
     index: int
     dofs_ov: np.ndarray
     elements: np.ndarray   # the ghost-extended elements: overlap and ghosts

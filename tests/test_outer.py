@@ -1,7 +1,6 @@
 """Outer Newton driver tests for nonlinear Schwarz and NKS."""
 
 import multiprocessing
-import os
 
 import numpy as np
 import pytest
@@ -12,7 +11,7 @@ from nlschwarz import assembly as asm
 from nlschwarz import cli
 from nlschwarz import coarse as crs
 from nlschwarz import mesh as msh
-from nlschwarz import outer, owners, schwarz
+from nlschwarz import outer, owners
 from nlschwarz.outer import (GmresParams, SolverConfig, beam_config,
                              solve_nks, solve_nonlinear_schwarz)
 from nlschwarz.schwarz import NewtonParams, SchwarzOperator
@@ -207,12 +206,11 @@ class TestNks:
         {"problem": "beam", "fy": 1.0, "subdomains": [4, 1], "hh": 4},
         {"problem": "diffusion", "subdomains": [2, 2], "hh": 6}],
         ids=["ldc", "beam", "diffusion"])
-    def test_factorized_blocks_equal_cut(self, config, state, monkeypatch):
-        """Each block that an owner assembles on its subdomain's plan, at
-        the u in its mapping, and factorizes has the data, indices and
-        pointers of the CSC cut DF[d][:, d].  Every problem has exact zeros
-        in its blocks at the initial state, and the cavity also at the
-        perturbed one (its pressure block); assembly drops them."""
+    def test_gathered_blocks_equal_cut(self, config, state):
+        """Each block gathered out of DF's values on the plan's pattern has
+        the data, indices and pointers of the CSC cut DF[d][:, d].  Every
+        problem has exact zeros in its blocks at the initial state, and the
+        cavity also at the perturbed one (its pressure block)."""
         prob, m, dm, px, py = cli._build_case(config, {})
         dec = cli._decompose(m, px, py, 2, nks=True)
         u = asm.initial_iterate(prob, dm)
@@ -220,31 +218,21 @@ class TestNks:
             rng = np.random.default_rng(5)
             u = np.where(dm.dirichlet_mask, u,
                          u + 1e-3 * rng.standard_normal(dm.n_dofs))
-        factorized = []
-
-        def recorded(A, fast=False):
-            factorized.append(A)
-            return factorize(A, fast=fast)
-        monkeypatch.setattr(outer, "factorize", recorded)
-        blocks = outer._LocalBlocks(schwarz.subdomains(prob, m, dm, dec),
-                                    dm.n_dofs)
-        shared = np.zeros(blocks.size)
-        shared[:dm.n_dofs] = u
-        DF = asm.assemble_tangent(prob, m, dm, u)
+        plan = asm.global_plan(m, dm, prob)
+        values = np.empty(plan.nnz)
+        DF = asm.assemble_tangent(prob, m, dm, u, plan=plan, values=values)
+        sub_dofs = [asm.subset_dofs(dm, m, ov) for ov in dec.overlap_elements]
         dropped = 0
-        for i, sub in enumerate(blocks.subs):
-            factorized.clear()
-            blocks(i, "factorize", shared)
-            got, = factorized
-            d = sub.dofs_ov
-            cut = sp.csc_matrix(DF[d][:, d])
-            assert got.shape == cut.shape
-            for name in ("data", "indices", "indptr"):
-                np.testing.assert_array_equal(getattr(got, name),
-                                              getattr(cut, name))
-            # the entries of the plan's pattern in the block's columns
-            dropped += sub.plan.indptr[d.size] - got.nnz
-            blocks(i, None, shared)
+        slots = outer._slot_matrix(plan)
+        for d in sub_dofs:
+            gather = outer._block_gather(slots, d)
+            for _ in range(2):   # the gather survives its first use
+                got = outer._gathered_block(values, gather)
+                cut = sp.csc_matrix(DF[d][:, d])
+                for name in ("data", "indices", "indptr"):
+                    np.testing.assert_array_equal(getattr(got, name),
+                                                  getattr(cut, name))
+            dropped += gather[0].size - got.nnz
         assert (dropped > 0) == (state == "initial" or prob.kind == "ldc")
 
 
@@ -493,45 +481,6 @@ class TestOwnerProcesses:
         u, rep = self.solve("hybrid", workers, monkeypatch)
         assert rep.reason.startswith("linearization failed")
         assert "local correction on subdomain 0" in rep.reason
-        self.stopped(started, workers)
-
-    @pytest.mark.parametrize("workers", [2, 3])
-    def test_each_nks_plan_built_once_by_its_owner(self, workers, monkeypatch,
-                                                   tmp_path):
-        """Each block's subdomain plan is built by the block's owner alone,
-        in the first Newton step, and later steps build none.  The patches
-        are installed before the fork, the owners log to a file, and the
-        caller marks each GMRES call there, after every owner has replied
-        to the step's "factorize"."""
-        log = tmp_path / "plans"
-        prob, m, dm, dec = diffusion_case(nx=18, px=3)
-        # subdomain index by ghost-extended element set
-        index = {np.union1d(*pair).tobytes(): i for i, pair in
-                 enumerate(zip(dec.overlap_elements, dec.ghost_elements))}
-
-        def recorded(mesh, dofmap, subset, *args, _plan=asm.AssemblyPlan,
-                     **kwargs):
-            if subset is not None:
-                with open(log, "a") as f:
-                    f.write(f"{index[subset.tobytes()]} {os.getpid()}\n")
-            return _plan(mesh, dofmap, subset, *args, **kwargs)
-
-        def marked(*args, _gmres=outer.gmres, **kwargs):
-            with open(log, "a") as f:
-                f.write("gmres\n")
-            return _gmres(*args, **kwargs)
-        monkeypatch.setattr(asm, "AssemblyPlan", recorded)
-        monkeypatch.setattr(outer, "gmres", marked)
-        started = self.started(monkeypatch)
-        u, rep = self.solve("nks", workers, monkeypatch)
-        assert rep.converged and rep.outer_iterations >= 2
-        first, *later = log.read_text().split("gmres\n")
-        assert len(later) == rep.outer_iterations
-        assert not any(later)
-        owner_pids = [os.getpid()] + [proc.pid for proc in started[0].procs]
-        built = sorted(tuple(map(int, line.split()))
-                       for line in first.splitlines())
-        assert built == [(i, owner_pids[i % workers]) for i in range(9)]
         self.stopped(started, workers)
 
     @pytest.mark.parametrize("workers", [1, 2, 3])

@@ -8,8 +8,10 @@ residual norm ||F(u_k)|| so the curves are directly comparable with NKS; the
 preconditioned norm is recorded alongside.
 
 The NKS baseline is Newton on F(u) with GMRES left-preconditioned by a linear
-additive two-level Schwarz operator built from the same subdomains and coarse
-space, refreshed at every Newton step.
+two-level Schwarz operator built from the same subdomains and coarse space,
+refreshed at every Newton step: an additive coarse term plus the local block
+solves, each weighted by the partition of unity D_i that the nonlinear
+variants use, M^{-1} = P_0 A_0^{-1} R_0 + sum_i P_i D_i A_i^{-1} R_i.
 
 Both solvers take their subdomains from `schwarz.subdomains` and run their
 local work on the processes that own them (see `owners`), which they stop
@@ -271,18 +273,22 @@ def _gathered_block(values: np.ndarray, gather) -> sp.csc_matrix:
 
 class _LocalBlocks:
     """The local blocks A_i = R_i DF P_i of the NKS preconditioner, as the
-    task of an `OwnerPool` (see `owners`).
+    task of an `OwnerPool` (see `owners`), and their weighted sum
+    sum_i P_i D_i A_i^{-1} R_i with D_i = diag(`weights[i]`), the
+    partition of unity on the overlap DOFs `sub_dofs[i]`.
 
     The pool's shared mapping holds DF's values on the full-mesh plan's
     pattern, the vector of an apply and the stacked block solves
     (`views`).  On "factorize", block i is gathered out of DF's values,
     through the gather this process builds at the block's first
-    factorization, and factorized; on "apply", it is solved."""
+    factorization, and factorized; on "apply", it is solved.  The caller
+    weights and adds the solves with `stacked.combine`."""
 
-    def __init__(self, plan: asm.AssemblyPlan, sub_dofs: list[np.ndarray]):
+    def __init__(self, plan: asm.AssemblyPlan, sub_dofs: list[np.ndarray],
+                 weights: list[np.ndarray]):
         self.plan = plan
         self.sub_dofs = sub_dofs
-        self.stacked = StackedSolves(sub_dofs, plan.n)
+        self.stacked = StackedSolves(sub_dofs, plan.n, weights)
         self.size = plan.nnz + plan.n + self.stacked.index.size
         self.slots = None     # this process's `_slot_matrix`
         self.gathers = {}     # of this process's blocks, by index
@@ -316,13 +322,15 @@ class _LocalBlocks:
 def solve_nks(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
               decomp: Decomposition, cfg: SolverConfig, P0=None,
               u0: np.ndarray | None = None) -> tuple[np.ndarray, SolveReport]:
-    """Newton-Krylov-Schwarz with an additive two-level linear preconditioner.
+    """Newton-Krylov-Schwarz with a two-level linear Schwarz preconditioner.
 
-    M^{-1} = P_0 (R_0 DF P_0)^{-1} R_0 + sum_i P_i (R_i DF P_i)^{-1} R_i with
-    every block rebuilt from the Jacobian at the current Newton iterate; the
-    decomposition is expected to carry nodal-graph overlaps of half the width
-    used by the nonlinear Schwarz methods, and ghost layers, which
-    `schwarz.subdomains` checks for both solvers.
+    M^{-1} = P_0 (R_0 DF P_0)^{-1} R_0 + sum_i P_i D_i (R_i DF P_i)^{-1} R_i
+    with D_i the diagonal of the partition-of-unity weights `sub.weight`
+    (1 / the DOF's multiplicity) and every block rebuilt from the Jacobian
+    at the current Newton iterate; the decomposition is expected to carry
+    nodal-graph overlaps of half the width used by the nonlinear Schwarz
+    methods, and ghost layers, which `schwarz.subdomains` checks for both
+    solvers.
 
     The local blocks run on an `OwnerPool` (see `owners`), which is
     stopped when the solve returns or raises.  Each Newton step,
@@ -335,12 +343,12 @@ def solve_nks(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
     """
     t_start = time.perf_counter()
     R0 = P0.T.tocsr() if P0 is not None else None
-    sub_dofs = [sub.dofs_ov
-                for sub in subdomains(problem, mesh, dofmap, decomp)]
+    subs = subdomains(problem, mesh, dofmap, decomp)
     plan = asm.global_plan(mesh, dofmap, problem)
-    blocks = _LocalBlocks(plan, sub_dofs)
+    blocks = _LocalBlocks(plan, [sub.dofs_ov for sub in subs],
+                          [sub.weight for sub in subs])
 
-    with OwnerPool(len(sub_dofs), blocks.size) as owners:
+    with OwnerPool(len(subs), blocks.size) as owners:
         values, vector, solves = blocks.views(owners.shared)
 
         def linearize(u, F):

@@ -1,12 +1,12 @@
 """Sparse direct solves and a restarted GMRES over abstract operators.
 
-`StackedSolves` sums the block solves on overlapping index sets that both
-solvers' local preconditioning terms are made of.  `gmres` hands SciPy's
-restarted GMRES the left-preconditioned operator M A and the right-hand
-side M b, so it stops on the preconditioned residual, ||M (b - A x)|| <=
-rel_tol ||M b||.  Its cap on inner iterations rounds up to whole restart
-cycles, Gram-Schmidt makes one pass, and a breakdown that misses the
-tolerance ends the solve instead of restarting it.
+`StackedSolves` forms the weighted sums of the block solves on overlapping
+index sets that both solvers' local preconditioning terms are made of.
+`gmres` hands SciPy's restarted GMRES the left-preconditioned operator M A
+and the right-hand side M b, so it stops on the preconditioned residual,
+||M (b - A x)|| <= rel_tol ||M b||.  Its cap on inner iterations rounds up
+to whole restart cycles, Gram-Schmidt makes one pass, and a breakdown that
+misses the tolerance ends the solve instead of restarting it.
 """
 
 from __future__ import annotations
@@ -86,22 +86,23 @@ def factorize(A: sp.spmatrix, fast: bool = False) -> Factorization:
 
 
 class StackedSolves:
-    """Block solves on overlapping index sets d_i of an n-vector, summed:
+    """Block solves on overlapping index sets d_i of an n-vector, weighted
+    and summed:
 
-        out = sum_i w_i P_i (y_i + s_i),
+        out = sum_i P_i w_i (y_i + s_i),
 
     with y_i = A_i^{-1} b_i the solve of block i, P_i the extension by zero
-    from d_i, w_i given weights (1 if None) and s_i = x[d_i] for an optional
+    from d_i, w_i the given weights on d_i and s_i = x[d_i] for an optional
     `x`.  Both solvers' local solves apply this: the process that owns
     block i writes y_i into `block(i)` of one stacked array, and `combine`
     scatters the weighted results with one `bincount`, which adds them in
     block order, as a loop of ``out[d_i] += w_i y_i`` would."""
 
     def __init__(self, blocks: list[np.ndarray], n: int,
-                 weights: list[np.ndarray] | None = None):
+                 weights: list[np.ndarray]):
         self.index = np.concatenate(blocks)
         self.bounds = np.cumsum([0] + [d.size for d in blocks]).tolist()
-        self.weight = None if weights is None else np.concatenate(weights)
+        self.weight = np.concatenate(weights)
         self.n = n
 
     def block(self, i: int) -> slice:
@@ -111,11 +112,10 @@ class StackedSolves:
     def combine(self, y: np.ndarray, x: np.ndarray | None = None
                 ) -> np.ndarray:
         """The sum above for the block solves y_i stacked in `y`, which it
-        overwrites if `x` or the weights are given."""
+        overwrites."""
         if x is not None:
             y += x[self.index]
-        if self.weight is not None:
-            y *= self.weight
+        y *= self.weight
         return np.bincount(self.index, y, minlength=self.n)
 
 

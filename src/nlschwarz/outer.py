@@ -1,4 +1,5 @@
-"""Outer Newton drivers for the nonlinear Schwarz variants and NKS.
+"""The nonlinear Schwarz and NKS solvers: `schwarz.newton` on the global
+residual, each with its own linearization.
 
 The nonlinear Schwarz solver runs Newton on the preconditioned residual
 F_X(u): each iteration evaluates the local (and coarse) corrections, solves
@@ -22,19 +23,18 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Callable
 
 import numpy as np
 import scipy.linalg as sla
 import scipy.sparse as sp
 
 from . import assembly as asm
-from .assembly import DofMap, NonPhysicalStateError, ProblemSpec
+from .assembly import DofMap, ProblemSpec
 from .mesh import Decomposition, Mesh
 from .owners import OwnerPool
 from .schwarz import (NewtonParams, SchwarzOperator, backtracking_step,
-                      coarse_lu, subdomains)
-from .sparse import SingularMatrixError, StackedSolves, factorize, gmres
+                      coarse_lu, newton, subdomains)
+from .sparse import StackedSolves, factorize, gmres
 
 
 @dataclass
@@ -129,89 +129,51 @@ class SolveReport:
         return t
 
 
-@dataclass
-class _Linearization:
-    """One Newton step's linear system apply(du) = rhs, GMRES left-preconditioned
-    by `precond` if given, with the counts and times of building it."""
-    rhs: np.ndarray
-    apply: Callable[[np.ndarray], np.ndarray]
-    precond: Callable[[np.ndarray], np.ndarray] | None = None
-    inner_iterations: float = 0.0
-    coarse_iterations: int = 0
-    corrections_converged: bool = True
-    t_inner: float = 0.0
-    t_coarse: float = 0.0
+def _solve(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
+           cfg: SolverConfig, u0: np.ndarray | None, linearize,
+           t_start: float) -> tuple[np.ndarray, SolveReport]:
+    """`newton` on the global residual F, shared by both solvers.
 
+    `linearize(u, F(u))` returns (rhs, apply, precond, fields): the step's
+    system apply(du) = rhs, for GMRES left-preconditioned by `precond` unless
+    that is None, and its `OuterStep` fields precond_residual, inner_avg,
+    coarse_its, corrections_converged, t_inner and t_coarse.  A failure of
+    the loop ends the solve with its `reason`; steps whose GMRES or
+    local/coarse Newton solves missed their tolerance are taken and
+    flagged."""
+    starts = []   # of each `direction` call, the failed one's included
+    solves = []   # of each step, its `OuterStep` fields
 
-def _newton(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
-            cfg: SolverConfig, u0: np.ndarray | None,
-            linearize: Callable[[np.ndarray, np.ndarray], _Linearization],
-            t_start: float) -> tuple[np.ndarray, SolveReport]:
-    """Damped Newton on the global residual F, shared by both solvers.
-
-    `linearize(u, F(u))` builds the step's linear system.  A non-finite
-    ||F||, a failed linearization or a step without a finite trial residual
-    stops the solve with a `reason`, leaving u at the last accepted iterate.
-    Steps whose GMRES or local/coarse Newton solves missed their tolerance
-    are taken and flagged in their `OuterStep`."""
-    rep = SolveReport()
-    p = cfg.outer
-
-    def F(v):
-        return asm.assemble_residual(problem, mesh, dofmap, v)
+    def direction(u, F):
+        # the linearization goes when this returns, before the next is
+        # built: holding both sets of factorizations raises the peak memory
+        starts.append(time.perf_counter())
+        rhs, apply, precond, fields = linearize(u, F)
+        t0 = time.perf_counter()
+        du, its, ok = gmres(apply, rhs, rel_tol=cfg.gmres.rel_tol,
+                            max_iter=cfg.gmres.max_iter,
+                            restart=cfg.gmres.restart, left_prec=precond)
+        fields.update(gmres_its=its, gmres_converged=bool(ok),
+                      t_gmres=time.perf_counter() - t0)
+        solves.append(fields)
+        return du
 
     u = asm.initial_iterate(problem, dofmap) if u0 is None else u0.copy()
-    Fu = F(u)
-    norm0 = np.linalg.norm(Fu)
-    if not np.isfinite(norm0):
-        rep.reason = "initial residual is not finite"
-        return u, rep
-    tol = max(p.rel_tol * norm0, p.abs_tol)
-    nrm = norm0
-    for _ in range(p.max_iter):
-        if nrm <= tol:
-            break
-        t_it = time.perf_counter()
-        # release the previous step's linearization and update before
-        # building the next; holding both sets of factorizations raises
-        # the peak memory
-        lin = du = None
-        try:
-            lin = linearize(u, Fu)
-        except (NonPhysicalStateError, np.linalg.LinAlgError,
-                SingularMatrixError) as exc:
-            rep.reason = f"linearization failed: {type(exc).__name__}: {exc}"
-            break
-        t0 = time.perf_counter()
-        du, g_its, g_ok = gmres(lin.apply, lin.rhs,
-                                rel_tol=cfg.gmres.rel_tol,
-                                max_iter=cfg.gmres.max_iter,
-                                restart=cfg.gmres.restart,
-                                left_prec=lin.precond)
-        t_gmres = time.perf_counter() - t0
-        s, k, r, new_nrm = backtracking_step(lambda s: F(u - s * du), nrm, p)
-        finite = bool(np.isfinite(new_nrm))
+    u, rec = newton(lambda v: asm.assemble_residual(problem, mesh, dofmap, v),
+                    direction, lambda v, s, du: v - s * du, u, cfg.outer,
+                    backtracking_step)
+    t_end = time.perf_counter()
+    rep = SolveReport(converged=rec.converged, reason=(
+        "outer " + rec.reason if rec.reason == "iteration limit reached"
+        else rec.reason))
+    for (k, nrm), fields, t0, t1 in zip(rec.steps, solves, starts,
+                                        starts[1:] + [t_end]):
         rep.steps.append(OuterStep(
-            rel_residual=float(new_nrm / norm0) if finite else None,
-            # without a preconditioner the right-hand side is F_X(u)
-            precond_residual=(float(np.linalg.norm(lin.rhs))
-                              if lin.precond is None else None),
-            gmres_its=g_its, inner_avg=lin.inner_iterations,
-            coarse_its=lin.coarse_iterations, line_search_steps=k,
-            t_inner=lin.t_inner, t_coarse=lin.t_coarse, t_gmres=t_gmres,
-            t_other=max(0.0, time.perf_counter() - t_it - lin.t_inner
-                        - lin.t_coarse - t_gmres),
-            gmres_converged=bool(g_ok),
-            corrections_converged=bool(lin.corrections_converged)))
-        if not finite:
-            rep.reason = "no trial step has a finite residual"
-            break
-        u, Fu, nrm = u - s * du, r, new_nrm
-    if nrm <= tol:
-        rep.converged = True
-        rep.reason = "residual tolerance reached"
-    elif not rep.reason:
-        rep.reason = "outer iteration limit reached"
+            rel_residual=float(nrm / rec.norm0) if np.isfinite(nrm) else None,
+            line_search_steps=k,
+            t_other=max(0.0, t1 - t0 - fields["t_inner"] - fields["t_coarse"]
+                        - fields["t_gmres"]),
+            **fields))
     rep.wall_s = time.perf_counter() - t_start
     return u, rep
 
@@ -230,14 +192,16 @@ def solve_nonlinear_schwarz(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
 
         def linearize(u, F):
             ev = op.evaluate(u, F)
-            return _Linearization(
-                ev.residual, lambda x: op.apply_tangent(ev, x),
-                inner_iterations=ev.inner_iterations,
-                coarse_iterations=ev.coarse_iterations,
-                corrections_converged=ev.all_converged,
+            cs, local = ev.coarse_state, ev.local_states
+            return ev.residual, lambda x: op.apply_tangent(ev, x), None, dict(
+                precond_residual=float(np.linalg.norm(ev.residual)),
+                inner_avg=float(np.mean([st.iterations for st in local])),
+                coarse_its=0 if cs is None else cs.iterations,
+                corrections_converged=(all(st.converged for st in local)
+                                       and (cs is None or cs.converged)),
                 t_inner=ev.timings["inner"], t_coarse=ev.timings["coarse"])
 
-        return _newton(problem, mesh, dofmap, cfg, u0, linearize, t_start)
+        return _solve(problem, mesh, dofmap, cfg, u0, linearize, t_start)
 
 
 def _slot_matrix(plan: asm.AssemblyPlan) -> sp.csr_matrix:
@@ -378,7 +342,8 @@ def solve_nks(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
                     out += term
                 return out
 
-            return _Linearization(F, lambda x: DF @ x, precond,
-                                  t_inner=t_inner, t_coarse=t_coarse)
+            return F, lambda x: DF @ x, precond, dict(
+                precond_residual=None, inner_avg=0.0, coarse_its=0,
+                corrections_converged=True, t_inner=t_inner, t_coarse=t_coarse)
 
-        return _newton(problem, mesh, dofmap, cfg, u0, linearize, t_start)
+        return _solve(problem, mesh, dofmap, cfg, u0, linearize, t_start)

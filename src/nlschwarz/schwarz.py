@@ -4,9 +4,9 @@ The local correction on subdomain i solves R_i F(u - P_i T_i(u)) = 0 on the
 overlapping subdomain; ghost-layer and Dirichlet DOFs stay fixed, so the
 restricted residual rows coincide with the global ones.  The coarse
 correction solves R_0 F(u - P_0 T_0(u)) = 0 in the coarse coefficients with
-R_0 = P_0^T and full-mesh residual assembly.  Both run the same damped Newton
-loop, `_damped_newton`, and differ only in their residual, step solve and
-state update; a non-finite residual ends either one with a
+R_0 = P_0^T and full-mesh residual assembly.  Both run `newton`, the damped
+Newton loop of the outer solvers too, and differ only in their residual, step
+solve and state update; a non-finite residual ends either one with a
 `NonPhysicalStateError` that names the level.
 
 Corrections are recombined into the preconditioned residuals
@@ -69,7 +69,8 @@ from . import assembly as asm
 from .assembly import DofMap, NonPhysicalStateError, ProblemSpec
 from .mesh import Decomposition, Mesh
 from .owners import OwnerPool
-from .sparse import Factorization, StackedSolves, factorize
+from .sparse import (Factorization, SingularMatrixError, StackedSolves,
+                     factorize)
 
 VARIANTS = ("aspen", "raspen", "additive", "hybrid")
 
@@ -97,7 +98,7 @@ def backtracking_step(residual_at, norm0: float, p: NewtonParams):
     `p.line_search` the full step s = 1 is accepted at once.  Returns
     (s, k, r, ||r||) for the accepted trial, where r = residual_at(s); a
     callback failure (non-physical trial state) gives r = None and an
-    infinite norm.
+    infinite norm.  `newton` runs it once per iteration.
     """
     k = 0
     while True:
@@ -114,32 +115,76 @@ def backtracking_step(residual_at, norm0: float, p: NewtonParams):
         k += 1
 
 
-def _damped_newton(residual, direction, moved, x, p: NewtonParams, label: str,
-                   r: np.ndarray | None = None):
-    """Newton on residual(x) = 0 from `x`, damped by `backtracking_step`.
+@dataclass
+class NewtonRecord:
+    """How a `newton` run went: why it stopped, ||r|| at the start, and per
+    iteration the accepted line-search k and ||r|| after it (not finite if
+    no trial was).  `error` is a failed direction's exception."""
+    reason: str = ""
+    converged: bool = False
+    norm0: float = np.inf
+    steps: list[tuple[int, float]] = field(default_factory=list)
+    error: Exception | None = None
 
-    `direction(x, r)` solves for the step d at x, and `moved(x, s, d)` is the
-    state a step s along d leads to; it must not modify x.  `r` is
-    residual(x) if the caller already has it.  Returns (x, iterations,
-    converged).  A non-finite residual, at the start or after a step, raises
-    `NonPhysicalStateError` naming `label`.
-    """
-    if r is None:
-        r = residual(x)
-    nrm = np.linalg.norm(r)
-    tol = max(p.rel_tol * nrm, p.abs_tol)
-    its = 0
-    while True:
-        if not np.isfinite(nrm):
+    @property
+    def iterations(self) -> int:
+        return len(self.steps)
+
+    def raise_failure(self, label: str) -> None:
+        """Raise a failed direction's exception, or, if the run stopped on a
+        non-finite residual, a `NonPhysicalStateError` naming `label`."""
+        if self.error is not None:
+            raise self.error
+        if not np.isfinite(self.steps[-1][1] if self.steps else self.norm0):
             raise NonPhysicalStateError(
-                f"{label}: residual is not finite after {its} Newton steps")
-        if nrm <= tol or its >= p.max_iter:
-            return x, its, nrm <= tol
-        d = direction(x, r)
-        s, _, r, nrm = backtracking_step(lambda s: residual(moved(x, s, d)),
-                                         nrm, p)
-        x = moved(x, s, d)
-        its += 1
+                f"{label}: residual is not finite after {self.iterations} "
+                "Newton steps")
+
+
+def newton(residual, direction, moved, x, p: NewtonParams, search,
+           r: np.ndarray | None = None) -> tuple[np.ndarray, NewtonRecord]:
+    """Newton on residual(x) = 0 from `x`, damped by the line search
+    `search`: the one loop of the outer, local and coarse levels.
+
+    `direction(x, r)` solves for the step d at x; `moved(x, s, d)` is the
+    state a step s along d leads to and must not modify x; `r` is
+    residual(x) if the caller has it; `search` is `backtracking_step` as the
+    caller's module names it, so each level's line search can be told apart.
+    It stops at ||r|| <= max(rel_tol ||r_0||, abs_tol), after `p.max_iter`
+    iterations, or with a `reason`: a start residual that is not finite or
+    raises `NonPhysicalStateError`, an iteration without a finite trial
+    (counted), or a direction raising a failed linearization's error (not
+    counted).  Returns the last accepted iterate and the `NewtonRecord`."""
+    rec = NewtonRecord()
+    try:
+        if r is None:
+            r = residual(x)
+        rec.norm0 = nrm = np.linalg.norm(r)
+    except NonPhysicalStateError:
+        nrm = np.inf
+    if not np.isfinite(nrm):
+        rec.reason = "initial residual is not finite"
+        return x, rec
+    tol = max(p.rel_tol * nrm, p.abs_tol)
+    while nrm > tol and rec.iterations < p.max_iter:
+        try:
+            d = direction(x, r)
+        except (NonPhysicalStateError, np.linalg.LinAlgError,
+                SingularMatrixError) as exc:
+            rec.error = exc
+            rec.reason = f"linearization failed: {type(exc).__name__}: {exc}"
+            return x, rec
+        s, k, trial, trial_nrm = search(lambda s: residual(moved(x, s, d)),
+                                        nrm, p)
+        rec.steps.append((k, float(trial_nrm)))
+        if not np.isfinite(trial_nrm):
+            rec.reason = "no trial step has a finite residual"
+            return x, rec
+        x, r, nrm = moved(x, s, d), trial, trial_nrm
+    rec.converged = bool(nrm <= tol)
+    rec.reason = ("residual tolerance reached" if rec.converged
+                  else "iteration limit reached")
+    return x, rec
 
 
 def coarse_lu(A0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -257,9 +302,6 @@ class Evaluation:
     residual: np.ndarray
     local_states: list[LocalSolveState]
     coarse_state: CoarseSolveState | None
-    inner_iterations: float      # average over subdomains
-    coarse_iterations: int
-    all_converged: bool
     stamp: int                   # the operator's evaluation count after it
     timings: dict = field(default_factory=dict)
 
@@ -339,19 +381,17 @@ class SchwarzOperator:
                 kept = lu, _trailing_columns(A, n)
             return lu.solve(r)
 
-        def moved(v, s, d):
-            w = v.copy()
-            w[:n] -= s * d
-            return w
-
-        v, its, converged = _damped_newton(
-            sub.residual, direction, moved, v0,
-            self.inner, f"local correction on subdomain {sub.index}")
+        v, rec = newton(
+            sub.residual, direction,
+            lambda v, s, d: np.concatenate([v[:n] - s * d, v[n:]]), v0,
+            self.inner, backtracking_step)
+        rec.raise_failure(f"local correction on subdomain {sub.index}")
         if kept is None:
             A = sub.tangent(v if self.tangent_mode == "exact" else v0)
             kept = (factorize(_leading_columns(A, n), fast=True),
                     _trailing_columns(A, n))
-        return LocalSolveState(u[sub.dofs_ov] - v[:n], its, converged, *kept)
+        return LocalSolveState(u[sub.dofs_ov] - v[:n], rec.iterations,
+                               rec.converged, *kept)
 
     def coarse_correction(self, u: np.ndarray,
                           F: np.ndarray | None = None) -> CoarseSolveState:
@@ -368,15 +408,16 @@ class SchwarzOperator:
                                              self.dofmap, u - P0 @ cc)
             return R0DF, (R0DF @ P0).toarray()
 
-        c, its, converged = _damped_newton(
+        c, rec = newton(
             coarse_residual,
             lambda cc, r: np.linalg.solve(coarse_tangent(cc)[1], r),
             lambda cc, s, d: cc + s * d, np.zeros(P0.shape[1]), self.coarse,
-            "coarse correction", None if F is None else R0 @ F)
+            backtracking_step, None if F is None else R0 @ F)
+        rec.raise_failure("coarse correction")
         R0DF, A0 = coarse_tangent(c)
         return CoarseSolveState(coefficients=c, tangent=coarse_lu(A0),
-                                coupling=R0DF, iterations=its,
-                                converged=converged)
+                                coupling=R0DF, iterations=rec.iterations,
+                                converged=rec.converged)
 
     # -- owners ------------------------------------------------------------
 
@@ -449,17 +490,9 @@ class SchwarzOperator:
         for sub, weight, st in zip(self.subs, self.weights, locals_):
             contribution[sub.dofs_ov] += weight * st.correction
 
-        ok = all(st.converged for st in locals_)
-        cits = 0
-        if coarse_state is not None:
-            ok = ok and coarse_state.converged
-            cits = coarse_state.iterations
         return Evaluation(
             residual=contribution, local_states=locals_,
-            coarse_state=coarse_state,
-            inner_iterations=float(np.mean([st.iterations for st in locals_])),
-            coarse_iterations=cits, all_converged=ok,
-            stamp=self._evaluations,
+            coarse_state=coarse_state, stamp=self._evaluations,
             timings={"inner": t_inner, "coarse": t_coarse})
 
     # -- tangent -----------------------------------------------------------

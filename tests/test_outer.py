@@ -194,8 +194,10 @@ class TestNks:
         monkeypatch.setattr(outer, "factorize", recorded(factors, factorize))
         monkeypatch.setattr(outer, "coarse_lu", recorded(coarse, outer.coarse_lu))
         monkeypatch.setattr(outer, "gmres", first_gmres)
-        with pytest.raises(np.linalg.LinAlgError):
-            solve_nks(prob, m, dm, dec, SolverConfig(variant="nks"), P0=P0)
+        _, rep = solve_nks(prob, m, dm, dec, SolverConfig(variant="nks"),
+                           P0=P0)
+        assert rep.reason == ("linearization failed: LinAlgError: "
+                              "stop after the first linearization")
         subs = subdomains(prob, m, dm, dec)
         rng = np.random.default_rng(4)
         for _ in range(2):
@@ -336,6 +338,24 @@ class TestFailuresRecorded:
         assert rep.outer_iterations == 0
         assert np.array_equal(u, u0)
 
+    @pytest.mark.parametrize("solver", SOLVERS)
+    def test_nonphysical_initial_state(self, solver):
+        """A start whose every element is inverted, u_x = -2x with
+        det F = -1, is recorded as a non-finite start residual."""
+        prob, m, dm, px, py = cli._build_case(
+            {"problem": "beam", "subdomains": [2, 1], "hh": 4}, {})
+        dec = cli._decompose(m, px, py, 2, nks=solver == "nks")
+        P0, _, _ = crs.build_coarse_space(prob, m, dm, dec, "msfem", True)
+        u0 = asm.initial_iterate(prob, dm)
+        on_x = asm.nullspace_basis(prob, dm)["tx"] == 1.0
+        u0[on_x] = -2.0 * dm.dof_coords[on_x, 0]
+        u, rep = SOLVERS[solver](prob, m, dm, dec,
+                                 beam_config(variant=solver), P0=P0, u0=u0)
+        assert not rep.converged
+        assert rep.reason == "initial residual is not finite"
+        assert rep.outer_iterations == 0
+        assert np.array_equal(u, u0)
+
     @pytest.mark.parametrize("line_search", [True, False])
     @pytest.mark.parametrize("solver", SOLVERS)
     def test_nan_at_every_trial_state(self, solver, line_search, monkeypatch):
@@ -360,7 +380,8 @@ class TestFailuresRecorded:
 
     def test_nan_coarse_residual(self, monkeypatch):
         # F(u0) stays finite; the coarse line search then sees only NaN
-        # trial residuals and hands the coarse Newton loop a NaN norm
+        # trial residuals, so the coarse `newton` stops with no finite trial,
+        # which the coarse correction raises as a non-finite residual
         nan_global_residual(monkeypatch, after=1)
         prob, m, dm, dec = diffusion_case()
         u, rep = solve_nonlinear_schwarz(

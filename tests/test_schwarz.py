@@ -22,7 +22,8 @@ from nlschwarz import schwarz
 from nlschwarz.assembly import NonPhysicalStateError
 from nlschwarz.outer import SolverConfig, solve_nonlinear_schwarz
 from nlschwarz.schwarz import (LS_S_MIN, LS_THETA, VARIANTS, NewtonParams,
-                               SchwarzOperator, backtracking_step)
+                               SchwarzOperator, backtracking_step, newton)
+from nlschwarz.sparse import SingularMatrixError
 
 TIGHT = NewtonParams(rel_tol=1e-14, abs_tol=1e-14, max_iter=50)
 
@@ -100,6 +101,127 @@ class TestBacktracking:
             raise NonPhysicalStateError("det F <= 0")
         s, k, r, nrm = backtracking_step(trial, 1.0, p)
         assert (s, k, r, nrm) == (1.0, 0, None, np.inf)
+
+
+class TestNewton:
+    """`newton` on x^2 = 2 and on arctan(x) = 0, scalar toy residuals."""
+
+    @staticmethod
+    def square(x):
+        return x * x - 2.0
+
+    @staticmethod
+    def square_step(x, r):
+        return r / (2.0 * x)
+
+    @staticmethod
+    def moved(x, s, d):
+        return x - s * d
+
+    def run(self, p, residual=None, direction=None, x0=1.0):
+        return newton(residual or self.square, direction or self.square_step,
+                      self.moved, np.array([x0]), p, backtracking_step)
+
+    def test_converges_in_known_iterations(self):
+        # ||r|| goes 1, 0.25, 6.9e-3, 6.0e-6, 4.5e-12: four steps to 1e-10
+        x, rec = self.run(NewtonParams(rel_tol=1e-10, abs_tol=0.0,
+                                       max_iter=20))
+        assert (rec.converged, rec.iterations) == (True, 4)
+        assert rec.reason == "residual tolerance reached"
+        assert rec.steps[-1][1] == abs(self.square(x)[0]) <= 1e-10
+
+    def test_stops_at_iteration_limit(self):
+        x, rec = self.run(NewtonParams(rel_tol=1e-10, abs_tol=0.0,
+                                       max_iter=2))
+        assert (rec.converged, rec.iterations) == (False, 2)
+        assert rec.reason == "iteration limit reached"
+        assert rec.steps[-1][1] == abs(self.square(x)[0])
+
+    @pytest.mark.parametrize("failure", ["nan", "nonphysical"])
+    def test_nonfinite_start(self, failure):
+        def residual(x):
+            if failure == "nan":
+                return x * np.nan
+            raise NonPhysicalStateError("det(F) <= 0 on 1 elements")
+        x, rec = self.run(NewtonParams(), residual=residual)
+        assert rec.reason == "initial residual is not finite"
+        assert (rec.converged, rec.iterations, x[0]) == (False, 0, 1.0)
+        with pytest.raises(NonPhysicalStateError,
+                           match="^toy: residual is not finite after 0 "
+                                 "Newton steps$"):
+            rec.raise_failure("toy")
+
+    @pytest.mark.parametrize("line_search", [True, False])
+    def test_every_trial_nan(self, line_search):
+        def residual(x):
+            return self.square(x) if x[0] == 1.0 else x * np.nan
+        x, rec = self.run(NewtonParams(line_search=line_search),
+                          residual=residual)
+        assert rec.reason == "no trial step has a finite residual"
+        assert rec.iterations == 1 and not np.isfinite(rec.steps[0][1])
+        assert x[0] == 1.0
+        with pytest.raises(NonPhysicalStateError,
+                           match="after 1 Newton steps$"):
+            rec.raise_failure("toy")
+
+    def test_failing_direction(self):
+        error = SingularMatrixError("zero pivot at index 0")
+        calls = []
+
+        def direction(x, r):
+            calls.append(x[0])
+            if len(calls) == 2:
+                raise error
+            return self.square_step(x, r)
+        x, rec = self.run(NewtonParams(rel_tol=1e-10, abs_tol=0.0),
+                          direction=direction)
+        assert rec.reason == ("linearization failed: SingularMatrixError: "
+                              "zero pivot at index 0")
+        assert rec.iterations == 1 and not rec.converged
+        assert x[0] == calls[1] == 1.5
+        with pytest.raises(SingularMatrixError) as raised:
+            rec.raise_failure("toy")
+        assert raised.value is error
+
+    def test_local_level_reraises_the_direction_error(self, monkeypatch):
+        error = SingularMatrixError("zero pivot at index 0")
+
+        def singular(*args, **kwargs):
+            raise error
+        prob, m, dm, dec = setup_problem(nx=8)
+        op = SchwarzOperator(prob, m, dm, dec, variant="raspen")
+        monkeypatch.setattr(schwarz, "factorize", singular)
+        with pytest.raises(SingularMatrixError) as raised:
+            op.local_correction(op.subs[0], asm.initial_iterate(prob, dm))
+        assert raised.value is error
+
+    def test_local_level_names_a_nonphysical_subdomain(self):
+        """An inverted start, u_x = -2x with det F = -1, ends subdomain 1's
+        local solve with an error that names it."""
+        prob, m, dm, dec = setup_problem("beam", nx=8)
+        op = SchwarzOperator(prob, m, dm, dec, variant="raspen")
+        u = asm.initial_iterate(prob, dm)
+        on_x = asm.nullspace_basis(prob, dm)["tx"] == 1.0
+        u[on_x] = -2.0 * dm.dof_coords[on_x, 0]
+        with pytest.raises(NonPhysicalStateError,
+                           match="^local correction on subdomain 1: residual "
+                                 "is not finite after 0 Newton steps$"):
+            op.local_correction(op.subs[1], u)
+
+    def test_record_lists_k_and_norm(self):
+        """Newton on arctan from x = 2 overshoots: the full step to
+        2 - 5 arctan(2) raises |r|, so the first iteration takes s = 1/2."""
+        x, rec = self.run(
+            NewtonParams(rel_tol=1e-12, abs_tol=0.0, max_iter=20),
+            residual=np.arctan, direction=lambda x, r: r * (1.0 + x * x),
+            x0=2.0)
+        assert rec.converged and rec.iterations == len(rec.steps)
+        assert rec.norm0 == np.arctan(2.0)
+        assert rec.steps[0] == (1, abs(np.arctan(2.0 - 2.5 * np.arctan(2.0))))
+        assert all(k == 0 for k, _ in rec.steps[1:])
+        norms = [nrm for _, nrm in rec.steps]
+        assert norms == sorted(norms, reverse=True)
+        assert norms[-1] == abs(np.arctan(x[0])) <= 1e-12 * rec.norm0
 
 
 class TestOperatorSetup:

@@ -29,9 +29,9 @@ subdomain's DOFs only.  It numbers those DOFs first, then the ghost DOFs,
 and compresses its tangent by column (CSC), so that the tangent comes out
 as [A_i | C_i]: the square block A_i in the form SuperLU takes, and the
 ghost coupling C_i, split at one offset of the column pointers without a
-copy.  Subset plans that assemble every row use the same layout; the
-full-mesh plan is compressed by row (CSR), for its products with vectors
-and with R_0.
+copy.  Plans that assemble every row use the same layout, the full-mesh
+plan included: it is the plan over all elements that assembles every row,
+and callers that multiply its tangent by rows convert it to CSR once.
 
 The kernels run in chunks whose arrays stay below the malloc mmap
 threshold - at most `_CHUNK` (96) elements for a tangent, six times as
@@ -42,21 +42,19 @@ no bit.
 
 The cavity's operator splits into a constant Stokes part (viscous blocks
 and pressure coupling) and convection.  Its plan assembles the Stokes part
-once, at construction, as a CSR matrix whose rows list their columns in
-global DOF order, and keeps the slot map for the 12 x 12 velocity block
+once, at construction, as a CSR matrix of its nonzero entries whose rows
+list their columns in global DOF order, with the tangent slot of each, 16
+bytes per nonzero, and keeps the slot map for the 12 x 12 velocity block
 only, which is all convection touches: 576 bytes per element of map, in
-place of 900 for the full map.  The full-mesh plan's Stokes matrix is its
-own pattern with the Stokes data, 8 bytes per pattern entry; a subdomain
-plan, whose column order is not global, keeps the nonzero entries with
-the tangent slot of each, 16 bytes per nonzero.  On the 40 x 40 cavity
-(3,200 elements) that is 3.3 MB of Stokes data and 1.8 MB of map for the
-full-mesh plan, and 0.33-0.42 MB and 0.16-0.22 MB for one of the 16
-subdomain plans of a 4 x 4 decomposition.  An assembly call then computes
-and scatters only convection; the residual adds one product of the Stokes
-matrix with the state, which sums each row in global column order whatever
-the plan's numbering, and the tangent adds the Stokes values after all
-convection.  The beam and diffusion have no constant part;
-their plans keep the full map and go through the same functions.
+place of 900 for the full map.  On the 40 x 40 cavity (3,200 elements)
+that is 4.1 MB of Stokes data and 1.8 MB of map for the full-mesh plan,
+and 0.33-0.42 MB and 0.16-0.22 MB for one of the 16 subdomain plans of a
+4 x 4 decomposition.  An assembly call then computes and scatters only
+convection; the residual adds one product of the Stokes matrix with the
+state, which sums each row in global column order whatever the plan's
+numbering, and the tangent adds the Stokes values after all convection.
+The beam and diffusion have no constant part; their plans keep the full
+map and go through the same functions.
 
 A plan is valid for one mesh, element subset, DofMap, problem and set of
 assembled rows, and assembly rejects a plan built for another subset or
@@ -348,11 +346,10 @@ def _sort_with_positions(keys: np.ndarray, bound: int):
     return order, keys
 
 
-def _pattern(loc: np.ndarray, n_rows: int, n: int, dirichlet: np.ndarray,
-             by_column: bool):
+def _pattern(loc: np.ndarray, n_rows: int, n: int, dirichlet: np.ndarray):
     """Sparse pattern of the element matrices scattered at local positions
     `loc`, on rows 0..n_rows-1 and columns 0..n-1, compressed by column
-    (CSC) if `by_column`, else by row (CSR).
+    (CSC).
 
     Entries of rows at or past `n_rows` are dropped, and rows listed in
     `dirichlet` keep only their diagonal.  Returns `indptr`, `indices`, the
@@ -365,15 +362,12 @@ def _pattern(loc: np.ndarray, n_rows: int, n: int, dirichlet: np.ndarray,
     size = m * k * k
     trash = n_rows * n                   # sorts after every kept entry
     loc = loc.astype(np.int64)
-    if by_column:
-        row_key, col_key, diagonal = loc, loc * n_rows, dirichlet * (n_rows + 1)
-    else:
-        row_key, col_key, diagonal = loc * n, loc, dirichlet * (n + 1)
     # clamped to trash once sorted
-    row_key = np.where((loc >= n_rows) | np.isin(loc, dirichlet), trash, row_key)
+    row_key = np.where((loc >= n_rows) | np.isin(loc, dirichlet), trash, loc)
     keys = np.empty(size + dirichlet.size, dtype=np.int64)
-    np.add(row_key[:, :, None], col_key[:, None, :], out=keys[:size].reshape(m, k, k))
-    keys[size:] = diagonal
+    np.add(row_key[:, :, None], (loc * n_rows)[:, None, :],
+           out=keys[:size].reshape(m, k, k))
+    keys[size:] = dirichlet * (n_rows + 1)
     order, sorted_keys = _sort_with_positions(keys, 2 * trash)
     np.minimum(sorted_keys, trash, out=sorted_keys)
     head = np.ones(keys.size, dtype=bool)
@@ -385,11 +379,10 @@ def _pattern(loc: np.ndarray, n_rows: int, n: int, dirichlet: np.ndarray,
     unique = sorted_keys[head]
     if unique.size and unique[-1] == trash:
         unique = unique[:-1]
-    n_major, n_minor = (n, n_rows) if by_column else (n_rows, n)
-    major, minor = np.divmod(unique, n_minor)
-    indptr = np.zeros(n_major + 1, dtype=np.int32)
-    np.cumsum(np.bincount(major, minlength=n_major), out=indptr[1:])
-    return (indptr, minor.astype(np.int32), slot[:size].reshape(m, k * k),
+    column, row = np.divmod(unique, n_rows)
+    indptr = np.zeros(n + 1, dtype=np.int32)
+    np.cumsum(np.bincount(column, minlength=n), out=indptr[1:])
+    return (indptr, row.astype(np.int32), slot[:size].reshape(m, k * k),
             slot[size:].copy())
 
 
@@ -398,30 +391,29 @@ class AssemblyPlan:
     subset, or the full mesh if `subset` is None (see the module docstring).
 
     `dofs` are the global ids of the DOFs the subset touches, in plan order.
-    A subset plan assembles the rows of `rows` (global DOF ids, all of the
+    A plan assembles the rows of `rows` (global DOF ids, all of the
     subset's DOFs if None) and numbers them first, `n_rows` of them, the
     other DOFs after them, each group in global order; the other DOFs are
     columns only.  Its tangent is compressed by column (CSC), so its first
-    `n_rows` columns are one contiguous block.  The full-mesh plan numbers
-    the DOFs globally and assembles every row, compressed by row (CSR).
+    `n_rows` columns are one contiguous block.  The full-mesh plan is the
+    plan over all elements with every row, so it numbers the DOFs
+    globally; `is_global` only marks it for `_plan_for`.
 
     Besides the geometry, the element DOF positions and the pattern, a
     cavity plan holds its Stokes part, assembled at construction: `stokes`,
-    a CSR matrix whose rows list their columns in global DOF order - on the
-    full-mesh plan's own pattern, or the nonzero entries of a subset plan
-    with `stokes_slot`, the data slot of each in the tangent's pattern
-    (None for the full mesh); and `scatter` for the 12 x 12 velocity block
+    a CSR matrix of its nonzero entries whose rows list their columns in
+    global DOF order, with `stokes_slot`, the data slot of each in the
+    tangent's pattern; and `scatter` for the 12 x 12 velocity block
     only.  Beam and diffusion plans have no constant part (`stokes` is
     None) and keep the full `scatter`.  `kernel_loc` are the positions of
     the element DOFs that `_element_kernels` reads and writes: the
-    velocities of the cavity, every DOF otherwise.  A cavity plan holds, per element, 576
-    bytes of velocity map, 56 of geometry and, on a subset, 120 of DOF
-    positions; and 4 bytes per pattern entry, plus 8 more on the full mesh
-    or 16 per Stokes nonzero on a subset: about 7.2 MB for the 40 x 40 full
-    mesh, 0.7-0.9 MB for each subdomain of its 4 x 4 decomposition.  Each
-    subdomain plan is held only by the process that owns the subdomain
-    (see `schwarz.SubdomainData`), so each of W owner processes holds
-    about 1/W of them.
+    velocities of the cavity, every DOF otherwise.  A cavity plan holds,
+    per element, 576 bytes of velocity map, 56 of geometry and 120 of DOF
+    positions; 4 bytes per pattern entry and 16 per Stokes nonzero: about
+    8.4 MB for the 40 x 40 full mesh, 0.7-0.9 MB for each subdomain of its
+    4 x 4 decomposition.  Each subdomain plan is held only by the process
+    that owns the subdomain (see `schwarz.SubdomainData`), so each of W
+    owner processes holds about 1/W of them.
 
     A plan is valid for one mesh, subset, DofMap, problem and set of rows;
     it keeps a copy of `problem`, and assembly for any other problem or
@@ -432,35 +424,29 @@ class AssemblyPlan:
         self.mesh = mesh
         self.problem = replace(problem)
         self.is_global = subset is None
+        if self.is_global and rows is not None:
+            raise ValueError("the full-mesh plan assembles every row")
         self.elems = _subset_elements(mesh, subset)
-        if self.is_global:
-            if rows is not None:
-                raise ValueError("the full-mesh plan assembles every row")
-            self.dofs = np.arange(dofmap.n_dofs)
-            loc = dofmap.elem_dofs
-            self.n_rows = dofmap.n_dofs
-        else:
-            ed = dofmap.elem_dofs[self.elems]
-            self.dofs, inv = np.unique(ed, return_inverse=True)
-            self.n_rows = self.dofs.size
-            if rows is not None:
-                is_row = np.isin(self.dofs, rows)
-                self.n_rows = int(is_row.sum())
-                if self.n_rows != np.unique(rows).size:
-                    raise ValueError("rows must be DOFs of the element subset")
-                order = np.argsort(~is_row, kind="stable")
-                position = np.empty_like(order)
-                position[order] = np.arange(order.size)
-                self.dofs, inv = self.dofs[order], position[inv]
-            loc = inv.reshape(ed.shape)
+        ed = dofmap.elem_dofs[self.elems]
+        self.dofs, inv = np.unique(ed, return_inverse=True)
+        self.n_rows = self.dofs.size
+        if rows is not None:
+            is_row = np.isin(self.dofs, rows)
+            self.n_rows = int(is_row.sum())
+            if self.n_rows != np.unique(rows).size:
+                raise ValueError("rows must be DOFs of the element subset")
+            order = np.argsort(~is_row, kind="stable")
+            position = np.empty_like(order)
+            position[order] = np.arange(order.size)
+            self.dofs, inv = self.dofs[order], position[inv]
+        loc = inv.reshape(ed.shape)
         self.n = self.dofs.shape[0]
         self.n_global = dofmap.n_dofs
         self.G, self.area = _geometry(mesh, self.elems)
         self.dirichlet = np.flatnonzero(dofmap.dirichlet_mask[self.dofs[:self.n_rows]])
         self.dirichlet_value = dofmap.dirichlet_value[self.dofs[self.dirichlet]]
         self.indptr, self.indices, self.scatter, self.diagonal = \
-            _pattern(loc, self.n_rows, self.n, self.dirichlet,
-                     by_column=not self.is_global)
+            _pattern(loc, self.n_rows, self.n, self.dirichlet)
         self.nnz = self.indices.size
         self.kernel_loc = loc
         self.stokes = self.stokes_slot = None
@@ -479,13 +465,8 @@ class AssemblyPlan:
         """`data` on the plan's pattern as a CSR matrix whose rows list their
         columns in global DOF order, so that a product with it sums each row
         in that order whatever the plan's numbering, and the pattern slot of
-        each of its entries.  The full-mesh pattern is row-major in global
-        order already: the matrix is the pattern itself, 8 bytes per entry,
-        and needs no slots.  A subset plan keeps the nonzero entries only,
-        16 bytes each with their slots."""
-        if self.is_global:
-            return sp.csr_matrix((data, self.indices, self.indptr),
-                                 shape=(self.n_rows, self.n)), None
+        each of its entries; it keeps the nonzero entries only, 16 bytes
+        each with their slots."""
         slot = np.flatnonzero(data)
         kept = np.zeros(self.nnz + 1, dtype=np.int32)
         np.cumsum(data != 0.0, out=kept[1:])
@@ -698,10 +679,9 @@ def assemble_residual(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap, u,
 def assemble_tangent(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap, u,
                      subset=None, plan: AssemblyPlan | None = None,
                      values: np.ndarray | None = None):
-    """The tangent rows of the plan's `rows` on all of its columns: a CSC
-    matrix for a subset, a CSR matrix for the full mesh.  `values`, if
-    given, receives the plan.nnz values on the plan's pattern, the exact
-    zeros that the matrix drops included."""
+    """The tangent rows of the plan's `rows` on all of its columns, as a
+    CSC matrix.  `values`, if given, receives the plan.nnz values on the
+    plan's pattern, the exact zeros that the matrix drops included."""
     plan = _plan_for(problem, mesh, dofmap, subset, plan)
     ul = plan.local_state(u)
     data = np.zeros(plan.nnz + 1)        # the last slot collects dropped entries
@@ -711,16 +691,13 @@ def assemble_tangent(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap, u,
         np.add.at(data, plan.scatter[c].ravel(), K.ravel())
     # the Stokes part goes in after all convection, so that each entry is
     # the convection sum plus the Stokes value, rounded once
-    if plan.stokes_slot is not None:
+    if plan.stokes is not None:
         np.add.at(data, plan.stokes_slot, plan.stokes.data)
-    elif plan.stokes is not None:           # the full mesh: on the pattern
-        data[:-1] += plan.stokes.data
     data[plan.diagonal] = 1.0
     if values is not None:
         values[:] = data[:-1]
-    layout = sp.csr_matrix if plan.is_global else sp.csc_matrix
-    A = layout((data[:-1], plan.indices.copy(), plan.indptr.copy()),
-               shape=(plan.n_rows, plan.n))
+    A = sp.csc_matrix((data[:-1], plan.indices.copy(), plan.indptr.copy()),
+                      shape=(plan.n_rows, plan.n))
     # entries that sum to exactly zero (the pressure block of the cavity, the
     # convection terms where the velocity vanishes) would enlarge the sparse
     # LU's fill and every product with A, so they are dropped

@@ -19,7 +19,7 @@ Config schema (JSON object; every field optional unless noted):
     subdomains   [px, py] or list of such pairs
     hh           elements per subdomain per direction (H/h)
     overlap      dual-graph overlap layers for nonlinear Schwarz; NKS uses
-                 nodal layers of half that width
+                 max(1, overlap // 2) nodal layers
     variant      "aspen" | "raspen" | "additive" | "hybrid" | "nks" or list
     coarse       "gdsw" | "rgdsw" | "msfem" or list
     modified     bool (Dirichlet-edge modification of the reduced spaces)
@@ -27,7 +27,9 @@ Config schema (JSON object; every field optional unless noted):
     out          output directory (default "results")
     solver       {"outer"|"inner"|"coarse": {rel_tol, abs_tol, max_iter,
                  line_search}, "gmres": {rel_tol, max_iter, restart}};
-                 gmres max_iter rounds up to whole restart cycles
+                 gmres max_iter is an integer >= 1 and rounds up to whole
+                 restart cycles, restart an integer >= 0 or null (0 and
+                 null: no restart)
 
 A key the schema does not list, at the top level or in a solver level, is an
 error.  The domain is the unit square, and [0, 5] x [0, 1] for the beam.
@@ -98,6 +100,14 @@ def _load_config(path: str, overrides: argparse.Namespace) -> dict:
             f"solver.{level}.{k}" for k in set(settings) - allowed))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
+    gmres = solver.get("gmres", {})
+    for key, least in (("max_iter", 1), ("restart", 0)):
+        val = gmres.get(key, least)
+        if key == "restart" and val is None:
+            continue
+        if isinstance(val, bool) or not isinstance(val, int) or val < least:
+            raise ConfigError(f"solver.gmres.{key} must be an integer of at "
+                              f"least {least}, got {val!r}")
     for key in ("problem", "re", "fy", "hh", "overlap", "variant", "coarse",
                 "modified", "out"):
         val = getattr(overrides, key.replace("-", "_"), None)

@@ -292,7 +292,7 @@ def interior_owner(dofmap: DofMap, mesh: Mesh, decomp) -> np.ndarray:
     return label
 
 
-def harmonic_extension(A0: sp.csr_matrix, dofmap: DofMap, iface: np.ndarray,
+def harmonic_extension(A0: sp.csc_matrix, dofmap: DofMap, iface: np.ndarray,
                        Phi_gamma: sp.csr_matrix,
                        interior_label: np.ndarray) -> sp.csr_matrix:
     """Extend interface values energy-minimally with the frozen tangent A0.

@@ -204,14 +204,14 @@ def solve_nonlinear_schwarz(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
         return _solve(problem, mesh, dofmap, cfg, u0, linearize, t_start)
 
 
-def _slot_matrix(plan: asm.AssemblyPlan) -> sp.csr_matrix:
+def _slot_matrix(plan: asm.AssemblyPlan) -> sp.csc_matrix:
     """The full-mesh `plan`'s pattern holding 1 + each entry's slot among
     the values of a tangent on it."""
-    return sp.csr_matrix((np.arange(1, plan.nnz + 1), plan.indices,
+    return sp.csc_matrix((np.arange(1, plan.nnz + 1), plan.indices,
                           plan.indptr), shape=(plan.n_rows, plan.n))
 
 
-def _block_gather(slots: sp.csr_matrix, d: np.ndarray) -> tuple:
+def _block_gather(slots: sp.csc_matrix, d: np.ndarray) -> tuple:
     """Where the block R_i DF P_i on the rows and columns `d` lies among the
     values of a tangent on the pattern of `slots` (see `_slot_matrix`): the
     pattern slot of each of its entries in CSC order, its row indices and
@@ -292,9 +292,10 @@ def solve_nks(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
     with D_i the diagonal of the partition-of-unity weights `sub.weight`
     (1 / the DOF's multiplicity) and every block rebuilt from the Jacobian
     at the current Newton iterate; the decomposition is expected to carry
-    nodal-graph overlaps of half the width used by the nonlinear Schwarz
-    methods, and ghost layers, which `schwarz.subdomains` checks for both
-    solvers.
+    max(1, overlap // 2) nodal-graph overlap layers, for the `overlap`
+    dual-graph layers of the nonlinear Schwarz methods (see
+    `cli._decompose`), and ghost layers, which `schwarz.subdomains` checks
+    for both solvers.
 
     The local blocks run on an `OwnerPool` (see `owners`), which is
     stopped when the solve returns or raises.  Each Newton step,
@@ -317,8 +318,9 @@ def solve_nks(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
 
         def linearize(u, F):
             t0 = time.perf_counter()
+            # by rows, for GMRES's products and R0 DF P0
             DF = asm.assemble_tangent(problem, mesh, dofmap, u, plan=plan,
-                                      values=values)
+                                      values=values).tocsr()
             t_coarse = 0.0
 
             def coarse_factor():

@@ -329,7 +329,6 @@ class SchwarzOperator:
         self.problem = problem
         self.mesh = mesh
         self.dofmap = dofmap
-        self.decomp = decomp
         self.variant = variant
         self.P0 = P0
         self.R0 = P0.T.tocsr() if P0 is not None else None
@@ -405,7 +404,7 @@ class SchwarzOperator:
 
         def coarse_tangent(cc):
             R0DF = R0 @ asm.assemble_tangent(self.problem, self.mesh,
-                                             self.dofmap, u - P0 @ cc)
+                                             self.dofmap, u - P0 @ cc).tocsr()
             return R0DF, (R0DF @ P0).toarray()
 
         c, rec = newton(

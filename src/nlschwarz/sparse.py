@@ -24,9 +24,11 @@ try:
     # Fix the malloc mmap threshold (M_MMAP_THRESHOLD = -3) at 128 KiB, so
     # large transient assembly and factorization buffers are unmapped on free
     # instead of growing the heap.  Without it the peak RSS of the 4x4 cavity
-    # benchmarks rose from 125.5-125.7 to 141.8-142.3 MB (hybrid) and from
-    # 109.3 to 125.3-128.3 MB (NKS), 2 runs each on 2 cores.  The setting
-    # costs time, as each fresh mapping page-faults on first touch.
+    # benchmarks rose from 107.1-107.2 to 119.2-125.6 MB (hybrid) and from
+    # 110.4-110.8 to 148.6-156.4 MB (NKS): `bench/probe.py`, 2 alternating
+    # runs each on 2 cores, 2 owner processes, BLAS threads pinned to 1.
+    # The setting costs time, as each fresh mapping page-faults on first
+    # touch.
     ctypes.CDLL("libc.so.6").mallopt(-3, 131072)
 except OSError:  # pragma: no cover - non-glibc platform
     pass

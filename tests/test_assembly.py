@@ -503,7 +503,29 @@ class TestPlanAgainstReference:
         rows = np.repeat(np.arange(plan.n_rows), np.diff(S.indptr))
         cols = plan.dofs[S.indices]
         assert np.all((np.diff(rows) > 0) | (np.diff(cols) > 0))
-        # the full-mesh plan's Stokes data lies on its own pattern
+        # the full-mesh plan keeps its Stokes part the same way
         full = asm.global_plan(m, dm, prob)
-        assert full.stokes_slot is None and full.stokes.nnz == full.nnz
-        assert np.shares_memory(full.stokes.indices, full.indices)
+        assert full.stokes.nnz == full.stokes_slot.size < full.nnz
+        assert np.all(full.stokes.data != 0.0)
+
+    @pytest.mark.parametrize("kind", ["ldc", "beam", "diffusion"])
+    def test_full_mesh_plan_is_the_all_rows_subset_plan(self, kind):
+        prob, (nx, ny, domain) = self.CASES[kind]
+        m = msh.build_structured_mesh(nx, ny, domain=domain, problem_kind=kind)
+        dm = asm.build_dofmap(prob, m)
+        full = asm.global_plan(m, dm, prob)
+        plan = asm.AssemblyPlan(m, dm, np.arange(m.n_elements), prob)
+        assert full.is_global and not plan.is_global
+        for name in ("dofs", "indptr", "indices", "scatter", "diagonal",
+                     "stokes_slot"):
+            a, b = getattr(full, name), getattr(plan, name)
+            if a is None:
+                assert b is None
+            else:
+                np.testing.assert_array_equal(a, b)
+        if kind == "ldc":
+            for name in ("data", "indices", "indptr"):
+                np.testing.assert_array_equal(getattr(full.stokes, name),
+                                              getattr(plan.stokes, name))
+        else:
+            assert full.stokes is None and plan.stokes is None

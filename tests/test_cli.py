@@ -114,9 +114,16 @@ class TestRun:
         ({"solver": {"outer": {"tol": 1e-3}}},
          "unknown config keys: solver.outer.tol"),
         ({"solver": {"outer": 5}}, "config key solver must map each level"),
-        ({"solver": 5}, "config key solver must map each level")],
+        ({"solver": 5}, "config key solver must map each level"),
+        ({"solver": {"gmres": {"max_iter": 0}}},
+         "solver.gmres.max_iter must be an integer of at least 1, got 0"),
+        ({"solver": {"gmres": {"max_iter": None}}},
+         "solver.gmres.max_iter must be an integer of at least 1, got None"),
+        ({"solver": {"gmres": {"restart": -1}}},
+         "solver.gmres.restart must be an integer of at least 0, got -1")],
         ids=["subdomain", "domain", "seed", "solver.gmress", "solver.outer.tol",
-             "solver.outer-number", "solver-number"])
+             "solver.outer-number", "solver-number", "gmres.max_iter-0",
+             "gmres.max_iter-null", "gmres.restart-negative"])
     def test_unknown_key_is_config_error(self, tmp_path, capsys, extra, error):
         cfg = dict(BASE, out=str(tmp_path / "out"), **extra)
         assert main(["run", write_config(tmp_path, cfg)]) == 2

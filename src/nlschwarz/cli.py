@@ -10,13 +10,15 @@ directory.  The history has one row per outer Newton step; its columns are
 columns of one interface entity as node values; a column that is not one
 field's (a beam rigid-body mode) is written once per field.
 
-Config schema (JSON object; every field optional unless noted):
+Config schema (JSON object; every field optional unless noted; the
+defaults of the case and output keys are in `DEFAULTS`, the others are the
+problem's `SolverConfig`):
 
     problem      "ldc" | "beam" | "diffusion"        (required)
     re           number or list   (ldc Reynolds numbers)
     fy           number or list   (beam loads, MN/m^2)
     coefficient  "constant" | "nonlinear"  (diffusion law)
-    subdomains   [px, py] or list of such pairs
+    subdomains   [px, py], integers >= 1, or list of such pairs
     hh           elements per subdomain per direction (H/h)
     overlap      dual-graph overlap layers for nonlinear Schwarz; NKS uses
                  max(1, overlap // 2) nodal layers
@@ -24,15 +26,19 @@ Config schema (JSON object; every field optional unless noted):
     coarse       "gdsw" | "rgdsw" | "msfem" or list
     modified     bool (Dirichlet-edge modification of the reduced spaces)
     tangent      "exact" | "aspin"
-    out          output directory (default "results")
+    out          output directory
     solver       {"outer"|"inner"|"coarse": {rel_tol, abs_tol, max_iter,
                  line_search}, "gmres": {rel_tol, max_iter, restart}};
-                 gmres max_iter is an integer >= 1 and rounds up to whole
-                 restart cycles, restart an integer >= 0 or null (0 and
-                 null: no restart)
+                 rel_tol and abs_tol are finite numbers >= 0, max_iter an
+                 integer >= 1 (for gmres rounded up to whole restart
+                 cycles), line_search a bool, restart an integer >= 0 or
+                 null (0 and null: no restart)
 
-A key the schema does not list, at the top level or in a solver level, is an
-error.  The domain is the unit square, and [0, 5] x [0, 1] for the beam.
+A key the schema does not list, at the top level or in a solver level, an
+empty list of a sweep field and a subdomains, modified or solver value
+outside its type or range end the command with exit code 2 before any point
+runs; any other bad value fails the points that use it.  The domain is the
+unit square, and [0, 5] x [0, 1] for the beam.
 
 Flag overrides: --problem --re --fy --subdomains PXxPY --hh --overlap
 --variant --coarse --modified --out.  The number of processes that own
@@ -50,6 +56,7 @@ import argparse
 import csv
 import itertools
 import json
+import math
 import re
 import sys
 import traceback
@@ -75,9 +82,54 @@ CONFIG_KEYS = {"problem", "re", "fy", "coefficient", "subdomains", "hh",
 SOLVER_FIELDS = {level: {f.name for f in fields(getattr(SolverConfig(), level))}
                  for level in ("outer", "inner", "coarse", "gmres")}
 
+# the value of each case and output key a config leaves out; the other
+# keys default to the problem's `SolverConfig`
+DEFAULTS = {"re": 100.0, "fy": 1.0, "coefficient": "nonlinear",
+            "subdomains": (2, 2), "hh": 10, "overlap": 2, "out": "results"}
+
 
 class ConfigError(ValueError):
     pass
+
+
+def _setting(cfg: dict, point: dict, key: str):
+    """The point's value of `key`, else the config's, else the default."""
+    return point.get(key, cfg.get(key, DEFAULTS[key]))
+
+
+def _axis(key: str, val) -> list:
+    """The values of the sweep field `key`: its list or its one value; a
+    subdomains list is one of pairs."""
+    many = isinstance(val, list) and (
+        key != "subdomains" or not val or isinstance(val[0], list))
+    return val if many else [val]
+
+
+def _count(least: int):
+    return lambda v: isinstance(v, int) and not isinstance(v, bool) \
+        and v >= least
+
+
+# what the value of a sweep field, `modified` or a solver setting must be,
+# and the test of it
+RULES = {
+    **dict.fromkeys(("re", "fy", "variant", "coarse"), (
+        "one value or a non-empty list", lambda v: v != [])),
+    "subdomains": ("a [px, py] pair of positive integers or a non-empty "
+                   "list of such pairs", lambda v: v != [] and all(
+                       isinstance(p, list) and len(p) == 2
+                       and all(map(_count(1), p)) for p in _axis(
+                           "subdomains", v))),
+    **dict.fromkeys(("modified", "line_search"), (
+        "a bool", lambda v: isinstance(v, bool))),
+    **dict.fromkeys(("rel_tol", "abs_tol"), (
+        "a finite number of at least 0",
+        lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
+        and math.isfinite(v) and v >= 0)),
+    "max_iter": ("an integer of at least 1", _count(1)),
+    "restart": ("an integer of at least 0",
+                lambda v: v is None or _count(0)(v)),
+}
 
 
 def _load_config(path: str, overrides: argparse.Namespace) -> dict:
@@ -100,14 +152,6 @@ def _load_config(path: str, overrides: argparse.Namespace) -> dict:
             f"solver.{level}.{k}" for k in set(settings) - allowed))
     if unknown:
         raise ConfigError(f"unknown config keys: {', '.join(unknown)}")
-    gmres = solver.get("gmres", {})
-    for key, least in (("max_iter", 1), ("restart", 0)):
-        val = gmres.get(key, least)
-        if key == "restart" and val is None:
-            continue
-        if isinstance(val, bool) or not isinstance(val, int) or val < least:
-            raise ConfigError(f"solver.gmres.{key} must be an integer of at "
-                              f"least {least}, got {val!r}")
     for key in ("problem", "re", "fy", "hh", "overlap", "variant", "coarse",
                 "modified", "out"):
         val = getattr(overrides, key.replace("-", "_"), None)
@@ -124,29 +168,23 @@ def _load_config(path: str, overrides: argparse.Namespace) -> dict:
         raise ConfigError("config must set 'problem'")
     if cfg["problem"] not in ("ldc", "beam", "diffusion"):
         raise ConfigError(f"unknown problem {cfg['problem']!r}")
+    checks = [(f"solver.{level}.{key}", key, val)
+              for level, settings in sorted(solver.items())
+              for key, val in sorted(settings.items())]
+    checks += [(f"config key {key}", key, cfg[key])
+               for key in (*SWEEP_FIELDS, "modified") if key in cfg]
+    for name, key, val in checks:
+        what, test = RULES[key]
+        if not test(val):
+            raise ConfigError(f"{name} must be {what}, got {val!r}")
     return cfg
 
 
 def _sweep_points(cfg: dict):
     """Cartesian product over the list-valued sweep fields."""
-    axes = {}
-    for f in SWEEP_FIELDS:
-        if f not in cfg:
-            continue
-        v = cfg[f]
-        if f == "subdomains":
-            vals = v if v and isinstance(v[0], list) else [v]
-        elif isinstance(v, list):
-            vals = v
-        else:
-            vals = [v]
-        axes[f] = vals
-    if not axes:
-        yield {}
-        return
-    keys = list(axes)
-    for combo in itertools.product(*(axes[k] for k in keys)):
-        yield dict(zip(keys, combo))
+    axes = {f: _axis(f, cfg[f]) for f in SWEEP_FIELDS if f in cfg}
+    for combo in itertools.product(*axes.values()):
+        yield dict(zip(axes, combo))
 
 
 def _solver_config(cfg: dict, point: dict) -> SolverConfig:
@@ -164,14 +202,14 @@ def _build_case(cfg: dict, point: dict):
     problem_kind = cfg["problem"]
     domain = (0.0, 1.0, 0.0, 1.0)
     if problem_kind == "ldc":
-        prob = asm.ldc_problem(float(point.get("re", cfg.get("re", 100.0))))
+        prob = asm.ldc_problem(float(_setting(cfg, point, "re")))
     elif problem_kind == "beam":
-        prob = asm.beam_problem(float(point.get("fy", cfg.get("fy", 1.0))))
+        prob = asm.beam_problem(float(_setting(cfg, point, "fy")))
         domain = (0.0, 5.0, 0.0, 1.0)
     else:
-        prob = asm.diffusion_problem(cfg.get("coefficient", "nonlinear"))
-    px, py = point.get("subdomains", cfg.get("subdomains", [2, 2]))
-    hh = int(cfg.get("hh", 10))
+        prob = asm.diffusion_problem(_setting(cfg, point, "coefficient"))
+    px, py = _setting(cfg, point, "subdomains")
+    hh = int(_setting(cfg, point, "hh"))
     mesh = msh.build_structured_mesh(px * hh, py * hh, domain=domain,
                                      problem_kind=problem_kind)
     dofmap = asm.build_dofmap(prob, mesh)
@@ -184,15 +222,14 @@ def _decompose(mesh, px, py, overlap, nks: bool):
         msh.extend_overlap(dec, msh.nodal_graph(mesh), max(1, overlap // 2))
     else:
         msh.extend_overlap(dec, msh.dual_graph(mesh), overlap)
-    msh.ghost_layer(dec, msh.nodal_graph(mesh), mesh=mesh)
-    return dec
+    return msh.ghost_layer(dec, mesh)
 
 
 def run_point(cfg: dict, point: dict) -> tuple[dict, SolveReport]:
     prob, mesh, dofmap, px, py = _build_case(cfg, point)
     scfg = _solver_config(cfg, point)
     variant = scfg.variant
-    overlap = int(cfg.get("overlap", 2))
+    overlap = int(_setting(cfg, point, "overlap"))
     dec = _decompose(mesh, px, py, overlap, nks=(variant == "nks"))
     needs_coarse = variant in ("nks", "additive", "hybrid")
     P0 = None
@@ -211,7 +248,7 @@ def run_point(cfg: dict, point: dict) -> tuple[dict, SolveReport]:
         "modified": scfg.modified if needs_coarse else None,
         "num_subdomains": px * py,
         "subdomains": [px, py],
-        "hh": int(cfg.get("hh", 10)),
+        "hh": int(_setting(cfg, point, "hh")),
         "overlap": overlap,
         "n_dofs": dofmap.n_dofs,
         "converged": rep.converged,
@@ -262,7 +299,7 @@ def cmd_run(args) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    out_dir = Path(cfg.get("out", "results"))
+    out_dir = Path(_setting(cfg, {}, "out"))
     out_dir.mkdir(parents=True, exist_ok=True)
     records = []
     for i, point in enumerate(_sweep_points(cfg)):
@@ -291,14 +328,11 @@ def cmd_run(args) -> int:
 def cmd_export_coarse(args) -> int:
     try:
         cfg = _load_config(args.config, args)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
-    point = next(_sweep_points(cfg))
-    try:
+        point = next(_sweep_points(cfg))
         prob, mesh, dofmap, px, py = _build_case(cfg, point)
         scfg = _solver_config(cfg, point)
-        dec = _decompose(mesh, px, py, int(cfg.get("overlap", 2)), nks=False)
+        dec = _decompose(mesh, px, py, int(_setting(cfg, point, "overlap")),
+                         nks=False)
         P0, ents, labels = crs.build_coarse_space(
             prob, mesh, dofmap, dec, scfg.coarse_kind, scfg.modified)
     except ValueError as exc:
@@ -323,7 +357,7 @@ def cmd_export_coarse(args) -> int:
             header.append(label if label in names else f"{label}_{fld.name}")
             columns.append(
                 dense[fld.offset:fld.offset + mesh.n_nodes, c_i].tolist())
-    out = Path(cfg.get("out", "results"))
+    out = Path(_setting(cfg, {}, "out"))
     out.mkdir(parents=True, exist_ok=True)
     path = out / f"coarse_entity_{k}.csv"
     with open(path, "w", newline="") as f:

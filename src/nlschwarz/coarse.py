@@ -37,7 +37,7 @@ from scipy.sparse.csgraph import connected_components
 
 from . import assembly as asm
 from . import mesh as msh
-from .assembly import DofMap, ProblemSpec, nullspace_basis, subset_dofs
+from .assembly import DofMap, ProblemSpec, nullspace_basis
 from .mesh import DIRICHLET, LID, Decomposition, InterfaceSkeleton, Mesh
 from .sparse import factorize
 
@@ -80,82 +80,58 @@ def interface_functions(mesh: Mesh, skeleton: InterfaceSkeleton, kind: str,
     if dirichlet_nodes is None:
         dirichlet_nodes = (mesh.boundary_tag == DIRICHLET) | (mesh.boundary_tag == LID)
     eligible = {int(v) for v in skeleton.vertices if not dirichlet_nodes[v]}
+    if kind == "gdsw" and modified:
+        raise ValueError("the Dirichlet-edge modification applies to the "
+                         "reduced coarse spaces only")
 
-    if kind == "gdsw":
-        if modified:
-            raise ValueError("the Dirichlet-edge modification applies to the "
-                             "reduced coarse spaces only")
-        ents = [CoarseEntity("vertex", v, np.array([v]), np.array([1.0]))
-                for v in sorted(eligible)]
-        for run in skeleton.edges:
-            pairs = _run_pairs(run)
-            ents.append(CoarseEntity("edge", -1, run.interior.copy(),
-                                     np.ones(run.interior.size),
-                                     mid_pairs=pairs,
-                                     mid_values=np.ones(pairs.shape[0])))
-        return ents
-
-    # reduced spaces: accumulate per-vertex support across adjacent runs
-    vert_nodes: dict[int, list] = {v: [np.array([v])] for v in sorted(eligible)}
-    vert_nvals: dict[int, list] = {v: [np.array([1.0])] for v in sorted(eligible)}
-    vert_pairs: dict[int, list] = {v: [] for v in sorted(eligible)}
-    vert_mvals: dict[int, list] = {v: [] for v in sorted(eligible)}
-    fillers: list[CoarseEntity] = []
-
+    # per vertex, the vertex itself, then its share of each adjacent run of
+    # a reduced space in run order, joined into one function at the end
+    parts: dict[int, list[CoarseEntity]] = {
+        v: [CoarseEntity("vertex", v, np.array([v]), np.array([1.0]))]
+        for v in sorted(eligible)}
+    others: list[CoarseEntity] = []   # the GDSW edge functions or fillers
     for run in skeleton.edges:
         interior, pairs = run.interior, _run_pairs(run)
-        mids = 0.5 * (mesh.nodes[pairs[:, 0]] + mesh.nodes[pairs[:, 1]])
+        if kind == "gdsw":
+            others.append(CoarseEntity(
+                "edge", -1, interior.copy(), np.ones(interior.size),
+                mid_pairs=pairs, mid_values=np.ones(pairs.shape[0])))
+            continue
         ends = [run.start, run.end]
         elig = [e for e in ends if e in eligible]
         if not elig and not modified:
             raise ValueError(
                 f"interface run {run.start}-{run.end} has no eligible vertex; "
                 "use the gdsw space or the modified variant")
-        pts = np.vstack([mesh.nodes[interior], mids]) if interior.size \
-            else mids
+        # the run's interior nodes, then its edge midpoints
+        pts = np.vstack([mesh.nodes[interior], mesh.nodes[pairs].mean(axis=1)])
         n_int = interior.size
-
-        def dist(v):
-            return np.linalg.norm(pts - mesh.nodes[v], axis=1)
-
-        if not modified or len(elig) == len(ends):
-            # regular run: weights over the eligible endpoints only
-            if kind == "rgdsw":
-                weights = {v: np.full(pts.shape[0], 1.0 / len(elig)) for v in elig}
-            else:
-                inv = {v: 1.0 / dist(v) for v in elig}
-                denom = sum(inv.values())
-                weights = {v: inv[v] / denom for v in elig}
+        # a regular run weighs its eligible endpoints only; a modified run
+        # ending at the Dirichlet boundary decays toward every endpoint,
+        # eligible or not, with inverse-distance weights
+        decay = modified and len(elig) < len(ends)
+        if kind == "rgdsw" and not decay:
+            weights = {v: np.full(pts.shape[0], 1.0 / len(elig)) for v in elig}
         else:
-            # run ending at the Dirichlet boundary: decay toward every
-            # endpoint, eligible or not, with inverse-distance weights
-            inv = {v: 1.0 / dist(v) for v in ends}
+            inv = {v: 1.0 / np.linalg.norm(pts - mesh.nodes[v], axis=1)
+                   for v in (ends if decay else elig)}
             denom = sum(inv.values())
             weights = {v: inv[v] / denom for v in elig}
-            deficit = np.ones(pts.shape[0])
-            for v in elig:
-                deficit -= weights[v]
+        if decay:
+            deficit = np.ones(pts.shape[0]) - sum(weights.values())
             if np.any(deficit > 1e-14):
-                fillers.append(CoarseEntity(
+                others.append(CoarseEntity(
                     "filler", -1, interior.copy(), deficit[:n_int].copy(),
                     mid_pairs=pairs, mid_values=deficit[n_int:].copy()))
         for v in elig:
-            vert_nodes[v].append(interior)
-            vert_nvals[v].append(weights[v][:n_int])
-            vert_pairs[v].append(pairs)
-            vert_mvals[v].append(weights[v][n_int:])
+            parts[v].append(CoarseEntity(
+                "vertex", v, interior, weights[v][:n_int],
+                mid_pairs=pairs, mid_values=weights[v][n_int:]))
 
-    ents = []
-    for v in sorted(eligible):
-        ents.append(CoarseEntity(
-            "vertex", v,
-            np.concatenate(vert_nodes[v]),
-            np.concatenate(vert_nvals[v]),
-            mid_pairs=(np.vstack(vert_pairs[v]) if vert_pairs[v]
-                       else np.zeros((0, 2), dtype=np.int64)),
-            mid_values=(np.concatenate(vert_mvals[v]) if vert_mvals[v]
-                        else np.zeros(0))))
-    return ents + fillers
+    return [CoarseEntity("vertex", v, *(
+        np.concatenate([getattr(p, a) for p in ps])
+        for a in ("nodes", "node_values", "mid_pairs", "mid_values")))
+        for v, ps in parts.items()] + others
 
 
 def _edge_lookup(dofmap: DofMap, pairs: np.ndarray) -> np.ndarray:
@@ -232,9 +208,8 @@ def coarse_interface_basis(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
 
     entities: list[CoarseEntity] = []
     labels: list[tuple[int, str]] = []
-    trip_r: list[np.ndarray] = []
-    trip_c: list[np.ndarray] = []
-    trip_v: list[np.ndarray] = []
+    empty = np.zeros(0, dtype=np.int64)
+    trip_r, trip_c, trip_v = [empty], [empty], [np.zeros(0)]
     for fixed, modes in families.values():
         for ent in interface_functions(mesh, skeleton, kind, modified=modified,
                                        dirichlet_nodes=fixed):
@@ -257,11 +232,9 @@ def coarse_interface_basis(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
                 trip_v.append((z[rows] * np.concatenate(weights))[keep])
                 labels.append((len(entities), name))
             entities.append(ent)
-    Phi = sp.csr_matrix(
-        (np.concatenate(trip_v) if trip_v else np.zeros(0),
-         (np.concatenate(trip_r) if trip_r else np.zeros(0, dtype=np.int64),
-          np.concatenate(trip_c) if trip_c else np.zeros(0, dtype=np.int64))),
-        shape=(dofmap.n_dofs, len(labels)))
+    Phi = sp.csr_matrix((np.concatenate(trip_v), (np.concatenate(trip_r),
+                                                  np.concatenate(trip_c))),
+                        shape=(dofmap.n_dofs, len(labels)))
     keep = _independent_columns(
         Phi[np.flatnonzero(np.diff(Phi.indptr))].toarray())
     return Phi[:, keep], entities, [labels[j] for j in keep]
@@ -279,41 +252,33 @@ def interface_dofs(dofmap: DofMap, skeleton: InterfaceSkeleton) -> np.ndarray:
     return np.unique(np.concatenate(parts))
 
 
-def interior_owner(dofmap: DofMap, mesh: Mesh, decomp) -> np.ndarray:
-    """Owning subdomain per DOF from the nonoverlapping element sets.
-
-    Interface DOFs receive an arbitrary adjacent owner; the label is only
-    consulted for interior DOFs, which belong to exactly one subdomain.
-    """
-    label = np.full(dofmap.n_dofs, -1, dtype=np.int64)
-    for i in range(decomp.num_subdomains):
-        elems = np.flatnonzero(decomp.owner == i)
-        label[subset_dofs(dofmap, mesh, elems)] = i
-    return label
-
-
 def harmonic_extension(A0: sp.csc_matrix, dofmap: DofMap, iface: np.ndarray,
                        Phi_gamma: sp.csr_matrix,
-                       interior_label: np.ndarray) -> sp.csr_matrix:
+                       decomp: Decomposition) -> sp.csr_matrix:
     """Extend interface values energy-minimally with the frozen tangent A0.
 
     Interface and Dirichlet DOFs keep their values.  The interior block of A0
-    decouples across subdomains, so the extension is computed one subdomain
-    of `interior_label` at a time and touches only the columns whose entities
-    border that subdomain.
+    decouples across the nonoverlapping subdomains of `decomp`, whose element
+    owners label each DOF, so the extension is computed one subdomain at a
+    time and touches only the columns whose entities border that subdomain.
+    An interior DOF has one owner; the label of an interface DOF, one of its
+    adjacent owners, is not read.
     """
     n = dofmap.n_dofs
-    fixed = np.zeros(n, dtype=bool)
+    fixed = dofmap.dirichlet_mask.copy()
     fixed[iface] = True
-    fixed |= dofmap.dirichlet_mask
     fixed_idx = np.flatnonzero(fixed)
     A0 = A0.tocsr()
     Phi_B = Phi_gamma[fixed_idx].tocsc()
     n0 = Phi_gamma.shape[1]
 
-    rows, cols, vals = [], [], []
-    for i in range(interior_label.max() + 1):
-        idx = np.flatnonzero(~fixed & (interior_label == i))
+    label = np.full(n, -1, dtype=np.int64)
+    label[dofmap.elem_dofs] = decomp.owner[:, None]
+
+    empty = np.zeros(0, dtype=np.int64)
+    rows, cols, vals = [empty], [empty], [np.zeros(0)]
+    for i in range(decomp.num_subdomains):
+        idx = np.flatnonzero(~fixed & (label == i))
         if idx.size == 0:
             continue
         A_sub = A0[idx]
@@ -332,11 +297,9 @@ def harmonic_extension(A0: sp.csc_matrix, dofmap: DofMap, iface: np.ndarray,
     S_B = sp.csr_matrix((np.ones(fixed_idx.size),
                          (fixed_idx, np.arange(fixed_idx.size))),
                         shape=(n, fixed_idx.size))
-    Phi_I = sp.csr_matrix(
-        (np.concatenate(vals) if vals else np.zeros(0),
-         (np.concatenate(rows) if rows else np.zeros(0, dtype=np.int64),
-          np.concatenate(cols) if cols else np.zeros(0, dtype=np.int64))),
-        shape=(n, n0))
+    Phi_I = sp.csr_matrix((np.concatenate(vals), (np.concatenate(rows),
+                                                  np.concatenate(cols))),
+                          shape=(n, n0))
     return (S_B @ Phi_B + Phi_I).tocsr()
 
 
@@ -346,12 +309,18 @@ def build_coarse_space(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
                        ) -> tuple[sp.csr_matrix, list[CoarseEntity], list[tuple[int, str]]]:
     """The full coarse basis P0 (n_dofs x n0) of the decomposition, extended
     with the tangent at the initial iterate, its interface functions and its
-    column labels (see `coarse_interface_basis`)."""
+    column labels (see `coarse_interface_basis`).
+
+    Raises ValueError if no coarse column exists, as for a single subdomain.
+    """
     skeleton = msh.interface_skeleton(decomp, mesh)
     Phi_gamma, ents, labels = coarse_interface_basis(
         problem, mesh, dofmap, skeleton, kind, modified)
+    if not labels:
+        raise ValueError("no coarse column: the decomposition has no "
+                         "interface off the Dirichlet boundary")
     A0 = asm.assemble_tangent(problem, mesh, dofmap,
                               asm.initial_iterate(problem, dofmap))
     P0 = harmonic_extension(A0, dofmap, interface_dofs(dofmap, skeleton),
-                            Phi_gamma, interior_owner(dofmap, mesh, decomp))
+                            Phi_gamma, decomp)
     return P0, ents, labels

@@ -200,16 +200,14 @@ def extend_overlap(decomp: Decomposition, graph: sp.csr_matrix, k: int) -> Decom
     return decomp
 
 
-def ghost_layer(decomp: Decomposition, graph: sp.csr_matrix,
-                mesh: Mesh) -> Decomposition:
-    """Populate ghost_elements, the node-adjacent ring of each overlap.
-
-    `graph` must be the nodal element graph of `mesh` so that every node of
-    the overlapping subdomain becomes interior to the ghost-extended element
-    set.
+def ghost_layer(decomp: Decomposition, mesh: Mesh) -> Decomposition:
+    """Populate ghost_elements, the ring of elements of `mesh` that share a
+    node with each overlap, so that every node of the overlapping subdomain
+    becomes interior to the ghost-extended element set.
     """
     if decomp.overlap_elements is None:
         raise ValueError("extend_overlap must run before ghost_layer")
+    graph = nodal_graph(mesh)
     ghosts = []
     for ov in decomp.overlap_elements:
         ind = np.zeros(mesh.n_elements, dtype=bool)
@@ -244,10 +242,6 @@ def interface_skeleton(decomp: Decomposition, mesh: Mesh) -> InterfaceSkeleton:
     counts = np.asarray(inc.sum(axis=1)).ravel()
     gamma_mask = counts >= 2
     gamma = np.flatnonzero(gamma_mask)
-    if gamma.size == 0:
-        empty = np.array([], dtype=np.int64)
-        return InterfaceSkeleton(empty, empty, empty, [])
-
     on_boundary = mesh.boundary_tag != INTERIOR
     dirichlet = (mesh.boundary_tag == DIRICHLET) | (mesh.boundary_tag == LID)
     gamma_prime = gamma[~dirichlet[gamma]]

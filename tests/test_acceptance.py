@@ -42,7 +42,7 @@ def build_case(kind, nx, ny, px, py, overlap, domain=None, **prob_kw):
     dm = asm.build_dofmap(prob, m)
     dec = msh.partition_structured(m, px, py)
     msh.extend_overlap(dec, msh.dual_graph(m), overlap)
-    msh.ghost_layer(dec, msh.nodal_graph(m), mesh=m)
+    msh.ghost_layer(dec, m)
     skel = msh.interface_skeleton(dec, m)
     return prob, m, dm, dec, skel
 
@@ -122,8 +122,7 @@ def test_criterion_3_harmonic_extension():
     # harmonic in every field at once, off-field blocks included
     Phi0, _, _ = crs.coarse_interface_basis(prob, m, dm, skel, "rgdsw", True)
     iface = crs.interface_dofs(dm, skel)
-    P0 = crs.harmonic_extension(A0, dm, iface, Phi0,
-                                crs.interior_owner(dm, m, dec))
+    P0 = crs.harmonic_extension(A0, dm, iface, Phi0, dec)
     fixed = np.zeros(dm.n_dofs, dtype=bool)
     fixed[iface] = True
     fixed |= dm.dirichlet_mask
@@ -138,8 +137,7 @@ def test_criterion_3_harmonic_extension():
     Phi, _, _ = crs.coarse_interface_basis(prob2, m2, dm2, skel2, "msfem",
                                            True)
     iface2 = crs.interface_dofs(dm2, skel2)
-    P2 = crs.harmonic_extension(A2, dm2, iface2, Phi,
-                                crs.interior_owner(dm2, m2, dec2))
+    P2 = crs.harmonic_extension(A2, dm2, iface2, Phi, dec2)
     fixed2 = np.zeros(dm2.n_dofs, dtype=bool)
     fixed2[iface2] = True
     fixed2 |= dm2.dirichlet_mask
@@ -268,7 +266,7 @@ def test_criterion_8_linear_degeneration():
     dm = asm.build_dofmap(prob, m)
     dec = msh.partition_structured(m, 2, 1)
     msh.extend_overlap(dec, msh.dual_graph(m), 2)
-    msh.ghost_layer(dec, msh.nodal_graph(m), mesh=m)
+    msh.ghost_layer(dec, m)
     A = asm.assemble_tangent(prob, m, dm, np.zeros(dm.n_dofs)).toarray()
     worst = 0.0
     for variant in ("aspen", "raspen"):

@@ -11,6 +11,9 @@ from nlschwarz import coarse as crs
 from nlschwarz import mesh as msh
 from nlschwarz.cli import HISTORY_COLUMNS, emit_history, main, run_point
 
+SUBDOMAINS_ERROR = ("config key subdomains must be a [px, py] pair of "
+                    "positive integers or a non-empty list of such pairs")
+
 BASE = {"problem": "diffusion", "subdomains": [2, 2], "hh": 6, "overlap": 2,
         "variant": "hybrid", "coarse": "rgdsw", "modified": True}
 
@@ -82,6 +85,20 @@ class TestRun:
         assert records[0]["point"]["coarse"] == "bogus"
         assert records[1]["converged"]
 
+    @pytest.mark.parametrize("variant", ["hybrid", "nks"])
+    def test_one_subdomain_recorded(self, tmp_path, capfd, variant):
+        """A single subdomain has no coarse space: the point fails with that
+        reason before any factorization of an empty coarse matrix."""
+        cfg = dict(BASE, subdomains=[1, 1], variant=variant,
+                   out=str(tmp_path / "out"))
+        assert main(["run", write_config(tmp_path, cfg)]) == 0
+        records = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert not records[0]["converged"]
+        assert records[0]["reason"] == (
+            "ValueError: no coarse column: the decomposition has no "
+            "interface off the Dirichlet boundary")
+        assert "DGETRF" not in capfd.readouterr().out
+
     def test_invalid_config_nonzero_exit(self, tmp_path):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"re": 10.0}))
@@ -120,10 +137,47 @@ class TestRun:
         ({"solver": {"gmres": {"max_iter": None}}},
          "solver.gmres.max_iter must be an integer of at least 1, got None"),
         ({"solver": {"gmres": {"restart": -1}}},
-         "solver.gmres.restart must be an integer of at least 0, got -1")],
+         "solver.gmres.restart must be an integer of at least 0, got -1"),
+        ({"subdomains": 4}, SUBDOMAINS_ERROR + ", got 4"),
+        ({"subdomains": []}, SUBDOMAINS_ERROR + ", got []"),
+        ({"subdomains": [[2, 2], [2, 0]]},
+         SUBDOMAINS_ERROR + ", got [[2, 2], [2, 0]]"),
+        ({"subdomains": [2, True]}, SUBDOMAINS_ERROR + ", got [2, True]"),
+        ({"subdomains": [2, 2, 2]}, SUBDOMAINS_ERROR + ", got [2, 2, 2]"),
+        ({"variant": []},
+         "config key variant must be one value or a non-empty list, got []"),
+        ({"coarse": []},
+         "config key coarse must be one value or a non-empty list, got []"),
+        ({"re": []},
+         "config key re must be one value or a non-empty list, got []"),
+        ({"solver": {"gmres": {"rel_tol": -1}}},
+         "solver.gmres.rel_tol must be a finite number of at least 0, got -1"),
+        ({"solver": {"outer": {"rel_tol": "x"}}},
+         "solver.outer.rel_tol must be a finite number of at least 0, "
+         "got 'x'"),
+        ({"solver": {"outer": {"abs_tol": float("nan")}}},
+         "solver.outer.abs_tol must be a finite number of at least 0, "
+         "got nan"),
+        ({"solver": {"coarse": {"rel_tol": True}}},
+         "solver.coarse.rel_tol must be a finite number of at least 0, "
+         "got True"),
+        ({"solver": {"inner": {"max_iter": 0}}},
+         "solver.inner.max_iter must be an integer of at least 1, got 0"),
+        ({"solver": {"outer": {"max_iter": 2.5}}},
+         "solver.outer.max_iter must be an integer of at least 1, got 2.5"),
+        ({"solver": {"inner": {"line_search": "yes"}}},
+         "solver.inner.line_search must be a bool, got 'yes'"),
+        ({"modified": "false"},
+         "config key modified must be a bool, got 'false'")],
         ids=["subdomain", "domain", "seed", "solver.gmress", "solver.outer.tol",
              "solver.outer-number", "solver-number", "gmres.max_iter-0",
-             "gmres.max_iter-null", "gmres.restart-negative"])
+             "gmres.max_iter-null", "gmres.restart-negative",
+             "subdomains-number", "subdomains-empty", "subdomains-zero",
+             "subdomains-bool", "subdomains-triple", "variant-empty",
+             "coarse-empty", "re-empty", "gmres.rel_tol-negative",
+             "outer.rel_tol-string", "outer.abs_tol-nan", "coarse.rel_tol-bool",
+             "inner.max_iter-0", "outer.max_iter-float",
+             "inner.line_search-string", "modified-string"])
     def test_unknown_key_is_config_error(self, tmp_path, capsys, extra, error):
         cfg = dict(BASE, out=str(tmp_path / "out"), **extra)
         assert main(["run", write_config(tmp_path, cfg)]) == 2
@@ -215,14 +269,23 @@ class TestExportCoarse:
 
     @pytest.mark.parametrize("cfg", [
         dict(BASE, coarse="gdsw"),
-        {"problem": "ldc", "subdomains": [2, 1], "hh": 4, "coarse": "rgdsw"}],
-        ids=["gdsw-modified", "ldc-rgdsw-2x1"])
+        {"problem": "ldc", "subdomains": [2, 1], "hh": 4, "coarse": "rgdsw"},
+        dict(BASE, subdomains=[1, 1])],
+        ids=["gdsw-modified", "ldc-rgdsw-2x1", "one-subdomain"])
     def test_unbuildable_coarse_space_exits_2(self, tmp_path, capsys, cfg):
         cfg = dict(cfg, out=str(tmp_path / "out"))
         assert main(["export-coarse", write_config(tmp_path, cfg),
                      "--entity", "0"]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error: ") and "Traceback" not in err
+        assert not (tmp_path / "out").exists()
+
+    def test_malformed_config_exits_2(self, tmp_path, capsys):
+        cfg = dict(BASE, subdomains=4, out=str(tmp_path / "out"))
+        assert main(["export-coarse", write_config(tmp_path, cfg),
+                     "--entity", "0"]) == 2
+        assert capsys.readouterr().err == (
+            f"error: {SUBDOMAINS_ERROR}, got 4\n")
         assert not (tmp_path / "out").exists()
 
     def test_beam_modes_write_both_components(self, tmp_path):

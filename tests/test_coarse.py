@@ -1,10 +1,13 @@
 """Coarse space tests: interface functions, extension, dense oracles."""
 
+import hashlib
+
 import numpy as np
 import pytest
 import scipy.sparse as sp
 
 from nlschwarz import assembly as asm
+from nlschwarz import cli
 from nlschwarz import coarse as crs
 from nlschwarz import mesh as msh
 
@@ -25,7 +28,7 @@ def decomposed(kind="diffusion", nx=12, px=3, overlap=2, domain=None, Re=10.0,
     dm = asm.build_dofmap(prob, m)
     dec = msh.partition_structured(m, px, px if kind != "beam" else 1)
     msh.extend_overlap(dec, msh.dual_graph(m), overlap)
-    msh.ghost_layer(dec, msh.nodal_graph(m), mesh=m)
+    msh.ghost_layer(dec, m)
     skel = msh.interface_skeleton(dec, m)
     return prob, m, dm, dec, skel
 
@@ -153,8 +156,7 @@ class TestHarmonicExtension:
         Phi, ents, labels = crs.coarse_interface_basis(prob, m, dm, skel,
                                                        "rgdsw", True)
         iface = crs.interface_dofs(dm, skel)
-        P0 = crs.harmonic_extension(A0, dm, iface, Phi,
-                                    crs.interior_owner(dm, m, dec))
+        P0 = crs.harmonic_extension(A0, dm, iface, Phi, dec)
         fixed = np.zeros(dm.n_dofs, dtype=bool)
         fixed[iface] = True
         fixed |= dm.dirichlet_mask
@@ -191,8 +193,7 @@ class TestHarmonicExtension:
         Phi, ents, labels = crs.coarse_interface_basis(prob, m, dm, skel,
                                                        "msfem", True)
         iface = crs.interface_dofs(dm, skel)
-        P0 = crs.harmonic_extension(A0, dm, iface, Phi,
-                                    crs.interior_owner(dm, m, dec))
+        P0 = crs.harmonic_extension(A0, dm, iface, Phi, dec)
         fixed = np.zeros(dm.n_dofs, dtype=bool)
         fixed[iface] = True
         fixed |= dm.dirichlet_mask
@@ -220,11 +221,41 @@ class TestBuildCoarseSpace:
         Phi, _, _ = crs.coarse_interface_basis(prob, m, dm, skel, kind,
                                                modified)
         expect = crs.harmonic_extension(A0, dm, crs.interface_dofs(dm, skel),
-                                        Phi, crs.interior_owner(dm, m, dec))
+                                        Phi, dec)
         assert P0.shape == expect.shape
         for name in ("data", "indices", "indptr"):
             np.testing.assert_array_equal(getattr(P0, name),
                                           getattr(expect, name))
+
+    @pytest.mark.parametrize("cfg,kind,modified,digest", [
+        ({"problem": "ldc", "re": 400, "subdomains": [4, 4], "hh": 10},
+         "rgdsw", False,
+         "1433dd00c89d905e26f1cb70368c8422f6135837c68282eb863567b0d0537a36"),
+        ({"problem": "ldc", "subdomains": [2, 2], "hh": 6}, "gdsw", False,
+         "f82b061a6324057c40a04dd504af7141db4ecfeff89ebce73e124a9251bffc3c"),
+        ({"problem": "beam", "subdomains": [4, 4], "hh": 4}, "msfem", True,
+         "b16d05c85cbccf19e4feffeb8c7cc672c99457575cb0856b6b37cdaf24b2cd54"),
+        ({"problem": "diffusion", "subdomains": [3, 3], "hh": 5}, "rgdsw",
+         True,
+         "4cd08bc5059975c302f70e050a34740dc593bedf9d64cf0cc35a7998bf7f8561")],
+        ids=["cavity-4x4-rgdsw", "cavity-2x2-gdsw", "beam-4x4-msfem-modified",
+             "diffusion-3x3-rgdsw-modified"])
+    def test_pinned_basis(self, cfg, kind, modified, digest):
+        """P0 of `nlschwarz run` configs, bit for bit: the SHA-256 of its
+        shape (two int64) and its CSR `indptr`, `indices` and `data`.  The
+        first case is the benchmark cavity's P0.  A change that alters P0
+        on purpose updates the digests, which
+
+            PYTHONPATH=src python -m pytest tests/test_coarse.py -k pinned_basis
+
+        prints in its failure messages, and says why they changed."""
+        prob, m, dm, px, py = cli._build_case(cfg, {})
+        dec = cli._decompose(m, px, py, 2, nks=False)
+        P0, _, _ = crs.build_coarse_space(prob, m, dm, dec, kind, modified)
+        h = hashlib.sha256(np.array(P0.shape, dtype=np.int64).tobytes())
+        for a in (P0.indptr, P0.indices, P0.data):
+            h.update(a.tobytes())
+        assert h.hexdigest() == digest, h.hexdigest()
 
 
 class TestNullspaceReproduction:

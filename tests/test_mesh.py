@@ -89,7 +89,7 @@ class TestPartition:
         m = unit_square(8, 8)
         dec = msh.partition_structured(m, 2, 2)
         msh.extend_overlap(dec, msh.dual_graph(m), 1)
-        msh.ghost_layer(dec, msh.nodal_graph(m), mesh=m)
+        msh.ghost_layer(dec, m)
         for i in range(4):
             assert np.intersect1d(dec.overlap_elements[i],
                                   dec.ghost_elements[i]).size == 0
@@ -123,6 +123,13 @@ class TestInterfaceSkeleton:
         center = np.flatnonzero((m.nodes[:, 0] == 0.5) & (m.nodes[:, 1] == 0.5))
         assert center[0] in skel.vertices
         assert len(skel.edges) == 4
+
+    def test_one_subdomain_has_no_interface(self):
+        m = unit_square(8, 8)
+        skel = msh.interface_skeleton(msh.partition_structured(m, 1, 1), m)
+        for nodes in (skel.interface_nodes, skel.gamma_prime, skel.vertices):
+            assert nodes.dtype == np.int64 and nodes.size == 0
+        assert skel.edges == []
 
     def test_interface_nodes_shared(self):
         m = unit_square(8, 8)

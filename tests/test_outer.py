@@ -26,7 +26,7 @@ def diffusion_case(nx=16, px=2, overlap=2):
     dm = asm.build_dofmap(prob, m)
     dec = msh.partition_structured(m, px, px)
     msh.extend_overlap(dec, msh.dual_graph(m), overlap)
-    msh.ghost_layer(dec, msh.nodal_graph(m), mesh=m)
+    msh.ghost_layer(dec, m)
     return prob, m, dm, dec
 
 
@@ -178,7 +178,7 @@ class TestNks:
         dm = asm.build_dofmap(prob, m)
         dec = msh.partition_structured(m, 2, 2)
         msh.extend_overlap(dec, msh.dual_graph(m), 1)
-        msh.ghost_layer(dec, msh.nodal_graph(m), mesh=m)
+        msh.ghost_layer(dec, m)
         P0 = coarse_space(prob, m, dm, dec)
         factors, coarse, captured = [], [], {}
 

@@ -45,7 +45,7 @@ def setup_problem(kind="diffusion", nx=12, px=2, overlap=2, Re=10.0, fy=1.0):
     dm = asm.build_dofmap(prob, m)
     dec = msh.partition_structured(m, px, py)
     msh.extend_overlap(dec, msh.dual_graph(m), overlap)
-    msh.ghost_layer(dec, msh.nodal_graph(m), mesh=m)
+    msh.ghost_layer(dec, m)
     return prob, m, dm, dec
 
 
@@ -532,7 +532,7 @@ m = msh.build_structured_mesh(8, 8, problem_kind="diffusion")
 dm = asm.build_dofmap(prob, m)
 dec = msh.partition_structured(m, 2, 2)
 msh.extend_overlap(dec, msh.dual_graph(m), 2)
-msh.ghost_layer(dec, msh.nodal_graph(m), mesh=m)
+msh.ghost_layer(dec, m)
 op = SchwarzOperator(prob, m, dm, dec, variant="raspen")
 op.evaluate(asm.initial_iterate(prob, dm))
 print(*(proc.pid for proc in op._owners.procs), flush=True)
@@ -551,7 +551,7 @@ m = msh.build_structured_mesh(8, 8, problem_kind="diffusion")
 dm = asm.build_dofmap(prob, m)
 dec = msh.partition_structured(m, 2, 2)
 msh.extend_overlap(dec, msh.dual_graph(m), 1)
-msh.ghost_layer(dec, msh.nodal_graph(m), mesh=m)
+msh.ghost_layer(dec, m)
 
 def wait(*args, **kwargs):
     print(*sorted(proc.pid for proc in multiprocessing.active_children()),

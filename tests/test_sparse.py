@@ -28,7 +28,7 @@ def cavity_block():
     dm = asm.build_dofmap(prob, m)
     dec = msh.partition_structured(m, 2, 2)
     msh.extend_overlap(dec, msh.dual_graph(m), 2)
-    msh.ghost_layer(dec, msh.nodal_graph(m), mesh=m)
+    msh.ghost_layer(dec, m)
     sub = SchwarzOperator(prob, m, dm, dec, variant="raspen").subs[0]
     A = asm.assemble_tangent(prob, m, dm, asm.initial_iterate(prob, dm),
                              subset=sub.plan.elems, plan=sub.plan)

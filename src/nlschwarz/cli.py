@@ -15,13 +15,13 @@ defaults of the case and output keys are in `DEFAULTS`, the others are the
 problem's `SolverConfig`):
 
     problem      "ldc" | "beam" | "diffusion"        (required)
-    re           number or list   (ldc Reynolds numbers)
-    fy           number or list   (beam loads, MN/m^2)
-    coefficient  "constant" | "nonlinear"  (diffusion law)
+    re           number or list   (ldc only: Reynolds numbers)
+    fy           number or list   (beam only: loads, MN/m^2)
+    coefficient  "constant" | "nonlinear"  (diffusion only: the law)
     subdomains   [px, py], integers >= 1, or list of such pairs
-    hh           elements per subdomain per direction (H/h)
-    overlap      dual-graph overlap layers for nonlinear Schwarz; NKS uses
-                 max(1, overlap // 2) nodal layers
+    hh           elements per subdomain per direction (H/h), integer >= 1
+    overlap      dual-graph overlap layers for nonlinear Schwarz, integer
+                 >= 0; NKS uses max(1, overlap // 2) nodal layers
     variant      "aspen" | "raspen" | "additive" | "hybrid" | "nks" or list
     coarse       "gdsw" | "rgdsw" | "msfem" or list
     modified     bool (Dirichlet-edge modification of the reduced spaces)
@@ -34,11 +34,12 @@ problem's `SolverConfig`):
                  cycles), line_search a bool, restart an integer >= 0 or
                  null (0 and null: no restart)
 
-A key the schema does not list, at the top level or in a solver level, an
-empty list of a sweep field and a subdomains, modified or solver value
-outside its type or range end the command with exit code 2 before any point
-runs; any other bad value fails the points that use it.  The domain is the
-unit square, and [0, 5] x [0, 1] for the beam.
+A key the schema does not list, at the top level or in a solver level, a
+problem key (re, fy, coefficient) that the problem does not read, an empty
+list of a sweep field and a subdomains, hh, overlap, modified or solver
+value outside its type or range end the command with exit code 2 before any
+point runs; any other bad value fails the points that use it.  The domain
+is the unit square, and [0, 5] x [0, 1] for the beam.
 
 Flag overrides: --problem --re --fy --subdomains PXxPY --hh --overlap
 --variant --coarse --modified --out.  The number of processes that own
@@ -82,6 +83,9 @@ CONFIG_KEYS = {"problem", "re", "fy", "coefficient", "subdomains", "hh",
 SOLVER_FIELDS = {level: {f.name for f in fields(getattr(SolverConfig(), level))}
                  for level in ("outer", "inner", "coarse", "gmres")}
 
+# the one problem that reads each problem key
+PROBLEM_KEYS = {"re": "ldc", "fy": "beam", "coefficient": "diffusion"}
+
 # the value of each case and output key a config leaves out; the other
 # keys default to the problem's `SolverConfig`
 DEFAULTS = {"re": 100.0, "fy": 1.0, "coefficient": "nonlinear",
@@ -110,8 +114,8 @@ def _count(least: int):
         and v >= least
 
 
-# what the value of a sweep field, `modified` or a solver setting must be,
-# and the test of it
+# what the value of a sweep field, `hh`, `overlap`, `modified` or a solver
+# setting must be, and the test of it
 RULES = {
     **dict.fromkeys(("re", "fy", "variant", "coarse"), (
         "one value or a non-empty list", lambda v: v != [])),
@@ -126,7 +130,9 @@ RULES = {
         "a finite number of at least 0",
         lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
         and math.isfinite(v) and v >= 0)),
-    "max_iter": ("an integer of at least 1", _count(1)),
+    **dict.fromkeys(("hh", "max_iter"), ("an integer of at least 1",
+                                         _count(1))),
+    "overlap": ("an integer of at least 0", _count(0)),
     "restart": ("an integer of at least 0",
                 lambda v: v is None or _count(0)(v)),
 }
@@ -172,11 +178,16 @@ def _load_config(path: str, overrides: argparse.Namespace) -> dict:
               for level, settings in sorted(solver.items())
               for key, val in sorted(settings.items())]
     checks += [(f"config key {key}", key, cfg[key])
-               for key in (*SWEEP_FIELDS, "modified") if key in cfg]
+               for key in (*SWEEP_FIELDS, "hh", "overlap", "modified")
+               if key in cfg]
     for name, key, val in checks:
         what, test = RULES[key]
         if not test(val):
             raise ConfigError(f"{name} must be {what}, got {val!r}")
+    for key, problem in PROBLEM_KEYS.items():
+        if key in cfg and cfg["problem"] != problem:
+            raise ConfigError(f"config key {key} is read by problem {problem} "
+                              f"only, not by {cfg['problem']}")
     return cfg
 
 
@@ -209,7 +220,7 @@ def _build_case(cfg: dict, point: dict):
     else:
         prob = asm.diffusion_problem(_setting(cfg, point, "coefficient"))
     px, py = _setting(cfg, point, "subdomains")
-    hh = int(_setting(cfg, point, "hh"))
+    hh = _setting(cfg, point, "hh")
     mesh = msh.build_structured_mesh(px * hh, py * hh, domain=domain,
                                      problem_kind=problem_kind)
     dofmap = asm.build_dofmap(prob, mesh)
@@ -229,7 +240,7 @@ def run_point(cfg: dict, point: dict) -> tuple[dict, SolveReport]:
     prob, mesh, dofmap, px, py = _build_case(cfg, point)
     scfg = _solver_config(cfg, point)
     variant = scfg.variant
-    overlap = int(_setting(cfg, point, "overlap"))
+    overlap = _setting(cfg, point, "overlap")
     dec = _decompose(mesh, px, py, overlap, nks=(variant == "nks"))
     needs_coarse = variant in ("nks", "additive", "hybrid")
     P0 = None
@@ -248,7 +259,7 @@ def run_point(cfg: dict, point: dict) -> tuple[dict, SolveReport]:
         "modified": scfg.modified if needs_coarse else None,
         "num_subdomains": px * py,
         "subdomains": [px, py],
-        "hh": int(_setting(cfg, point, "hh")),
+        "hh": _setting(cfg, point, "hh"),
         "overlap": overlap,
         "n_dofs": dofmap.n_dofs,
         "converged": rep.converged,
@@ -331,7 +342,7 @@ def cmd_export_coarse(args) -> int:
         point = next(_sweep_points(cfg))
         prob, mesh, dofmap, px, py = _build_case(cfg, point)
         scfg = _solver_config(cfg, point)
-        dec = _decompose(mesh, px, py, int(_setting(cfg, point, "overlap")),
+        dec = _decompose(mesh, px, py, _setting(cfg, point, "overlap"),
                          nks=False)
         P0, ents, labels = crs.build_coarse_space(
             prob, mesh, dofmap, dec, scfg.coarse_kind, scfg.modified)

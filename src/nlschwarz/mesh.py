@@ -224,9 +224,8 @@ def node_subdomain_counts(mesh: Mesh, decomp: Decomposition) -> sp.csr_matrix:
     cols = np.repeat(decomp.owner, 3)
     inc = sp.csr_matrix((np.ones(rows.size, dtype=np.int8), (rows, cols)),
                         shape=(mesh.n_nodes, decomp.num_subdomains))
+    # the constructor summed duplicate entries; back to 0/1
     inc.data[:] = 1
-    # duplicate entries were summed; rebuild as 0/1
-    inc = (inc > 0).astype(np.int8)
     return inc
 
 

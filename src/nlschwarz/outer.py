@@ -204,37 +204,6 @@ def solve_nonlinear_schwarz(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
         return _solve(problem, mesh, dofmap, cfg, u0, linearize, t_start)
 
 
-def _slot_matrix(plan: asm.AssemblyPlan) -> sp.csc_matrix:
-    """The full-mesh `plan`'s pattern holding 1 + each entry's slot among
-    the values of a tangent on it."""
-    return sp.csc_matrix((np.arange(1, plan.nnz + 1), plan.indices,
-                          plan.indptr), shape=(plan.n_rows, plan.n))
-
-
-def _block_gather(slots: sp.csc_matrix, d: np.ndarray) -> tuple:
-    """Where the block R_i DF P_i on the rows and columns `d` lies among the
-    values of a tangent on the pattern of `slots` (see `_slot_matrix`): the
-    pattern slot of each of its entries in CSC order, its row indices and
-    its column pointers."""
-    block = sp.csc_matrix(slots[d][:, d])
-    return block.data - 1, block.indices, block.indptr
-
-
-def _gathered_block(values: np.ndarray, gather) -> sp.csc_matrix:
-    """The block of `gather` (see `_block_gather`) out of the tangent
-    values on the plan's pattern, with its exact zeros dropped: the arrays
-    of ``sp.csc_matrix(DF[d][:, d])`` for the DF that `assemble_tangent`
-    returns."""
-    slots, indices, indptr = gather
-    n = indptr.size - 1
-    # eliminate_zeros rewrites the index arrays it is handed, so it gets
-    # copies of the gather's
-    A = sp.csc_matrix((values[slots], indices.copy(), indptr.copy()),
-                      shape=(n, n))
-    A.eliminate_zeros()
-    return A
-
-
 class _LocalBlocks:
     """The local blocks A_i = R_i DF P_i of the NKS preconditioner, as the
     task of an `OwnerPool` (see `owners`), and their weighted sum
@@ -243,10 +212,9 @@ class _LocalBlocks:
 
     The pool's shared mapping holds DF's values on the full-mesh plan's
     pattern, the vector of an apply and the stacked block solves
-    (`views`).  On "factorize", block i is gathered out of DF's values,
-    through the gather this process builds at the block's first
-    factorization, and factorized; on "apply", it is solved.  The caller
-    weights and adds the solves with `stacked.combine`."""
+    (`views`).  On "factorize", block i is cut out of DF's values and
+    factorized; on "apply", it is solved.  The caller weights and adds the
+    solves with `stacked.combine`."""
 
     def __init__(self, plan: asm.AssemblyPlan, sub_dofs: list[np.ndarray],
                  weights: list[np.ndarray]):
@@ -254,8 +222,6 @@ class _LocalBlocks:
         self.sub_dofs = sub_dofs
         self.stacked = StackedSolves(sub_dofs, plan.n, weights)
         self.size = plan.nnz + plan.n + self.stacked.index.size
-        self.slots = None     # this process's `_slot_matrix`
-        self.gathers = {}     # of this process's blocks, by index
         self.factors = {}     # of this process's blocks, by index
 
     def views(self, shared: np.ndarray):
@@ -263,23 +229,29 @@ class _LocalBlocks:
         nnz, n = self.plan.nnz, self.plan.n
         return shared[:nnz], shared[nnz:nnz + n], shared[nnz + n:]
 
+    def block(self, values: np.ndarray, i: int) -> sp.csc_matrix:
+        """Block i cut out of the tangent `values` on the plan's pattern,
+        with its exact zeros dropped: the arrays of
+        ``sp.csc_matrix(DF[d][:, d])`` for the DF that `assemble_tangent`
+        returns."""
+        plan, d = self.plan, self.sub_dofs[i]
+        # the column cut allocates new arrays, so eliminate_zeros never
+        # rewrites `values` or the plan's index arrays
+        A = sp.csc_matrix((values, plan.indices, plan.indptr),
+                          shape=(plan.n_rows, plan.n))[:, d][d]
+        A.eliminate_zeros()
+        return A
+
     def __call__(self, i: int, command: str | None, shared: np.ndarray):
         values, vector, solves = self.views(shared)
         if command == "apply":
-            # each of this process's blocks has its gather by now
-            self.slots = None
             solves[self.stacked.block(i)] = self.factors[i].solve(
                 vector[self.sub_dofs[i]])
             return None
         # the old factor goes before its replacement is built
         self.factors.pop(i, None)
         if command == "factorize":
-            if i not in self.gathers:
-                if self.slots is None:
-                    self.slots = _slot_matrix(self.plan)
-                self.gathers[i] = _block_gather(self.slots, self.sub_dofs[i])
-            self.factors[i] = factorize(
-                _gathered_block(values, self.gathers[i]), fast=True)
+            self.factors[i] = factorize(self.block(values, i), fast=True)
         return None
 
 
@@ -300,7 +272,7 @@ def solve_nks(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
     The local blocks run on an `OwnerPool` (see `owners`), which is
     stopped when the solve returns or raises.  Each Newton step,
     the caller assembles DF and hands its values to the owners, which
-    gather, factorize and keep their blocks, while the caller factorizes
+    cut, factorize and keep their blocks, while the caller factorizes
     the coarse block; in each apply the caller computes the coarse term
     while the owners solve theirs.  The caller adds the local terms in
     subdomain order, then the coarse term, so the bits do not depend on the

@@ -11,9 +11,8 @@ preconditioner's blocks.  So each factor is built, used and released by the
 only thread of one process (see `sparse.Factorization`), and SuperLU, which
 holds the GIL, runs on W cores.  Each process also builds the per-subdomain
 data of its own subdomains, at their first task: the operator's subdomain
-assembly plans, NKS's block gathers.  Only global data, such as the mesh, the
-DOF map and NKS's full-mesh plan, reach the owners from the caller, through
-the fork.
+assembly plans.  Only global data, such as the mesh, the DOF map and NKS's
+full-mesh plan, reach the owners from the caller, through the fork.
 """
 
 from __future__ import annotations

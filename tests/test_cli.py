@@ -168,7 +168,21 @@ class TestRun:
         ({"solver": {"inner": {"line_search": "yes"}}},
          "solver.inner.line_search must be a bool, got 'yes'"),
         ({"modified": "false"},
-         "config key modified must be a bool, got 'false'")],
+         "config key modified must be a bool, got 'false'"),
+        ({"hh": 3.9}, "config key hh must be an integer of at least 1, got 3.9"),
+        ({"hh": True},
+         "config key hh must be an integer of at least 1, got True"),
+        ({"overlap": True},
+         "config key overlap must be an integer of at least 0, got True"),
+        ({"overlap": -1},
+         "config key overlap must be an integer of at least 0, got -1"),
+        ({"re": [100, 400]},
+         "config key re is read by problem ldc only, not by diffusion"),
+        ({"fy": 1.0},
+         "config key fy is read by problem beam only, not by diffusion"),
+        ({"problem": "ldc", "coefficient": "constant"},
+         "config key coefficient is read by problem diffusion only, not by "
+         "ldc")],
         ids=["subdomain", "domain", "seed", "solver.gmress", "solver.outer.tol",
              "solver.outer-number", "solver-number", "gmres.max_iter-0",
              "gmres.max_iter-null", "gmres.restart-negative",
@@ -177,7 +191,9 @@ class TestRun:
              "coarse-empty", "re-empty", "gmres.rel_tol-negative",
              "outer.rel_tol-string", "outer.abs_tol-nan", "coarse.rel_tol-bool",
              "inner.max_iter-0", "outer.max_iter-float",
-             "inner.line_search-string", "modified-string"])
+             "inner.line_search-string", "modified-string", "hh-float",
+             "hh-bool", "overlap-bool", "overlap-negative", "re-diffusion",
+             "fy-diffusion", "coefficient-ldc"])
     def test_unknown_key_is_config_error(self, tmp_path, capsys, extra, error):
         cfg = dict(BASE, out=str(tmp_path / "out"), **extra)
         assert main(["run", write_config(tmp_path, cfg)]) == 2

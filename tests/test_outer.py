@@ -224,32 +224,43 @@ class TestNks:
     @pytest.mark.parametrize("state", ["initial", "perturbed"])
     @pytest.mark.parametrize("config", CASES, ids=CASE_IDS)
     def test_gathered_blocks_equal_cut(self, config, state):
-        """Each block gathered out of DF's values on the plan's pattern has
-        the data, indices and pointers of the CSC cut DF[d][:, d].  Every
-        problem has exact zeros in its blocks at the initial state, and the
-        cavity also at the perturbed one (its pressure block)."""
+        """Each block that `_LocalBlocks` cuts out of DF's values on the
+        plan's pattern has the data, indices and pointers of the CSC cut
+        DF[d][:, d], also when the values of the other state were cut
+        before, and leaves the values and the plan's index arrays as they
+        were.  Every problem has exact zeros in its blocks at the initial
+        state, and the cavity also at the perturbed one (its pressure
+        block)."""
         prob, m, dm, px, py = cli._build_case(config, {})
         dec = cli._decompose(m, px, py, 2, nks=True)
-        u = asm.initial_iterate(prob, dm)
-        if state == "perturbed":
-            rng = np.random.default_rng(5)
-            u = np.where(dm.dirichlet_mask, u,
-                         u + 1e-3 * rng.standard_normal(dm.n_dofs))
+        u0 = asm.initial_iterate(prob, dm)
+        rng = np.random.default_rng(5)
+        states = {"initial": u0, "perturbed": np.where(
+            dm.dirichlet_mask, u0, u0 + 1e-3 * rng.standard_normal(dm.n_dofs))}
+        other = "initial" if state == "perturbed" else "perturbed"
         plan = asm.global_plan(m, dm, prob)
-        values = np.empty(plan.nnz)
-        DF = asm.assemble_tangent(prob, m, dm, u, plan=plan, values=values)
         sub_dofs = [asm.subset_dofs(dm, m, ov) for ov in dec.overlap_elements]
-        dropped = 0
-        slots = outer._slot_matrix(plan)
-        for d in sub_dofs:
-            gather = outer._block_gather(slots, d)
-            for _ in range(2):   # the gather survives its first use
-                got = outer._gathered_block(values, gather)
+        blocks = outer._LocalBlocks(plan, sub_dofs,
+                                    [np.ones(d.size) for d in sub_dofs])
+        pattern = sp.csc_matrix((np.ones(plan.nnz), plan.indices, plan.indptr),
+                                shape=(plan.n_rows, plan.n))
+        values = np.empty(plan.nnz)
+        for name in (other, state):   # the same values, refilled
+            DF = asm.assemble_tangent(prob, m, dm, states[name], plan=plan,
+                                      values=values)
+            kept = [a.copy() for a in (values, plan.indices, plan.indptr)]
+            dropped = 0
+            for i, d in enumerate(sub_dofs):
+                got = blocks.block(values, i)
                 cut = sp.csc_matrix(DF[d][:, d])
-                for name in ("data", "indices", "indptr"):
-                    np.testing.assert_array_equal(getattr(got, name),
-                                                  getattr(cut, name))
-            dropped += gather[0].size - got.nnz
+                for attr in ("data", "indices", "indptr"):
+                    np.testing.assert_array_equal(getattr(got, attr),
+                                                  getattr(cut, attr))
+                    assert getattr(got, attr).dtype == getattr(cut, attr).dtype
+                dropped += pattern[d][:, d].nnz - got.nnz
+            for before, after in zip(kept, (values, plan.indices,
+                                            plan.indptr)):
+                np.testing.assert_array_equal(after, before)
         assert (dropped > 0) == (state == "initial" or prob.kind == "ldc")
 
 

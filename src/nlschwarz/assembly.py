@@ -73,13 +73,17 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 import scipy.sparse as sp
 
-from .mesh import DIRICHLET, LID, Mesh, _element_edges
+from .mesh import LID, Mesh, _element_edges
 
 
 class NonPhysicalStateError(RuntimeError):
     """A state the problem is not defined at: det(F) <= 0 at a quadrature
     point, where the log term is undefined, or a non-finite residual in a
     local or coarse Newton solve."""
+
+
+# the diffusion problem's conductivity laws: c = C0, and c = C0 + u^2
+DIFFUSION_LAWS = ("constant", "nonlinear")
 
 
 @dataclass
@@ -101,6 +105,8 @@ def beam_problem(f_y: float, E: float = 210e9, nu: float = 0.3) -> ProblemSpec:
 
 
 def diffusion_problem(coefficient: str = "nonlinear") -> ProblemSpec:
+    if coefficient not in DIFFUSION_LAWS:
+        raise ValueError(f"unknown diffusion law {coefficient!r}")
     return ProblemSpec(kind="diffusion", coefficient=coefficient)
 
 
@@ -153,7 +159,7 @@ def _unique_edges(elements: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 def build_dofmap(problem: ProblemSpec, mesh: Mesh) -> DofMap:
     n = mesh.n_nodes
-    dirichlet_nodes = (mesh.boundary_tag == DIRICHLET) | (mesh.boundary_tag == LID)
+    dirichlet_nodes = mesh.dirichlet_nodes
 
     if problem.kind == "diffusion":
         fields = [FieldLayout("u", 1, 0, n)]

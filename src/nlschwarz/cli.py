@@ -2,9 +2,10 @@
 
 ``nlschwarz run config.json [overrides]`` executes every point of the sweep
 defined by the config (cartesian product of the list-valued fields among
-``re``, ``fy``, ``subdomains``, ``variant``, ``coarse``) and writes, per
-point, a JSON summary record and a CSV convergence history into the output
-directory.  The history has one row per outer Newton step; its columns are
+``re``, ``fy``, ``subdomains``, ``variant``, ``coarse``; the points of
+aspen and raspen, which have no coarse space, are not multiplied by
+``coarse``) and writes, per point, a JSON summary record and a CSV
+convergence history into the output directory.  The history has one row per outer Newton step; its columns are
 ``iteration`` and the fields of `outer.OuterStep`, in their order.
 ``nlschwarz export-coarse config.json --entity K`` writes the coarse-basis
 columns of one interface entity as node values; a column that is not one
@@ -15,8 +16,8 @@ defaults of the case and output keys are in `DEFAULTS`, the others are the
 problem's `SolverConfig`):
 
     problem      "ldc" | "beam" | "diffusion"        (required)
-    re           number or list   (ldc only: Reynolds numbers)
-    fy           number or list   (beam only: loads, MN/m^2)
+    re           number > 0 or list   (ldc only: Reynolds numbers)
+    fy           number or list       (beam only: loads, MN/m^2)
     coefficient  "constant" | "nonlinear"  (diffusion only: the law)
     subdomains   [px, py], integers >= 1, or list of such pairs
     hh           elements per subdomain per direction (H/h), integer >= 1
@@ -26,7 +27,7 @@ problem's `SolverConfig`):
     coarse       "gdsw" | "rgdsw" | "msfem" or list
     modified     bool (Dirichlet-edge modification of the reduced spaces)
     tangent      "exact" | "aspin"
-    out          output directory
+    out          output directory, a string
     solver       {"outer"|"inner"|"coarse": {rel_tol, abs_tol, max_iter,
                  line_search}, "gmres": {rel_tol, max_iter, restart}};
                  rel_tol and abs_tol are finite numbers >= 0, max_iter an
@@ -34,11 +35,15 @@ problem's `SolverConfig`):
                  cycles), line_search a bool, restart an integer >= 0 or
                  null (0 and null: no restart)
 
-A key the schema does not list, at the top level or in a solver level, a
-problem key (re, fy, coefficient) that the problem does not read, an empty
-list of a sweep field and a subdomains, hh, overlap, modified or solver
-value outside its type or range end the command with exit code 2 before any
-point runs; any other bad value fails the points that use it.  The domain
+Every value is checked when the config loads, each value of a sweep list
+included; re and fy must be finite numbers.  A key the schema does not
+list, at the top level or in a solver level, a problem key (re, fy,
+coefficient) that the problem does not read, an empty list of a sweep
+field, a variant, coarse, tangent or coefficient that is not one the
+schema lists, and any other value outside its type or range end the
+command with exit code 2 before any point runs or the output directory is
+made.  A point that fails at run time, as a single subdomain does under a
+two-level variant, is recorded as failed and the sweep goes on.  The domain
 is the unit square, and [0, 5] x [0, 1] for the beam.
 
 Flag overrides: --problem --re --fy --subdomains PXxPY --hh --overlap
@@ -67,11 +72,16 @@ from pathlib import Path
 from . import assembly as asm
 from . import coarse as crs
 from . import mesh as msh
+from . import schwarz
 from .outer import (OuterStep, SolveReport, SolverConfig, beam_config,
                     solve_nks, solve_nonlinear_schwarz)
 from .owners import workers_from_env
 
 HISTORY_COLUMNS = ["iteration"] + [f.name for f in fields(OuterStep)]
+
+VARIANTS = (*schwarz.VARIANTS, "nks")
+# the variants without a coarse space
+ONE_LEVEL = ("aspen", "raspen")
 
 SWEEP_FIELDS = ("re", "fy", "subdomains", "variant", "coarse")
 
@@ -114,11 +124,34 @@ def _count(least: int):
         and v >= least
 
 
-# what the value of a sweep field, `hh`, `overlap`, `modified` or a solver
-# setting must be, and the test of it
+def _number(v) -> bool:
+    return isinstance(v, (int, float)) and not isinstance(v, bool) \
+        and math.isfinite(v)
+
+
+def _one_of(choices: tuple) -> tuple:
+    return f"one of {', '.join(choices)}", lambda v: v in choices
+
+
+def _each(what: str, test) -> tuple:
+    """The rule of a sweep field other than subdomains: one value that
+    passes `test` or a non-empty list of such."""
+    def each(v):
+        values = v if isinstance(v, list) else [v]
+        return values != [] and all(map(test, values))
+    return f"{what} or a non-empty list of such", each
+
+
+# what the value of a config key or a solver setting must be, and the test
+# of it
 RULES = {
-    **dict.fromkeys(("re", "fy", "variant", "coarse"), (
-        "one value or a non-empty list", lambda v: v != [])),
+    "re": _each("a finite number above 0", lambda v: _number(v) and v > 0),
+    "fy": _each("a finite number", _number),
+    "variant": _each(*_one_of(VARIANTS)),
+    "coarse": _each(*_one_of(crs.COARSE_KINDS)),
+    "tangent": _one_of(schwarz.TANGENT_MODES),
+    "coefficient": _one_of(asm.DIFFUSION_LAWS),
+    "out": ("a string", lambda v: isinstance(v, str)),
     "subdomains": ("a [px, py] pair of positive integers or a non-empty "
                    "list of such pairs", lambda v: v != [] and all(
                        isinstance(p, list) and len(p) == 2
@@ -127,9 +160,7 @@ RULES = {
     **dict.fromkeys(("modified", "line_search"), (
         "a bool", lambda v: isinstance(v, bool))),
     **dict.fromkeys(("rel_tol", "abs_tol"), (
-        "a finite number of at least 0",
-        lambda v: isinstance(v, (int, float)) and not isinstance(v, bool)
-        and math.isfinite(v) and v >= 0)),
+        "a finite number of at least 0", lambda v: _number(v) and v >= 0)),
     **dict.fromkeys(("hh", "max_iter"), ("an integer of at least 1",
                                          _count(1))),
     "overlap": ("an integer of at least 0", _count(0)),
@@ -172,13 +203,14 @@ def _load_config(path: str, overrides: argparse.Namespace) -> dict:
         cfg["subdomains"] = [int(counts[1]), int(counts[2])]
     if "problem" not in cfg:
         raise ConfigError("config must set 'problem'")
-    if cfg["problem"] not in ("ldc", "beam", "diffusion"):
+    if cfg["problem"] not in msh.PROBLEM_KINDS:
         raise ConfigError(f"unknown problem {cfg['problem']!r}")
     checks = [(f"solver.{level}.{key}", key, val)
               for level, settings in sorted(solver.items())
               for key, val in sorted(settings.items())]
     checks += [(f"config key {key}", key, cfg[key])
-               for key in (*SWEEP_FIELDS, "hh", "overlap", "modified")
+               for key in (*SWEEP_FIELDS, "hh", "overlap", "modified",
+                           "tangent", "coefficient", "out")
                if key in cfg]
     for name, key, val in checks:
         what, test = RULES[key]
@@ -192,10 +224,17 @@ def _load_config(path: str, overrides: argparse.Namespace) -> dict:
 
 
 def _sweep_points(cfg: dict):
-    """Cartesian product over the list-valued sweep fields."""
+    """Cartesian product over the list-valued sweep fields, each point
+    once: the points of a one-level variant have no coarse space."""
     axes = {f: _axis(f, cfg[f]) for f in SWEEP_FIELDS if f in cfg}
+    points = []
     for combo in itertools.product(*axes.values()):
-        yield dict(zip(axes, combo))
+        point = dict(zip(axes, combo))
+        if point.get("variant") in ONE_LEVEL:
+            point.pop("coarse", None)
+        if point not in points:
+            points.append(point)
+            yield point
 
 
 def _solver_config(cfg: dict, point: dict) -> SolverConfig:
@@ -242,7 +281,7 @@ def run_point(cfg: dict, point: dict) -> tuple[dict, SolveReport]:
     variant = scfg.variant
     overlap = _setting(cfg, point, "overlap")
     dec = _decompose(mesh, px, py, overlap, nks=(variant == "nks"))
-    needs_coarse = variant in ("nks", "additive", "hybrid")
+    needs_coarse = variant not in ONE_LEVEL
     P0 = None
     if needs_coarse:
         P0, _, _ = crs.build_coarse_space(prob, mesh, dofmap, dec,
@@ -339,7 +378,9 @@ def cmd_run(args) -> int:
 def cmd_export_coarse(args) -> int:
     try:
         cfg = _load_config(args.config, args)
-        point = next(_sweep_points(cfg))
+        # the first point of any variant's sweep: the basis is not the
+        # variant's, and a one-level point has no coarse space
+        point = next(_sweep_points(dict(cfg, variant="hybrid")))
         prob, mesh, dofmap, px, py = _build_case(cfg, point)
         scfg = _solver_config(cfg, point)
         dec = _decompose(mesh, px, py, _setting(cfg, point, "overlap"),
@@ -386,15 +427,14 @@ def main(argv=None) -> int:
 
     def add_overrides(p):
         p.add_argument("config")
-        p.add_argument("--problem", choices=("ldc", "beam", "diffusion"))
+        p.add_argument("--problem", choices=msh.PROBLEM_KINDS)
         p.add_argument("--re", type=float)
         p.add_argument("--fy", type=float)
         p.add_argument("--subdomains", help="PXxPY, e.g. 4x4")
         p.add_argument("--hh", type=int)
         p.add_argument("--overlap", type=int)
-        p.add_argument("--variant",
-                       choices=("aspen", "raspen", "additive", "hybrid", "nks"))
-        p.add_argument("--coarse", choices=("gdsw", "rgdsw", "msfem"))
+        p.add_argument("--variant", choices=VARIANTS)
+        p.add_argument("--coarse", choices=crs.COARSE_KINDS)
         p.add_argument("--modified", action="store_const", const=True)
         p.add_argument("--out")
 

@@ -38,12 +38,14 @@ from scipy.sparse.csgraph import connected_components
 from . import assembly as asm
 from . import mesh as msh
 from .assembly import DofMap, ProblemSpec, nullspace_basis
-from .mesh import DIRICHLET, LID, Decomposition, InterfaceSkeleton, Mesh
+from .mesh import Decomposition, InterfaceSkeleton, Mesh
 from .sparse import factorize
 
 # distance from the span of the kept columns, relative to a column's norm,
 # at or below which the column is dropped
 RANK_TOL = 1e-12
+
+COARSE_KINDS = ("gdsw", "rgdsw", "msfem")
 
 
 @dataclass
@@ -75,10 +77,10 @@ def interface_functions(mesh: Mesh, skeleton: InterfaceSkeleton, kind: str,
     that are free there (the cavity pressure, say) should pass their own mask
     so that boundary endpoints keep their vertex functions.
     """
-    if kind not in ("gdsw", "rgdsw", "msfem"):
+    if kind not in COARSE_KINDS:
         raise ValueError(f"unknown coarse space kind {kind!r}")
     if dirichlet_nodes is None:
-        dirichlet_nodes = (mesh.boundary_tag == DIRICHLET) | (mesh.boundary_tag == LID)
+        dirichlet_nodes = mesh.dirichlet_nodes
     eligible = {int(v) for v in skeleton.vertices if not dirichlet_nodes[v]}
     if kind == "gdsw" and modified:
         raise ValueError("the Dirichlet-edge modification applies to the "

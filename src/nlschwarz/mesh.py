@@ -20,6 +20,8 @@ DIRICHLET = 1
 NEUMANN = 2
 LID = 3
 
+PROBLEM_KINDS = ("ldc", "beam", "diffusion")
+
 
 class InvalidGeometryError(ValueError):
     """Raised for degenerate rectangle extents or element counts."""
@@ -43,6 +45,11 @@ class Mesh:
     @property
     def n_elements(self) -> int:
         return self.elements.shape[0]
+
+    @property
+    def dirichlet_nodes(self) -> np.ndarray:
+        """Mask of the nodes on the Dirichlet boundary, the lid included."""
+        return (self.boundary_tag == DIRICHLET) | (self.boundary_tag == LID)
 
     def grid_shape(self) -> tuple[int, int]:
         """(nx, ny) cell counts, recovered from the structured coordinates."""
@@ -93,7 +100,7 @@ def build_structured_mesh(nx: int, ny: int, domain=(0.0, 1.0, 0.0, 1.0),
     x0, x1, y0, y1 = domain
     if x1 <= x0 or y1 <= y0:
         raise InvalidGeometryError(f"degenerate extents {domain}")
-    if problem_kind not in ("ldc", "beam", "diffusion"):
+    if problem_kind not in PROBLEM_KINDS:
         raise ValueError(f"unknown problem_kind {problem_kind!r}")
 
     xs = np.linspace(x0, x1, nx + 1)
@@ -242,8 +249,7 @@ def interface_skeleton(decomp: Decomposition, mesh: Mesh) -> InterfaceSkeleton:
     gamma_mask = counts >= 2
     gamma = np.flatnonzero(gamma_mask)
     on_boundary = mesh.boundary_tag != INTERIOR
-    dirichlet = (mesh.boundary_tag == DIRICHLET) | (mesh.boundary_tag == LID)
-    gamma_prime = gamma[~dirichlet[gamma]]
+    gamma_prime = gamma[~mesh.dirichlet_nodes[gamma]]
     vertex_mask = gamma_mask & ((counts >= 3) | on_boundary)
     vertices = np.flatnonzero(vertex_mask)
 

@@ -205,53 +205,39 @@ def solve_nonlinear_schwarz(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
 
 
 class _LocalBlocks:
-    """The local blocks A_i = R_i DF P_i of the NKS preconditioner, as the
-    task of an `OwnerPool` (see `owners`), and their weighted sum
-    sum_i P_i D_i A_i^{-1} R_i with D_i = diag(`weights[i]`), the
-    partition of unity on the overlap DOFs `sub_dofs[i]`.
-
-    The pool's shared mapping holds DF's values on the full-mesh plan's
-    pattern, the vector of an apply and the stacked block solves
-    (`views`).  On "factorize", block i is cut out of DF's values and
-    factorized; on "apply", it is solved.  The caller weights and adds the
-    solves with `stacked.combine`."""
+    """The local blocks A_i = R_i DF P_i of the NKS preconditioner on the
+    overlap DOFs `sub_dofs[i]`, as the task of an `OwnerPool` (see
+    `owners`): on "factorize", block i is cut out of DF's `values` on the
+    full-mesh plan's pattern and factorized; on "apply", it is solved."""
 
     def __init__(self, plan: asm.AssemblyPlan, sub_dofs: list[np.ndarray],
-                 weights: list[np.ndarray]):
+                 values: np.ndarray):
         self.plan = plan
         self.sub_dofs = sub_dofs
-        self.stacked = StackedSolves(sub_dofs, plan.n, weights)
-        self.size = plan.nnz + plan.n + self.stacked.index.size
+        self.values = values
         self.factors = {}     # of this process's blocks, by index
 
-    def views(self, shared: np.ndarray):
-        """The DF values, the vector and the block solves in `shared`."""
-        nnz, n = self.plan.nnz, self.plan.n
-        return shared[:nnz], shared[nnz:nnz + n], shared[nnz + n:]
-
-    def block(self, values: np.ndarray, i: int) -> sp.csc_matrix:
-        """Block i cut out of the tangent `values` on the plan's pattern,
-        with its exact zeros dropped: the arrays of
-        ``sp.csc_matrix(DF[d][:, d])`` for the DF that `assemble_tangent`
-        returns."""
+    def block(self, i: int) -> sp.csc_matrix:
+        """Block i cut out of `values`, with its exact zeros dropped: the
+        arrays of ``sp.csc_matrix(DF[d][:, d])`` for the DF that
+        `assemble_tangent` returns."""
         plan, d = self.plan, self.sub_dofs[i]
         # the column cut allocates new arrays, so eliminate_zeros never
         # rewrites `values` or the plan's index arrays
-        A = sp.csc_matrix((values, plan.indices, plan.indptr),
+        A = sp.csc_matrix((self.values, plan.indices, plan.indptr),
                           shape=(plan.n_rows, plan.n))[:, d][d]
         A.eliminate_zeros()
         return A
 
-    def __call__(self, i: int, command: str | None, shared: np.ndarray):
-        values, vector, solves = self.views(shared)
+    def __call__(self, i: int, command: str | None, vector: np.ndarray,
+                 out: np.ndarray):
         if command == "apply":
-            solves[self.stacked.block(i)] = self.factors[i].solve(
-                vector[self.sub_dofs[i]])
+            out[:] = self.factors[i].solve(vector[self.sub_dofs[i]])
             return None
         # the old factor goes before its replacement is built
         self.factors.pop(i, None)
         if command == "factorize":
-            self.factors[i] = factorize(self.block(values, i), fast=True)
+            self.factors[i] = factorize(self.block(i), fast=True)
         return None
 
 
@@ -271,7 +257,7 @@ def solve_nks(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
 
     The local blocks run on an `OwnerPool` (see `owners`), which is
     stopped when the solve returns or raises.  Each Newton step,
-    the caller assembles DF and hands its values to the owners, which
+    the caller assembles DF into the pool's `extra`, from which the owners
     cut, factorize and keep their blocks, while the caller factorizes
     the coarse block; in each apply the caller computes the coarse term
     while the owners solve theirs.  The caller adds the local terms in
@@ -282,17 +268,18 @@ def solve_nks(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
     R0 = P0.T.tocsr() if P0 is not None else None
     subs = subdomains(problem, mesh, dofmap, decomp)
     plan = asm.global_plan(mesh, dofmap, problem)
-    blocks = _LocalBlocks(plan, [sub.dofs_ov for sub in subs],
-                          [sub.weight for sub in subs])
+    sub_dofs = [sub.dofs_ov for sub in subs]
 
-    with OwnerPool(len(subs), blocks.size) as owners:
-        values, vector, solves = blocks.views(owners.shared)
+    with OwnerPool(StackedSolves(sub_dofs, plan.n,
+                                 [sub.weight for sub in subs]),
+                   plan.nnz) as owners:
+        blocks = _LocalBlocks(plan, sub_dofs, owners.extra)
 
         def linearize(u, F):
             t0 = time.perf_counter()
             # by rows, for GMRES's products and R0 DF P0
             DF = asm.assemble_tangent(problem, mesh, dofmap, u, plan=plan,
-                                      values=values).tocsr()
+                                      values=owners.extra).tocsr()
             t_coarse = 0.0
 
             def coarse_factor():
@@ -302,16 +289,16 @@ def solve_nks(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
                 t_coarse = time.perf_counter() - t
                 return lu
 
-            coarse, _ = owners.run("factorize", blocks,
-                                   coarse_factor if P0 is not None else None)
+            coarse, _ = owners.run(
+                "factorize", blocks,
+                first=coarse_factor if P0 is not None else None)
             t_inner = time.perf_counter() - t0 - t_coarse
 
             def precond(v):
-                vector[:] = v
                 term, _ = owners.run(
-                    "apply", blocks, None if coarse is None
+                    "apply", blocks, v, None if coarse is None
                     else lambda: P0 @ sla.lu_solve(coarse, R0 @ v))
-                out = blocks.stacked.combine(solves)
+                out = owners.combine()
                 if term is not None:
                     out += term
                 return out

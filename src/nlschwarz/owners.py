@@ -3,16 +3,18 @@
 With W workers, NLSCHWARZ_WORKERS capped at the number of subdomains, the
 calling process is owner 0 and W - 1 processes, forked at the first
 command, are owners 1, ..., W - 1; owner k owns subdomains k, k + W,
-k + 2W, ....  This module is the only one that knows that map.  Both
-solvers run their local work on one `OwnerPool`, as a task that handles
-one subdomain: the nonlinear Schwarz operator its local Newton solves,
-factorizations and tangent solves, NKS the factorizations and solves of its
-preconditioner's blocks.  So each factor is built, used and released by the
-only thread of one process (see `sparse.Factorization`), and SuperLU, which
-holds the GIL, runs on W cores.  Each process also builds the per-subdomain
-data of its own subdomains, at their first task: the operator's subdomain
-assembly plans.  Only global data, such as the mesh, the DOF map and NKS's
-full-mesh plan, reach the owners from the caller, through the fork.
+k + 2W, ....  This module is the only one that knows that map and the
+layout of the memory the processes share.  Both solvers run their local
+work on one `OwnerPool`, as a task ``task(i, command, vector, out)`` that
+handles subdomain i, writing its result into `out`: the nonlinear Schwarz
+operator its local Newton solves, factorizations and tangent solves, NKS
+the factorizations and solves of its preconditioner's blocks.  So each
+factor is built, used and released by the only thread of one process (see
+`sparse.Factorization`), and SuperLU, which holds the GIL, runs on W
+cores.  Each process also builds the per-subdomain data of its own
+subdomains, at their first task: the operator's subdomain assembly plans.
+Only global data, such as the mesh, the DOF map and NKS's full-mesh plan,
+reach the owners from the caller, through the fork.
 """
 
 from __future__ import annotations
@@ -24,6 +26,8 @@ import signal
 import weakref
 
 import numpy as np
+
+from .sparse import StackedSolves
 
 
 def workers_from_env() -> int:
@@ -53,30 +57,40 @@ def _stop_owners(procs: list, conns: list) -> None:
 
 
 class OwnerPool:
-    """Owners 1, ..., W - 1 of one solver's `subdomains`, forked from the
-    caller, owner 0 (see the module docstring for W and the map).
+    """Owners 1, ..., W - 1 of the subdomains of one solver's `solves`, a
+    `sparse.StackedSolves`, forked from the caller, owner 0 (see the module
+    docstring for W and the map).
 
-    The caller and the owners share `shared`, `size` doubles in one
-    anonymous mapping made before the fork; the solver lays out in it what
-    a command reads and what the tasks write.  One pipe per owner carries
-    the commands and the small replies.  The owners start at the first
-    `run`; `close`, leaving a ``with`` block or the pool's garbage
-    collection stops them, and a `run` after `close` starts them again.
+    The caller and the owners share one anonymous mapping, made before the
+    fork: `extra` doubles of the solver's own (NKS's DF values), the
+    vector a command reads, which `run` writes, and the task results
+    stacked as the block solves of `solves`, which `combine` sums; the
+    arrays `extra`, `vector` and `results` view them, and `outs[i]`,
+    subdomain i's block of `results`, is the `out` of its task.  One pipe
+    per owner carries the commands and the small replies.  The owners start
+    at the first `run`; `close`, leaving a ``with`` block or the pool's
+    garbage collection stops them, and a `run` after `close` starts them
+    again.
 
-    A command runs through a task, `task(i, command, shared)`, which runs
-    `command` on subdomain i and returns a small picklable result.  Each
-    owner calls it for its subdomains in increasing order and stops at the
-    first that raises.  When an owner process stops, it calls `task(i, None,
-    shared)` for each of its subdomains, to release what the task holds
-    for them.  The owners run the task of the `run` that started them, so
-    every `run` hands the same one.  The pool does not keep the task, so it
-    holds no reference to the solver that made it."""
+    A command runs through a task, ``task(i, command, vector, out)``, which
+    runs `command` on subdomain i and returns a small picklable result.
+    Each owner calls it for its subdomains in increasing order and stops at
+    the first that raises.  When an owner process stops, it calls the task
+    with the command None for each of its subdomains, to release what the
+    task holds for them.  The owners run the task of the `run` that started
+    them, so every `run` hands the same one.  The pool does not keep the
+    task, so it holds no reference to the solver that made it."""
 
-    def __init__(self, subdomains: int, size: int):
-        self.subdomains = subdomains
-        self.workers = min(workers_from_env(), subdomains)
-        self.shared = np.frombuffer(mmap.mmap(-1, 8 * max(size, 1)),
-                                    np.float64, size)
+    def __init__(self, solves: StackedSolves, extra: int = 0):
+        self.solves = solves
+        self.subdomains = len(solves.bounds) - 1
+        self.workers = min(workers_from_env(), self.subdomains)
+        size = extra + solves.n + solves.index.size
+        shared = np.frombuffer(mmap.mmap(-1, 8 * max(size, 1)), np.float64,
+                               size)
+        self.extra, self.vector, self.results = np.split(
+            shared, [extra, extra + solves.n])
+        self.outs = np.split(self.results, solves.bounds[1:-1])
         self.procs, self.conns = [], []
         self._stop = None
 
@@ -121,7 +135,7 @@ class OwnerPool:
         results = []
         for i in range(k, self.subdomains, self.workers):
             try:
-                results.append(task(i, command, self.shared))
+                results.append(task(i, command, self.vector, self.outs[i]))
             except Exception as exc:  # handed to the caller, which raises it
                 return results, (i, exc)
         return results, None
@@ -145,7 +159,7 @@ class OwnerPool:
                 conn.send(self._share(k, command, task))
         finally:
             for i in range(k, self.subdomains, self.workers):
-                task(i, None, self.shared)
+                task(i, None, self.vector, self.outs[i])
 
     def _replies(self) -> list:
         """Each owner's reply to the last command, in owner order.  Reads
@@ -161,16 +175,19 @@ class OwnerPool:
             raise RuntimeError(f"subdomain owner processes {lost} exited")
         return out
 
-    def run(self, command, task, first=None) -> tuple:
-        """Run `command` on every subdomain: send it to the owners, call
-        `first()` if given, the caller's own work meanwhile, then run the
-        caller's subdomains here and read every owner's reply.  Only then is
-        the failure of the lowest-numbered subdomain raised, or else an
+    def run(self, command, task, vector=None, first=None) -> tuple:
+        """Run `command` on every subdomain: write `vector`, if given, into
+        `self.vector`, send the command to the owners, call `first()` if
+        given, the caller's own work meanwhile, then run the caller's
+        subdomains here and read every owner's reply.  Only then is the
+        failure of the lowest-numbered subdomain raised, or else an
         exception of `first`, so that the bits and the failure do not depend
         on the number of owners.  Returns the result of `first` and the
         task results in subdomain order."""
         if self.workers > 1 and self._stop is None:
             self._start(task)
+        if vector is not None:
+            self.vector[:] = vector
         for conn in self.conns:
             conn.send(command)
         early = error = None
@@ -189,3 +206,8 @@ class OwnerPool:
         for k, (share, _) in enumerate(shares):
             results[k::self.workers] = share
         return early, results
+
+    def combine(self, x: np.ndarray | None = None) -> np.ndarray:
+        """The weighted sum of the stacked `results`, which it overwrites,
+        for `x` (see `sparse.StackedSolves.combine`)."""
+        return self.solves.combine(self.results, x)

@@ -23,7 +23,10 @@ local iterate: with Q_i(v) = P_i (R_i DF(v) P_i)^{-1} R_i DF(v),
     D F_A = Q_0(u_0) + sum_i Qt_i(u_i),
     D F_H = [sum_i Qt_i(u_iH)] (I - Q_0(u_0)) + Q_0(u_0).
 
-The inexact (ASPIN-style) mode substitutes u for the final local iterates.
+The inexact (ASPIN-style) mode substitutes u for the final local iterates
+u_i and u_iH only.  The coarse level keeps its tangent at its final
+iterate u_0 = u - P_0 T_0(u) in both modes: `coarse_correction` does not
+read the mode.
 
 Each Q_i is applied through the overlap block A_i = R_i DF(v) P_i and the
 ghost coupling C_i, the columns of R_i DF(v) on the ghost DOFs
@@ -40,8 +43,7 @@ the rest, so that holding it does not hold A_i.  Per subdomain, the
 latest evaluation's tangent therefore holds the SuperLU factor of A_i and
 the sparse C_i (A_i itself is dropped once factorized), and for the
 coarse level the dense LU of R_0 DF(u_0) P_0 and the sparse R_0 DF(u_0),
-so that Q_0(u_0) x = P_0 (R_0 DF(u_0) P_0)^{-1} (R_0 DF(u_0)) x.  The
-local terms of a tangent apply go through one `sparse.StackedSolves`.
+so that Q_0(u_0) x = P_0 (R_0 DF(u_0) P_0)^{-1} (R_0 DF(u_0)) x.
 
 Each subdomain is owned by one process of an `owners.OwnerPool`, the
 caller or one forked at the first evaluation (see `owners` for the map).
@@ -73,6 +75,7 @@ from .sparse import (Factorization, SingularMatrixError, StackedSolves,
                      factorize)
 
 VARIANTS = ("aspen", "raspen", "additive", "hybrid")
+TANGENT_MODES = ("exact", "aspin")
 
 
 @dataclass
@@ -324,7 +327,7 @@ class SchwarzOperator:
             raise ValueError(f"unknown variant {variant!r}")
         if variant in ("additive", "hybrid") and P0 is None:
             raise ValueError(f"the {variant} variant requires a coarse space")
-        if tangent_mode not in ("exact", "aspin"):
+        if tangent_mode not in TANGENT_MODES:
             raise ValueError(f"unknown tangent mode {tangent_mode!r}")
         self.problem = problem
         self.mesh = mesh
@@ -340,12 +343,8 @@ class SchwarzOperator:
         # the recombination weights: 1 for ASPEN, else the partition of unity
         self.weights = [np.ones(sub.dofs_ov.size) if variant == "aspen"
                         else sub.weight for sub in self.subs]
-        self._local_solves = StackedSolves([sub.dofs_ov for sub in self.subs],
-                                           dofmap.n_dofs, self.weights)
-        # the shared mapping holds the state u or the vector x that a
-        # command reads, then the stacked per-subdomain results
-        self._owners = OwnerPool(len(self.subs), dofmap.n_dofs
-                                 + self._local_solves.index.size)
+        self._owners = OwnerPool(StackedSolves(
+            [sub.dofs_ov for sub in self.subs], dofmap.n_dofs, self.weights))
         self.workers = self._owners.workers
         # the states of the subdomains this process owns, by index
         self._held: dict[int, LocalSolveState] = {}
@@ -420,17 +419,14 @@ class SchwarzOperator:
 
     # -- owners ------------------------------------------------------------
 
-    def _local_task(self, i: int, command: str | None, shared: np.ndarray):
+    def _local_task(self, i: int, command: str | None, vector: np.ndarray,
+                    out: np.ndarray):
         """Subdomain i's part of `command`, the task of the `OwnerPool`,
-        writing its result into its block of the stacked results after the
-        n_dofs-vector at the start of `shared`: "evaluate", the local
-        correction at that state, whose state this process then holds, and
-        returns its (iterations, converged), the first building the
-        subdomain's plan here; "apply", the local solve of the tangent
-        applied to that vector; or None, which releases the held state but
-        not the plan."""
-        n = self.dofmap.n_dofs
-        vector, out = shared[:n], shared[n:][self._local_solves.block(i)]
+        writing its result into `out`: "evaluate", the local correction at
+        the state `vector`, whose state this process then holds, and returns
+        its (iterations, converged), the first building the subdomain's plan
+        here; "apply", the local solve of the tangent applied to `vector`;
+        or None, which releases the held state but not the plan."""
         if command == "apply":
             st = self._held[i]
             out[:] = st.tangent.solve(st.coupling @ vector[self.subs[i].ghosts])
@@ -443,27 +439,17 @@ class SchwarzOperator:
             return st.iterations, st.converged
         return None
 
-    def _command(self, command: str, vector: np.ndarray):
-        """Run `command` on every subdomain with `vector` as its input and
-        return the task results, in subdomain order, and the stacked
-        results."""
-        n = self.dofmap.n_dofs
-        shared = self._owners.shared
-        shared[:n] = vector
-        _, results = self._owners.run(command, self._local_task)
-        return results, shared[n:]
-
     # -- preconditioned residual -------------------------------------------
 
     def _run_locals(self, u: np.ndarray) -> list[LocalSolveState]:
         """Local corrections at u, each in the process that owns its
         subdomain.  The states of this process's subdomains hold their
         operators; the others hold only the correction and the counts."""
-        done, blocks = self._command("evaluate", u)
-        block = self._local_solves.block
+        _, done = self._owners.run("evaluate", self._local_task, u)
         return [self._held[i] if i in self._held
-                else LocalSolveState(blocks[block(i)].copy(), its, converged)
-                for i, (its, converged) in enumerate(done)]
+                else LocalSolveState(out.copy(), its, converged)
+                for i, (out, (its, converged)) in enumerate(zip(
+                    self._owners.outs, done))]
 
     def evaluate(self, u: np.ndarray, F: np.ndarray | None = None) -> Evaluation:
         """F_X(u) and its tangent's operators; `F` is F(u) if the caller has
@@ -501,8 +487,8 @@ class SchwarzOperator:
         return self.P0 @ sla.lu_solve(cs.tangent, cs.coupling @ x)
 
     def _apply_locals(self, x: np.ndarray) -> np.ndarray:
-        _, blocks = self._command("apply", x)
-        return self._local_solves.combine(blocks, x)
+        self._owners.run("apply", self._local_task, x)
+        return self._owners.combine(x)
 
     def apply_tangent(self, ev: Evaluation, x: np.ndarray) -> np.ndarray:
         """D F_X(u) x using the operators of the evaluation, which must be

@@ -95,10 +95,11 @@ class StackedSolves:
 
     with y_i = A_i^{-1} b_i the solve of block i, P_i the extension by zero
     from d_i, w_i the given weights on d_i and s_i = x[d_i] for an optional
-    `x`.  Both solvers' local solves apply this: the process that owns
-    block i writes y_i into `block(i)` of one stacked array, and `combine`
-    scatters the weighted results with one `bincount`, which adds them in
-    block order, as a loop of ``out[d_i] += w_i y_i`` would."""
+    `x`.  Both solvers' local solves apply this: the y_i are stacked in
+    block order in one array, which `bounds` splits (the stacked results of
+    an `owners.OwnerPool`), and `combine` scatters the weighted results
+    with one `bincount`, which adds them in block order, as a loop of
+    ``out[d_i] += w_i y_i`` would."""
 
     def __init__(self, blocks: list[np.ndarray], n: int,
                  weights: list[np.ndarray]):
@@ -106,10 +107,6 @@ class StackedSolves:
         self.bounds = np.cumsum([0] + [d.size for d in blocks]).tolist()
         self.weight = np.concatenate(weights)
         self.n = n
-
-    def block(self, i: int) -> slice:
-        """Block i of a stacked array."""
-        return slice(self.bounds[i], self.bounds[i + 1])
 
     def combine(self, y: np.ndarray, x: np.ndarray | None = None
                 ) -> np.ndarray:

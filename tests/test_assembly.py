@@ -119,6 +119,11 @@ class TestResidualProperties:
         r = asm.assemble_residual(prob, m, dm, u)
         np.testing.assert_allclose(r, A @ u + r0, rtol=1e-12, atol=1e-12)
 
+    @pytest.mark.parametrize("law", ["bogus", ["constant"]])
+    def test_unknown_diffusion_law_raises(self, law):
+        with pytest.raises(ValueError, match="unknown diffusion law"):
+            asm.diffusion_problem(law)
+
     def test_ldc_residual_affine_in_inverse_reynolds(self):
         """F(u; Re) = a/Re + b at fixed u: check r(1) - r(2) = 2(r(2) - r(4))."""
         m = msh.build_structured_mesh(4, 4, problem_kind="ldc")

@@ -13,6 +13,13 @@ from nlschwarz.cli import HISTORY_COLUMNS, emit_history, main, run_point
 
 SUBDOMAINS_ERROR = ("config key subdomains must be a [px, py] pair of "
                     "positive integers or a non-empty list of such pairs")
+VARIANT_ERROR = ("config key variant must be one of aspen, raspen, additive, "
+                 "hybrid, nks or a non-empty list of such")
+COARSE_ERROR = ("config key coarse must be one of gdsw, rgdsw, msfem or a "
+                "non-empty list of such")
+RE_ERROR = ("config key re must be a finite number above 0 or a non-empty "
+            "list of such")
+FY_ERROR = "config key fy must be a finite number or a non-empty list of such"
 
 BASE = {"problem": "diffusion", "subdomains": [2, 2], "hh": 6, "overlap": 2,
         "variant": "hybrid", "coarse": "rgdsw", "modified": True}
@@ -74,16 +81,38 @@ class TestRun:
         assert records[0]["reason"]
 
     def test_failing_point_recorded_sweep_continues(self, tmp_path):
-        cfg = dict(BASE, coarse=["bogus", "rgdsw"], out=str(tmp_path / "out"))
+        cfg = dict(BASE, subdomains=[[1, 1], [2, 2]],
+                   out=str(tmp_path / "out"))
         rc = main(["run", write_config(tmp_path, cfg)])
         assert rc == 0
         records = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert len(records) == 2
         assert not records[0]["converged"]
-        assert records[0]["reason"] == ("ValueError: unknown coarse space "
-                                        "kind 'bogus'")
-        assert records[0]["point"]["coarse"] == "bogus"
+        assert records[0]["reason"] == (
+            "ValueError: no coarse column: the decomposition has no "
+            "interface off the Dirichlet boundary")
+        assert records[0]["point"]["subdomains"] == [1, 1]
         assert records[1]["converged"]
+
+    @pytest.mark.parametrize("variants,coarse,points", [
+        (["raspen", "aspen"], ["gdsw", "rgdsw", "msfem"],
+         [("raspen", None), ("aspen", None)]),
+        (["raspen", "hybrid"], ["gdsw", "rgdsw"],
+         [("raspen", None), ("hybrid", "gdsw"), ("hybrid", "rgdsw")])],
+        ids=["one-level", "mixed"])
+    def test_one_level_points_not_multiplied_by_coarse(self, tmp_path,
+                                                       variants, coarse,
+                                                       points):
+        """A one-level point has no coarse space, so the coarse values
+        give it no further points."""
+        cfg = dict(BASE, variant=variants, coarse=coarse, modified=False,
+                   hh=4, out=str(tmp_path / "out"))
+        assert main(["run", write_config(tmp_path, cfg)]) == 0
+        records = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert [(r["variant"], r["coarse"]) for r in records] == points
+        assert all(r["converged"] for r in records)
+        assert all("coarse" not in r["point"]
+                   for r in records if r["coarse"] is None)
 
     @pytest.mark.parametrize("variant", ["hybrid", "nks"])
     def test_one_subdomain_recorded(self, tmp_path, capfd, variant):
@@ -144,12 +173,32 @@ class TestRun:
          SUBDOMAINS_ERROR + ", got [[2, 2], [2, 0]]"),
         ({"subdomains": [2, True]}, SUBDOMAINS_ERROR + ", got [2, True]"),
         ({"subdomains": [2, 2, 2]}, SUBDOMAINS_ERROR + ", got [2, 2, 2]"),
-        ({"variant": []},
-         "config key variant must be one value or a non-empty list, got []"),
-        ({"coarse": []},
-         "config key coarse must be one value or a non-empty list, got []"),
-        ({"re": []},
-         "config key re must be one value or a non-empty list, got []"),
+        ({"variant": []}, VARIANT_ERROR + ", got []"),
+        ({"coarse": []}, COARSE_ERROR + ", got []"),
+        ({"re": []}, RE_ERROR + ", got []"),
+        ({"variant": "bogus"}, VARIANT_ERROR + ", got 'bogus'"),
+        ({"variant": ["hybrid", "bogus"]},
+         VARIANT_ERROR + ", got ['hybrid', 'bogus']"),
+        ({"variant": "aspen", "coarse": "bogus"},
+         COARSE_ERROR + ", got 'bogus'"),
+        ({"variant": ["raspen", "aspen"], "coarse": ["rgdsw", "bogus"]},
+         COARSE_ERROR + ", got ['rgdsw', 'bogus']"),
+        ({"variant": "nks", "tangent": "bogus"},
+         "config key tangent must be one of exact, aspin, got 'bogus'"),
+        ({"coefficient": "bogus"},
+         "config key coefficient must be one of constant, nonlinear, "
+         "got 'bogus'"),
+        ({"coefficient": ["constant", "nonlinear"]},
+         "config key coefficient must be one of constant, nonlinear, "
+         "got ['constant', 'nonlinear']"),
+        ({"out": 5}, "config key out must be a string, got 5"),
+        ({"problem": "ldc", "re": -5}, RE_ERROR + ", got -5"),
+        ({"problem": "ldc", "re": 0}, RE_ERROR + ", got 0"),
+        ({"problem": "ldc", "re": "abc"}, RE_ERROR + ", got 'abc'"),
+        ({"problem": "ldc", "re": [100, float("inf")]},
+         RE_ERROR + ", got [100, inf]"),
+        ({"problem": "beam", "fy": float("nan")}, FY_ERROR + ", got nan"),
+        ({"problem": "beam", "fy": [1.0, "x"]}, FY_ERROR + ", got [1.0, 'x']"),
         ({"solver": {"gmres": {"rel_tol": -1}}},
          "solver.gmres.rel_tol must be a finite number of at least 0, got -1"),
         ({"solver": {"outer": {"rel_tol": "x"}}},
@@ -188,14 +237,19 @@ class TestRun:
              "gmres.max_iter-null", "gmres.restart-negative",
              "subdomains-number", "subdomains-empty", "subdomains-zero",
              "subdomains-bool", "subdomains-triple", "variant-empty",
-             "coarse-empty", "re-empty", "gmres.rel_tol-negative",
+             "coarse-empty", "re-empty", "variant-bogus", "variant-list-bogus",
+             "coarse-bogus-aspen", "coarse-list-bogus-raspen",
+             "tangent-bogus-nks", "coefficient-bogus", "coefficient-list",
+             "out-number", "re-negative", "re-zero", "re-string",
+             "re-list-inf", "fy-nan", "fy-list-string",
+             "gmres.rel_tol-negative",
              "outer.rel_tol-string", "outer.abs_tol-nan", "coarse.rel_tol-bool",
              "inner.max_iter-0", "outer.max_iter-float",
              "inner.line_search-string", "modified-string", "hh-float",
              "hh-bool", "overlap-bool", "overlap-negative", "re-diffusion",
              "fy-diffusion", "coefficient-ldc"])
     def test_unknown_key_is_config_error(self, tmp_path, capsys, extra, error):
-        cfg = dict(BASE, out=str(tmp_path / "out"), **extra)
+        cfg = {**BASE, "out": str(tmp_path / "out"), **extra}
         assert main(["run", write_config(tmp_path, cfg)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {error}")
         assert not (tmp_path / "out").exists()

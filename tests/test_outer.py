@@ -240,18 +240,17 @@ class TestNks:
         other = "initial" if state == "perturbed" else "perturbed"
         plan = asm.global_plan(m, dm, prob)
         sub_dofs = [asm.subset_dofs(dm, m, ov) for ov in dec.overlap_elements]
-        blocks = outer._LocalBlocks(plan, sub_dofs,
-                                    [np.ones(d.size) for d in sub_dofs])
+        values = np.empty(plan.nnz)
+        blocks = outer._LocalBlocks(plan, sub_dofs, values)
         pattern = sp.csc_matrix((np.ones(plan.nnz), plan.indices, plan.indptr),
                                 shape=(plan.n_rows, plan.n))
-        values = np.empty(plan.nnz)
         for name in (other, state):   # the same values, refilled
             DF = asm.assemble_tangent(prob, m, dm, states[name], plan=plan,
                                       values=values)
             kept = [a.copy() for a in (values, plan.indices, plan.indptr)]
             dropped = 0
             for i, d in enumerate(sub_dofs):
-                got = blocks.block(values, i)
+                got = blocks.block(i)
                 cut = sp.csc_matrix(DF[d][:, d])
                 for attr in ("data", "indices", "indptr"):
                     np.testing.assert_array_equal(getattr(got, attr),

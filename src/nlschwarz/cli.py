@@ -42,9 +42,12 @@ coefficient) that the problem does not read, an empty list of a sweep
 field, a variant, coarse, tangent or coefficient that is not one the
 schema lists, and any other value outside its type or range end the
 command with exit code 2 before any point runs or the output directory is
-made.  A point that fails at run time, as a single subdomain does under a
-two-level variant, is recorded as failed and the sweep goes on.  The domain
-is the unit square, and [0, 5] x [0, 1] for the beam.
+made.  So do, for ``run``, a tangent when every point of the sweep is nks,
+which does not read it, and a true ``modified`` (the beam's default) at a
+two-level point with coarse gdsw, which it does not apply to.  A point
+that fails at run time, as a single subdomain does under a two-level
+variant, is recorded as failed and the sweep goes on.  The domain is the
+unit square, and [0, 5] x [0, 1] for the beam.
 
 Flag overrides: --problem --re --fy --subdomains PXxPY --hh --overlap
 --variant --coarse --modified --out.  The number of processes that own
@@ -80,8 +83,6 @@ from .owners import workers_from_env
 HISTORY_COLUMNS = ["iteration"] + [f.name for f in fields(OuterStep)]
 
 VARIANTS = (*schwarz.VARIANTS, "nks")
-# the variants without a coarse space
-ONE_LEVEL = ("aspen", "raspen")
 
 SWEEP_FIELDS = ("re", "fy", "subdomains", "variant", "coarse")
 
@@ -223,6 +224,24 @@ def _load_config(path: str, overrides: argparse.Namespace) -> dict:
     return cfg
 
 
+def _check_points(cfg: dict) -> None:
+    """Raise `ConfigError` for a setting that no point of the sweep reads:
+    a tangent mode when every point is NKS, which has no nonlinear
+    corrections, and the Dirichlet-edge modification at a two-level point
+    with the gdsw space, which it does not apply to."""
+    solvers = [_solver_config(cfg, point) for point in _sweep_points(cfg)]
+    if "tangent" in cfg and all(s.variant == "nks" for s in solvers):
+        raise ConfigError("config key tangent is read by the nonlinear "
+                          "Schwarz variants only, not by nks")
+    if any(s.modified and s.coarse_kind == "gdsw"
+           and s.variant not in schwarz.ONE_LEVEL for s in solvers):
+        default = "" if "modified" in cfg else " (the beam's default)"
+        raise ConfigError(
+            f"config key modified must be false{default} at a two-level "
+            "point with coarse gdsw: the Dirichlet-edge modification applies "
+            "to the reduced coarse spaces only")
+
+
 def _sweep_points(cfg: dict):
     """Cartesian product over the list-valued sweep fields, each point
     once: the points of a one-level variant have no coarse space."""
@@ -230,7 +249,7 @@ def _sweep_points(cfg: dict):
     points = []
     for combo in itertools.product(*axes.values()):
         point = dict(zip(axes, combo))
-        if point.get("variant") in ONE_LEVEL:
+        if point.get("variant") in schwarz.ONE_LEVEL:
             point.pop("coarse", None)
         if point not in points:
             points.append(point)
@@ -281,7 +300,7 @@ def run_point(cfg: dict, point: dict) -> tuple[dict, SolveReport]:
     variant = scfg.variant
     overlap = _setting(cfg, point, "overlap")
     dec = _decompose(mesh, px, py, overlap, nks=(variant == "nks"))
-    needs_coarse = variant not in ONE_LEVEL
+    needs_coarse = variant not in schwarz.ONE_LEVEL
     P0 = None
     if needs_coarse:
         P0, _, _ = crs.build_coarse_space(prob, mesh, dofmap, dec,
@@ -296,6 +315,7 @@ def run_point(cfg: dict, point: dict) -> tuple[dict, SolveReport]:
         "variant": variant,
         "coarse": scfg.coarse_kind if needs_coarse else None,
         "modified": scfg.modified if needs_coarse else None,
+        "tangent": scfg.tangent_mode if variant != "nks" else None,
         "num_subdomains": px * py,
         "subdomains": [px, py],
         "hh": _setting(cfg, point, "hh"),
@@ -345,6 +365,7 @@ def emit_history(report: SolveReport, path) -> None:
 def cmd_run(args) -> int:
     try:
         cfg = _load_config(args.config, args)
+        _check_points(cfg)
         workers_from_env()
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)

@@ -34,7 +34,7 @@ from .mesh import Decomposition, Mesh
 from .owners import OwnerPool
 from .schwarz import (NewtonParams, SchwarzOperator, backtracking_step,
                       coarse_lu, newton, subdomains)
-from .sparse import StackedSolves, factorize, gmres
+from .sparse import factorize, gmres
 
 
 @dataclass
@@ -145,8 +145,12 @@ def _solve(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
     solves = []   # of each step, its `OuterStep` fields
 
     def direction(u, F):
-        # the linearization goes when this returns, before the next is
-        # built: holding both sets of factorizations raises the peak memory
+        # the caller's references to the linearization go when this
+        # returns, before the next is built: holding both sets of
+        # factorizations raises the peak memory.  The subdomain owners, the
+        # caller among them, keep their factors until the next command
+        # replaces them, one subdomain at a time: after NKS's next DF
+        # assembly, and after the Schwarz operator's next coarse correction
         starts.append(time.perf_counter())
         rhs, apply, precond, fields = linearize(u, F)
         t0 = time.perf_counter()
@@ -192,12 +196,12 @@ def solve_nonlinear_schwarz(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
 
         def linearize(u, F):
             ev = op.evaluate(u, F)
-            cs, local = ev.coarse_state, ev.local_states
+            cs, local = ev.coarse_state, ev.local_results
             return ev.residual, lambda x: op.apply_tangent(ev, x), None, dict(
                 precond_residual=float(np.linalg.norm(ev.residual)),
-                inner_avg=float(np.mean([st.iterations for st in local])),
+                inner_avg=float(np.mean([its for its, _ in local])),
                 coarse_its=0 if cs is None else cs.iterations,
-                corrections_converged=(all(st.converged for st in local)
+                corrections_converged=(all(ok for _, ok in local)
                                        and (cs is None or cs.converged)),
                 t_inner=ev.timings["inner"], t_coarse=ev.timings["coarse"])
 
@@ -270,8 +274,7 @@ def solve_nks(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
     plan = asm.global_plan(mesh, dofmap, problem)
     sub_dofs = [sub.dofs_ov for sub in subs]
 
-    with OwnerPool(StackedSolves(sub_dofs, plan.n,
-                                 [sub.weight for sub in subs]),
+    with OwnerPool(sub_dofs, plan.n, [sub.weight for sub in subs],
                    plan.nnz) as owners:
         blocks = _LocalBlocks(plan, sub_dofs, owners.extra)
 

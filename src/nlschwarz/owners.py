@@ -4,12 +4,13 @@ With W workers, NLSCHWARZ_WORKERS capped at the number of subdomains, the
 calling process is owner 0 and W - 1 processes, forked at the first
 command, are owners 1, ..., W - 1; owner k owns subdomains k, k + W,
 k + 2W, ....  This module is the only one that knows that map and the
-layout of the memory the processes share.  Both solvers run their local
-work on one `OwnerPool`, as a task ``task(i, command, vector, out)`` that
-handles subdomain i, writing its result into `out`: the nonlinear Schwarz
-operator its local Newton solves, factorizations and tangent solves, NKS
-the factorizations and solves of its preconditioner's blocks.  So each
-factor is built, used and released by the only thread of one process (see
+layout of the memory the processes share, where the subdomains' results
+are stacked and summed.  Both solvers run their local work on one
+`OwnerPool`, as a task ``task(i, command, vector, out)`` that handles
+subdomain i, writing its result into `out`: the nonlinear Schwarz operator
+its local Newton solves, factorizations and tangent solves, NKS the
+factorizations and solves of its preconditioner's blocks.  So each factor
+is built, used and released by the only thread of one process (see
 `sparse.Factorization`), and SuperLU, which holds the GIL, runs on W
 cores.  Each process also builds the per-subdomain data of its own
 subdomains, at their first task: the operator's subdomain assembly plans.
@@ -26,8 +27,6 @@ import signal
 import weakref
 
 import numpy as np
-
-from .sparse import StackedSolves
 
 
 def workers_from_env() -> int:
@@ -57,17 +56,18 @@ def _stop_owners(procs: list, conns: list) -> None:
 
 
 class OwnerPool:
-    """Owners 1, ..., W - 1 of the subdomains of one solver's `solves`, a
-    `sparse.StackedSolves`, forked from the caller, owner 0 (see the module
-    docstring for W and the map).
+    """Owners 1, ..., W - 1 of a solver's subdomains, forked from the
+    caller, owner 0 (see the module docstring for W and the map).
+    Subdomain i covers the entries `blocks[i]` of an n-vector, with the
+    weights `weights[i]`.
 
     The caller and the owners share one anonymous mapping, made before the
     fork: `extra` doubles of the solver's own (NKS's DF values), the
-    vector a command reads, which `run` writes, and the task results
-    stacked as the block solves of `solves`, which `combine` sums; the
-    arrays `extra`, `vector` and `results` view them, and `outs[i]`,
-    subdomain i's block of `results`, is the `out` of its task.  One pipe
-    per owner carries the commands and the small replies.  The owners start
+    n-vector a command reads, which `run` writes, and the task results,
+    stacked in subdomain order, which `combine` sums; the arrays `extra`,
+    `vector` and `results` view them, and `outs[i]`, subdomain i's block of
+    `results`, of the size of `blocks[i]`, is the `out` of its task.  One
+    pipe per owner carries the commands and the small replies.  The owners start
     at the first `run`; `close`, leaving a ``with`` block or the pool's
     garbage collection stops them, and a `run` after `close` starts them
     again.
@@ -81,16 +81,19 @@ class OwnerPool:
     them, so every `run` hands the same one.  The pool does not keep the
     task, so it holds no reference to the solver that made it."""
 
-    def __init__(self, solves: StackedSolves, extra: int = 0):
-        self.solves = solves
-        self.subdomains = len(solves.bounds) - 1
+    def __init__(self, blocks: list[np.ndarray], n: int,
+                 weights: list[np.ndarray], extra: int = 0):
+        self.index = np.concatenate(blocks)
+        self.weight = np.concatenate(weights)
+        self.subdomains = len(blocks)
         self.workers = min(workers_from_env(), self.subdomains)
-        size = extra + solves.n + solves.index.size
+        size = extra + n + self.index.size
         shared = np.frombuffer(mmap.mmap(-1, 8 * max(size, 1)), np.float64,
                                size)
         self.extra, self.vector, self.results = np.split(
-            shared, [extra, extra + solves.n])
-        self.outs = np.split(self.results, solves.bounds[1:-1])
+            shared, [extra, extra + n])
+        self.outs = np.split(self.results,
+                             np.cumsum([d.size for d in blocks[:-1]]))
         self.procs, self.conns = [], []
         self._stop = None
 
@@ -208,6 +211,13 @@ class OwnerPool:
         return early, results
 
     def combine(self, x: np.ndarray | None = None) -> np.ndarray:
-        """The weighted sum of the stacked `results`, which it overwrites,
-        for `x` (see `sparse.StackedSolves.combine`)."""
-        return self.solves.combine(self.results, x)
+        """sum_i P_i w_i (y_i + x[d_i]) for the task results y_i in `outs`,
+        which it overwrites, d_i = `blocks[i]`, w_i = `weights[i]`, P_i the
+        extension by zero from d_i and an optional n-vector `x`.  One
+        `bincount` adds the terms in subdomain order, as a loop of
+        ``out[d_i] += w_i y_i`` would."""
+        y = self.results
+        if x is not None:
+            y += x[self.index]
+        y *= self.weight
+        return np.bincount(self.index, y, minlength=self.vector.size)

@@ -51,8 +51,9 @@ The owner builds the subdomain's assembly plan in its share of the first
 evaluation and holds it; no other process builds it.  It runs the
 subdomain's local Newton solve, factorizes its A_i and keeps the factor
 and C_i until the next evaluation; it also runs the subdomain's solve of
-every tangent apply.  The caller recombines the results in subdomain
-order, so the bits do not depend on the number of owners.  The NKS
+every tangent apply.  Each writes its correction or solve into the pool's
+stacked results, and the caller recombines them in subdomain order, so the
+bits do not depend on the number of owners.  The NKS
 preconditioner (`outer.solve_nks`) takes its blocks' DOFs from the same
 `subdomains`.
 """
@@ -71,10 +72,11 @@ from . import assembly as asm
 from .assembly import DofMap, NonPhysicalStateError, ProblemSpec
 from .mesh import Decomposition, Mesh
 from .owners import OwnerPool
-from .sparse import (Factorization, SingularMatrixError, StackedSolves,
-                     factorize)
+from .sparse import Factorization, SingularMatrixError, factorize
 
 VARIANTS = ("aspen", "raspen", "additive", "hybrid")
+# the variants without a coarse space
+ONE_LEVEL = ("aspen", "raspen")
 TANGENT_MODES = ("exact", "aspin")
 
 
@@ -284,10 +286,9 @@ class LocalSolveState:
     iterations: int
     converged: bool
     # A_i = R_i DF(v_final) P_i factorized, and C_i, R_i DF(v_final) on the
-    # ghost columns; None in an evaluation's states of the subdomains that
-    # another process owns
-    tangent: Factorization | None = None
-    coupling: sp.csc_matrix | None = None
+    # ghost columns
+    tangent: Factorization
+    coupling: sp.csc_matrix
 
 
 @dataclass
@@ -301,9 +302,11 @@ class CoarseSolveState:
 
 @dataclass
 class Evaluation:
-    """Preconditioned residual and the operators of its exact tangent."""
+    """Preconditioned residual, each subdomain's local (iterations,
+    converged) in subdomain order, and the coarse operators of its exact
+    tangent; the local operators stay with the subdomains' owners."""
     residual: np.ndarray
-    local_states: list[LocalSolveState]
+    local_results: list[tuple[int, bool]]
     coarse_state: CoarseSolveState | None
     stamp: int                   # the operator's evaluation count after it
     timings: dict = field(default_factory=dict)
@@ -325,7 +328,7 @@ class SchwarzOperator:
                  coarse: NewtonParams | None = None):
         if variant not in VARIANTS:
             raise ValueError(f"unknown variant {variant!r}")
-        if variant in ("additive", "hybrid") and P0 is None:
+        if variant not in ONE_LEVEL and P0 is None:
             raise ValueError(f"the {variant} variant requires a coarse space")
         if tangent_mode not in TANGENT_MODES:
             raise ValueError(f"unknown tangent mode {tangent_mode!r}")
@@ -343,8 +346,8 @@ class SchwarzOperator:
         # the recombination weights: 1 for ASPEN, else the partition of unity
         self.weights = [np.ones(sub.dofs_ov.size) if variant == "aspen"
                         else sub.weight for sub in self.subs]
-        self._owners = OwnerPool(StackedSolves(
-            [sub.dofs_ov for sub in self.subs], dofmap.n_dofs, self.weights))
+        self._owners = OwnerPool([sub.dofs_ov for sub in self.subs],
+                                 dofmap.n_dofs, self.weights)
         self.workers = self._owners.workers
         # the states of the subdomains this process owns, by index
         self._held: dict[int, LocalSolveState] = {}
@@ -441,15 +444,11 @@ class SchwarzOperator:
 
     # -- preconditioned residual -------------------------------------------
 
-    def _run_locals(self, u: np.ndarray) -> list[LocalSolveState]:
+    def _run_locals(self, u: np.ndarray) -> list[tuple[int, bool]]:
         """Local corrections at u, each in the process that owns its
-        subdomain.  The states of this process's subdomains hold their
-        operators; the others hold only the correction and the counts."""
-        _, done = self._owners.run("evaluate", self._local_task, u)
-        return [self._held[i] if i in self._held
-                else LocalSolveState(out.copy(), its, converged)
-                for i, (out, (its, converged)) in enumerate(zip(
-                    self._owners.outs, done))]
+        subdomain, which holds its operators; the corrections are left in
+        the pool's `outs`.  Returns (iterations, converged) by subdomain."""
+        return self._owners.run("evaluate", self._local_task, u)[1]
 
     def evaluate(self, u: np.ndarray, F: np.ndarray | None = None) -> Evaluation:
         """F_X(u) and its tangent's operators; `F` is F(u) if the caller has
@@ -460,7 +459,7 @@ class SchwarzOperator:
         coarse_state = None
         w = u
         contribution = np.zeros(self.dofmap.n_dofs)
-        if self.variant in ("additive", "hybrid"):
+        if self.variant not in ONE_LEVEL:
             t0 = time.perf_counter()
             coarse_state = self.coarse_correction(u, F)
             t_coarse = time.perf_counter() - t0
@@ -469,14 +468,15 @@ class SchwarzOperator:
                 w = u - self.P0 @ coarse_state.coefficients
 
         t0 = time.perf_counter()
-        locals_ = self._run_locals(w)
+        results = self._run_locals(w)
         t_inner = time.perf_counter() - t0
 
-        for sub, weight, st in zip(self.subs, self.weights, locals_):
-            contribution[sub.dofs_ov] += weight * st.correction
+        for sub, weight, out in zip(self.subs, self.weights,
+                                    self._owners.outs):
+            contribution[sub.dofs_ov] += weight * out
 
         return Evaluation(
-            residual=contribution, local_states=locals_,
+            residual=contribution, local_results=results,
             coarse_state=coarse_state, stamp=self._evaluations,
             timings={"inner": t_inner, "coarse": t_coarse})
 
@@ -496,7 +496,7 @@ class SchwarzOperator:
         if ev.stamp != self._evaluations:
             raise RuntimeError("the evaluation was superseded by a later "
                                "evaluate; its tangent is gone")
-        if self.variant in ("aspen", "raspen"):
+        if self.variant in ONE_LEVEL:
             return self._apply_locals(x)
         if self.variant == "additive":
             return self._apply_q0(ev, x) + self._apply_locals(x)

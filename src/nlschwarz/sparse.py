@@ -1,7 +1,8 @@
 """Sparse direct solves and a restarted GMRES over abstract operators.
 
-`StackedSolves` forms the weighted sums of the block solves on overlapping
-index sets that both solvers' local preconditioning terms are made of.
+`factorize` builds the sparse LUs of both solvers' subdomain blocks; the
+weighted sum of the block solves is formed where the owner processes stack
+them, by `owners.OwnerPool.combine`.
 `gmres` hands SciPy's restarted GMRES the left-preconditioned operator M A
 and the right-hand side M b, so it stops on the preconditioned residual,
 ||M (b - A x)|| <= rel_tol ||M b||.  Its cap on inner iterations rounds up
@@ -85,37 +86,6 @@ def factorize(A: sp.spmatrix, fast: bool = False) -> Factorization:
     except RuntimeError as exc:
         raise SingularMatrixError(str(exc)) from exc
     return Factorization(lu)
-
-
-class StackedSolves:
-    """Block solves on overlapping index sets d_i of an n-vector, weighted
-    and summed:
-
-        out = sum_i P_i w_i (y_i + s_i),
-
-    with y_i = A_i^{-1} b_i the solve of block i, P_i the extension by zero
-    from d_i, w_i the given weights on d_i and s_i = x[d_i] for an optional
-    `x`.  Both solvers' local solves apply this: the y_i are stacked in
-    block order in one array, which `bounds` splits (the stacked results of
-    an `owners.OwnerPool`), and `combine` scatters the weighted results
-    with one `bincount`, which adds them in block order, as a loop of
-    ``out[d_i] += w_i y_i`` would."""
-
-    def __init__(self, blocks: list[np.ndarray], n: int,
-                 weights: list[np.ndarray]):
-        self.index = np.concatenate(blocks)
-        self.bounds = np.cumsum([0] + [d.size for d in blocks]).tolist()
-        self.weight = np.concatenate(weights)
-        self.n = n
-
-    def combine(self, y: np.ndarray, x: np.ndarray | None = None
-                ) -> np.ndarray:
-        """The sum above for the block solves y_i stacked in `y`, which it
-        overwrites."""
-        if x is not None:
-            y += x[self.index]
-        y *= self.weight
-        return np.bincount(self.index, y, minlength=self.n)
 
 
 def gmres(apply: Callable[[np.ndarray], np.ndarray], b: np.ndarray,

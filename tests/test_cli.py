@@ -20,6 +20,10 @@ COARSE_ERROR = ("config key coarse must be one of gdsw, rgdsw, msfem or a "
 RE_ERROR = ("config key re must be a finite number above 0 or a non-empty "
             "list of such")
 FY_ERROR = "config key fy must be a finite number or a non-empty list of such"
+TANGENT_ERROR = ("config key tangent is read by the nonlinear Schwarz "
+                 "variants only, not by nks")
+MODIFIED_ERROR = ("config key modified must be false at a two-level point "
+                  "with coarse gdsw")
 
 BASE = {"problem": "diffusion", "subdomains": [2, 2], "hh": 6, "overlap": 2,
         "variant": "hybrid", "coarse": "rgdsw", "modified": True}
@@ -113,6 +117,19 @@ class TestRun:
         assert all(r["converged"] for r in records)
         assert all("coarse" not in r["point"]
                    for r in records if r["coarse"] is None)
+
+    @pytest.mark.parametrize("tangent", ["exact", "aspin"])
+    def test_record_names_tangent(self, tmp_path, tangent):
+        """Each point's record names its tangent mode, and an NKS point,
+        which reads none, records None; a sweep that mixes NKS with a
+        nonlinear Schwarz variant runs both."""
+        cfg = dict(BASE, variant=["raspen", "nks"], tangent=tangent, hh=4,
+                   out=str(tmp_path / "out"))
+        assert main(["run", write_config(tmp_path, cfg)]) == 0
+        records = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert [(r["variant"], r["tangent"]) for r in records] == [
+            ("raspen", tangent), ("nks", None)]
+        assert all(r["converged"] for r in records)
 
     @pytest.mark.parametrize("variant", ["hybrid", "nks"])
     def test_one_subdomain_recorded(self, tmp_path, capfd, variant):
@@ -231,7 +248,12 @@ class TestRun:
          "config key fy is read by problem beam only, not by diffusion"),
         ({"problem": "ldc", "coefficient": "constant"},
          "config key coefficient is read by problem diffusion only, not by "
-         "ldc")],
+         "ldc"),
+        ({"variant": "nks", "tangent": "aspin"}, TANGENT_ERROR),
+        ({"variant": ["nks"], "tangent": "exact"}, TANGENT_ERROR),
+        ({"coarse": "gdsw"}, MODIFIED_ERROR),
+        ({"variant": ["raspen", "nks"], "coarse": ["rgdsw", "gdsw"]},
+         MODIFIED_ERROR)],
         ids=["subdomain", "domain", "seed", "solver.gmress", "solver.outer.tol",
              "solver.outer-number", "solver-number", "gmres.max_iter-0",
              "gmres.max_iter-null", "gmres.restart-negative",
@@ -247,11 +269,25 @@ class TestRun:
              "inner.max_iter-0", "outer.max_iter-float",
              "inner.line_search-string", "modified-string", "hh-float",
              "hh-bool", "overlap-bool", "overlap-negative", "re-diffusion",
-             "fy-diffusion", "coefficient-ldc"])
+             "fy-diffusion", "coefficient-ldc", "tangent-aspin-nks",
+             "tangent-exact-nks-list", "modified-gdsw-hybrid",
+             "modified-gdsw-nks-sweep"])
     def test_unknown_key_is_config_error(self, tmp_path, capsys, extra, error):
         cfg = {**BASE, "out": str(tmp_path / "out"), **extra}
         assert main(["run", write_config(tmp_path, cfg)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {error}")
+        assert not (tmp_path / "out").exists()
+
+    def test_beam_default_modified_with_gdsw_is_config_error(self, tmp_path,
+                                                             capsys):
+        """The beam modifies its coarse space by default, which gdsw does
+        not allow: the config must turn it off."""
+        cfg = {"problem": "beam", "subdomains": [4, 1], "hh": 4,
+               "coarse": "gdsw", "out": str(tmp_path / "out")}
+        assert main(["run", write_config(tmp_path, cfg)]) == 2
+        assert capsys.readouterr().err.startswith(
+            "error: config key modified must be false (the beam's default) "
+            "at a two-level point with coarse gdsw")
         assert not (tmp_path / "out").exists()
 
     @pytest.mark.parametrize("cfg", [5, [1, 2], "ldc", None],

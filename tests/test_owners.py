@@ -7,7 +7,6 @@ import numpy as np
 import pytest
 
 from nlschwarz.owners import OwnerPool
-from nlschwarz.sparse import StackedSolves
 
 N = 5   # subdomains
 
@@ -36,8 +35,7 @@ def pool(request, monkeypatch):
     DOFs i and i + 1 of an (N + 1)-vector."""
     monkeypatch.setenv("NLSCHWARZ_WORKERS", str(request.param))
     dofs = [np.array([i, i + 1]) for i in range(N)]
-    with OwnerPool(StackedSolves(dofs, N + 1, [np.ones(2)] * N),
-                   extra=3) as pool:
+    with OwnerPool(dofs, N + 1, [np.ones(2)] * N, extra=3) as pool:
         yield pool
 
 

@@ -2,52 +2,59 @@
 
 ``nlschwarz run config.json [overrides]`` executes every point of the sweep
 defined by the config (cartesian product of the list-valued fields among
-``re``, ``fy``, ``subdomains``, ``variant``, ``coarse``; the points of
-aspen and raspen, which have no coarse space, are not multiplied by
-``coarse``) and writes, per point, a JSON summary record and a CSV
-convergence history into the output directory.  The history has one row per outer Newton step; its columns are
-``iteration`` and the fields of `outer.OuterStep`, in their order.
+``re``, ``fy``, ``subdomains``, ``variant``, ``coarse``; a point leaves out
+the keys it does not read, so the points of aspen and raspen, which have no
+coarse space, are not multiplied by ``coarse``) and writes, per point, a
+JSON summary record and a CSV convergence history into the output
+directory.  The record holds the point's re, fy, coefficient, coarse,
+modified and tangent, each None where the point does not read it.  The
+history has one row per outer Newton step; its columns are ``iteration``
+and the fields of `outer.OuterStep`, in their order.
 ``nlschwarz export-coarse config.json --entity K`` writes the coarse-basis
 columns of one interface entity as node values; a column that is not one
 field's (a beam rigid-body mode) is written once per field.
 
 Config schema (JSON object; every field optional unless noted; the
 defaults of the case and output keys are in `DEFAULTS`, the others are the
-problem's `SolverConfig`):
+problem's `SolverConfig`).  A key marked [read at: ...] is read only by the
+points named; the two-level points are those of additive, hybrid and nks,
+the nonlinear Schwarz points those of every variant but nks:
 
     problem      "ldc" | "beam" | "diffusion"        (required)
-    re           number > 0 or list   (ldc only: Reynolds numbers)
-    fy           number or list       (beam only: loads, MN/m^2)
-    coefficient  "constant" | "nonlinear"  (diffusion only: the law)
+    re           number > 0 or list: Reynolds numbers  [read at: ldc]
+    fy           number or list: loads, MN/m^2  [read at: beam]
+    coefficient  "constant" | "nonlinear": the law  [read at: diffusion]
     subdomains   [px, py], integers >= 1, or list of such pairs
     hh           elements per subdomain per direction (H/h), integer >= 1
     overlap      dual-graph overlap layers for nonlinear Schwarz, integer
                  >= 0; NKS uses max(1, overlap // 2) nodal layers
     variant      "aspen" | "raspen" | "additive" | "hybrid" | "nks" or list
-    coarse       "gdsw" | "rgdsw" | "msfem" or list
-    modified     bool (Dirichlet-edge modification of the reduced spaces)
-    tangent      "exact" | "aspin"
+    coarse       "gdsw" | "rgdsw" | "msfem" or list  [read at: two-level]
+    modified     bool, the Dirichlet-edge modification of the reduced
+                 spaces  [read at: two-level with coarse rgdsw or msfem]
+    tangent      "exact" | "aspin"  [read at: nonlinear Schwarz]
     out          output directory, a string
     solver       {"outer"|"inner"|"coarse": {rel_tol, abs_tol, max_iter,
                  line_search}, "gmres": {rel_tol, max_iter, restart}};
                  rel_tol and abs_tol are finite numbers >= 0, max_iter an
                  integer >= 1 (for gmres rounded up to whole restart
                  cycles), line_search a bool, restart an integer >= 0 or
-                 null (0 and null: no restart)
+                 null (0 and null: no restart)  [inner read at: nonlinear
+                 Schwarz; coarse read at: additive, hybrid]
 
 Every value is checked when the config loads, each value of a sweep list
 included; re and fy must be finite numbers.  A key the schema does not
-list, at the top level or in a solver level, a problem key (re, fy,
-coefficient) that the problem does not read, an empty list of a sweep
+list, at the top level or in a solver level, an empty list of a sweep
 field, a variant, coarse, tangent or coefficient that is not one the
 schema lists, and any other value outside its type or range end the
 command with exit code 2 before any point runs or the output directory is
-made.  So do, for ``run``, a tangent when every point of the sweep is nks,
-which does not read it, and a true ``modified`` (the beam's default) at a
-two-level point with coarse gdsw, which it does not apply to.  A point
-that fails at run time, as a single subdomain does under a two-level
-variant, is recorded as failed and the sweep goes on.  The domain is the
-unit square, and [0, 5] x [0, 1] for the beam.
+made.  So does one rule: a key set in the config or by a flag that no
+point of the sweep reads.  A point that does not read ``modified`` builds
+the unmodified coarse space, as a gdsw point does under the beam's default.
+``export-coarse`` applies the rule to its sweep with every variant hybrid.
+A point that fails at run time, as a single subdomain does under a
+two-level variant, is recorded as failed and the sweep goes on.  The domain
+is the unit square, and [0, 5] x [0, 1] for the beam.
 
 Flag overrides: --problem --re --fy --subdomains PXxPY --hh --overlap
 --variant --coarse --modified --out.  The number of processes that own
@@ -93,9 +100,6 @@ CONFIG_KEYS = {"problem", "re", "fy", "coefficient", "subdomains", "hh",
 # the fields each `solver` level of a config may set
 SOLVER_FIELDS = {level: {f.name for f in fields(getattr(SolverConfig(), level))}
                  for level in ("outer", "inner", "coarse", "gmres")}
-
-# the one problem that reads each problem key
-PROBLEM_KEYS = {"re": "ldc", "fy": "beam", "coefficient": "diffusion"}
 
 # the value of each case and output key a config leaves out; the other
 # keys default to the problem's `SolverConfig`
@@ -217,53 +221,62 @@ def _load_config(path: str, overrides: argparse.Namespace) -> dict:
         what, test = RULES[key]
         if not test(val):
             raise ConfigError(f"{name} must be {what}, got {val!r}")
-    for key, problem in PROBLEM_KEYS.items():
-        if key in cfg and cfg["problem"] != problem:
-            raise ConfigError(f"config key {key} is read by problem {problem} "
-                              f"only, not by {cfg['problem']}")
     return cfg
 
 
+def _reads(problem: str, scfg: SolverConfig) -> set[str]:
+    """Of the config keys that only some points read, those this one reads."""
+    two_level = scfg.variant not in schwarz.ONE_LEVEL
+    nonlinear = scfg.variant != "nks"
+    return {key for key, read in [
+        ("re", problem == "ldc"), ("fy", problem == "beam"),
+        ("coefficient", problem == "diffusion"), ("coarse", two_level),
+        ("modified", two_level and scfg.coarse_kind != "gdsw"),
+        ("tangent", nonlinear), ("solver.inner", nonlinear),
+        ("solver.coarse", two_level and nonlinear)] if read}
+
+
+POINT_KEYS = {key for problem in msh.PROBLEM_KINDS for variant in VARIANTS
+              for key in _reads(problem, SolverConfig(variant=variant))}
+
+
 def _check_points(cfg: dict) -> None:
-    """Raise `ConfigError` for a setting that no point of the sweep reads:
-    a tangent mode when every point is NKS, which has no nonlinear
-    corrections, and the Dirichlet-edge modification at a two-level point
-    with the gdsw space, which it does not apply to."""
-    solvers = [_solver_config(cfg, point) for point in _sweep_points(cfg)]
-    if "tangent" in cfg and all(s.variant == "nks" for s in solvers):
-        raise ConfigError("config key tangent is read by the nonlinear "
-                          "Schwarz variants only, not by nks")
-    if any(s.modified and s.coarse_kind == "gdsw"
-           and s.variant not in schwarz.ONE_LEVEL for s in solvers):
-        default = "" if "modified" in cfg else " (the beam's default)"
-        raise ConfigError(
-            f"config key modified must be false{default} at a two-level "
-            "point with coarse gdsw: the Dirichlet-edge modification applies "
-            "to the reduced coarse spaces only")
+    """Raise `ConfigError` for a config key, set in the config or by a
+    flag, that no point of the sweep reads (see `_reads`)."""
+    given = {*cfg, *(f"solver.{level}" for level in cfg.get("solver", {}))}
+    read = set().union(*(_reads(cfg["problem"], _solver_config(cfg, point))
+                         for point in _sweep_points(cfg)))
+    for key in sorted(given & POINT_KEYS - read):
+        raise ConfigError(f"config key {key} is read by no point of the sweep")
 
 
 def _sweep_points(cfg: dict):
     """Cartesian product over the list-valued sweep fields, each point
-    once: the points of a one-level variant have no coarse space."""
+    once: a point leaves out the keys it does not read."""
     axes = {f: _axis(f, cfg[f]) for f in SWEEP_FIELDS if f in cfg}
     points = []
     for combo in itertools.product(*axes.values()):
         point = dict(zip(axes, combo))
-        if point.get("variant") in schwarz.ONE_LEVEL:
-            point.pop("coarse", None)
+        unread = POINT_KEYS - _reads(cfg["problem"], _solver_config(cfg, point))
+        point = {k: v for k, v in point.items() if k not in unread}
         if point not in points:
             points.append(point)
             yield point
 
 
 def _solver_config(cfg: dict, point: dict) -> SolverConfig:
+    get = {**cfg, **point}.get
     base = beam_config() if cfg["problem"] == "beam" else SolverConfig()
-    for level, settings in cfg.get("solver", {}).items():
-        setattr(base, level, replace(getattr(base, level), **settings))
-    base.variant = point.get("variant", cfg.get("variant", base.variant))
-    base.coarse_kind = point.get("coarse", cfg.get("coarse", base.coarse_kind))
-    base.modified = bool(cfg.get("modified", base.modified))
-    base.tangent_mode = cfg.get("tangent", base.tangent_mode)
+    base.variant = get("variant", base.variant)
+    if "coarse" in _reads(cfg["problem"], base):
+        base.coarse_kind = get("coarse", base.coarse_kind)
+    reads = _reads(cfg["problem"], base)
+    base.modified = "modified" in reads and get("modified", base.modified)
+    if "tangent" in reads:
+        base.tangent_mode = get("tangent", base.tangent_mode)
+    for level, settings in get("solver", {}).items():
+        if level in ("outer", "gmres") or f"solver.{level}" in reads:
+            setattr(base, level, replace(getattr(base, level), **settings))
     return base
 
 
@@ -297,25 +310,25 @@ def _decompose(mesh, px, py, overlap, nks: bool):
 def run_point(cfg: dict, point: dict) -> tuple[dict, SolveReport]:
     prob, mesh, dofmap, px, py = _build_case(cfg, point)
     scfg = _solver_config(cfg, point)
-    variant = scfg.variant
+    reads = _reads(cfg["problem"], scfg)
     overlap = _setting(cfg, point, "overlap")
-    dec = _decompose(mesh, px, py, overlap, nks=(variant == "nks"))
-    needs_coarse = variant not in schwarz.ONE_LEVEL
+    dec = _decompose(mesh, px, py, overlap, nks=(scfg.variant == "nks"))
     P0 = None
-    if needs_coarse:
+    if "coarse" in reads:
         P0, _, _ = crs.build_coarse_space(prob, mesh, dofmap, dec,
                                           scfg.coarse_kind, scfg.modified)
-    if variant == "nks":
+    if scfg.variant == "nks":
         sol, rep = solve_nks(prob, mesh, dofmap, dec, scfg, P0=P0)
     else:
         sol, rep = solve_nonlinear_schwarz(prob, mesh, dofmap, dec, scfg, P0=P0)
 
+    values = {"re": prob.Re, "fy": prob.f_y, "coefficient": prob.coefficient,
+              "coarse": scfg.coarse_kind, "modified": scfg.modified,
+              "tangent": scfg.tangent_mode}
     record = {
         "problem": cfg["problem"],
-        "variant": variant,
-        "coarse": scfg.coarse_kind if needs_coarse else None,
-        "modified": scfg.modified if needs_coarse else None,
-        "tangent": scfg.tangent_mode if variant != "nks" else None,
+        "variant": scfg.variant,
+        **{key: val if key in reads else None for key, val in values.items()},
         "num_subdomains": px * py,
         "subdomains": [px, py],
         "hh": _setting(cfg, point, "hh"),
@@ -333,10 +346,6 @@ def run_point(cfg: dict, point: dict) -> tuple[dict, SolveReport]:
         "label": f"{rep.total_gmres} ({rep.outer_iterations})",
         "timings": rep.timings,
     }
-    if cfg["problem"] == "ldc":
-        record["re"] = prob.Re
-    elif cfg["problem"] == "beam":
-        record["fy"] = prob.f_y
     return record, rep
 
 
@@ -398,10 +407,10 @@ def cmd_run(args) -> int:
 
 def cmd_export_coarse(args) -> int:
     try:
-        cfg = _load_config(args.config, args)
-        # the first point of any variant's sweep: the basis is not the
-        # variant's, and a one-level point has no coarse space
-        point = next(_sweep_points(dict(cfg, variant="hybrid")))
+        # every point as hybrid, whose basis is any two-level variant's
+        cfg = dict(_load_config(args.config, args), variant="hybrid")
+        _check_points(cfg)
+        point = next(_sweep_points(cfg))
         prob, mesh, dofmap, px, py = _build_case(cfg, point)
         scfg = _solver_config(cfg, point)
         dec = _decompose(mesh, px, py, _setting(cfg, point, "overlap"),

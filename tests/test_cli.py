@@ -1,5 +1,6 @@
 """Command-line interface tests: sweeps, history round-trip, exit codes."""
 
+import argparse
 import csv
 import json
 
@@ -20,10 +21,6 @@ COARSE_ERROR = ("config key coarse must be one of gdsw, rgdsw, msfem or a "
 RE_ERROR = ("config key re must be a finite number above 0 or a non-empty "
             "list of such")
 FY_ERROR = "config key fy must be a finite number or a non-empty list of such"
-TANGENT_ERROR = ("config key tangent is read by the nonlinear Schwarz "
-                 "variants only, not by nks")
-MODIFIED_ERROR = ("config key modified must be false at a two-level point "
-                  "with coarse gdsw")
 
 BASE = {"problem": "diffusion", "subdomains": [2, 2], "hh": 6, "overlap": 2,
         "variant": "hybrid", "coarse": "rgdsw", "modified": True}
@@ -33,6 +30,36 @@ def write_config(tmp_path, cfg):
     path = tmp_path / "config.json"
     path.write_text(json.dumps(cfg))
     return str(path)
+
+
+def unread(key):
+    return f"config key {key} is read by no point of the sweep"
+
+
+# for each config key that only some points read: the settings of a sweep
+# whose every point leaves it unread, and of the smallest sweep in which one
+# point reads it; both are laid over SWEEP, which sets no such key
+SWEEP = {"problem": "diffusion", "subdomains": [2, 2], "hh": 4}
+UNREAD_AND_READ = {
+    "re": ({"re": 100}, {"problem": "ldc", "re": 100}),
+    "fy": ({"problem": "ldc", "fy": 1.0}, {"problem": "beam", "fy": 1.0}),
+    "coefficient": ({"problem": "ldc", "coefficient": "constant"},
+                    {"coefficient": "constant"}),
+    "coarse": ({"variant": "raspen", "coarse": "gdsw"},
+               {"variant": ["raspen", "hybrid"], "coarse": "gdsw"}),
+    "modified": ({"variant": ["raspen", "hybrid"], "coarse": "gdsw",
+                  "modified": True},
+                 {"coarse": ["gdsw", "rgdsw"], "modified": True}),
+    "tangent": ({"variant": "nks", "tangent": "aspin"},
+                {"variant": ["nks", "raspen"], "tangent": "aspin"}),
+    "solver.inner": ({"variant": "nks", "solver": {"inner": {"max_iter": 1}}},
+                     {"variant": ["nks", "aspen"],
+                      "solver": {"inner": {"max_iter": 1}}}),
+    "solver.coarse": ({"variant": ["raspen", "nks"],
+                       "solver": {"coarse": {"max_iter": 1}}},
+                      {"variant": ["nks", "additive"],
+                       "solver": {"coarse": {"max_iter": 1}}}),
+}
 
 
 class TestRun:
@@ -66,18 +93,19 @@ class TestRun:
     def test_flag_overrides(self, tmp_path):
         cfg = dict(BASE, out=str(tmp_path / "o1"))
         rc = main(["run", write_config(tmp_path, cfg),
-                   "--variant", "aspen", "--subdomains", "2x2",
+                   "--variant", "additive", "--subdomains", "2x2",
                    "--hh", "4", "--out", str(tmp_path / "o2")])
         assert rc == 0
         assert not (tmp_path / "o1").exists()
         records = json.loads((tmp_path / "o2" / "summary.json").read_text())
-        assert records[0]["variant"] == "aspen"
+        assert records[0]["variant"] == "additive"
         assert records[0]["hh"] == 4
 
     def test_solver_failure_recorded_exit_zero(self, tmp_path):
         cfg = dict(BASE, variant="raspen", out=str(tmp_path / "out"),
                    solver={"outer": {"rel_tol": 1e-15, "abs_tol": 0.0,
                                      "max_iter": 1}})
+        del cfg["coarse"], cfg["modified"]
         rc = main(["run", write_config(tmp_path, cfg)])
         assert rc == 0
         records = json.loads((tmp_path / "out" / "summary.json").read_text())
@@ -99,18 +127,22 @@ class TestRun:
         assert records[1]["converged"]
 
     @pytest.mark.parametrize("variants,coarse,points", [
-        (["raspen", "aspen"], ["gdsw", "rgdsw", "msfem"],
-         [("raspen", None), ("aspen", None)]),
+        (["raspen", "aspen"], ["gdsw", "rgdsw", "msfem"], None),
         (["raspen", "hybrid"], ["gdsw", "rgdsw"],
          [("raspen", None), ("hybrid", "gdsw"), ("hybrid", "rgdsw")])],
         ids=["one-level", "mixed"])
-    def test_one_level_points_not_multiplied_by_coarse(self, tmp_path,
+    def test_one_level_points_not_multiplied_by_coarse(self, tmp_path, capsys,
                                                        variants, coarse,
                                                        points):
         """A one-level point has no coarse space, so the coarse values
-        give it no further points."""
+        give it no further points, and a sweep of one-level points only
+        reads none of them."""
         cfg = dict(BASE, variant=variants, coarse=coarse, modified=False,
                    hh=4, out=str(tmp_path / "out"))
+        if points is None:
+            assert main(["run", write_config(tmp_path, cfg)]) == 2
+            assert capsys.readouterr().err == f"error: {unread('coarse')}\n"
+            return
         assert main(["run", write_config(tmp_path, cfg)]) == 0
         records = json.loads((tmp_path / "out" / "summary.json").read_text())
         assert [(r["variant"], r["coarse"]) for r in records] == points
@@ -242,18 +274,12 @@ class TestRun:
          "config key overlap must be an integer of at least 0, got True"),
         ({"overlap": -1},
          "config key overlap must be an integer of at least 0, got -1"),
-        ({"re": [100, 400]},
-         "config key re is read by problem ldc only, not by diffusion"),
-        ({"fy": 1.0},
-         "config key fy is read by problem beam only, not by diffusion"),
-        ({"problem": "ldc", "coefficient": "constant"},
-         "config key coefficient is read by problem diffusion only, not by "
-         "ldc"),
-        ({"variant": "nks", "tangent": "aspin"}, TANGENT_ERROR),
-        ({"variant": ["nks"], "tangent": "exact"}, TANGENT_ERROR),
-        ({"coarse": "gdsw"}, MODIFIED_ERROR),
-        ({"variant": ["raspen", "nks"], "coarse": ["rgdsw", "gdsw"]},
-         MODIFIED_ERROR)],
+        ({"re": [100, 400]}, unread("re")),
+        ({"fy": 1.0}, unread("fy")),
+        ({"problem": "ldc", "coefficient": "constant"}, unread("coefficient")),
+        ({"variant": "nks", "tangent": "aspin"}, unread("tangent")),
+        ({"variant": ["nks"], "tangent": "exact"}, unread("tangent")),
+        ({"coarse": "gdsw"}, unread("modified"))],
         ids=["subdomain", "domain", "seed", "solver.gmress", "solver.outer.tol",
              "solver.outer-number", "solver-number", "gmres.max_iter-0",
              "gmres.max_iter-null", "gmres.restart-negative",
@@ -270,25 +296,77 @@ class TestRun:
              "inner.line_search-string", "modified-string", "hh-float",
              "hh-bool", "overlap-bool", "overlap-negative", "re-diffusion",
              "fy-diffusion", "coefficient-ldc", "tangent-aspin-nks",
-             "tangent-exact-nks-list", "modified-gdsw-hybrid",
-             "modified-gdsw-nks-sweep"])
+             "tangent-exact-nks-list", "modified-gdsw-hybrid"])
     def test_unknown_key_is_config_error(self, tmp_path, capsys, extra, error):
         cfg = {**BASE, "out": str(tmp_path / "out"), **extra}
         assert main(["run", write_config(tmp_path, cfg)]) == 2
         assert capsys.readouterr().err.startswith(f"error: {error}")
         assert not (tmp_path / "out").exists()
 
-    def test_beam_default_modified_with_gdsw_is_config_error(self, tmp_path,
-                                                             capsys):
-        """The beam modifies its coarse space by default, which gdsw does
-        not allow: the config must turn it off."""
-        cfg = {"problem": "beam", "subdomains": [4, 1], "hh": 4,
-               "coarse": "gdsw", "out": str(tmp_path / "out")}
+    @pytest.mark.parametrize("key", UNREAD_AND_READ)
+    def test_key_read_by_no_point_is_config_error(self, tmp_path, capsys,
+                                                  key):
+        """A key that no point of the sweep reads ends the command at load,
+        before the output directory is made."""
+        cfg = {**SWEEP, "out": str(tmp_path / "out"),
+               **UNREAD_AND_READ[key][0]}
         assert main(["run", write_config(tmp_path, cfg)]) == 2
-        assert capsys.readouterr().err.startswith(
-            "error: config key modified must be false (the beam's default) "
-            "at a two-level point with coarse gdsw")
+        assert capsys.readouterr().err == f"error: {unread(key)}\n"
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("key", UNREAD_AND_READ)
+    def test_key_read_by_one_point_is_accepted(self, tmp_path, key):
+        path = write_config(tmp_path, {**SWEEP, **UNREAD_AND_READ[key][1]})
+        cfg = cli._load_config(path, argparse.Namespace())
+        cli._check_points(cfg)
+
+    @pytest.mark.parametrize("flag", ["--coarse=gdsw", "--modified"])
+    def test_flag_read_by_no_point_is_config_error(self, tmp_path, capsys,
+                                                   flag):
+        cfg = dict(SWEEP, variant="raspen", out=str(tmp_path / "out"))
+        assert main(["run", write_config(tmp_path, cfg), flag]) == 2
+        key = flag[2:].split("=")[0]
+        assert capsys.readouterr().err == f"error: {unread(key)}\n"
+        assert not (tmp_path / "out").exists()
+
+    def test_modified_gdsw_nks_sweep_runs(self, tmp_path):
+        """`modified` is read at the NKS point with rgdsw, not at the
+        raspen point nor at the gdsw one, which record None."""
+        cfg = dict(BASE, variant=["raspen", "nks"], coarse=["rgdsw", "gdsw"],
+                   hh=4, out=str(tmp_path / "out"))
+        assert main(["run", write_config(tmp_path, cfg)]) == 0
+        records = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert [(r["variant"], r["coarse"], r["modified"]) for r in records] \
+            == [("raspen", None, None), ("nks", "rgdsw", True),
+                ("nks", "gdsw", None)]
+        assert all(r["converged"] for r in records)
+
+    def test_beam_gdsw_runs_unmodified(self, tmp_path):
+        """The beam modifies its reduced coarse spaces by default; gdsw does
+        not read that, so one config sweeps the beam over all three coarse
+        spaces and its gdsw point builds the plain space."""
+        cfg = {"problem": "beam", "subdomains": [2, 2], "hh": 4, "fy": 1000,
+               "variant": ["raspen", "hybrid"],
+               "coarse": ["msfem", "rgdsw", "gdsw"],
+               "out": str(tmp_path / "out")}
+        assert main(["run", write_config(tmp_path, cfg)]) == 0
+        records = json.loads((tmp_path / "out" / "summary.json").read_text())
+        assert [(r["variant"], r["coarse"], r["modified"]) for r in records] \
+            == [("raspen", None, None), ("hybrid", "msfem", True),
+                ("hybrid", "rgdsw", True), ("hybrid", "gdsw", None)]
+        assert all(r["converged"] for r in records)
+
+    @pytest.mark.parametrize("problem,key,value", [
+        ("ldc", "re", 100.0), ("beam", "fy", 1.0),
+        ("diffusion", "coefficient", "nonlinear")])
+    def test_record_names_problem_key(self, problem, key, value):
+        """Each record holds the key its problem reads, and None for the
+        other problems' keys."""
+        record, _ = run_point({"problem": problem, "subdomains": [2, 2],
+                               "hh": 4, "variant": "raspen"}, {})
+        assert {k: record[k] for k in ("re", "fy", "coefficient")} == {
+            k: value if k == key else None
+            for k in ("re", "fy", "coefficient")}
 
     @pytest.mark.parametrize("cfg", [5, [1, 2], "ldc", None],
                              ids=["number", "list", "string", "null"])
@@ -393,6 +471,18 @@ class TestExportCoarse:
         assert capsys.readouterr().err == (
             f"error: {SUBDOMAINS_ERROR}, got 4\n")
         assert not (tmp_path / "out").exists()
+
+    @pytest.mark.parametrize("cfg", [
+        dict(BASE, variant="raspen"),
+        {"problem": "beam", "subdomains": [4, 1], "hh": 4, "coarse": "gdsw"}],
+        ids=["one-level", "beam-gdsw"])
+    def test_exports(self, tmp_path, cfg):
+        """The export reads a config as hybrid: a one-level config exports
+        its coarse values, and the beam's gdsw space is built unmodified."""
+        cfg = dict(cfg, out=str(tmp_path / "out"))
+        assert main(["export-coarse", write_config(tmp_path, cfg),
+                     "--entity", "0"]) == 0
+        assert (tmp_path / "out" / "coarse_entity_0.csv").exists()
 
     def test_beam_modes_write_both_components(self, tmp_path):
         cfg = {"problem": "beam", "subdomains": [4, 1], "hh": 4,

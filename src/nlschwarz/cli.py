@@ -51,7 +51,8 @@ command with exit code 2 before any point runs or the output directory is
 made.  So does one rule: a key set in the config or by a flag that no
 point of the sweep reads.  A point that does not read ``modified`` builds
 the unmodified coarse space, as a gdsw point does under the beam's default.
-``export-coarse`` applies the rule to its sweep with every variant hybrid.
+``export-coarse`` applies the rule to its sweep with every variant hybrid,
+and a sweep of more than one point ends it with exit code 2.
 A point that fails at run time, as a single subdomain does under a
 two-level variant, is recorded as failed and the sweep goes on.  The domain
 is the unit square, and [0, 5] x [0, 1] for the beam.
@@ -410,7 +411,13 @@ def cmd_export_coarse(args) -> int:
         # every point as hybrid, whose basis is any two-level variant's
         cfg = dict(_load_config(args.config, args), variant="hybrid")
         _check_points(cfg)
-        point = next(_sweep_points(cfg))
+        point, *rest = _sweep_points(cfg)
+        if rest:
+            swept = sorted({key for other in rest for key in {*point, *other}
+                            if other.get(key) != point.get(key)})
+            raise ConfigError("export-coarse exports one point, but the "
+                              f"sweep has {len(rest) + 1}: it sweeps "
+                              f"{', '.join(swept)}")
         prob, mesh, dofmap, px, py = _build_case(cfg, point)
         scfg = _solver_config(cfg, point)
         dec = _decompose(mesh, px, py, _setting(cfg, point, "overlap"),

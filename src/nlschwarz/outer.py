@@ -8,11 +8,16 @@ backtracking line search.  Convergence is monitored on the unpreconditioned
 residual norm ||F(u_k)|| so the curves are directly comparable with NKS; the
 preconditioned norm is recorded alongside.
 
-The NKS baseline is Newton on F(u) with GMRES left-preconditioned by a linear
-two-level Schwarz operator built from the same subdomains and coarse space,
-refreshed at every Newton step: an additive coarse term plus the local block
-solves, each weighted by the partition of unity D_i that the nonlinear
-variants use, M^{-1} = P_0 A_0^{-1} R_0 + sum_i P_i D_i A_i^{-1} R_i.
+The NKS baseline is Newton on F(u) with GMRES on the left-preconditioned
+system M^{-1} DF(u) du = M^{-1} F(u), for a linear two-level Schwarz operator
+built from the same subdomains and coarse space, refreshed at every Newton
+step: an additive coarse term plus the local block solves, each weighted by
+the partition of unity D_i that the nonlinear variants use,
+M^{-1} = P_0 A_0^{-1} R_0 + sum_i P_i D_i A_i^{-1} R_i.  M^{-1} DF(u) is the
+additive Schwarz tangent of ASPIN (Cai and Keyes, SIAM J. Sci. Comput.
+2002), which NKS applies through each block's ghost coupling, as the
+nonlinear Schwarz tangent is applied (see `schwarz`); both solvers hand
+GMRES one operator.
 
 Both solvers take their subdomains from `schwarz.subdomains` and run their
 local work on the processes that own them (see `owners`), which they stop
@@ -32,8 +37,9 @@ from . import assembly as asm
 from .assembly import DofMap, ProblemSpec
 from .mesh import Decomposition, Mesh
 from .owners import OwnerPool
-from .schwarz import (NewtonParams, SchwarzOperator, backtracking_step,
-                      coarse_lu, newton, subdomains)
+from .schwarz import (NewtonParams, SchwarzOperator, _leading_columns,
+                      _trailing_columns, backtracking_step, coarse_lu, newton,
+                      subdomains)
 from .sparse import factorize, gmres
 
 
@@ -134,10 +140,10 @@ def _solve(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
            t_start: float) -> tuple[np.ndarray, SolveReport]:
     """`newton` on the global residual F, shared by both solvers.
 
-    `linearize(u, F(u))` returns (rhs, apply, precond, fields): the step's
-    system apply(du) = rhs, for GMRES left-preconditioned by `precond` unless
-    that is None, and its `OuterStep` fields precond_residual, inner_avg,
-    coarse_its, corrections_converged, t_inner and t_coarse.  A failure of
+    `linearize(u, F(u))` returns (rhs, apply, fields): the step's system
+    apply(du) = rhs, preconditioned by the solver, which GMRES solves as it
+    is, and its `OuterStep` fields precond_residual, inner_avg, coarse_its,
+    corrections_converged, t_inner and t_coarse.  A failure of
     the loop ends the solve with its `reason`; steps whose GMRES or
     local/coarse Newton solves missed their tolerance are taken and
     flagged."""
@@ -152,11 +158,11 @@ def _solve(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
         # replaces them, one subdomain at a time: after NKS's next DF
         # assembly, and after the Schwarz operator's next coarse correction
         starts.append(time.perf_counter())
-        rhs, apply, precond, fields = linearize(u, F)
+        rhs, apply, fields = linearize(u, F)
         t0 = time.perf_counter()
         du, its, ok = gmres(apply, rhs, rel_tol=cfg.gmres.rel_tol,
                             max_iter=cfg.gmres.max_iter,
-                            restart=cfg.gmres.restart, left_prec=precond)
+                            restart=cfg.gmres.restart)
         fields.update(gmres_its=its, gmres_converged=bool(ok),
                       t_gmres=time.perf_counter() - t0)
         solves.append(fields)
@@ -197,7 +203,7 @@ def solve_nonlinear_schwarz(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
         def linearize(u, F):
             ev = op.evaluate(u, F)
             cs, local = ev.coarse_state, ev.local_results
-            return ev.residual, lambda x: op.apply_tangent(ev, x), None, dict(
+            return ev.residual, lambda x: op.apply_tangent(ev, x), dict(
                 precond_residual=float(np.linalg.norm(ev.residual)),
                 inner_avg=float(np.mean([its for its, _ in local])),
                 coarse_its=0 if cs is None else cs.iterations,
@@ -209,39 +215,61 @@ def solve_nonlinear_schwarz(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
 
 
 class _LocalBlocks:
-    """The local blocks A_i = R_i DF P_i of the NKS preconditioner on the
-    overlap DOFs `sub_dofs[i]`, as the task of an `OwnerPool` (see
-    `owners`): on "factorize", block i is cut out of DF's `values` on the
-    full-mesh plan's pattern and factorized; on "apply", it is solved."""
+    """The local terms of NKS's operator M^{-1} DF on the overlap DOFs
+    d_i = `sub_dofs[i]`, as the task of an `OwnerPool` (see `owners`).
+
+    On "factorize", subdomain i's rows R_i DF are cut out of DF's `values`
+    on the full-mesh plan's pattern as [A_i | C_i]: A_i = R_i DF P_i on the
+    columns d_i, C_i on the ghost columns Gamma_i, the columns of the rows
+    d_i outside d_i, which each process derives once per block from the
+    plan's pattern.  A_i is factorized; the factor and C_i are kept.  On
+    "solve", the task writes A_i^{-1} v_i for the vector v; on "apply",
+    A_i^{-1} C_i x_Gamma, so that A_i^{-1} R_i DF x = x_i + A_i^{-1} C_i
+    x_Gamma (see `schwarz`)."""
 
     def __init__(self, plan: asm.AssemblyPlan, sub_dofs: list[np.ndarray],
                  values: np.ndarray):
         self.plan = plan
         self.sub_dofs = sub_dofs
         self.values = values
-        self.factors = {}     # of this process's blocks, by index
+        self.ghosts = {}      # Gamma_i of this process's blocks, by index
+        self.held = {}        # (factor of A_i, C_i) of this process's blocks
 
-    def block(self, i: int) -> sp.csc_matrix:
-        """Block i cut out of `values`, with its exact zeros dropped: the
-        arrays of ``sp.csc_matrix(DF[d][:, d])`` for the DF that
-        `assemble_tangent` returns."""
+    def cut(self, i: int) -> sp.csc_matrix:
+        """[A_i | C_i] cut out of `values`, with its exact zeros dropped.
+        Its leading columns, A_i, have the arrays of
+        ``sp.csc_matrix(DF[d][:, d])`` for the DF that `assemble_tangent`
+        returns."""
         plan, d = self.plan, self.sub_dofs[i]
-        # the column cut allocates new arrays, so eliminate_zeros never
-        # rewrites `values` or the plan's index arrays
-        A = sp.csc_matrix((self.values, plan.indices, plan.indptr),
-                          shape=(plan.n_rows, plan.n))[:, d][d]
+        # the cuts allocate new arrays, so eliminate_zeros never rewrites
+        # `values` or the plan's index arrays
+        DF = sp.csc_matrix((self.values, plan.indices, plan.indptr),
+                           shape=(plan.n_rows, plan.n))
+        if i not in self.ghosts:
+            # the row cut keeps the explicit zeros, so its nonempty columns
+            # are those of the pattern, whatever the values
+            coupled = np.diff(DF[d].indptr) > 0
+            coupled[d] = False
+            self.ghosts[i] = np.flatnonzero(coupled)
+        A = DF[:, np.concatenate([d, self.ghosts[i]])][d]
         A.eliminate_zeros()
         return A
 
     def __call__(self, i: int, command: str | None, vector: np.ndarray,
                  out: np.ndarray):
+        if command == "solve":
+            out[:] = self.held[i][0].solve(vector[self.sub_dofs[i]])
+            return None
         if command == "apply":
-            out[:] = self.factors[i].solve(vector[self.sub_dofs[i]])
+            lu, coupling = self.held[i]
+            out[:] = lu.solve(coupling @ vector[self.ghosts[i]])
             return None
         # the old factor goes before its replacement is built
-        self.factors.pop(i, None)
+        self.held.pop(i, None)
         if command == "factorize":
-            self.factors[i] = factorize(self.block(i), fast=True)
+            A, n = self.cut(i), self.sub_dofs[i].size
+            self.held[i] = (factorize(_leading_columns(A, n), fast=True),
+                            _trailing_columns(A, n))
         return None
 
 
@@ -257,19 +285,26 @@ def solve_nks(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
     max(1, overlap // 2) nodal-graph overlap layers, for the `overlap`
     dual-graph layers of the nonlinear Schwarz methods (see
     `cli._decompose`), and ghost layers, which `schwarz.subdomains` checks
-    for both solvers.
+    for both solvers.  GMRES solves M^{-1} DF du = M^{-1} F, applying
+    M^{-1} DF as the additive Schwarz tangent
+
+        M^{-1} DF x = sum_i P_i D_i (x_i + A_i^{-1} C_i x_Gamma_i)
+                      + P_0 A_0^{-1} (R_0 DF) x
+
+    with A_i, C_i the blocks of R_i DF on the columns d_i and Gamma_i (see
+    `_LocalBlocks`).  So no process holds a copy of DF through GMRES; its
+    values stay only in the pool's shared mapping, which the owners cut.
 
     The local blocks run on an `OwnerPool` (see `owners`), which is
-    stopped when the solve returns or raises.  Each Newton step,
-    the caller assembles DF into the pool's `extra`, from which the owners
-    cut, factorize and keep their blocks, while the caller factorizes
-    the coarse block; in each apply the caller computes the coarse term
-    while the owners solve theirs.  The caller adds the local terms in
-    subdomain order, then the coarse term, so the bits do not depend on the
-    number of processes.
+    stopped when the solve returns or raises.  Each Newton step, the caller
+    assembles DF into the pool's `extra`, from which the owners cut,
+    factorize and keep their blocks, while the caller forms R_0 DF and
+    factorizes A_0 = R_0 DF P_0; in each apply the caller computes the
+    coarse term while the owners solve theirs.  The caller adds the local
+    terms in subdomain order, then the coarse term, so the bits do not
+    depend on the number of processes.
     """
     t_start = time.perf_counter()
-    R0 = P0.T.tocsr() if P0 is not None else None
     subs = subdomains(problem, mesh, dofmap, decomp)
     plan = asm.global_plan(mesh, dofmap, problem)
     sub_dofs = [sub.dofs_ov for sub in subs]
@@ -280,33 +315,42 @@ def solve_nks(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
 
         def linearize(u, F):
             t0 = time.perf_counter()
-            # by rows, for GMRES's products and R0 DF P0
             DF = asm.assemble_tangent(problem, mesh, dofmap, u, plan=plan,
-                                      values=owners.extra).tocsr()
+                                      values=owners.extra)
             t_coarse = 0.0
 
             def coarse_factor():
                 nonlocal t_coarse
                 t = time.perf_counter()
-                lu = coarse_lu((R0 @ DF @ P0).toarray())
+                # R0 is built each step, so that GMRES runs without it; the
+                # product copies DF by rows, and the copy goes with it
+                R0 = P0.T.tocsr()
+                R0DF = R0 @ DF
+                lu = coarse_lu((R0DF @ P0).toarray())
                 t_coarse = time.perf_counter() - t
-                return lu
+                return R0 @ F, R0DF, lu
 
             coarse, _ = owners.run(
                 "factorize", blocks,
                 first=coarse_factor if P0 is not None else None)
             t_inner = time.perf_counter() - t0 - t_coarse
 
-            def precond(v):
+            R0F, R0DF, lu0 = coarse or (None, None, None)
+
+            def summed(command, v, coarse_rhs):
+                """sum_i P_i D_i y_i for the owners' results y_i of
+                `command` on v, each with v_i added for "apply", plus the
+                coarse term P_0 A_0^{-1} coarse_rhs()."""
                 term, _ = owners.run(
-                    "apply", blocks, v, None if coarse is None
-                    else lambda: P0 @ sla.lu_solve(coarse, R0 @ v))
-                out = owners.combine()
+                    command, blocks, v, None if lu0 is None
+                    else lambda: P0 @ sla.lu_solve(lu0, coarse_rhs()))
+                out = owners.combine(v if command == "apply" else None)
                 if term is not None:
                     out += term
                 return out
 
-            return F, lambda x: DF @ x, precond, dict(
+            return summed("solve", F, lambda: R0F), lambda x: summed(
+                "apply", x, lambda: R0DF @ x), dict(
                 precond_residual=None, inner_avg=0.0, coarse_its=0,
                 corrections_converged=True, t_inner=t_inner, t_coarse=t_coarse)
 

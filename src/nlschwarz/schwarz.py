@@ -55,7 +55,8 @@ every tangent apply.  Each writes its correction or solve into the pool's
 stacked results, and the caller recombines them in subdomain order, so the
 bits do not depend on the number of owners.  The NKS
 preconditioner (`outer.solve_nks`) takes its blocks' DOFs from the same
-`subdomains`.
+`subdomains` and applies M^{-1} DF by the same identity, with A_i and C_i
+cut from the full-mesh DF instead of assembled on the subdomain's plan.
 """
 
 from __future__ import annotations

@@ -3,11 +3,12 @@
 `factorize` builds the sparse LUs of both solvers' subdomain blocks; the
 weighted sum of the block solves is formed where the owner processes stack
 them, by `owners.OwnerPool.combine`.
-`gmres` hands SciPy's restarted GMRES the left-preconditioned operator M A
-and the right-hand side M b, so it stops on the preconditioned residual,
-||M (b - A x)|| <= rel_tol ||M b||.  Its cap on inner iterations rounds up
-to whole restart cycles, Gram-Schmidt makes one pass, and a breakdown that
-misses the tolerance ends the solve instead of restarting it.
+`gmres` hands SciPy's restarted GMRES an operator A and a right-hand side b
+and stops on ||b - A x|| <= rel_tol ||b||; both solvers pass a
+preconditioned operator and right-hand side, M A and M b, so the solve
+stops on the preconditioned residual.  Its cap on inner iterations rounds
+up to whole restart cycles, Gram-Schmidt makes one pass, and a breakdown
+that misses the tolerance ends the solve instead of restarting it.
 """
 
 from __future__ import annotations
@@ -89,15 +90,14 @@ def factorize(A: sp.spmatrix, fast: bool = False) -> Factorization:
 
 
 def gmres(apply: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
-          rel_tol: float = 1e-8, max_iter: int = 1000, restart: int | None = None,
-          left_prec: Callable[[np.ndarray], np.ndarray] | None = None
+          rel_tol: float = 1e-8, max_iter: int = 1000, restart: int | None = None
           ) -> tuple[np.ndarray, int, bool]:
-    """Restarted GMRES (SciPy's) on the left-preconditioned system M A x = M b.
+    """Restarted GMRES (SciPy's) on A x = b, A = `apply`.
 
-    With M = `left_prec` (the identity if None), the solve stops once
-    ||M (b - A x)|| <= rel_tol ||M b||.  `restart` is the inner subspace size
-    (all of `max_iter` if None); it is clipped to `max_iter` and to the
-    system size.  Returns (x, total inner iterations, converged flag); on
+    The solve stops once ||b - A x|| <= rel_tol ||b||; a left-preconditioned
+    system comes as M A and M b.  `restart` is the inner subspace size (all
+    of `max_iter` if None); it is clipped to `max_iter` and to the system
+    size.  Returns (x, total inner iterations, converged flag); on
     failure the last iterate is returned.  Three edges of SciPy's loop:
 
     - the cap `max_iter` rounds up to whole restart cycles: `max_iter=5,
@@ -108,18 +108,16 @@ def gmres(apply: Callable[[np.ndarray], np.ndarray], b: np.ndarray,
     """
     b = np.asarray(b, dtype=np.float64)
     n = b.shape[0]
-    prec = left_prec if left_prec is not None else (lambda v: v)
-    Mb = np.asarray(prec(b), dtype=np.float64)
-    if not Mb.any():
+    if not b.any():
         return np.zeros(n), 0, True
     r = min(restart or max_iter, max_iter, n)
     # copy: SciPy's Gram-Schmidt updates the returned vector in place, and
     # the operator may return its argument (e.g. the identity)
     op = spla.LinearOperator((n, n), dtype=np.float64,
-                             matvec=lambda v: np.array(prec(apply(v)),
+                             matvec=lambda v: np.array(apply(v),
                                                        dtype=np.float64))
     residuals = []  # one entry per inner iteration
-    x, info = spla.gmres(op, Mb, rtol=rel_tol, atol=0.0, restart=r,
+    x, info = spla.gmres(op, b, rtol=rel_tol, atol=0.0, restart=r,
                          maxiter=math.ceil(max_iter / r),
                          callback=residuals.append, callback_type="pr_norm")
     return x, len(residuals), info == 0

@@ -472,6 +472,19 @@ class TestExportCoarse:
             f"error: {SUBDOMAINS_ERROR}, got 4\n")
         assert not (tmp_path / "out").exists()
 
+    def test_sweep_of_many_points_exits_2(self, tmp_path, capsys):
+        """The export writes one point's entity; a sweep of four ends it
+        with the swept keys named, before its output exists."""
+        cfg = {"problem": "diffusion", "subdomains": [[2, 2], [3, 3]],
+               "hh": 4, "coarse": ["gdsw", "rgdsw"],
+               "out": str(tmp_path / "out")}
+        assert main(["export-coarse", write_config(tmp_path, cfg),
+                     "--entity", "0"]) == 2
+        assert capsys.readouterr().err == (
+            "error: export-coarse exports one point, but the sweep has 4: "
+            "it sweeps coarse, subdomains\n")
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize("cfg", [
         dict(BASE, variant="raspen"),
         {"problem": "beam", "subdomains": [4, 1], "hh": 4, "coarse": "gdsw"}],

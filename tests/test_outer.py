@@ -166,20 +166,19 @@ class TestNks:
         # the preconditioned counts must be far below the system size
         assert max(st.gmres_its for st in rep_prec.steps) < dm.n_dofs // 4
 
-    def test_preconditioner_matches_loop(self, monkeypatch):
-        """The stacked local solves of the NKS preconditioner add the
-        subdomain terms, each weighted by its partition of unity, in the
-        order of a loop over the subdomains, then the coarse term, to the
-        bit.  The factors are recorded in this process, so it owns every
-        subdomain."""
+    def test_operator_matches_loop(self, monkeypatch):
+        """GMRES gets M^{-1} F and the operator M^{-1} DF of the 2x2,
+        H/h = 6 cavity at Re 100, at the initial iterate.  The operator
+        agrees with M^{-1} applied to DF x, and both add the subdomain
+        terms, each weighted by its partition of unity, in the order of a
+        loop over the subdomains, then the coarse term, to the bit: the
+        operator as x_i + A_i^{-1} C_i x_Gamma_i.  The factors are recorded
+        in this process, so it owns every subdomain."""
         monkeypatch.setenv("NLSCHWARZ_WORKERS", "1")
-        prob = asm.ldc_problem(100.0)
-        m = msh.build_structured_mesh(8, 8, problem_kind="ldc")
-        dm = asm.build_dofmap(prob, m)
-        dec = msh.partition_structured(m, 2, 2)
-        msh.extend_overlap(dec, msh.dual_graph(m), 1)
-        msh.ghost_layer(dec, m)
-        P0 = coarse_space(prob, m, dm, dec)
+        prob, m, dm, px, py = cli._build_case(
+            {"problem": "ldc", "re": 100, "subdomains": [2, 2], "hh": 6}, {})
+        dec = cli._decompose(m, px, py, 2, nks=True)
+        P0, _, _ = crs.build_coarse_space(prob, m, dm, dec)
         factors, coarse, captured = [], [], {}
 
         def recorded(record, fn):
@@ -188,8 +187,8 @@ class TestNks:
                 return record[-1]
             return call
 
-        def first_gmres(apply, b, left_prec=None, **kwargs):
-            captured["precond"] = left_prec
+        def first_gmres(apply, b, **kwargs):
+            captured.update(apply=apply, rhs=b)
             raise np.linalg.LinAlgError("stop after the first linearization")
         monkeypatch.setattr(outer, "factorize", recorded(factors, factorize))
         monkeypatch.setattr(outer, "coarse_lu", recorded(coarse, outer.coarse_lu))
@@ -198,16 +197,39 @@ class TestNks:
                            P0=P0)
         assert rep.reason == ("linearization failed: LinAlgError: "
                               "stop after the first linearization")
+        u0 = asm.initial_iterate(prob, dm)
+        plan = asm.global_plan(m, dm, prob)
+        values = np.empty(plan.nnz)
+        DF = asm.assemble_tangent(prob, m, dm, u0, plan=plan, values=values)
+        R0 = P0.T.tocsr()
         subs = subdomains(prob, m, dm, dec)
+        blocks = outer._LocalBlocks(plan, [sub.dofs_ov for sub in subs],
+                                    values)
+
+        def precond(v):
+            out = np.zeros_like(v)
+            for sub, lu in zip(subs, factors):
+                out[sub.dofs_ov] += sub.weight * lu.solve(v[sub.dofs_ov])
+            return out + P0 @ sla.lu_solve(coarse[0], R0 @ v)
+
+        np.testing.assert_array_equal(
+            captured["rhs"],
+            precond(asm.assemble_residual(prob, m, dm, u0)))
         rng = np.random.default_rng(4)
         for _ in range(2):
-            v = rng.standard_normal(dm.n_dofs)
-            expect = np.zeros_like(v)
-            for sub, lu in zip(subs, factors):
-                d, w = sub.dofs_ov, sub.weight
-                expect[d] += w * lu.solve(v[d])
-            expect += P0 @ sla.lu_solve(coarse[0], P0.T.tocsr() @ v)
-            np.testing.assert_array_equal(captured["precond"](v), expect)
+            x = rng.standard_normal(dm.n_dofs)
+            got = captured["apply"](x)
+            oracle = precond(DF @ x)
+            assert (np.linalg.norm(got - oracle)
+                    <= 1e-12 * np.linalg.norm(oracle))
+            expect = np.zeros_like(x)
+            for i, (sub, lu) in enumerate(zip(subs, factors)):
+                d = sub.dofs_ov
+                coupling = outer._trailing_columns(blocks.cut(i), d.size)
+                expect[d] += sub.weight * (
+                    lu.solve(coupling @ x[blocks.ghosts[i]]) + x[d])
+            expect += P0 @ sla.lu_solve(coarse[0], (R0 @ DF) @ x)
+            np.testing.assert_array_equal(got, expect)
 
     @pytest.mark.parametrize("config", CASES, ids=CASE_IDS)
     def test_weights_form_partition_of_unity(self, config):
@@ -226,13 +248,15 @@ class TestNks:
     @pytest.mark.parametrize("state", ["initial", "perturbed"])
     @pytest.mark.parametrize("config", CASES, ids=CASE_IDS)
     def test_gathered_blocks_equal_cut(self, config, state):
-        """Each block that `_LocalBlocks` cuts out of DF's values on the
-        plan's pattern has the data, indices and pointers of the CSC cut
-        DF[d][:, d], also when the values of the other state were cut
-        before, and leaves the values and the plan's index arrays as they
-        were.  Every problem has exact zeros in its blocks at the initial
-        state, and the cavity also at the perturbed one (its pressure
-        block)."""
+        """Each [A_i | C_i] that `_LocalBlocks` cuts out of DF's values on
+        the plan's pattern has, in A_i, the data, indices and pointers of
+        the CSC cut DF[d][:, d] and, in C_i, the entries of DF[d] on the
+        ghost columns: the columns of the pattern's rows d outside d, which
+        are ghost DOFs of the subdomain's own plan.  So it holds also when
+        the values of the other state were cut before, and the cut leaves
+        the values and the plan's index arrays as they were.  Every problem
+        has exact zeros in its blocks at the initial state, and the cavity
+        also at the perturbed one (its pressure block)."""
         prob, m, dm, px, py = cli._build_case(config, {})
         dec = cli._decompose(m, px, py, 2, nks=True)
         u0 = asm.initial_iterate(prob, dm)
@@ -241,7 +265,8 @@ class TestNks:
             dm.dirichlet_mask, u0, u0 + 1e-3 * rng.standard_normal(dm.n_dofs))}
         other = "initial" if state == "perturbed" else "perturbed"
         plan = asm.global_plan(m, dm, prob)
-        sub_dofs = [asm.subset_dofs(dm, m, ov) for ov in dec.overlap_elements]
+        subs = subdomains(prob, m, dm, dec)
+        sub_dofs = [sub.dofs_ov for sub in subs]
         values = np.empty(plan.nnz)
         blocks = outer._LocalBlocks(plan, sub_dofs, values)
         pattern = sp.csc_matrix((np.ones(plan.nnz), plan.indices, plan.indptr),
@@ -251,14 +276,22 @@ class TestNks:
                                       values=values)
             kept = [a.copy() for a in (values, plan.indices, plan.indptr)]
             dropped = 0
-            for i, d in enumerate(sub_dofs):
-                got = blocks.block(i)
+            for i, (sub, d) in enumerate(zip(subs, sub_dofs)):
+                got = blocks.cut(i)
+                ghosts = blocks.ghosts[i]
+                assert np.isin(ghosts, sub.ghosts).all()
+                lead = outer._leading_columns(got, d.size)
                 cut = sp.csc_matrix(DF[d][:, d])
                 for attr in ("data", "indices", "indptr"):
-                    np.testing.assert_array_equal(getattr(got, attr),
+                    np.testing.assert_array_equal(getattr(lead, attr),
                                                   getattr(cut, attr))
-                    assert getattr(got, attr).dtype == getattr(cut, attr).dtype
-                dropped += pattern[d][:, d].nnz - got.nnz
+                    assert getattr(lead, attr).dtype == getattr(cut, attr).dtype
+                coupling = outer._trailing_columns(got, d.size)
+                assert (coupling != DF[d][:, ghosts]).nnz == 0
+                outside = np.setdiff1d(np.arange(dm.n_dofs),
+                                       np.concatenate([d, ghosts]))
+                assert pattern[d][:, outside].nnz == 0
+                dropped += pattern[d][:, d].nnz - lead.nnz
             for before, after in zip(kept, (values, plan.indices,
                                             plan.indptr)):
                 np.testing.assert_array_equal(after, before)

@@ -111,10 +111,11 @@ class TestGmres:
         assert its == 5
 
     def test_left_preconditioner(self):
+        # a left-preconditioned system goes in as M A and M b
         A, b = random_system(seed=9)
         M = factorize(A)
-        x, its, ok = gmres(lambda v: A @ v, b, rel_tol=1e-12, max_iter=50,
-                           left_prec=M.solve)
+        x, its, ok = gmres(lambda v: M.solve(A @ v), M.solve(b),
+                           rel_tol=1e-12, max_iter=50)
         assert ok
         assert its <= 3
         assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) < 1e-10
@@ -146,8 +147,8 @@ class TestGmresPinned:
         # ||M r|| <= rel_tol ||M b|| while ||r||/||b|| is still 5e-2
         A, b = random_system(n=150, seed=5, shift=3.0)
         d = 10.0 ** np.random.default_rng(1).uniform(-3, 3, 150)
-        x, its, ok = gmres(lambda v: A @ v, b, rel_tol=1e-6, max_iter=400,
-                           left_prec=lambda v: d * v)
+        x, its, ok = gmres(lambda v: d * (A @ v), d * b, rel_tol=1e-6,
+                           max_iter=400)
         assert (its, ok) == (111, True)
         r = b - A @ x
         assert np.linalg.norm(d * r) <= 1e-6 * np.linalg.norm(d * b)

@@ -154,9 +154,9 @@ def _solve(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
         # the caller's references to the linearization go when this
         # returns, before the next is built: holding both sets of
         # factorizations raises the peak memory.  The subdomain owners, the
-        # caller among them, keep their factors until the next command
-        # replaces them, one subdomain at a time: after NKS's next DF
-        # assembly, and after the Schwarz operator's next coarse correction
+        # caller among them, keep their factors until the next
+        # linearization starts and releases them all: before NKS's next DF
+        # assembly, and before the Schwarz operator's next coarse correction
         starts.append(time.perf_counter())
         rhs, apply, fields = linearize(u, F)
         t0 = time.perf_counter()
@@ -222,10 +222,10 @@ class _LocalBlocks:
     on the full-mesh plan's pattern as [A_i | C_i]: A_i = R_i DF P_i on the
     columns d_i, C_i on the ghost columns Gamma_i, the columns of the rows
     d_i outside d_i, which each process derives once per block from the
-    plan's pattern.  A_i is factorized; the factor and C_i are kept.  On
-    "solve", the task writes A_i^{-1} v_i for the vector v; on "apply",
-    A_i^{-1} C_i x_Gamma, so that A_i^{-1} R_i DF x = x_i + A_i^{-1} C_i
-    x_Gamma (see `schwarz`)."""
+    plan's pattern.  A_i is factorized; the factor and C_i are kept until
+    the command None releases them.  On "solve", the task writes
+    A_i^{-1} v_i for the vector v; on "apply", A_i^{-1} C_i x_Gamma, so
+    that A_i^{-1} R_i DF x = x_i + A_i^{-1} C_i x_Gamma (see `schwarz`)."""
 
     def __init__(self, plan: asm.AssemblyPlan, sub_dofs: list[np.ndarray],
                  values: np.ndarray):
@@ -264,12 +264,12 @@ class _LocalBlocks:
             lu, coupling = self.held[i]
             out[:] = lu.solve(coupling @ vector[self.ghosts[i]])
             return None
-        # the old factor goes before its replacement is built
-        self.held.pop(i, None)
-        if command == "factorize":
-            A, n = self.cut(i), self.sub_dofs[i].size
-            self.held[i] = (factorize(_leading_columns(A, n), fast=True),
-                            _trailing_columns(A, n))
+        if command is None:
+            self.held.pop(i, None)
+            return None
+        A, n = self.cut(i), self.sub_dofs[i].size
+        self.held[i] = (factorize(_leading_columns(A, n), fast=True),
+                        _trailing_columns(A, n))
         return None
 
 
@@ -292,17 +292,18 @@ def solve_nks(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
                       + P_0 A_0^{-1} (R_0 DF) x
 
     with A_i, C_i the blocks of R_i DF on the columns d_i and Gamma_i (see
-    `_LocalBlocks`).  So no process holds a copy of DF through GMRES; its
-    values stay only in the pool's shared mapping, which the owners cut.
+    `_LocalBlocks`).  So no process holds DF through GMRES.
 
     The local blocks run on an `OwnerPool` (see `owners`), which is
-    stopped when the solve returns or raises.  Each Newton step, the caller
-    assembles DF into the pool's `extra`, from which the owners cut,
-    factorize and keep their blocks, while the caller forms R_0 DF and
-    factorizes A_0 = R_0 DF P_0; in each apply the caller computes the
-    coarse term while the owners solve theirs.  The caller adds the local
-    terms in subdomain order, then the coarse term, so the bits do not
-    depend on the number of processes.
+    stopped when the solve returns or raises.  Each Newton step, the owners
+    first release the last step's blocks; then the caller assembles DF into
+    the pool's `extra`, from which the owners cut, factorize and keep their
+    blocks, while the caller forms R_0 DF and factorizes A_0 = R_0 DF P_0,
+    and once the blocks are cut the caller returns the pages of DF's values
+    to the system.  In each apply the caller computes the coarse term while
+    the owners solve theirs.  The caller adds the local terms in subdomain
+    order, then the coarse term, so the bits do not depend on the number of
+    processes.
     """
     t_start = time.perf_counter()
     subs = subdomains(problem, mesh, dofmap, decomp)
@@ -315,6 +316,7 @@ def solve_nks(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
 
         def linearize(u, F):
             t0 = time.perf_counter()
+            owners.run(None, blocks)
             DF = asm.assemble_tangent(problem, mesh, dofmap, u, plan=plan,
                                       values=owners.extra)
             t_coarse = 0.0
@@ -333,6 +335,7 @@ def solve_nks(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
             coarse, _ = owners.run(
                 "factorize", blocks,
                 first=coarse_factor if P0 is not None else None)
+            owners.free_extra()
             t_inner = time.perf_counter() - t0 - t_coarse
 
             R0F, R0DF, lu0 = coarse or (None, None, None)

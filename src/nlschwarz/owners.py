@@ -66,20 +66,22 @@ class OwnerPool:
     n-vector a command reads, which `run` writes, and the task results,
     stacked in subdomain order, which `combine` sums; the arrays `extra`,
     `vector` and `results` view them, and `outs[i]`, subdomain i's block of
-    `results`, of the size of `blocks[i]`, is the `out` of its task.  One
-    pipe per owner carries the commands and the small replies.  The owners start
-    at the first `run`; `close`, leaving a ``with`` block or the pool's
-    garbage collection stops them, and a `run` after `close` starts them
-    again.
+    `results`, of the size of `blocks[i]`, is the `out` of its task.
+    `free_extra` returns the pages of `extra` to the system until the next
+    write.  One pipe per owner carries the commands and the small replies.
+    The owners start at the first `run`; `close`, leaving a ``with`` block
+    or the pool's garbage collection stops them, and a `run` after `close`
+    starts them again.
 
     A command runs through a task, ``task(i, command, vector, out)``, which
     runs `command` on subdomain i and returns a small picklable result.
     Each owner calls it for its subdomains in increasing order and stops at
-    the first that raises.  When an owner process stops, it calls the task
-    with the command None for each of its subdomains, to release what the
-    task holds for them.  The owners run the task of the `run` that started
-    them, so every `run` hands the same one.  The pool does not keep the
-    task, so it holds no reference to the solver that made it."""
+    the first that raises.  The command None releases what the task holds
+    for subdomain i: a ``run(None, task)`` releases it on every subdomain,
+    and an owner process that stops calls the task with None for each of
+    its own.  The owners run the task of the `run` that started them, so
+    every `run` hands the same one.  The pool does not keep the task, so it
+    holds no reference to the solver that made it."""
 
     def __init__(self, blocks: list[np.ndarray], n: int,
                  weights: list[np.ndarray], extra: int = 0):
@@ -88,14 +90,25 @@ class OwnerPool:
         self.subdomains = len(blocks)
         self.workers = min(workers_from_env(), self.subdomains)
         size = extra + n + self.index.size
-        shared = np.frombuffer(mmap.mmap(-1, 8 * max(size, 1)), np.float64,
-                               size)
+        self._map = mmap.mmap(-1, 8 * max(size, 1))
+        shared = np.frombuffer(self._map, np.float64, size)
         self.extra, self.vector, self.results = np.split(
             shared, [extra, extra + n])
         self.outs = np.split(self.results,
                              np.cumsum([d.size for d in blocks[:-1]]))
         self.procs, self.conns = [], []
         self._stop = None
+
+    def free_extra(self) -> None:
+        """Return the whole pages of `extra`, which head the mapping, to the
+        system for every process that shares them, and zero the rest of it:
+        `extra` reads as zeros, and the next write maps fresh pages.
+        MADV_REMOVE frees a shared page; MADV_DONTNEED would only unmap the
+        caller's view of it."""
+        whole = 8 * self.extra.size // mmap.PAGESIZE * mmap.PAGESIZE
+        if whole:
+            self._map.madvise(mmap.MADV_REMOVE, 0, whole)
+        self.extra[whole // 8:] = 0.0
 
     def close(self) -> None:
         """Stop the owner processes."""

@@ -4,10 +4,11 @@ The local correction on subdomain i solves R_i F(u - P_i T_i(u)) = 0 on the
 overlapping subdomain; ghost-layer and Dirichlet DOFs stay fixed, so the
 restricted residual rows coincide with the global ones.  The coarse
 correction solves R_0 F(u - P_0 T_0(u)) = 0 in the coarse coefficients with
-R_0 = P_0^T and full-mesh residual assembly.  Both run `newton`, the damped
-Newton loop of the outer solvers too, and differ only in their residual, step
-solve and state update; a non-finite residual ends either one with a
-`NonPhysicalStateError` that names the level.
+R_0 = P_0^T, built for the correction's duration, and full-mesh residual
+assembly.  Both run `newton`, the damped Newton loop of the outer solvers
+too, and differ only in their residual, step solve and state update; a
+non-finite residual ends either one with a `NonPhysicalStateError` that
+names the level.
 
 Corrections are recombined into the preconditioned residuals
 
@@ -50,7 +51,8 @@ caller or one forked at the first evaluation (see `owners` for the map).
 The owner builds the subdomain's assembly plan in its share of the first
 evaluation and holds it; no other process builds it.  It runs the
 subdomain's local Newton solve, factorizes its A_i and keeps the factor
-and C_i until the next evaluation; it also runs the subdomain's solve of
+and C_i until the next evaluation starts, which releases them in every
+owner before its coarse correction; it also runs the subdomain's solve of
 every tangent apply.  Each writes its correction or solve into the pool's
 stacked results, and the caller recombines them in subdomain order, so the
 bits do not depend on the number of owners.  The NKS
@@ -320,7 +322,10 @@ class SchwarzOperator:
     module docstring), whose other processes start at the first
     evaluation; `close`, or leaving a ``with`` block, stops them and
     releases the held local operators.  An evaluation after that starts
-    them again.  Only the latest evaluation's tangent can be applied."""
+    them again.  Only the latest evaluation's tangent can be applied: each
+    evaluation first releases the local operators of the last one in every
+    owner, so no process holds two sets.  The coarse operators live in the
+    `Evaluation`, as long as the caller keeps it."""
 
     def __init__(self, problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
                  decomp: Decomposition, variant: str = "hybrid",
@@ -338,7 +343,6 @@ class SchwarzOperator:
         self.dofmap = dofmap
         self.variant = variant
         self.P0 = P0
-        self.R0 = P0.T.tocsr() if P0 is not None else None
         self.tangent_mode = tangent_mode
         self.inner = inner or NewtonParams()
         self.coarse = coarse or NewtonParams()
@@ -398,8 +402,10 @@ class SchwarzOperator:
     def coarse_correction(self, u: np.ndarray,
                           F: np.ndarray | None = None) -> CoarseSolveState:
         """T_0(u) by damped Newton from c = 0; `F` is F(u) if the caller has
-        it, which is then the first residual, since u - P0 0 is exactly u."""
-        P0, R0 = self.P0, self.R0
+        it, which is then the first residual, since u - P0 0 is exactly u.
+        R0 = P0^T is built for the correction's duration only."""
+        P0 = self.P0
+        R0 = P0.T.tocsr()
 
         def coarse_residual(cc):
             return R0 @ asm.assemble_residual(self.problem, self.mesh,
@@ -435,13 +441,12 @@ class SchwarzOperator:
             st = self._held[i]
             out[:] = st.tangent.solve(st.coupling @ vector[self.subs[i].ghosts])
             return None
-        # the old state goes before its replacement is built
-        self._held.pop(i, None)
-        if command == "evaluate":
-            st = self._held[i] = self.local_correction(self.subs[i], vector)
-            out[:] = st.correction
-            return st.iterations, st.converged
-        return None
+        if command is None:
+            self._held.pop(i, None)
+            return None
+        st = self._held[i] = self.local_correction(self.subs[i], vector)
+        out[:] = st.correction
+        return st.iterations, st.converged
 
     # -- preconditioned residual -------------------------------------------
 
@@ -456,6 +461,9 @@ class SchwarzOperator:
         it, for the coarse correction to start from.  It supersedes every
         earlier evaluation, whose tangent can no longer be applied."""
         self._evaluations += 1
+        # the last evaluation's local operators go, in every owner, before
+        # this one's coarse correction and local solves are built
+        self._owners.run(None, self._local_task)
         t_coarse = 0.0
         coarse_state = None
         w = u

@@ -23,14 +23,21 @@ import scipy.sparse.linalg as spla
 
 try:
     import ctypes
-    # Fix the malloc mmap threshold (M_MMAP_THRESHOLD = -3) at 128 KiB, so
-    # large transient assembly and factorization buffers are unmapped on free
-    # instead of growing the heap.  Without it the peak RSS of the 4x4 cavity
-    # benchmarks rose from 107.1-107.2 to 119.2-125.6 MB (hybrid) and from
-    # 110.4-110.8 to 148.6-156.4 MB (NKS): `bench/probe.py`, 2 alternating
-    # runs each on 2 cores, 2 owner processes, BLAS threads pinned to 1.
-    # The setting costs time, as each fresh mapping page-faults on first
-    # touch.
+    # Fix the malloc mmap threshold (M_MMAP_THRESHOLD = -3) at 128 KiB.
+    # SciPy's SuperLU keeps each factor's L and U arrays at the capacity it
+    # pre-sized them to, mostly never touched: eight held factors of one
+    # 1,401-DOF cavity block (38,098 nonzeros, 133,638 factor nonzeros) add
+    # 209.7 MB of malloc'd memory but 11.0 MB of RSS.  Above the fixed
+    # threshold each array is a mapping of its own, whose untouched capacity
+    # is never resident.  glibc's dynamic threshold rises to the size of
+    # each mapping freed, so the next arrays land in the heap, whose pages
+    # earlier buffers have touched, and there the capacity is resident.
+    # Buffers that assembly plans own and reuse therefore cannot replace
+    # the call.  Its price is a page fault on the first touch of every large
+    # temporary: the caller's minor faults per solve of the 4x4 hybrid
+    # cavity benchmark are 94-96k with the call and 29-30k without it, for
+    # a peak RSS of 103.5-104.1 against 115.8-116.9 MB (3 runs each on
+    # 2 vCPUs, 2 owner processes, BLAS threads pinned to 1).
     ctypes.CDLL("libc.so.6").mallopt(-3, 131072)
 except OSError:  # pragma: no cover - non-glibc platform
     pass

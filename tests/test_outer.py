@@ -231,6 +231,39 @@ class TestNks:
             expect += P0 @ sla.lu_solve(coarse[0], (R0 @ DF) @ x)
             np.testing.assert_array_equal(got, expect)
 
+    def test_blocks_released_before_the_next_assembly(self, monkeypatch):
+        """Each Newton step releases the last step's blocks before it
+        assembles DF, and returns the pages of DF's shared values once the
+        owners have cut their blocks: at every assembly the caller holds no
+        block and the values read as zeros, while through GMRES it holds
+        the blocks of its own subdomains, 0, W, 2W, ...."""
+        prob, m, dm, dec = diffusion_case()
+        P0 = coarse_space(prob, m, dm, dec)
+        made, assembled, solved = [], [], []
+
+        class Recorded(outer._LocalBlocks):
+            def __init__(self, *args):
+                super().__init__(*args)
+                made.append(self)
+
+        def assemble(*args, _assemble=asm.assemble_tangent, **kwargs):
+            assembled.append((sorted(made[0].held),
+                              np.count_nonzero(kwargs["values"])))
+            return _assemble(*args, **kwargs)
+
+        def gmres(*args, _gmres=outer.gmres, **kwargs):
+            solved.append(sorted(made[0].held))
+            return _gmres(*args, **kwargs)
+        monkeypatch.setattr(outer, "_LocalBlocks", Recorded)
+        monkeypatch.setattr(asm, "assemble_tangent", assemble)
+        monkeypatch.setattr(outer, "gmres", gmres)
+        _, rep = solve_nks(prob, m, dm, dec, SolverConfig(), P0=P0)
+        assert rep.converged and rep.outer_iterations >= 2
+        assert assembled == [([], 0)] * rep.outer_iterations
+        own = list(range(0, len(dec.overlap_elements),
+                         owners.workers_from_env()))
+        assert solved == [own] * rep.outer_iterations
+
     @pytest.mark.parametrize("config", CASES, ids=CASE_IDS)
     def test_weights_form_partition_of_unity(self, config):
         """The weights of the NKS decomposition add up to 1 on every DOF,
@@ -440,8 +473,9 @@ class TestFailuresRecorded:
     @pytest.mark.parametrize("extra,steps", [("zero", 0), ("copy", 1)])
     def test_singular_nks_coarse_tangent(self, extra, steps, monkeypatch):
         # an extra coarse column that is zero makes R0 DF P0 singular at the
-        # first linearization; "copy" makes the second coarse tangent repeat
-        # one row exactly, so partial-pivoting LU meets an exactly zero pivot
+        # first linearization; "copy" zeroes one row of the second coarse
+        # tangent, which partial-pivoting LU meets as an exactly zero pivot
+        # for any rounding of the other entries
         prob, m, dm, px, py = cli._build_case(
             {"problem": "ldc", "re": 100, "subdomains": [2, 2], "hh": 6}, {})
         dec = cli._decompose(m, px, py, 2, nks=True)
@@ -451,13 +485,13 @@ class TestFailuresRecorded:
         else:
             calls = []
 
-            def repeated_row(A0, _coarse_lu=outer.coarse_lu):
+            def zero_row(A0, _coarse_lu=outer.coarse_lu):
                 calls.append(1)
                 if len(calls) == 2:
                     A0 = A0.copy()
-                    A0[1] = A0[0]
+                    A0[1] = 0.0
                 return _coarse_lu(A0)
-            monkeypatch.setattr(outer, "coarse_lu", repeated_row)
+            monkeypatch.setattr(outer, "coarse_lu", zero_row)
         u, rep = solve_nks(prob, m, dm, dec, SolverConfig(variant="nks"),
                            P0=P0)
         assert not rep.converged

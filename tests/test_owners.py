@@ -1,5 +1,6 @@
 """The contract of `owners.OwnerPool`, on a toy task and no solver."""
 
+import mmap
 import multiprocessing
 import os
 
@@ -29,13 +30,22 @@ def written(pool):
     return np.array([out[0] for out in pool.outs])
 
 
-@pytest.fixture(params=[1, 2, 3])
-def pool(request, monkeypatch):
+def toy_pool(extra):
     """Subdomain i has the block [2i, 2i + 2) of the stacked results, the
     DOFs i and i + 1 of an (N + 1)-vector."""
-    monkeypatch.setenv("NLSCHWARZ_WORKERS", str(request.param))
     dofs = [np.array([i, i + 1]) for i in range(N)]
-    with OwnerPool(dofs, N + 1, [np.ones(2)] * N, extra=3) as pool:
+    return OwnerPool(dofs, N + 1, [np.ones(2)] * N, extra=extra)
+
+
+@pytest.fixture(params=[1, 2, 3])
+def workers(request, monkeypatch):
+    monkeypatch.setenv("NLSCHWARZ_WORKERS", str(request.param))
+    return request.param
+
+
+@pytest.fixture
+def pool(workers):
+    with toy_pool(extra=3) as pool:
         yield pool
 
 
@@ -111,3 +121,42 @@ def test_close_releases_each_owned_subdomain(pool):
         _, results = pool.run((), toy, np.ones(N + 1))
         assert [i for i, _ in results] == list(range(N))
         procs = pool.procs
+
+
+def test_release_reaches_every_subdomain(pool):
+    """``run(None, task)`` calls each subdomain's task once with None, on
+    the caller and on every owner, and leaves the owners running."""
+    pool.run((), toy, np.ones(N + 1))
+    procs = pool.procs
+    early, results = pool.run(None, toy)
+    assert early is None and results == [None] * N
+    np.testing.assert_array_equal(pool.results[1::2], 1.0)
+    assert pool.procs == procs
+    assert all(proc.is_alive() for proc in procs)
+
+
+def test_freed_extra_reads_zeros_then_round_trips(workers):
+    """After `free_extra`, `extra` reads as zeros on the caller and on every
+    owner, both its two whole pages and the part that shares a page with
+    `vector`, which keeps its values, as do the results; a later write into
+    `extra` reaches the owners again."""
+    size = 2 * mmap.PAGESIZE // 8 + 3
+
+    def task(i, command, vector, out):
+        if command is not None:
+            out[:] = pool.extra[[i, size - 1 - i]]
+
+    with toy_pool(extra=size) as pool:
+        pool.extra[:] = np.arange(1.0, size + 1)
+        pool.run((), task, np.arange(N + 1.0))
+        stacked = pool.results.copy()
+        assert stacked.all()
+        pool.free_extra()
+        assert not pool.extra.any()
+        np.testing.assert_array_equal(pool.vector, np.arange(N + 1.0))
+        np.testing.assert_array_equal(pool.results, stacked)
+        pool.run((), task)
+        np.testing.assert_array_equal(pool.results, 0.0)
+        pool.extra[:] = -np.arange(1.0, size + 1)
+        pool.run((), task)
+        np.testing.assert_array_equal(pool.results, -stacked)

@@ -767,6 +767,30 @@ class TestWorkers:
         self.killed_caller_leaves_no_owner(NKS_CALLER, workers)
 
 
+class TestLifetimes:
+    def test_next_coarse_correction_starts_with_no_local_state(
+            self, monkeypatch):
+        """An evaluation releases the last one's local states before its
+        coarse correction, so the caller holds none when it starts; after
+        the evaluation the caller holds the states of its own subdomains,
+        0, W, 2W, ..., for the tangent applies."""
+        case, P0, u, x = perturbed_cavity()
+        held = []
+        with SchwarzOperator(*case, variant="hybrid", P0=P0) as op:
+            correction = op.coarse_correction
+
+            def recorded(*args):
+                held.append(sorted(op._held))
+                return correction(*args)
+            monkeypatch.setattr(op, "coarse_correction", recorded)
+            own = list(range(0, len(op.subs), op.workers))
+            for state in (u, 0.5 * u, u):
+                ev = op.evaluate(state)
+                assert sorted(op._held) == own
+                assert np.all(np.isfinite(op.apply_tangent(ev, x)))
+        assert held == [[], [], []]
+
+
 class TestHeldMemory:
     def test_evaluation_holds_little_beyond_its_arrays(self, monkeypatch):
         """What one hybrid evaluation keeps, as tracemalloc sees it, is

@@ -80,7 +80,6 @@ class SkeletonEdge:
 @dataclass
 class InterfaceSkeleton:
     interface_nodes: np.ndarray          # Gamma, sorted
-    gamma_prime: np.ndarray              # Gamma minus Dirichlet boundary
     vertices: np.ndarray                 # vertex nodes, sorted
     edges: list[SkeletonEdge] = field(default_factory=list)
 
@@ -249,7 +248,6 @@ def interface_skeleton(decomp: Decomposition, mesh: Mesh) -> InterfaceSkeleton:
     gamma_mask = counts >= 2
     gamma = np.flatnonzero(gamma_mask)
     on_boundary = mesh.boundary_tag != INTERIOR
-    gamma_prime = gamma[~mesh.dirichlet_nodes[gamma]]
     vertex_mask = gamma_mask & ((counts >= 3) | on_boundary)
     vertices = np.flatnonzero(vertex_mask)
 
@@ -280,5 +278,5 @@ def interface_skeleton(decomp: Decomposition, mesh: Mesh) -> InterfaceSkeleton:
                 prev, cur = cur, nxt[0]
             runs.append(SkeletonEdge(start=int(v), end=int(cur),
                                      interior=np.array(interior, dtype=np.int64)))
-    return InterfaceSkeleton(interface_nodes=gamma, gamma_prime=gamma_prime,
-                             vertices=vertices, edges=runs)
+    return InterfaceSkeleton(interface_nodes=gamma, vertices=vertices,
+                             edges=runs)

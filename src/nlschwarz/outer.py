@@ -30,16 +30,15 @@ import time
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg as sla
 import scipy.sparse as sp
 
 from . import assembly as asm
 from .assembly import DofMap, ProblemSpec
 from .mesh import Decomposition, Mesh
 from .owners import OwnerPool
-from .schwarz import (NewtonParams, SchwarzOperator, _leading_columns,
-                      _trailing_columns, backtracking_step, coarse_lu, newton,
-                      subdomains)
+from .schwarz import (CoarseTangent, NewtonParams, SchwarzOperator,
+                      _leading_columns, _trailing_columns, backtracking_step,
+                      newton, subdomains)
 from .sparse import factorize, gmres
 
 
@@ -298,12 +297,12 @@ def solve_nks(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
     stopped when the solve returns or raises.  Each Newton step, the owners
     first release the last step's blocks; then the caller assembles DF into
     the pool's `extra`, from which the owners cut, factorize and keep their
-    blocks, while the caller forms R_0 DF and factorizes A_0 = R_0 DF P_0,
-    and once the blocks are cut the caller returns the pages of DF's values
-    to the system.  In each apply the caller computes the coarse term while
-    the owners solve theirs.  The caller adds the local terms in subdomain
-    order, then the coarse term, so the bits do not depend on the number of
-    processes.
+    blocks, while the caller builds the `schwarz.CoarseTangent` of DF, and
+    once the blocks are cut the caller returns the pages of DF's values to
+    the system.  In each solve and apply the caller computes the coarse
+    term while the owners solve theirs.  `combine` adds the local terms in
+    subdomain order, then the caller the coarse term, so the bits do not
+    depend on the number of processes.
     """
     t_start = time.perf_counter()
     subs = subdomains(problem, mesh, dofmap, decomp)
@@ -327,10 +326,9 @@ def solve_nks(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
                 # R0 is built each step, so that GMRES runs without it; the
                 # product copies DF by rows, and the copy goes with it
                 R0 = P0.T.tocsr()
-                R0DF = R0 @ DF
-                lu = coarse_lu((R0DF @ P0).toarray())
+                q0 = CoarseTangent.of(P0, R0, DF)
                 t_coarse = time.perf_counter() - t
-                return R0 @ F, R0DF, lu
+                return q0, R0 @ F
 
             coarse, _ = owners.run(
                 "factorize", blocks,
@@ -338,22 +336,20 @@ def solve_nks(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
             owners.free_extra()
             t_inner = time.perf_counter() - t0 - t_coarse
 
-            R0F, R0DF, lu0 = coarse or (None, None, None)
+            q0, R0F = coarse or (None, None)
 
-            def summed(command, v, coarse_rhs):
-                """sum_i P_i D_i y_i for the owners' results y_i of
-                `command` on v, each with v_i added for "apply", plus the
-                coarse term P_0 A_0^{-1} coarse_rhs()."""
-                term, _ = owners.run(
-                    command, blocks, v, None if lu0 is None
-                    else lambda: P0 @ sla.lu_solve(lu0, coarse_rhs()))
+            def summed(command, v, coarse_term):
+                """sum_i P_i D_i y_i for the owners' results y_i of `command`
+                on v, with v_i added for "apply", plus coarse_term()."""
+                term, _ = owners.run(command, blocks, v,
+                                     None if q0 is None else coarse_term)
                 out = owners.combine(v if command == "apply" else None)
                 if term is not None:
                     out += term
                 return out
 
-            return summed("solve", F, lambda: R0F), lambda x: summed(
-                "apply", x, lambda: R0DF @ x), dict(
+            return summed("solve", F, lambda: q0.solve(R0F)), lambda x: (
+                summed("apply", x, lambda: q0.apply(x))), dict(
                 precond_residual=None, inner_avg=0.0, coarse_its=0,
                 corrections_converged=True, t_inner=t_inner, t_coarse=t_coarse)
 

@@ -64,11 +64,12 @@ class OwnerPool:
     The caller and the owners share one anonymous mapping, made before the
     fork: `extra` doubles of the solver's own (NKS's DF values), the
     n-vector a command reads, which `run` writes, and the task results,
-    stacked in subdomain order, which `combine` sums; the arrays `extra`,
-    `vector` and `results` view them, and `outs[i]`, subdomain i's block of
-    `results`, of the size of `blocks[i]`, is the `out` of its task.
-    `free_extra` returns the pages of `extra` to the system until the next
-    write.  One pipe per owner carries the commands and the small replies.
+    stacked in subdomain order, which `combine`, both solvers' one sum over
+    the subdomains, adds up; the arrays `extra`, `vector` and `results` view
+    them, and `outs[i]`, subdomain i's block of `results`, of the size of
+    `blocks[i]`, is the `out` of its task.  `free_extra` returns the pages of
+    `extra` to the system until the next write.  One pipe per owner carries
+    the commands and the small replies.
     The owners start at the first `run`; `close`, leaving a ``with`` block
     or the pool's garbage collection stops them, and a `run` after `close`
     starts them again.

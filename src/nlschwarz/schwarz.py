@@ -42,9 +42,9 @@ so R_i DF(v) on plan.dofs is the CSC matrix [A_i | C_i].  A_i, in the form
 SuperLU takes, is its leading columns, on its arrays; C_i is copied out of
 the rest, so that holding it does not hold A_i.  Per subdomain, the
 latest evaluation's tangent therefore holds the SuperLU factor of A_i and
-the sparse C_i (A_i itself is dropped once factorized), and for the
-coarse level the dense LU of R_0 DF(u_0) P_0 and the sparse R_0 DF(u_0),
-so that Q_0(u_0) x = P_0 (R_0 DF(u_0) P_0)^{-1} (R_0 DF(u_0)) x.
+the sparse C_i (A_i itself is dropped once factorized), and the coarse
+level its `CoarseTangent` at u_0, the one form in which both solvers, and
+each coarse Newton step, factorize and apply A_0 = R_0 DF P_0.
 
 Each subdomain is owned by one process of an `owners.OwnerPool`, the
 caller or one forked at the first evaluation (see `owners` for the map).
@@ -54,9 +54,9 @@ subdomain's local Newton solve, factorizes its A_i and keeps the factor
 and C_i until the next evaluation starts, which releases them in every
 owner before its coarse correction; it also runs the subdomain's solve of
 every tangent apply.  Each writes its correction or solve into the pool's
-stacked results, and the caller recombines them in subdomain order, so the
-bits do not depend on the number of owners.  The NKS
-preconditioner (`outer.solve_nks`) takes its blocks' DOFs from the same
+stacked results, and every sum of them is the pool's `combine`, in
+subdomain order, so the bits do not depend on the number of owners.  The
+NKS preconditioner (`outer.solve_nks`) takes its blocks' DOFs from the same
 `subdomains` and applies M^{-1} DF by the same identity, with A_i and C_i
 cut from the full-mesh DF instead of assembled on the subdomain's plan.
 """
@@ -195,15 +195,36 @@ def newton(residual, direction, moved, x, p: NewtonParams, search,
     return x, rec
 
 
-def coarse_lu(A0: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Dense LU of a coarse tangent R_0 DF P_0, for `scipy.linalg.lu_solve`.
-    Raises `LinAlgError` if the matrix or its factor has a non-finite entry
-    or a zero pivot (LAPACK getrf, which reports that without a warning)."""
-    getrf, = sla.get_lapack_funcs(("getrf",), (A0,))
-    lu, piv, info = getrf(A0)
-    if info != 0 or not np.all(np.isfinite(lu)):
-        raise np.linalg.LinAlgError("coarse tangent is singular")
-    return lu, piv
+@dataclass
+class CoarseTangent:
+    """Q_0 = P_0 A_0^{-1} R_0 DF at one state, A_0 = R_0 DF P_0: the coarse
+    operator of both solvers' two-level methods."""
+    P0: sp.csr_matrix
+    coupling: sp.csr_matrix   # R_0 DF, coarse dim x n_dofs
+    lu: tuple                 # LAPACK getrf LU of A_0, dense
+
+    @classmethod
+    def of(cls, P0, R0, DF) -> "CoarseTangent":
+        """Raises `LinAlgError` on a zero pivot or a non-finite LU of A_0."""
+        coupling = R0 @ DF
+        A0 = (coupling @ P0).toarray()
+        getrf, = sla.get_lapack_funcs(("getrf",), (A0,))
+        lu, piv, info = getrf(A0)
+        if info != 0 or not np.all(np.isfinite(lu)):
+            raise np.linalg.LinAlgError("coarse tangent is singular")
+        return cls(P0, coupling, (lu, piv))
+
+    def coefficients(self, y: np.ndarray) -> np.ndarray:
+        """A_0^{-1} y."""
+        return sla.lu_solve(self.lu, y)
+
+    def solve(self, y: np.ndarray) -> np.ndarray:
+        """P_0 A_0^{-1} y."""
+        return self.P0 @ self.coefficients(y)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """Q_0 x."""
+        return self.solve(self.coupling @ x)
 
 
 def _leading_columns(A: sp.csc_matrix, n: int) -> sp.csc_matrix:
@@ -297,17 +318,16 @@ class LocalSolveState:
 @dataclass
 class CoarseSolveState:
     coefficients: np.ndarray
-    tangent: tuple           # dense LU of R_0 DF(u_0) P_0
-    coupling: sp.csr_matrix  # R_0 DF(u_0), coarse dim x n_dofs
+    tangent: CoarseTangent   # at u_0 = u - P_0 c
     iterations: int
     converged: bool
 
 
 @dataclass
 class Evaluation:
-    """Preconditioned residual, each subdomain's local (iterations,
-    converged) in subdomain order, and the coarse operators of its exact
-    tangent; the local operators stay with the subdomains' owners."""
+    """Preconditioned residual, the owners' `combine` plus P_0 c, each
+    subdomain's local (iterations, converged) in subdomain order, and the
+    coarse state; the local operators stay with the subdomains' owners."""
     residual: np.ndarray
     local_results: list[tuple[int, bool]]
     coarse_state: CoarseSolveState | None
@@ -349,10 +369,10 @@ class SchwarzOperator:
 
         self.subs = subdomains(problem, mesh, dofmap, decomp)
         # the recombination weights: 1 for ASPEN, else the partition of unity
-        self.weights = [np.ones(sub.dofs_ov.size) if variant == "aspen"
-                        else sub.weight for sub in self.subs]
-        self._owners = OwnerPool([sub.dofs_ov for sub in self.subs],
-                                 dofmap.n_dofs, self.weights)
+        self._owners = OwnerPool(
+            [sub.dofs_ov for sub in self.subs], dofmap.n_dofs,
+            [np.ones(sub.dofs_ov.size) if variant == "aspen" else sub.weight
+             for sub in self.subs])
         self.workers = self._owners.workers
         # the states of the subdomains this process owns, by index
         self._held: dict[int, LocalSolveState] = {}
@@ -412,19 +432,16 @@ class SchwarzOperator:
                                               self.dofmap, u - P0 @ cc)
 
         def coarse_tangent(cc):
-            R0DF = R0 @ asm.assemble_tangent(self.problem, self.mesh,
-                                             self.dofmap, u - P0 @ cc).tocsr()
-            return R0DF, (R0DF @ P0).toarray()
+            return CoarseTangent.of(P0, R0, asm.assemble_tangent(
+                self.problem, self.mesh, self.dofmap, u - P0 @ cc))
 
         c, rec = newton(
-            coarse_residual,
-            lambda cc, r: np.linalg.solve(coarse_tangent(cc)[1], r),
+            coarse_residual, lambda cc, r: coarse_tangent(cc).coefficients(r),
             lambda cc, s, d: cc + s * d, np.zeros(P0.shape[1]), self.coarse,
             backtracking_step, None if F is None else R0 @ F)
         rec.raise_failure("coarse correction")
-        R0DF, A0 = coarse_tangent(c)
-        return CoarseSolveState(coefficients=c, tangent=coarse_lu(A0),
-                                coupling=R0DF, iterations=rec.iterations,
+        return CoarseSolveState(coefficients=c, tangent=coarse_tangent(c),
+                                iterations=rec.iterations,
                                 converged=rec.converged)
 
     # -- owners ------------------------------------------------------------
@@ -467,37 +484,25 @@ class SchwarzOperator:
         t_coarse = 0.0
         coarse_state = None
         w = u
-        contribution = np.zeros(self.dofmap.n_dofs)
+        p0c = 0.0
         if self.variant not in ONE_LEVEL:
             t0 = time.perf_counter()
             coarse_state = self.coarse_correction(u, F)
             t_coarse = time.perf_counter() - t0
-            contribution += self.P0 @ coarse_state.coefficients
+            p0c = self.P0 @ coarse_state.coefficients
             if self.variant == "hybrid":
-                w = u - self.P0 @ coarse_state.coefficients
+                w = u - p0c
 
         t0 = time.perf_counter()
         results = self._run_locals(w)
         t_inner = time.perf_counter() - t0
 
-        for sub, weight, out in zip(self.subs, self.weights,
-                                    self._owners.outs):
-            contribution[sub.dofs_ov] += weight * out
-
         return Evaluation(
-            residual=contribution, local_results=results,
+            residual=self._owners.combine() + p0c, local_results=results,
             coarse_state=coarse_state, stamp=self._evaluations,
             timings={"inner": t_inner, "coarse": t_coarse})
 
     # -- tangent -----------------------------------------------------------
-
-    def _apply_q0(self, ev: Evaluation, x: np.ndarray) -> np.ndarray:
-        cs = ev.coarse_state
-        return self.P0 @ sla.lu_solve(cs.tangent, cs.coupling @ x)
-
-    def _apply_locals(self, x: np.ndarray) -> np.ndarray:
-        self._owners.run("apply", self._local_task, x)
-        return self._owners.combine(x)
 
     def apply_tangent(self, ev: Evaluation, x: np.ndarray) -> np.ndarray:
         """D F_X(u) x using the operators of the evaluation, which must be
@@ -505,9 +510,8 @@ class SchwarzOperator:
         if ev.stamp != self._evaluations:
             raise RuntimeError("the evaluation was superseded by a later "
                                "evaluate; its tangent is gone")
-        if self.variant in ONE_LEVEL:
-            return self._apply_locals(x)
-        if self.variant == "additive":
-            return self._apply_q0(ev, x) + self._apply_locals(x)
-        q0x = self._apply_q0(ev, x)
-        return self._apply_locals(x - q0x) + q0x
+        cs = ev.coarse_state
+        q0x = 0.0 if cs is None else cs.tangent.apply(x)
+        v = x - q0x if self.variant == "hybrid" else x
+        self._owners.run("apply", self._local_task, v)
+        return self._owners.combine(v) + q0x

@@ -73,7 +73,9 @@ def test_criterion_1_partition_of_unity():
         total = np.zeros(m.n_nodes)
         for e in ents:
             total[e.nodes] += e.node_values
-        worst = max(worst, np.abs(total[skel.gamma_prime] - 1.0).max())
+        gamma_prime = skel.interface_nodes[
+            ~m.dirichlet_nodes[skel.interface_nodes]]
+        worst = max(worst, np.abs(total[gamma_prime] - 1.0).max())
         dirichlet_iface = skel.interface_nodes[
             m.boundary_tag[skel.interface_nodes] == msh.DIRICHLET]
         worst_dir = max(worst_dir, np.abs(total[dirichlet_iface]).max())

@@ -127,7 +127,7 @@ class TestInterfaceSkeleton:
     def test_one_subdomain_has_no_interface(self):
         m = unit_square(8, 8)
         skel = msh.interface_skeleton(msh.partition_structured(m, 1, 1), m)
-        for nodes in (skel.interface_nodes, skel.gamma_prime, skel.vertices):
+        for nodes in (skel.interface_nodes, skel.vertices):
             assert nodes.dtype == np.int64 and nodes.size == 0
         assert skel.edges == []
 
@@ -139,13 +139,6 @@ class TestInterfaceSkeleton:
         skel = msh.interface_skeleton(dec, m)
         np.testing.assert_array_equal(skel.interface_nodes,
                                       np.flatnonzero(mult >= 2))
-
-    def test_gamma_prime_excludes_dirichlet(self):
-        m = unit_square(8, 8, "diffusion")
-        dec = msh.partition_structured(m, 2, 2)
-        skel = msh.interface_skeleton(dec, m)
-        assert np.all(m.boundary_tag[skel.gamma_prime] != msh.DIRICHLET)
-        assert skel.gamma_prime.size < skel.interface_nodes.size
 
     def test_runs_cover_interface(self):
         m = unit_square(12, 12)

@@ -434,8 +434,9 @@ class TestTangent:
 
     @pytest.mark.parametrize("variant", VARIANTS)
     def test_stacked_apply_matches_loop(self, variant, monkeypatch):
-        """The stacked local apply adds the weighted local terms in the
-        order of a loop over the subdomains, to the bit."""
+        """The evaluation and the tangent apply add the weighted local
+        terms in the order of a loop over the subdomains, then the coarse
+        term, to the bit."""
         monkeypatch.setenv("NLSCHWARZ_WORKERS", "1")
         prob, m, dm, dec = setup_problem("ldc", nx=8, px=2, Re=100.0)
         P0 = (coarse_space(prob, m, dm, dec)
@@ -445,15 +446,27 @@ class TestTangent:
         u = asm.initial_iterate(prob, dm)
         u = np.where(dm.dirichlet_mask, u,
                      u + 0.05 * rng.standard_normal(dm.n_dofs))
-        op.evaluate(u)
+        ev = op.evaluate(u)
+        cs = ev.coarse_state
+        weights = [np.ones(sub.dofs_ov.size) if variant == "aspen"
+                   else sub.weight for sub in op.subs]
+
+        def summed(terms, coarse):
+            out = np.zeros(dm.n_dofs)
+            for sub, w in zip(op.subs, weights):
+                out[sub.dofs_ov] += w * terms(sub, op._held[sub.index])
+            return out if coarse is None else out + coarse
+
+        np.testing.assert_array_equal(ev.residual, summed(
+            lambda sub, st: st.correction,
+            None if cs is None else P0 @ cs.coefficients))
         for _ in range(2):
             x = rng.standard_normal(dm.n_dofs)
-            expect = np.zeros_like(x)
-            for sub, w in zip(op.subs, op.weights):
-                st = op._held[sub.index]
-                y = x[sub.dofs_ov] + st.tangent.solve(st.coupling @ x[sub.ghosts])
-                expect[sub.dofs_ov] += w * y
-            np.testing.assert_array_equal(op._apply_locals(x), expect)
+            q0x = None if cs is None else cs.tangent.apply(x)
+            v = x - q0x if variant == "hybrid" else x
+            expect = summed(lambda sub, st: v[sub.dofs_ov] + st.tangent.solve(
+                st.coupling @ v[sub.ghosts]), q0x)
+            np.testing.assert_array_equal(op.apply_tangent(ev, x), expect)
 
     def test_aspin_mode_factorizes_the_initial_tangent_once(self,
                                                              monkeypatch):
@@ -791,6 +804,49 @@ class TestLifetimes:
         assert held == [[], [], []]
 
 
+class TestCoarseTangent:
+    """`CoarseTangent` on the 2x2, H/h = 6 cavity at Re 100."""
+
+    @staticmethod
+    def case():
+        prob, m, dm, dec = setup_problem("ldc", nx=12, px=2, Re=100.0)
+        P0 = coarse_space(prob, m, dm, dec)
+        rng = np.random.default_rng(8)
+        u = asm.initial_iterate(prob, dm)
+        u = np.where(dm.dirichlet_mask, u,
+                     u + 0.05 * rng.standard_normal(dm.n_dofs))
+        return P0, asm.assemble_tangent(prob, m, dm, u), rng
+
+    def test_apply_matches_dense_q0(self):
+        P0, DF, rng = self.case()
+        q0 = schwarz.CoarseTangent.of(P0, P0.T.tocsr(), DF)
+        P, A = P0.toarray(), DF.toarray()
+        for _ in range(3):
+            x = rng.standard_normal(DF.shape[0])
+            expect = P @ np.linalg.solve(P.T @ A @ P, P.T @ A @ x)
+            err = np.linalg.norm(q0.apply(x) - expect) / np.linalg.norm(expect)
+            assert err < 1e-12, err
+
+    @pytest.mark.parametrize("defect", ["zero row", "nan"])
+    def test_singular_raises(self, defect):
+        """A zero row of A_0 = R_0 DF P_0, here from a zero row of R_0, is an
+        exactly zero pivot; a NaN entry of DF on the support of P_0 reaches
+        A_0.  Both raise."""
+        P0, DF, _ = self.case()
+        R0 = P0.T.tocsr()
+        if defect == "zero row":
+            keep = np.ones(P0.shape[1])
+            keep[1] = 0.0
+            R0 = sp.diags(keep) @ R0
+        else:
+            bump = np.zeros(DF.shape[0])
+            bump[np.flatnonzero(np.diff(P0.indptr))[0]] = np.nan
+            DF = DF + sp.diags(bump)
+        with pytest.raises(np.linalg.LinAlgError,
+                           match="^coarse tangent is singular$"):
+            schwarz.CoarseTangent.of(P0, R0, DF)
+
+
 class TestHeldMemory:
     def test_evaluation_holds_little_beyond_its_arrays(self, monkeypatch):
         """What one hybrid evaluation keeps, as tracemalloc sees it, is
@@ -824,10 +880,11 @@ class TestHeldMemory:
                 sub.ghosts, np.setdiff1d(sub.plan.dofs, sub.dofs_ov))
             assert st.coupling.shape == (sub.dofs_ov.size,
                                          sub.plan.n - sub.dofs_ov.size)
-        assert cs.coupling.shape == (P0.shape[1], dm.n_dofs)
+        assert cs.tangent.coupling.shape == (P0.shape[1], dm.n_dofs)
         arrays = ([st.correction for st in states]
                   + [st.coupling for st in states]
-                  + [cs.coefficients, *cs.tangent, cs.coupling, ev.residual])
+                  + [cs.coefficients, *cs.tangent.lu, cs.tangent.coupling,
+                     ev.residual])
         assert held <= 1.1 * sum(nbytes(a) for a in arrays), held
 
     def test_local_correction_peak(self):

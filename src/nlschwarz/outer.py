@@ -36,9 +36,10 @@ from . import assembly as asm
 from .assembly import DofMap, ProblemSpec
 from .mesh import Decomposition, Mesh
 from .owners import OwnerPool
-from .schwarz import (CoarseTangent, NewtonParams, SchwarzOperator,
-                      _leading_columns, _trailing_columns, backtracking_step,
+from .schwarz import (CoarseTangent, LocalTangent, NewtonParams,
+                      SchwarzOperator, SubdomainData, backtracking_step,
                       newton, subdomains)
+# factorize is unused here; bench/spans.py traces outer.factorize by name
 from .sparse import factorize, gmres
 
 
@@ -215,60 +216,47 @@ def solve_nonlinear_schwarz(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
 
 class _LocalBlocks:
     """The local terms of NKS's operator M^{-1} DF on the overlap DOFs
-    d_i = `sub_dofs[i]`, as the task of an `OwnerPool` (see `owners`).
+    d_i = `subs[i].dofs_ov`, as the task of an `OwnerPool` (see `owners`).
 
     On "factorize", subdomain i's rows R_i DF are cut out of DF's `values`
-    on the full-mesh plan's pattern as [A_i | C_i]: A_i = R_i DF P_i on the
-    columns d_i, C_i on the ghost columns Gamma_i, the columns of the rows
-    d_i outside d_i, which each process derives once per block from the
-    plan's pattern.  A_i is factorized; the factor and C_i are kept until
-    the command None releases them.  On "solve", the task writes
-    A_i^{-1} v_i for the vector v; on "apply", A_i^{-1} C_i x_Gamma, so
-    that A_i^{-1} R_i DF x = x_i + A_i^{-1} C_i x_Gamma (see `schwarz`)."""
+    on the full-mesh plan's pattern as [A_i | C_i], on the columns d_i and
+    the subdomain's ghost DOFs Gamma_i, and kept as a `schwarz.LocalTangent`
+    until the command None releases it.  On "solve", the task writes
+    A_i^{-1} v_i for the vector v; on "apply", A_i^{-1} C_i x_Gamma, so that
+    A_i^{-1} R_i DF x = x_i + A_i^{-1} C_i x_Gamma."""
 
-    def __init__(self, plan: asm.AssemblyPlan, sub_dofs: list[np.ndarray],
+    def __init__(self, plan: asm.AssemblyPlan, subs: list[SubdomainData],
                  values: np.ndarray):
         self.plan = plan
-        self.sub_dofs = sub_dofs
+        self.subs = subs
         self.values = values
-        self.ghosts = {}      # Gamma_i of this process's blocks, by index
-        self.held = {}        # (factor of A_i, C_i) of this process's blocks
+        self.held: dict[int, LocalTangent] = {}   # this process's blocks
 
     def cut(self, i: int) -> sp.csc_matrix:
         """[A_i | C_i] cut out of `values`, with its exact zeros dropped.
         Its leading columns, A_i, have the arrays of
         ``sp.csc_matrix(DF[d][:, d])`` for the DF that `assemble_tangent`
-        returns."""
-        plan, d = self.plan, self.sub_dofs[i]
+        returns.  A ghost column outside the pattern of DF's rows d, as next
+        to a Dirichlet row, is empty."""
+        plan, sub = self.plan, self.subs[i]
         # the cuts allocate new arrays, so eliminate_zeros never rewrites
         # `values` or the plan's index arrays
         DF = sp.csc_matrix((self.values, plan.indices, plan.indptr),
                            shape=(plan.n_rows, plan.n))
-        if i not in self.ghosts:
-            # the row cut keeps the explicit zeros, so its nonempty columns
-            # are those of the pattern, whatever the values
-            coupled = np.diff(DF[d].indptr) > 0
-            coupled[d] = False
-            self.ghosts[i] = np.flatnonzero(coupled)
-        A = DF[:, np.concatenate([d, self.ghosts[i]])][d]
+        A = DF[:, np.concatenate([sub.dofs_ov, sub.ghosts])][sub.dofs_ov]
         A.eliminate_zeros()
         return A
 
     def __call__(self, i: int, command: str | None, vector: np.ndarray,
                  out: np.ndarray):
         if command == "solve":
-            out[:] = self.held[i][0].solve(vector[self.sub_dofs[i]])
-            return None
-        if command == "apply":
-            lu, coupling = self.held[i]
-            out[:] = lu.solve(coupling @ vector[self.ghosts[i]])
-            return None
-        if command is None:
+            out[:] = self.held[i].solve(vector[self.subs[i].dofs_ov])
+        elif command == "apply":
+            out[:] = self.held[i].apply(vector)
+        elif command is None:
             self.held.pop(i, None)
-            return None
-        A, n = self.cut(i), self.sub_dofs[i].size
-        self.held[i] = (factorize(_leading_columns(A, n), fast=True),
-                        _trailing_columns(A, n))
+        else:
+            self.held[i] = LocalTangent.of(self.cut(i), self.subs[i].ghosts)
         return None
 
 
@@ -290,8 +278,9 @@ def solve_nks(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
         M^{-1} DF x = sum_i P_i D_i (x_i + A_i^{-1} C_i x_Gamma_i)
                       + P_0 A_0^{-1} (R_0 DF) x
 
-    with A_i, C_i the blocks of R_i DF on the columns d_i and Gamma_i (see
-    `_LocalBlocks`).  So no process holds DF through GMRES.
+    with A_i, C_i the blocks of R_i DF on the columns d_i and Gamma_i, held
+    as a `schwarz.LocalTangent` (see `_LocalBlocks`).  So no process holds DF
+    through GMRES.
 
     The local blocks run on an `OwnerPool` (see `owners`), which is
     stopped when the solve returns or raises.  Each Newton step, the owners
@@ -307,11 +296,10 @@ def solve_nks(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
     t_start = time.perf_counter()
     subs = subdomains(problem, mesh, dofmap, decomp)
     plan = asm.global_plan(mesh, dofmap, problem)
-    sub_dofs = [sub.dofs_ov for sub in subs]
 
-    with OwnerPool(sub_dofs, plan.n, [sub.weight for sub in subs],
-                   plan.nnz) as owners:
-        blocks = _LocalBlocks(plan, sub_dofs, owners.extra)
+    with OwnerPool([sub.dofs_ov for sub in subs], plan.n,
+                   [sub.weight for sub in subs], plan.nnz) as owners:
+        blocks = _LocalBlocks(plan, subs, owners.extra)
 
         def linearize(u, F):
             t0 = time.perf_counter()

@@ -29,22 +29,13 @@ u_i and u_iH only.  The coarse level keeps its tangent at its final
 iterate u_0 = u - P_0 T_0(u) in both modes: `coarse_correction` does not
 read the mode.
 
-Each Q_i is applied through the overlap block A_i = R_i DF(v) P_i and the
-ghost coupling C_i, the columns of R_i DF(v) on the ghost DOFs
-Gamma_i = plan.dofs minus dofs_ov.  The rows R_i DF(v) vanish outside
-plan.dofs, so R_i DF(v) x = A_i x_i + C_i x_Gamma and
-
-    A_i^{-1} R_i DF(v) x = x_i + A_i^{-1} (C_i x_Gamma).
-
-A_i and C_i come straight out of assembly: each subdomain's plan assembles
-only the rows of dofs_ov, numbers dofs_ov first and compresses by column,
-so R_i DF(v) on plan.dofs is the CSC matrix [A_i | C_i].  A_i, in the form
-SuperLU takes, is its leading columns, on its arrays; C_i is copied out of
-the rest, so that holding it does not hold A_i.  Per subdomain, the
-latest evaluation's tangent therefore holds the SuperLU factor of A_i and
-the sparse C_i (A_i itself is dropped once factorized), and the coarse
-level its `CoarseTangent` at u_0, the one form in which both solvers, and
-each coarse Newton step, factorize and apply A_0 = R_0 DF P_0.
+Each Q_i is applied through the subdomain's `LocalTangent`, the one form
+in which both solvers, and each local Newton step, factorize, solve and
+apply a local block A_i = R_i DF(v) P_i with its ghost coupling C_i.  Per
+subdomain, the latest evaluation's tangent therefore holds the SuperLU
+factor of A_i and the sparse C_i, and the coarse level its `CoarseTangent`
+at u_0, the one form in which both solvers, and each coarse Newton step,
+factorize and apply A_0 = R_0 DF P_0.
 
 Each subdomain is owned by one process of an `owners.OwnerPool`, the
 caller or one forked at the first evaluation (see `owners` for the map).
@@ -56,9 +47,9 @@ owner before its coarse correction; it also runs the subdomain's solve of
 every tangent apply.  Each writes its correction or solve into the pool's
 stacked results, and every sum of them is the pool's `combine`, in
 subdomain order, so the bits do not depend on the number of owners.  The
-NKS preconditioner (`outer.solve_nks`) takes its blocks' DOFs from the same
-`subdomains` and applies M^{-1} DF by the same identity, with A_i and C_i
-cut from the full-mesh DF instead of assembled on the subdomain's plan.
+NKS preconditioner (`outer.solve_nks`) takes its blocks from the same
+`subdomains` and holds each as a `LocalTangent`, with [A_i | C_i] cut from
+the full-mesh DF instead of assembled on the subdomain's plan.
 """
 
 from __future__ import annotations
@@ -227,20 +218,47 @@ class CoarseTangent:
         return self.solve(self.coupling @ x)
 
 
-def _leading_columns(A: sp.csc_matrix, n: int) -> sp.csc_matrix:
-    """The first n columns of A, on A's arrays."""
-    end = A.indptr[n]
-    return sp.csc_matrix((A.data[:end], A.indices[:end], A.indptr[:n + 1]),
-                         shape=(A.shape[0], n))
+@dataclass(slots=True)
+class LocalTangent:
+    """A_i^{-1} R_i DF(v) on one subdomain, the local operator of both
+    solvers.  It comes from the CSC matrix [A_i | C_i], R_i DF(v) on the
+    columns dofs_ov, then the ghost DOFs Gamma_i: A_i = R_i DF(v) P_i, and
+    C_i the coupling to Gamma_i.  The rows R_i DF(v) vanish outside the
+    columns dofs_ov and Gamma_i, so R_i DF(v) x = A_i x_i + C_i x_Gamma and
 
+        A_i^{-1} R_i DF(v) x = x_i + A_i^{-1} (C_i x_Gamma).
 
-def _trailing_columns(A: sp.csc_matrix, n: int) -> sp.csc_matrix:
-    """The columns of A after the first n, copied, so that holding them does
-    not hold A."""
-    start = A.indptr[n]
-    return sp.csc_matrix((A.data[start:].copy(), A.indices[start:].copy(),
-                          A.indptr[n:] - start),
-                         shape=(A.shape[0], A.shape[1] - n))
+    The nonlinear Schwarz operator assembles [A_i | C_i] on the subdomain's
+    plan, which numbers dofs_ov first and compresses by column; NKS cuts it
+    out of the full-mesh DF.  The tangent holds the SuperLU factor of A_i
+    and a copy of C_i, not [A_i | C_i]."""
+    lu: Factorization         # of A_i
+    coupling: sp.csc_matrix   # C_i, dofs_ov x Gamma_i
+    ghosts: np.ndarray        # Gamma_i, global DOF ids
+
+    @classmethod
+    def of(cls, A: sp.csc_matrix, ghosts: np.ndarray) -> "LocalTangent":
+        """From [A_i | C_i] with n = A.shape[0] leading columns: A_i, in the
+        form SuperLU takes, on A's arrays, and C_i copied out of the rest,
+        so that holding the tangent does not hold A.  Raises
+        `SingularMatrixError` on a zero pivot of A_i."""
+        n = A.shape[0]
+        end = A.indptr[n]
+        lu = factorize(sp.csc_matrix(
+            (A.data[:end], A.indices[:end], A.indptr[:n + 1]), shape=(n, n)),
+            fast=True)
+        coupling = sp.csc_matrix(
+            (A.data[end:].copy(), A.indices[end:].copy(), A.indptr[n:] - end),
+            shape=(n, A.shape[1] - n))
+        return cls(lu, coupling, ghosts)
+
+    def solve(self, y: np.ndarray) -> np.ndarray:
+        """A_i^{-1} y."""
+        return self.lu.solve(y)
+
+    def apply(self, x: np.ndarray) -> np.ndarray:
+        """A_i^{-1} C_i x_Gamma for a global vector x."""
+        return self.lu.solve(self.coupling @ x[self.ghosts])
 
 
 @dataclass
@@ -248,7 +266,8 @@ class SubdomainData:
     """One overlapping subdomain, as both solvers see it (see
     `subdomains`).  Its assembly plan and ghost DOFs are built on first
     use, by the process that uses them: each owner process builds and
-    holds those of its own subdomains only."""
+    holds those of its own subdomains only.  The ghost DOFs need no plan,
+    so NKS, which cuts its blocks out of the full-mesh DF, builds none."""
     index: int
     dofs_ov: np.ndarray
     elements: np.ndarray   # the ghost-extended elements: overlap and ghosts
@@ -267,8 +286,10 @@ class SubdomainData:
 
     @cached_property
     def ghosts(self) -> np.ndarray:
-        """Gamma_i: the DOFs of plan.dofs not in dofs_ov."""
-        return self.plan.dofs[self.dofs_ov.size:]
+        """Gamma_i: the DOFs of `elements` not in dofs_ov, sorted, which the
+        plan numbers after dofs_ov."""
+        return np.setdiff1d(asm.subset_dofs(self.dofmap, self.mesh,
+                                            self.elements), self.dofs_ov)
 
     def residual(self, v: np.ndarray) -> np.ndarray:
         """R_i F(v) for the state v on plan.dofs."""
@@ -304,15 +325,12 @@ def subdomains(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
                 overlaps, decomp.overlap_elements, decomp.ghost_elements))]
 
 
-@dataclass
+@dataclass(slots=True)
 class LocalSolveState:
     correction: np.ndarray          # T_i on dofs_ov
     iterations: int
     converged: bool
-    # A_i = R_i DF(v_final) P_i factorized, and C_i, R_i DF(v_final) on the
-    # ghost columns
-    tangent: Factorization
-    coupling: sp.csc_matrix
+    tangent: LocalTangent    # at the final local iterate, or aspin's v0
 
 
 @dataclass
@@ -394,30 +412,26 @@ class SchwarzOperator:
 
     def local_correction(self, sub: SubdomainData, u: np.ndarray) -> LocalSolveState:
         n = sub.dofs_ov.size   # v holds the state on plan.dofs, dofs_ov first
-        v0 = u[sub.plan.dofs]
-        # the factor of A_i and C_i that the state keeps; the aspin mode
-        # keeps those of the first Newton step, at v0
+        # the tangent that the state keeps; the aspin mode keeps that of the
+        # first Newton step, at u
         kept = None
 
         def direction(v, r):
             nonlocal kept
-            A = sub.tangent(v)
-            lu = factorize(_leading_columns(A, n), fast=True)
+            t = LocalTangent.of(sub.tangent(v), sub.ghosts)
             if kept is None and self.tangent_mode == "aspin":
-                kept = lu, _trailing_columns(A, n)
-            return lu.solve(r)
+                kept = t
+            return t.solve(r)
 
         v, rec = newton(
             sub.residual, direction,
-            lambda v, s, d: np.concatenate([v[:n] - s * d, v[n:]]), v0,
-            self.inner, backtracking_step)
+            lambda v, s, d: np.concatenate([v[:n] - s * d, v[n:]]),
+            u[sub.plan.dofs], self.inner, backtracking_step)
         rec.raise_failure(f"local correction on subdomain {sub.index}")
-        if kept is None:
-            A = sub.tangent(v if self.tangent_mode == "exact" else v0)
-            kept = (factorize(_leading_columns(A, n), fast=True),
-                    _trailing_columns(A, n))
+        if kept is None:   # without a Newton step, v is the start
+            kept = LocalTangent.of(sub.tangent(v), sub.ghosts)
         return LocalSolveState(u[sub.dofs_ov] - v[:n], rec.iterations,
-                               rec.converged, *kept)
+                               rec.converged, kept)
 
     def coarse_correction(self, u: np.ndarray,
                           F: np.ndarray | None = None) -> CoarseSolveState:
@@ -455,8 +469,7 @@ class SchwarzOperator:
         here; "apply", the local solve of the tangent applied to `vector`;
         or None, which releases the held state but not the plan."""
         if command == "apply":
-            st = self._held[i]
-            out[:] = st.tangent.solve(st.coupling @ vector[self.subs[i].ghosts])
+            out[:] = self._held[i].tangent.apply(vector)
             return None
         if command is None:
             self._held.pop(i, None)

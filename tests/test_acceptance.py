@@ -12,6 +12,7 @@ import time
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg as spla
 
 from nlschwarz import assembly as asm
 from nlschwarz import coarse as crs
@@ -19,7 +20,6 @@ from nlschwarz import mesh as msh
 from nlschwarz.outer import (GmresParams, SolverConfig, beam_config,
                              solve_nks, solve_nonlinear_schwarz)
 from nlschwarz.schwarz import NewtonParams, SchwarzOperator
-from nlschwarz.sparse import factorize
 
 TIGHT = NewtonParams(rel_tol=1e-14, abs_tol=1e-14, max_iter=50)
 
@@ -238,7 +238,7 @@ def test_criterion_7_solver_equivalence():
         r = asm.assemble_residual(prob, m, dm, u)
         if np.linalg.norm(r) < 1e-13:
             break
-        u = u - factorize(asm.assemble_tangent(prob, m, dm, u)).solve(r)
+        u = u - spla.spsolve(asm.assemble_tangent(prob, m, dm, u), r)
     u_newton = u
     P0, _, _ = crs.build_coarse_space(prob, m, dm, dec, "rgdsw", True)
     outer = NewtonParams(rel_tol=1e-11, abs_tol=1e-12, max_iter=25)

@@ -236,8 +236,7 @@ class _LocalBlocks:
         """[A_i | C_i] cut out of `values`, with its exact zeros dropped.
         Its leading columns, A_i, have the arrays of
         ``sp.csc_matrix(DF[d][:, d])`` for the DF that `assemble_tangent`
-        returns.  A ghost column outside the pattern of DF's rows d, as next
-        to a Dirichlet row, is empty."""
+        returns."""
         plan, sub = self.plan, self.subs[i]
         # the cuts allocate new arrays, so eliminate_zeros never rewrites
         # `values` or the plan's index arrays

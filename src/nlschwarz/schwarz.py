@@ -221,10 +221,9 @@ class CoarseTangent:
 @dataclass(slots=True)
 class LocalTangent:
     """A_i^{-1} R_i DF(v) on one subdomain, the local operator of both
-    solvers.  It comes from the CSC matrix [A_i | C_i], R_i DF(v) on the
-    columns dofs_ov, then the ghost DOFs Gamma_i: A_i = R_i DF(v) P_i, and
-    C_i the coupling to Gamma_i.  The rows R_i DF(v) vanish outside the
-    columns dofs_ov and Gamma_i, so R_i DF(v) x = A_i x_i + C_i x_Gamma and
+    solvers, from the CSC matrix [A_i | C_i] of R_i DF(v) on the columns
+    dofs_ov, then the ghost DOFs Gamma_i: A_i = R_i DF(v) P_i and the ghost
+    coupling C_i.  The rows R_i DF(v) vanish on every other column, so
 
         A_i^{-1} R_i DF(v) x = x_i + A_i^{-1} (C_i x_Gamma).
 
@@ -245,8 +244,7 @@ class LocalTangent:
         n = A.shape[0]
         end = A.indptr[n]
         lu = factorize(sp.csc_matrix(
-            (A.data[:end], A.indices[:end], A.indptr[:n + 1]), shape=(n, n)),
-            fast=True)
+            (A.data[:end], A.indices[:end], A.indptr[:n + 1]), shape=(n, n)))
         coupling = sp.csc_matrix(
             (A.data[end:].copy(), A.indices[end:].copy(), A.indptr[n:] - end),
             shape=(n, A.shape[1] - n))
@@ -264,10 +262,9 @@ class LocalTangent:
 @dataclass
 class SubdomainData:
     """One overlapping subdomain, as both solvers see it (see
-    `subdomains`).  Its assembly plan and ghost DOFs are built on first
-    use, by the process that uses them: each owner process builds and
-    holds those of its own subdomains only.  The ghost DOFs need no plan,
-    so NKS, which cuts its blocks out of the full-mesh DF, builds none."""
+    `subdomains`).  Its assembly plan and ghost DOFs, which need no plan,
+    are built on first use, by the process that uses them: each owner
+    process builds and holds those of its own subdomains only."""
     index: int
     dofs_ov: np.ndarray
     elements: np.ndarray   # the ghost-extended elements: overlap and ghosts

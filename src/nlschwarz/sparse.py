@@ -1,6 +1,6 @@
 """Sparse direct solves and a restarted GMRES over abstract operators.
 
-`factorize` builds the sparse LUs of both solvers' subdomain blocks; the
+`factorize` builds every sparse LU of the package in one pivoting mode; the
 weighted sum of the block solves is formed where the owner processes stack
 them, by `owners.OwnerPool.combine`.
 `gmres` hands SciPy's restarted GMRES an operator A and a right-hand side b
@@ -48,7 +48,7 @@ class SingularMatrixError(RuntimeError):
 
 
 class Factorization:
-    """Reusable sparse LU of a square matrix (SuperLU with partial pivoting).
+    """Reusable sparse LU of a square matrix (SuperLU, see `factorize`).
 
     Build, use and release a factorization on one thread of one process;
     both solvers do all three in the process that owns the subdomain, which
@@ -76,21 +76,21 @@ class Factorization:
         return self._lu.solve(np.asarray(b, dtype=np.float64))
 
 
-def factorize(A: sp.spmatrix, fast: bool = False) -> Factorization:
-    """Sparse LU.  `fast` trades strict partial pivoting for a symmetric-mode
-    ordering with relaxed pivoting, which roughly halves the factorization
-    cost on the near-symmetric subdomain blocks; accuracy stays far below
-    the nonlinear solver tolerances.  An exactly-zero pivot, numerical or
-    structural, raises `SingularMatrixError` through SuperLU's own flag.
-    The result must be released on the calling thread, in the calling
-    process (see `Factorization`)."""
+def factorize(A: sp.spmatrix) -> Factorization:
+    """Sparse LU in one pivoting mode: a symmetric-mode minimum-degree
+    ordering of A^T + A that keeps a diagonal pivot down to 1e-3 of its
+    column's largest entry.  On the near-symmetric finite element blocks the
+    package factorizes, subdomain blocks and the coarse space's interior
+    extensions, this roughly halves the cost of SuperLU's default partial
+    pivoting, with errors far below the solver tolerances.  An exactly-zero
+    pivot, numerical or structural, raises `SingularMatrixError` through
+    SuperLU's own flag.  Release the result on the calling thread, in the
+    calling process (see `Factorization`)."""
     if A.shape[0] != A.shape[1]:
         raise ValueError(f"matrix is not square: {A.shape}")
-    kwargs = (dict(permc_spec="MMD_AT_PLUS_A",
-                   options=dict(SymmetricMode=True, DiagPivotThresh=1e-3))
-              if fast else {})
     try:
-        lu = spla.splu(sp.csc_matrix(A), **kwargs)
+        lu = spla.splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A",
+                       options=dict(SymmetricMode=True, DiagPivotThresh=1e-3))
     except RuntimeError as exc:
         raise SingularMatrixError(str(exc)) from exc
     return Factorization(lu)

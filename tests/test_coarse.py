@@ -232,14 +232,14 @@ class TestBuildCoarseSpace:
     @pytest.mark.parametrize("cfg,kind,modified,digest", [
         ({"problem": "ldc", "re": 400, "subdomains": [4, 4], "hh": 10},
          "rgdsw", False,
-         "1433dd00c89d905e26f1cb70368c8422f6135837c68282eb863567b0d0537a36"),
+         "b99b050d810207e24b46dab7eccf71339cfe7c1cab889cf62ad1e5b572874eb8"),
         ({"problem": "ldc", "subdomains": [2, 2], "hh": 6}, "gdsw", False,
-         "f82b061a6324057c40a04dd504af7141db4ecfeff89ebce73e124a9251bffc3c"),
+         "f365b05eb93fc91f0c1e050e1816dbd96403407281d49cc580356d9f1a97766b"),
         ({"problem": "beam", "subdomains": [4, 4], "hh": 4}, "msfem", True,
-         "b16d05c85cbccf19e4feffeb8c7cc672c99457575cb0856b6b37cdaf24b2cd54"),
+         "024f59f92fd1a0aa09e0c581fc2aeb14aa91238795cce779f04e790676904b9d"),
         ({"problem": "diffusion", "subdomains": [3, 3], "hh": 5}, "rgdsw",
          True,
-         "4cd08bc5059975c302f70e050a34740dc593bedf9d64cf0cc35a7998bf7f8561")],
+         "50f1e79a7d4519991c455829199a4783506ca7a3338a5c8fb202d266dfacd59a")],
         ids=["cavity-4x4-rgdsw", "cavity-2x2-gdsw", "beam-4x4-msfem-modified",
              "diffusion-3x3-rgdsw-modified"])
     def test_pinned_basis(self, cfg, kind, modified, digest):

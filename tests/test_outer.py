@@ -639,10 +639,10 @@ class TestOwnerProcesses:
                  for ov in dec.overlap_elements]
         assert len({sizes[0], sizes[1], sizes[4]}) == 3
 
-        def singular(A, _factorize=factorize, **kwargs):
+        def singular(A, _factorize=factorize):
             if A.shape[0] != sizes[0]:
                 raise SingularMatrixError(f"block of {A.shape[0]} rows")
-            return _factorize(A, **kwargs)
+            return _factorize(A)
         monkeypatch.setattr(schwarz, "factorize", singular)
         started = self.started(monkeypatch)
         u, rep = self.solve("nks", workers, monkeypatch)
@@ -680,7 +680,9 @@ class TestPinnedReports:
     coupling, when the cavity's Stokes part moved into the assembly plan,
     which changed the order of the sums, and when the coarse Newton began
     to solve through the LU it keeps and the evaluation to sum the local
-    corrections before it adds the coarse one.  The NKS cases were measured
+    corrections before it adds the coarse one, and when the coarse space's
+    interior extensions began to factorize in the package's one pivoting
+    mode, which moves P0 by rounding.  The NKS cases were measured
     again when NKS began to weight its block solves with the partition of
     unity."""
 
@@ -696,7 +698,7 @@ class TestPinnedReports:
         (dict(BEAM, variant="hybrid"), [4, 8], [0, 0], CONVERGED),
         (dict(BEAM, variant="nks"), [7, 8], [0, 0], CONVERGED),
         (dict(LDC, re=2000, variant="hybrid"),
-         [24, 27, 27, 38, 66, 70, 66, 70, 70, 72],
+         [24, 26, 27, 60, 65, 72, 70, 72, 65, 73],
          [5, 6, 6, 6, 6, 6, 6, 6, 6, 6], LIMIT),
         (dict(LDC, re=2000, variant="nks"),
          [18, 20, 23, 24, 27, 24, 27, 28, 26, 27],

@@ -890,7 +890,7 @@ class TestHeldMemory:
         monkeypatch.setenv("NLSCHWARZ_WORKERS", "1")
         op = SchwarzOperator(prob, m, dm, dec, variant="hybrid", P0=P0)
         u = asm.initial_iterate(prob, dm)
-        for sub in op.subs:   # the plans and ghosts are built outside the window
+        for sub in op.subs:   # built once, outside the window
             sub.plan, sub.ghosts
         tracemalloc.start()
         try:

@@ -42,9 +42,9 @@ class TestFactorize:
         np.testing.assert_allclose(x, np.linalg.solve(A.toarray(), b),
                                    rtol=1e-10, atol=1e-12)
 
-    def test_fast_mode_accuracy(self):
+    def test_residual_accuracy(self):
         A, b = random_system(seed=3)
-        x = factorize(A, fast=True).solve(b)
+        x = factorize(A).solve(b)
         assert np.linalg.norm(A @ x - b) / np.linalg.norm(b) < 1e-8
 
     def test_multiple_rhs_reuse(self):
@@ -55,25 +55,22 @@ class TestFactorize:
             b = rng.standard_normal(A.shape[0])
             assert np.linalg.norm(A @ f.solve(b) - b) < 1e-8
 
-    @pytest.mark.parametrize("fast", [False, True])
-    def test_singular_raises(self, fast):
+    def test_singular_raises(self):
         A = sp.csr_matrix(np.array([[1.0, 2.0], [2.0, 4.0]]))
         with pytest.raises(SingularMatrixError):
-            factorize(A, fast=fast)
+            factorize(A)
 
-    @pytest.mark.parametrize("fast", [False, True])
-    def test_structurally_singular_raises(self, fast):
+    def test_structurally_singular_raises(self):
         A = sp.eye(5).tolil()
         A[2, 2] = 0.0
         with pytest.raises(SingularMatrixError):
-            factorize(A.tocsr(), fast=fast)
+            factorize(A.tocsr())
 
     def test_nonsquare_raises(self):
         with pytest.raises(ValueError):
             factorize(sp.csr_matrix(np.ones((3, 4))))
 
-    @pytest.mark.parametrize("fast", [False, True])
-    def test_factor_holds_no_copy_of_l_and_u(self, fast):
+    def test_factor_holds_no_copy_of_l_and_u(self):
         """SciPy's SuperLU builds numpy CSC copies of L and U on the first
         read of either and keeps them; tracemalloc sees those copies but not
         SuperLU's own storage, so a factor that is never read that way
@@ -81,7 +78,7 @@ class TestFactorize:
         A = cavity_block()
         tracemalloc.start()
         try:
-            lu = factorize(A, fast=fast)
+            lu = factorize(A)
             held = tracemalloc.get_traced_memory()[0]
         finally:
             tracemalloc.stop()

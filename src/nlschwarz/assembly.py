@@ -317,9 +317,10 @@ def _geometry(mesh: Mesh, elems: np.ndarray):
 # elements per tangent kernel call: 96 x 144 float64 of cavity tangent
 # entries (110,592 bytes) stay under the 128 KiB malloc mmap threshold that
 # `sparse` sets, so a chunk's kernel arrays are reused heap memory, not
-# fresh mappings that fault on first touch.  The residual kernel's widest
-# array holds 24 float64 per element, a sixth as many, so residual chunks
-# are six times as long
+# fresh mappings that fault on first touch.  The widest P1 tangent array,
+# the beam's at 36 float64 per element, holds a quarter as many.  The
+# residual kernel's widest array holds 24 float64 per element (the cavity's;
+# 6 for P1), a sixth of 144, so residual chunks are six times as long
 _CHUNK = 96
 
 
@@ -563,8 +564,21 @@ def _element_kernels(problem: ProblemSpec, G: np.ndarray, area: np.ndarray,
     """Per-element residual vectors and (optionally) tangent matrices of the
     state-dependent part of the operator, from the geometry and the (m, k)
     element states at `AssemblyPlan.kernel_loc`: the cavity's convection on
-    its 12 velocity DOFs, the whole operator of the other problems."""
-    m, nloc = ue.shape
+    its 12 velocity DOFs, the whole operator of the other problems.
+
+    The P1 problems come in closed form.  On a P1 triangle the gradients
+    G_a of the shape functions phi_a are constant, and so are grad u, F and
+    P, and the 3-point rule's weights give sum_q w_q phi_a(x_q) = area / 3
+    for every node a.  Only the diffusion coefficient c(u) varies over the
+    points, so with int c = area * mean_q c(u(x_q)):
+
+    * diffusion: r_a = (int c) grad u . G_a - S area / 3 and
+      K_ab = (int c) G_a . G_b + (grad u . G_a) int c'(u) phi_b;
+    * beam, with t = G F^-1: r_(c,a) = area (P G_a - f / 3)_c and
+      K_(c,a),(d,b) = area [(mu - lambda ln J) t_ad t_bc
+                            + lambda t_ac t_bd + mu delta_cd G_a . G_b].
+    """
+    m = ue.shape[0]
     if problem.kind == "ldc":
         # convection only, (u . grad) u tested with the P2 velocity functions;
         # the Stokes part is in the plan.  Each contraction over the
@@ -588,42 +602,28 @@ def _element_kernels(problem: ProblemSpec, G: np.ndarray, area: np.ndarray,
             K = (coef.reshape(m, 7 * q) @ _CONVECTION).reshape(m, 12, 12)
         return r, K
 
-    r = np.zeros((m, nloc))
-    K = np.zeros((m, nloc, nloc)) if want_matrix else None
-
     if problem.kind == "diffusion":
-        bary, qw = _QP3, _QW3
-        for q in range(bary.shape[0]):
-            w = qw[q] * area                      # (m,)
-            Nq = bary[q]                          # (3,)
-            uq = ue @ Nq
-            gu = np.einsum("ma,maj->mj", ue, G)
-            if problem.coefficient == "nonlinear":
-                c = DIFFUSION_C0 + uq ** 2
-                cp = 2 * uq
-            else:
-                c = np.full(m, DIFFUSION_C0)
-                cp = np.zeros(m)
-            flux = np.einsum("m,mj,maj->ma", c, gu, G)
-            r += w[:, None] * (flux - DIFFUSION_SOURCE * Nq[None, :])
-            if want_matrix:
-                K += w[:, None, None] * (
-                    np.einsum("m,maj,mbj->mab", c, G, G)
-                    + np.einsum("m,b,ma->mab", cp, Nq,
-                                np.einsum("mj,maj->ma", gu, G)))
-        return r, K
+        uq = ue @ _QP3.T                                   # u at the points
+        if problem.coefficient == "nonlinear":
+            c, dc = DIFFUSION_C0 + uq ** 2, 2 * uq         # c(u), c'(u)
+        else:
+            c, dc = np.full_like(uq, DIFFUSION_C0), np.zeros_like(uq)
+        wq = area[:, None] * _QW3                          # (m,q)
+        ic = (wq * c).sum(axis=1)                          # int c(u)
+        gu = np.einsum("ma,maj->mj", ue, G)                # grad u
+        flux = np.einsum("mj,maj->ma", gu, G)              # grad u . G_a
+        r = ic[:, None] * flux - (DIFFUSION_SOURCE / 3) * area[:, None]
+        if not want_matrix:
+            return r, None
+        # (wq c') @ _QP3 is int c'(u) phi_b
+        return r, (ic[:, None, None] * np.einsum("maj,mbj->mab", G, G)
+                   + flux[:, :, None] * ((wq * dc) @ _QP3)[:, None, :])
 
     if problem.kind == "beam":
         mu = problem.E / (1 + problem.nu)
         lam = problem.E * problem.nu / ((1 + problem.nu) * (1 - 2 * problem.nu))
         f = np.array([0.0, -problem.f_y * 1e6])
-        ux, uy = ue[:, :3], ue[:, 3:]
-        bary, qw = _QP3, _QW3
-        # displacement gradient is constant on P1 triangles
-        H = np.empty((m, 2, 2))
-        H[:, 0] = np.einsum("ma,maj->mj", ux, G)
-        H[:, 1] = np.einsum("ma,maj->mj", uy, G)
-        F = H.copy()
+        F = np.einsum("mca,maj->mcj", ue.reshape(m, 2, 3), G)  # d_j u_c
         F[:, 0, 0] += 1.0
         F[:, 1, 1] += 1.0
         detF = F[:, 0, 0] * F[:, 1, 1] - F[:, 0, 1] * F[:, 1, 0]
@@ -639,28 +639,19 @@ def _element_kernels(problem: ProblemSpec, G: np.ndarray, area: np.ndarray,
         FiT = np.transpose(Fi, (0, 2, 1))
         lnJ = np.log(detF)
         P = mu * (F - FiT) + lam * lnJ[:, None, None] * FiT
-        # stress term: grad is constant, body force integrated with P1 weights
-        stress = np.einsum("mcj,maj->mac", P, G) * area[:, None, None]
-        r[:, :3] += stress[:, :, 0]
-        r[:, 3:] += stress[:, :, 1]
-        for q in range(bary.shape[0]):
-            w = qw[q] * area
-            r[:, :3] -= np.outer(w, f[0] * bary[q])
-            r[:, 3:] -= np.outer(w, f[1] * bary[q])
-        if want_matrix:
-            t = np.einsum("mar,mrc->mac", G, Fi)   # t[b,c] = G_b . Fi[:,c]
-            gram = np.einsum("maj,mbj->mab", G, G)
-            for c in range(2):
-                for d in range(2):
-                    blk = (mu * (t[:, :, c][:, None, :] * t[:, :, d][:, :, None])
-                           + lam * (t[:, :, d][:, None, :] * t[:, :, c][:, :, None])
-                           - (lam * lnJ)[:, None, None]
-                           * (t[:, :, c][:, None, :] * t[:, :, d][:, :, None]))
-                    if c == d:
-                        blk = blk + mu * gram
-                    K[:, 3 * c:3 * c + 3, 3 * d:3 * d + 3] += \
-                        blk * area[:, None, None]
-        return r, K
+        r = (area[:, None, None] * (np.einsum("mcj,maj->mca", P, G)
+                                    - f[:, None] / 3)).reshape(m, 6)
+        if not want_matrix:
+            return r, None
+        tc = np.einsum("mar,mrc->mca", G, Fi)              # tc[c,a] = t_ac
+        tt = tc[:, :, :, None, None] * tc[:, None, None]   # t_ac t_bd
+        K = lam * tt + (mu - lam * lnJ)[:, None, None, None, None] \
+            * tt.transpose(0, 3, 2, 1, 4)                  # t_ad t_bc
+        gram = mu * np.einsum("maj,mbj->mab", G, G)
+        K[:, 0, :, 0] += gram
+        K[:, 1, :, 1] += gram
+        K *= area[:, None, None, None, None]
+        return r, K.reshape(m, 6, 6)
 
     raise ValueError(problem.kind)
 

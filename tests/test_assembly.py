@@ -107,6 +107,90 @@ class TestTangentConsistency:
         self.check(prob, m, 0.05, 1e-6)
 
 
+def linear_fields(mesh, values):
+    """Per element: the area and the constant gradient (m, k, 2) of the
+    linear interpolants of `values` (n_nodes, k), from the edge vectors."""
+    xy = mesh.nodes[mesh.elements]
+    X = np.stack([xy[:, 1] - xy[:, 0], xy[:, 2] - xy[:, 0]], axis=2)
+    v = values[mesh.elements]
+    V = np.stack([v[:, 1] - v[:, 0], v[:, 2] - v[:, 0]], axis=2)
+    return 0.5 * np.linalg.det(X), V @ np.linalg.inv(X)
+
+
+class TestWeakFormOracles:
+    """The P1 residuals and tangents against oracles written from the weak
+    form, at general states; the FD tests above check K against r only."""
+
+    def test_beam_residual_is_the_energy_gradient(self):
+        """r = dPi/du for Pi(u) = sum_e area_e [W(F_e) - f . mean_e(u)],
+        W(F) = mu/2 (tr F^T F - 2) - mu ln J + lambda/2 (ln J)^2, by
+        central differences."""
+        E, nu, f_y = 10.0, 0.3, 1e-5        # body force 10, of the order of E
+        mu, lam = E / (1 + nu), E * nu / ((1 + nu) * (1 - 2 * nu))
+        f = np.array([0.0, -f_y * 1e6])
+        prob = asm.beam_problem(f_y, E=E, nu=nu)
+        m = msh.build_structured_mesh(6, 2, domain=(0, 5, 0, 1),
+                                      problem_kind="beam")
+        dm = without_dirichlet(asm.build_dofmap(prob, m))
+        n = m.n_nodes
+        rng = np.random.default_rng(4)
+        # a 20% stretch along the beam and a random perturbation
+        u = np.concatenate([0.2 * m.nodes[:, 0], np.zeros(n)])
+        u += 0.01 * rng.standard_normal(2 * n)
+
+        def energy(u):
+            disp = np.stack([u[:n], u[n:]], axis=1)
+            area, H = linear_fields(m, disp)
+            F = H + np.eye(2)
+            lnJ = np.log(np.linalg.det(F))
+            W = mu / 2 * ((F ** 2).sum(axis=(1, 2)) - 2) - mu * lnJ \
+                + lam / 2 * lnJ ** 2
+            return (area * (W - disp[m.elements].mean(axis=1) @ f)).sum(), lnJ
+
+        assert energy(u)[1].min() > 0.1
+        eps = 1e-6
+        grad = np.array([(energy(u + eps * e)[0] - energy(u - eps * e)[0])
+                         / (2 * eps) for e in np.eye(2 * n)])
+        r = asm.assemble_residual(prob, m, dm, u)
+        assert np.abs(r - grad).max() <= 1e-7 * np.abs(grad).max()
+
+    @pytest.mark.parametrize("law", asm.DIFFUSION_LAWS)
+    def test_diffusion_matches_a_loop_over_points_and_nodes(self, law):
+        """r_a = sum_q w_q (c(u_q) grad u . grad phi_a - S phi_a(x_q)) and
+        K_ab = sum_q w_q (c(u_q) grad phi_a . grad phi_b
+                          + c'(u_q) phi_b(x_q) grad u . grad phi_a),
+        with the 3-point rule of points (2/3, 1/6, 1/6) and weights area/3."""
+        prob = asm.diffusion_problem(law)
+        m = msh.build_structured_mesh(2, 2, problem_kind="diffusion")
+        dm = without_dirichlet(asm.build_dofmap(prob, m))
+        u = np.random.default_rng(5).standard_normal(m.n_nodes)
+
+        def c(v):
+            return asm.DIFFUSION_C0 + (v ** 2 if law == "nonlinear" else 0.0)
+
+        def dc(v):
+            return 2 * v if law == "nonlinear" else 0.0
+
+        points = np.full((3, 3), 1 / 6) + np.eye(3) / 2
+        area, grad_phi = linear_fields(m, np.eye(m.n_nodes))
+        r = np.zeros(m.n_nodes)
+        K = np.zeros((m.n_nodes, m.n_nodes))
+        for e, nodes in enumerate(m.elements):
+            gu = u @ grad_phi[e]
+            for phi in points:
+                w, uq = area[e] / 3, phi @ u[nodes]
+                for i, a in enumerate(nodes):
+                    r[a] += w * (c(uq) * gu @ grad_phi[e, a]
+                                 - asm.DIFFUSION_SOURCE * phi[i])
+                    for j, b in enumerate(nodes):
+                        K[a, b] += w * (c(uq) * grad_phi[e, a] @ grad_phi[e, b]
+                                        + dc(uq) * phi[j] * gu @ grad_phi[e, a])
+        np.testing.assert_allclose(asm.assemble_residual(prob, m, dm, u), r,
+                                   rtol=0, atol=1e-14 * np.abs(r).max())
+        np.testing.assert_allclose(asm.assemble_tangent(prob, m, dm, u).toarray(),
+                                   K, rtol=0, atol=1e-14 * np.abs(K).max())
+
+
 class TestResidualProperties:
     def test_linear_diffusion_is_linear(self):
         prob = asm.diffusion_problem("constant")

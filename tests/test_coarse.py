@@ -239,7 +239,7 @@ class TestBuildCoarseSpace:
          "024f59f92fd1a0aa09e0c581fc2aeb14aa91238795cce779f04e790676904b9d"),
         ({"problem": "diffusion", "subdomains": [3, 3], "hh": 5}, "rgdsw",
          True,
-         "50f1e79a7d4519991c455829199a4783506ca7a3338a5c8fb202d266dfacd59a")],
+         "890dea70c113e1c05c3c5bd05c6dfcd959c5660cf88459c32c5aa687112212dc")],
         ids=["cavity-4x4-rgdsw", "cavity-2x2-gdsw", "beam-4x4-msfem-modified",
              "diffusion-3x3-rgdsw-modified"])
     def test_pinned_basis(self, cfg, kind, modified, digest):

@@ -227,21 +227,26 @@ def initial_iterate(problem: ProblemSpec, dofmap: DofMap) -> np.ndarray:
 def nullspace_basis(problem: ProblemSpec, dofmap: DofMap) -> dict[str, np.ndarray]:
     """Named nullspace modes of the operator without boundary conditions.
 
-    The beam has the rigid body modes ``tx``, ``ty`` and ``rot``; every other
-    problem one constant per field, named after the field.
+    Every problem has one constant per field, named after the field.  A
+    displacement or velocity field (ux, uy) also has the rigid rotation
+    ``rot`` = (-y, x), next after the two translations: the beam's rigid
+    body modes are ``tx``, ``ty`` and ``rot``, the cavity's modes ``ux``,
+    ``uy``, ``rot`` and ``p``.
     """
     modes = {}
     for f in dofmap.fields:
         z = np.zeros(dofmap.n_dofs)
         z[f.offset:f.offset + f.n_dofs] = 1.0
         modes[f.name] = z
-    if problem.kind != "beam":
+    if "ux" not in modes:
         return modes
     on_x, on_y = modes["ux"] == 1.0, modes["uy"] == 1.0
     rot = np.zeros(dofmap.n_dofs)
     rot[on_x] = -dofmap.dof_coords[on_x, 1]
     rot[on_y] = dofmap.dof_coords[on_y, 0]
-    return {"tx": modes["ux"], "ty": modes["uy"], "rot": rot}
+    if problem.kind == "beam":
+        return {"tx": modes["ux"], "ty": modes["uy"], "rot": rot}
+    return {"ux": modes.pop("ux"), "uy": modes.pop("uy"), "rot": rot, **modes}
 
 
 # quadrature on the reference triangle: barycentric points, weights sum to 1

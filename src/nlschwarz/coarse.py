@@ -17,14 +17,16 @@ weights, and a complementary filler function per such run restores the
 partition of unity.
 
 Interface values are turned into coarse basis columns by multiplying with the
-nullspace modes of `assembly.nullspace_basis` (one constant per field, or the
-rigid body modes for elasticity) and extending into the subdomain interiors
-energy-minimally with the tangent at the initial iterate.
+nullspace modes of `assembly.nullspace_basis` (one constant per field, and
+the rigid rotation of the beam's displacement and the cavity's velocity) and
+extending into the subdomain interiors energy-minimally with the tangent at
+the initial iterate.
 
 The basis has full column rank: a column within `RANK_TOL` of its norm of
-the span of the columns before it, on the interface, is dropped.  Only beam
-`rot` columns go: one per GDSW vertex, one per run of a one-row strip with
-MsFEM, and one filler's with modified MsFEM on a 2D grid.
+the span of the columns before it, on the interface, is dropped.  Only `rot`
+columns go, of the beam and the cavity alike: one per GDSW vertex, one per
+run of a one-row beam strip with MsFEM, and one filler's with modified MsFEM
+on a 2D grid and with modified rGDSW on the 2x2 cavity.
 """
 
 from __future__ import annotations
@@ -194,9 +196,12 @@ def coarse_interface_basis(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
     Columns are generated entity by entity, modes in `nullspace_basis`
     order.  A column within `RANK_TOL` of its norm of the span of the
     columns before it, on the interface rows, is dropped, and the rest are
-    kept unchanged: one `rot` per GDSW beam vertex, one per run of a
-    one-row beam strip with MsFEM (the weights of its two vertices are
-    linear along it) and one filler's with modified MsFEM on a 2D beam grid.
+    kept unchanged.  Only `rot` columns go, of the beam and the cavity
+    alike: one per GDSW vertex (on a single node the rotation is a
+    combination of the translations), one per run of a one-row beam strip
+    with MsFEM (the weights of its two vertices are linear along it), and
+    one filler's with modified MsFEM on a 2D grid and with modified rGDSW
+    on the 2x2 cavity.
     """
     families: dict[bytes, tuple[np.ndarray, list]] = {}
     for name, z in nullspace_basis(problem, dofmap).items():

@@ -349,10 +349,21 @@ class TestNullspace:
         m = msh.build_structured_mesh(4, 4, problem_kind="ldc")
         dm = asm.build_dofmap(prob, m)
         zs = asm.nullspace_basis(prob, dm)
-        assert list(zs) == ["ux", "uy", "p"]
-        for z, f in zip(zs.values(), dm.fields):
+        assert list(zs) == ["ux", "uy", "rot", "p"]
+        for f in dm.fields:
+            z = zs[f.name]
             assert np.all(z[f.offset:f.offset + f.n_dofs] == 1.0)
             assert z.sum() == f.n_dofs
+        # the velocity's rigid rotation (-y, x), on corners and midpoints
+        ux, uy = dm.field("ux"), dm.field("uy")
+        rot = zs["rot"]
+        np.testing.assert_array_equal(
+            rot[ux.offset:ux.offset + ux.n_dofs],
+            -dm.dof_coords[ux.offset:ux.offset + ux.n_dofs, 1])
+        np.testing.assert_array_equal(
+            rot[uy.offset:uy.offset + uy.n_dofs],
+            dm.dof_coords[uy.offset:uy.offset + uy.n_dofs, 0])
+        assert not np.any(rot[dm.field("p").offset:])
 
 
 def element_system(problem, G, area, ue):

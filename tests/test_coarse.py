@@ -131,11 +131,13 @@ class TestInterfaceBasis:
         prob, m, dm, dec, skel = decomposed("ldc")
         Phi, ents, labels = crs.coarse_interface_basis(prob, m, dm, skel,
                                                        "rgdsw")
-        assert {name for _, name in labels} == {"ux", "uy", "p"}
+        assert {name for _, name in labels} == {"ux", "uy", "rot", "p"}
         for c, (_, name) in enumerate(labels):
             rows = Phi[:, c].tocoo().row
-            f = dm.field(name)
-            assert np.all((rows >= f.offset) & (rows < f.offset + f.n_dofs))
+            inside = np.zeros(rows.size, dtype=bool)
+            for f in map(dm.field, {"rot": ["ux", "uy"]}.get(name, [name])):
+                inside |= (rows >= f.offset) & (rows < f.offset + f.n_dofs)
+            assert np.all(inside)
 
     def test_beam_modes(self):
         prob, m, dm, dec, skel = decomposed("beam", nx=12, px=3)
@@ -232,9 +234,9 @@ class TestBuildCoarseSpace:
     @pytest.mark.parametrize("cfg,kind,modified,digest", [
         ({"problem": "ldc", "re": 400, "subdomains": [4, 4], "hh": 10},
          "rgdsw", False,
-         "b99b050d810207e24b46dab7eccf71339cfe7c1cab889cf62ad1e5b572874eb8"),
+         "043c17f660aae966dc2fbe5366f188021257e711a12b101207c6a9998949f5f9"),
         ({"problem": "ldc", "subdomains": [2, 2], "hh": 6}, "gdsw", False,
-         "f365b05eb93fc91f0c1e050e1816dbd96403407281d49cc580356d9f1a97766b"),
+         "54f509665dd5566f784e6adb558b8b9d229e25f977e3d250020f466ced768e67"),
         ({"problem": "beam", "subdomains": [4, 4], "hh": 4}, "msfem", True,
          "024f59f92fd1a0aa09e0c581fc2aeb14aa91238795cce779f04e790676904b9d"),
         ({"problem": "diffusion", "subdomains": [3, 3], "hh": 5}, "rgdsw",
@@ -281,6 +283,34 @@ class TestNullspaceReproduction:
             assert err < 1e-9, (name, err)
 
 
+class TestCavityRotation:
+    """Every cavity coarse space spans the velocity's rigid rotation (-y, x)
+    on the interface, as it spans the two translations."""
+
+    @pytest.mark.parametrize("kind,rot_columns,dim", [
+        ("gdsw", {"edge": 24}, 135), ("rgdsw", {"vertex": 9}, 48),
+        ("msfem", {"vertex": 9}, 48)])
+    def test_rotation_in_span(self, kind, rot_columns, dim):
+        prob, m, dm, dec, skel = decomposed("ldc", nx=16, px=4)
+        P0, ents, labels = crs.build_coarse_space(prob, m, dm, dec, kind)
+        iface = crs.interface_dofs(dm, skel)
+        velocity = np.concatenate([
+            np.arange(f.offset, f.offset + f.n_dofs)
+            for f in map(dm.field, ("ux", "uy"))])
+        rows = np.intersect1d(iface[~dm.dirichlet_mask[iface]], velocity)
+        ux = dm.field("ux")
+        on_x = (rows >= ux.offset) & (rows < ux.offset + ux.n_dofs)
+        rot = np.where(on_x, -dm.dof_coords[rows, 1], dm.dof_coords[rows, 0])
+        A = P0[rows].toarray()
+        fit = A @ np.linalg.lstsq(A, rot, rcond=None)[0]
+        assert np.linalg.norm(fit - rot) / np.linalg.norm(rot) < 1e-12
+        # at a GDSW vertex, a single node, the rotation is a combination of
+        # the translations, so its column goes, as for the beam
+        kinds = [ents[e].kind for e, name in labels if name == "rot"]
+        assert {k: kinds.count(k) for k in kinds} == rot_columns
+        assert P0.shape[1] == dim
+
+
 class TestCoarseDimensions:
     """(columns, nnz) of P0 for the five spaces, in `ALL_KINDS` order."""
 
@@ -288,8 +318,8 @@ class TestCoarseDimensions:
         "diffusion": (dict(kind="diffusion"),
                       [(16, 256), (4, 196), (4, 196), (12, 364), (12, 364)]),
         "ldc": (dict(kind="ldc", Re=400.0),
-                [(56, 15277), (20, 7395), (20, 7395), (36, 11087),
-                 (36, 11087)]),
+                [(68, 18103), (24, 9390), (24, 9390), (48, 14984),
+                 (47, 14746)]),
         "beam": (dict(kind="beam", nx=16, px=4, fy=1.0),
                  [(21, 1308), (18, 1173), (15, 969), (18, 1173),
                   (15, 969)]),
@@ -317,7 +347,7 @@ class TestCoarseDimensions:
     def test_bench_cavity(self):
         # the 40x40 cavity on 4x4 subdomains of bench/README.md
         case = dict(kind="ldc", nx=40, px=4, Re=400.0)
-        assert self.dims(case, "rgdsw", False) == (39, 108786)
+        assert self.dims(case, "rgdsw", False) == (48, 139299)
 
 
 class TestCoarseRank:

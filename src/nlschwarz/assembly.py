@@ -62,8 +62,9 @@ problem.  Every assembly call uses the plan it is given; without one, a
 full-mesh call uses the DofMap's full-mesh plan (`global_plan`, built on
 first use and rebuilt for another mesh or problem) and a subset call builds
 a throwaway plan that assembles every row, so there is a single assembly
-path.  Callers that assemble one subset repeatedly keep its plan (one per
-subdomain).
+path.  Callers that assemble one subset repeatedly keep its plan: the
+Schwarz operator two per subdomain, over its ghost-extended elements and
+over its own.
 """
 
 from __future__ import annotations

@@ -269,31 +269,38 @@ def harmonic_extension(A0: sp.csc_matrix, dofmap: DofMap, iface: np.ndarray,
     owners label each DOF, so the extension is computed one subdomain at a
     time and touches only the columns whose entities border that subdomain.
     An interior DOF has one owner; the label of an interface DOF, one of its
-    adjacent owners, is not read.
+    adjacent owners, is not read.  The interior rows of A0 and their product
+    with the fixed values are cut and formed once, and each subdomain cuts
+    its rows of both, and its interior block by its own DOFs.
     """
     n = dofmap.n_dofs
     fixed = dofmap.dirichlet_mask.copy()
     fixed[iface] = True
     fixed_idx = np.flatnonzero(fixed)
-    A0 = A0.tocsr()
+    interior = np.flatnonzero(~fixed)
+    A_I = A0.tocsr()[interior]
     Phi_B = Phi_gamma[fixed_idx].tocsc()
+    rhs_I = -(A_I[:, fixed_idx] @ Phi_B)
     n0 = Phi_gamma.shape[1]
 
     label = np.full(n, -1, dtype=np.int64)
     label[dofmap.elem_dofs] = decomp.owner[:, None]
+    # the interior DOFs of each subdomain, as positions among `interior`
+    interior_label = label[interior]
+    parts = np.split(np.argsort(interior_label, kind="stable"), np.cumsum(
+        np.bincount(interior_label, minlength=decomp.num_subdomains))[:-1])
 
     empty = np.zeros(0, dtype=np.int64)
     rows, cols, vals = [empty], [empty], [np.zeros(0)]
-    for i in range(decomp.num_subdomains):
-        idx = np.flatnonzero(~fixed & (label == i))
-        if idx.size == 0:
+    for part in parts:
+        if part.size == 0:
             continue
-        A_sub = A0[idx]
-        rhs = -(A_sub[:, fixed_idx] @ Phi_B)
+        idx = interior[part]
+        rhs = rhs_I[part]
         active = np.unique(rhs.tocoo().col)
         if active.size == 0:
             continue
-        lu = factorize(A_sub[:, idx].tocsc())
+        lu = factorize(A_I[part][:, idx].tocsc())
         sol = lu.solve(rhs[:, active].toarray())
         sol = np.atleast_2d(sol.T).T
         r, c = np.nonzero(sol)

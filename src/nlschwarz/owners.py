@@ -8,14 +8,17 @@ layout of the memory the processes share, where the subdomains' results
 are stacked and summed.  Both solvers run their local work on one
 `OwnerPool`, as a task ``task(i, command, vector, out)`` that handles
 subdomain i, writing its result into `out`: the nonlinear Schwarz operator
-its local Newton solves, factorizations and tangent solves, NKS the
-factorizations and solves of its preconditioner's blocks.  So each factor
-is built, used and released by the only thread of one process (see
-`sparse.Factorization`), and SuperLU, which holds the GIL, runs on W
-cores.  Each process also builds the per-subdomain data of its own
-subdomains, at their first task: the operator's subdomain assembly plans.
-Only global data, such as the mesh, the DOF map and NKS's full-mesh plan,
-reach the owners from the caller, through the fork.
+its local Newton solves, factorizations and tangent solves, and its
+subdomains' dense blocks of the coarse tangent A_0, which are small enough
+to return through the pipes; NKS the factorizations and solves of its
+preconditioner's blocks.  So each factor is built, used and released by
+the only thread of one process (see `sparse.Factorization`), and SuperLU,
+which holds the GIL, runs on W cores.  Each process also builds the
+per-subdomain data of its own subdomains, at their first task: the
+operator's two assembly plans per subdomain, over its ghost-extended
+elements and over its own, and P_0 on the own elements' DOFs.  Only global
+data, such as the mesh, the DOF map, P_0 and NKS's full-mesh plan, reach
+the owners from the caller, through the fork.
 """
 
 from __future__ import annotations

@@ -3,12 +3,11 @@
 The local correction on subdomain i solves R_i F(u - P_i T_i(u)) = 0 on the
 overlapping subdomain; ghost-layer and Dirichlet DOFs stay fixed, so the
 restricted residual rows coincide with the global ones.  The coarse
-correction solves R_0 F(u - P_0 T_0(u)) = 0 in the coarse coefficients with
-R_0 = P_0^T, built for the correction's duration, and full-mesh residual
-assembly.  Both run `newton`, the damped Newton loop of the outer solvers
-too, and differ only in their residual, step solve and state update; a
-non-finite residual ends either one with a `NonPhysicalStateError` that
-names the level.
+correction solves R_0 F(u - P_0 T_0(u)) = 0 in the coarse coefficients,
+R_0 = P_0^T, with the caller's full-mesh residual.  Both run `newton`, the
+damped Newton loop of the outer solvers too, and differ only in their
+residual, step solve and state update; a non-finite residual ends either
+one with a `NonPhysicalStateError` that names the level.
 
 Corrections are recombined into the preconditioned residuals
 
@@ -35,21 +34,37 @@ apply a local block A_i = R_i DF(v) P_i with its ghost coupling C_i.  Per
 subdomain, the latest evaluation's tangent therefore holds the SuperLU
 factor of A_i and the sparse C_i, and the coarse level its `CoarseTangent`
 at u_0, the one form in which both solvers, and each coarse Newton step,
-factorize and apply A_0 = R_0 DF P_0.
+factorize A_0 = R_0 DF P_0.
 
 Each subdomain is owned by one process of an `owners.OwnerPool`, the
 caller or one forked at the first evaluation (see `owners` for the map).
-The owner builds the subdomain's assembly plan in its share of the first
-evaluation and holds it; no other process builds it.  It runs the
+The owner builds the subdomain's assembly plans in its share of the first
+evaluation and holds them; no other process builds them.  It runs the
 subdomain's local Newton solve, factorizes its A_i and keeps the factor
 and C_i until the next evaluation starts, which releases them in every
 owner before its coarse correction; it also runs the subdomain's solve of
 every tangent apply.  Each writes its correction or solve into the pool's
 stacked results, and every sum of them is the pool's `combine`, in
-subdomain order, so the bits do not depend on the number of owners.  The
-NKS preconditioner (`outer.solve_nks`) takes its blocks from the same
+subdomain order, so the bits do not depend on the number of owners.
+
+The owners also form A_0, as FROSch does from local Galerkin products
+(Heinlein, Klawonn and Rheinbach, SIAM J. Sci. Comput. 2016).  Each element
+belongs to one subdomain, `decomp.owner`, so off the Dirichlet rows, where
+P_0 vanishes, DF(w) = sum_i K_i(w) for the tangents K_i over the subdomains'
+own elements, and
+
+    A_0(w) = sum_i P_0^T K_i(w) P_0,
+
+each term a dense block on the few columns of P_0 that are nonzero on the
+subdomain's elements.  The caller adds the blocks in subdomain order.  A
+coarse Newton step needs A_0 alone; the tangent kept at the final coarse
+iterate also needs R_0 DF(u_0) for its apply, which the caller forms from a
+full-mesh DF while the owners form A_0.
+
+The NKS preconditioner (`outer.solve_nks`) takes its blocks from the same
 `subdomains` and holds each as a `LocalTangent`, with [A_i | C_i] cut from
-the full-mesh DF instead of assembled on the subdomain's plan.
+the full-mesh DF instead of assembled on the subdomain's plan, and forms
+its `CoarseTangent` from that DF in the caller.
 """
 
 from __future__ import annotations
@@ -189,21 +204,28 @@ def newton(residual, direction, moved, x, p: NewtonParams, search,
 @dataclass
 class CoarseTangent:
     """Q_0 = P_0 A_0^{-1} R_0 DF at one state, A_0 = R_0 DF P_0: the coarse
-    operator of both solvers' two-level methods."""
+    operator of both solvers' two-level methods.  NKS forms it from the DF
+    it holds (`of`); the nonlinear Schwarz operator from the owners' A_0
+    and its own R_0 DF (`SchwarzOperator.coarse_tangent`)."""
     P0: sp.csr_matrix
     coupling: sp.csr_matrix   # R_0 DF, coarse dim x n_dofs
     lu: tuple                 # LAPACK getrf LU of A_0, dense
 
     @classmethod
     def of(cls, P0, R0, DF) -> "CoarseTangent":
-        """Raises `LinAlgError` on a zero pivot or a non-finite LU of A_0."""
+        """From the full-mesh DF; raises as `factor` does."""
         coupling = R0 @ DF
-        A0 = (coupling @ P0).toarray()
+        return cls(P0, coupling, cls.factor((coupling @ P0).toarray()))
+
+    @staticmethod
+    def factor(A0: np.ndarray) -> tuple:
+        """The getrf LU of the dense A_0.  Raises `LinAlgError` on a zero
+        pivot or a non-finite LU."""
         getrf, = sla.get_lapack_funcs(("getrf",), (A0,))
         lu, piv, info = getrf(A0)
         if info != 0 or not np.all(np.isfinite(lu)):
             raise np.linalg.LinAlgError("coarse tangent is singular")
-        return cls(P0, coupling, (lu, piv))
+        return lu, piv
 
     def coefficients(self, y: np.ndarray) -> np.ndarray:
         """A_0^{-1} y."""
@@ -262,12 +284,13 @@ class LocalTangent:
 @dataclass
 class SubdomainData:
     """One overlapping subdomain, as both solvers see it (see
-    `subdomains`).  Its assembly plan and ghost DOFs, which need no plan,
+    `subdomains`).  Its assembly plans and ghost DOFs, which need no plan,
     are built on first use, by the process that uses them: each owner
     process builds and holds those of its own subdomains only."""
     index: int
     dofs_ov: np.ndarray
     elements: np.ndarray   # the ghost-extended elements: overlap and ghosts
+    owned: np.ndarray      # the elements `decomp.owner` gives the subdomain
     weight: np.ndarray     # partition-of-unity weights on dofs_ov: 1 / the
                            # DOF's multiplicity
     problem: ProblemSpec
@@ -280,6 +303,13 @@ class SubdomainData:
         it numbers first."""
         return asm.AssemblyPlan(self.mesh, self.dofmap, self.elements,
                                 self.problem, rows=self.dofs_ov)
+
+    @cached_property
+    def owned_plan(self) -> asm.AssemblyPlan:
+        """The plan over `owned`, assembling every row: the subdomain's
+        term K_i of the split DF = sum_i K_i off the Dirichlet rows."""
+        return asm.AssemblyPlan(self.mesh, self.dofmap, self.owned,
+                                self.problem)
 
     @cached_property
     def ghosts(self) -> np.ndarray:
@@ -316,10 +346,13 @@ def subdomains(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
     count = np.bincount(np.concatenate(overlaps), minlength=dofmap.n_dofs)
     if np.any(count == 0):
         raise ValueError("overlapping subdomains do not cover every DOF")
-    return [SubdomainData(i, dofs_ov, np.union1d(ov, ghosts),
+    owned = np.split(np.argsort(decomp.owner, kind="stable"), np.cumsum(
+        np.bincount(decomp.owner, minlength=len(overlaps)))[:-1])
+    return [SubdomainData(i, dofs_ov, np.union1d(ov, ghosts), own,
                           1.0 / count[dofs_ov], problem, mesh, dofmap)
-            for i, (dofs_ov, ov, ghosts) in enumerate(zip(
-                overlaps, decomp.overlap_elements, decomp.ghost_elements))]
+            for i, (dofs_ov, ov, ghosts, own) in enumerate(zip(
+                overlaps, decomp.overlap_elements, decomp.ghost_elements,
+                owned))]
 
 
 @dataclass(slots=True)
@@ -391,6 +424,9 @@ class SchwarzOperator:
         self.workers = self._owners.workers
         # the states of the subdomains this process owns, by index
         self._held: dict[int, LocalSolveState] = {}
+        # of the same subdomains, the columns of P0 that are nonzero on the
+        # subdomain's own elements and P0 on them, on its owned plan's DOFs
+        self._coarse_parts: dict[int, tuple[np.ndarray, np.ndarray]] = {}
         self._evaluations = 0
 
     def close(self) -> None:
@@ -434,26 +470,65 @@ class SchwarzOperator:
                           F: np.ndarray | None = None) -> CoarseSolveState:
         """T_0(u) by damped Newton from c = 0; `F` is F(u) if the caller has
         it, which is then the first residual, since u - P0 0 is exactly u.
-        R0 = P0^T is built for the correction's duration only."""
+        The residuals are the caller's, R_0 F on the full mesh; each Newton
+        step solves with the owners' A_0, and the tangent kept at the final
+        iterate is `coarse_tangent`'s."""
         P0 = self.P0
-        R0 = P0.T.tocsr()
 
         def coarse_residual(cc):
-            return R0 @ asm.assemble_residual(self.problem, self.mesh,
-                                              self.dofmap, u - P0 @ cc)
+            return P0.T @ asm.assemble_residual(self.problem, self.mesh,
+                                                self.dofmap, u - P0 @ cc)
 
-        def coarse_tangent(cc):
-            return CoarseTangent.of(P0, R0, asm.assemble_tangent(
-                self.problem, self.mesh, self.dofmap, u - P0 @ cc))
+        def step(cc, r):
+            A0, _ = self._coarse_matrix(u - P0 @ cc)
+            return sla.lu_solve(CoarseTangent.factor(A0), r)
 
         c, rec = newton(
-            coarse_residual, lambda cc, r: coarse_tangent(cc).coefficients(r),
-            lambda cc, s, d: cc + s * d, np.zeros(P0.shape[1]), self.coarse,
-            backtracking_step, None if F is None else R0 @ F)
+            coarse_residual, step, lambda cc, s, d: cc + s * d,
+            np.zeros(P0.shape[1]), self.coarse, backtracking_step,
+            None if F is None else P0.T @ F)
         rec.raise_failure("coarse correction")
-        return CoarseSolveState(coefficients=c, tangent=coarse_tangent(c),
+        return CoarseSolveState(coefficients=c,
+                                tangent=self.coarse_tangent(u - P0 @ c),
                                 iterations=rec.iterations,
                                 converged=rec.converged)
+
+    def coarse_tangent(self, w: np.ndarray) -> CoarseTangent:
+        """Q_0 at the state w: A_0 from the owners' blocks, and R_0 DF(w),
+        which its apply needs, from the full-mesh DF that the caller
+        assembles meanwhile.  Raises as `CoarseTangent.factor` does."""
+        def form_coupling():
+            # DF is CSC, so DF^T is CSR without a copy; R_0 DF has the same
+            # bits either way, and CSR applies it faster
+            DF = asm.assemble_tangent(self.problem, self.mesh, self.dofmap, w)
+            return (DF.T @ self.P0).T.tocsr()
+
+        A0, coupling = self._coarse_matrix(w, first=form_coupling)
+        return CoarseTangent(self.P0, coupling, CoarseTangent.factor(A0))
+
+    def _coarse_matrix(self, w: np.ndarray, first=None) -> tuple:
+        """A_0(w) as the sum of the owners' blocks in subdomain order, so
+        that its bits do not depend on the number of owners, and the result
+        of `first()`, the caller's work while the owners form theirs."""
+        early, blocks = self._owners.run("coarse", self._local_task, w, first)
+        A0 = np.zeros((self.P0.shape[1],) * 2)
+        for cols, block in blocks:
+            A0[np.ix_(cols, cols)] += block
+        return A0, early
+
+    def _coarse_block(self, i: int, w: np.ndarray) -> tuple:
+        """Subdomain i's term P_0^T K_i(w) P_0 of A_0(w): the columns of P_0
+        that are nonzero on its own elements, and the dense block on them.
+        P_0 on those columns is cut at the first call and held."""
+        plan = self.subs[i].owned_plan
+        if i not in self._coarse_parts:
+            P = self.P0[plan.dofs]
+            cols = np.flatnonzero(P.getnnz(axis=0))
+            self._coarse_parts[i] = cols, P[:, cols].toarray()
+        cols, P = self._coarse_parts[i]
+        K = asm.assemble_tangent(self.problem, self.mesh, self.dofmap, w,
+                                 subset=plan.elems, plan=plan)
+        return cols, P.T @ (K @ P)
 
     # -- owners ------------------------------------------------------------
 
@@ -464,10 +539,14 @@ class SchwarzOperator:
         the state `vector`, whose state this process then holds, and returns
         its (iterations, converged), the first building the subdomain's plan
         here; "apply", the local solve of the tangent applied to `vector`;
-        or None, which releases the held state but not the plan."""
+        "coarse", which writes nothing and returns the subdomain's block of
+        A_0 at the state `vector` (see `_coarse_block`); or None, which
+        releases the held state but not the plans."""
         if command == "apply":
             out[:] = self._held[i].tangent.apply(vector)
             return None
+        if command == "coarse":
+            return self._coarse_block(i, vector)
         if command is None:
             self._held.pop(i, None)
             return None

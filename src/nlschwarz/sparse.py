@@ -88,8 +88,12 @@ def factorize(A: sp.spmatrix) -> Factorization:
     calling process (see `Factorization`)."""
     if A.shape[0] != A.shape[1]:
         raise ValueError(f"matrix is not square: {A.shape}")
+    # SuperLU takes CSC; a CSC matrix goes as it is, since each new wrapper
+    # checks its arrays again
+    if not (sp.issparse(A) and A.format == "csc"):
+        A = sp.csc_matrix(A)
     try:
-        lu = spla.splu(sp.csc_matrix(A), permc_spec="MMD_AT_PLUS_A",
+        lu = spla.splu(A, permc_spec="MMD_AT_PLUS_A",
                        options=dict(SymmetricMode=True, DiagPivotThresh=1e-3))
     except RuntimeError as exc:
         raise SingularMatrixError(str(exc)) from exc

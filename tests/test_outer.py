@@ -687,7 +687,9 @@ class TestPinnedReports:
     unity.  Every cavity case but RASPEN's, which has no coarse space, was
     measured again when the cavity's coarse space took the velocity's rigid
     rotation: P0 gained columns, so the two-level counts fell and the
-    ldc2000 steps moved."""
+    ldc2000 steps moved.  `ldc2000-hybrid` was measured again when the
+    coarse Newton began to take A_0 as a sum of the subdomains' blocks,
+    which rounds it differently."""
 
     @pytest.mark.parametrize("config,gmres,ls,reason", [
         (dict(LDC, re=100, variant="hybrid"), [12, 13, 12], [0] * 3,
@@ -701,7 +703,8 @@ class TestPinnedReports:
         (dict(BEAM, variant="hybrid"), [4, 8], [0, 0], CONVERGED),
         (dict(BEAM, variant="nks"), [7, 8], [0, 0], CONVERGED),
         (dict(LDC, re=2000, variant="hybrid"),
-         [49, 61, 71, 68, 66, 74, 80, 71, 71, 73], [6] * 10, LIMIT),
+         [49, 56, 80, 73, 72, 63, 63, 78, 78, 69], [6] * 6 + [5] + [6] * 3,
+         LIMIT),
         (dict(LDC, re=2000, variant="nks"),
          [17, 19, 22, 25, 29, 31, 36, 38, 44, 48],
          [1, 4, 6, 1, 4, 5, 2, 6, 2, 4], LIMIT),

@@ -401,9 +401,15 @@ class TestTangent:
         rm = op.evaluate(u - eps * d).residual
         return (rp - rm) / (2 * eps)
 
-    @pytest.mark.parametrize("variant", VARIANTS)
-    def test_fd_consistency(self, variant):
-        prob, m, dm, dec = setup_problem("diffusion", nx=8, px=2)
+    @pytest.mark.parametrize("variant,case", [
+        pytest.param(variant, case, id=f"{prefix}{variant}")
+        for prefix, case in (("", dict(kind="diffusion")),
+                             ("ldc100-", dict(kind="ldc", Re=100.0)))
+        for variant in VARIANTS])
+    def test_fd_consistency(self, variant, case):
+        """D F_X against a central difference on the 2 x 2, nx = 8 mesh; on
+        the cavity the two-level variants check the owners' A_0 too."""
+        prob, m, dm, dec = setup_problem(nx=8, px=2, **case)
         P0 = coarse_space(prob, m, dm, dec) if variant in ("additive",
                                                            "hybrid") else None
         op = SchwarzOperator(prob, m, dm, dec, variant=variant, P0=P0,
@@ -835,7 +841,11 @@ class TestLifetimes:
 
 
 class TestCoarseTangent:
-    """`CoarseTangent` on the 2x2, H/h = 6 cavity at Re 100."""
+    """`CoarseTangent` on the 2x2, H/h = 6 cavity at Re 100, as NKS forms it
+    from the full-mesh DF and as the Schwarz operator forms it from the
+    owners' blocks of A_0."""
+
+    ROUTES = ("full mesh", "owners")
 
     @staticmethod
     def case():
@@ -845,36 +855,46 @@ class TestCoarseTangent:
         u = asm.initial_iterate(prob, dm)
         u = np.where(dm.dirichlet_mask, u,
                      u + 0.05 * rng.standard_normal(dm.n_dofs))
-        return P0, asm.assemble_tangent(prob, m, dm, u), rng
+        return (prob, m, dm, dec), P0, u, rng
+
+    @staticmethod
+    def tangent(route, case, P0, u):
+        if route == "owners":
+            with SchwarzOperator(*case, variant="hybrid", P0=P0) as op:
+                return op.coarse_tangent(u)
+        prob, m, dm, _ = case
+        return schwarz.CoarseTangent.of(
+            P0, P0.T.tocsr(), asm.assemble_tangent(prob, m, dm, u))
 
     def test_apply_matches_dense_q0(self):
-        P0, DF, rng = self.case()
-        q0 = schwarz.CoarseTangent.of(P0, P0.T.tocsr(), DF)
-        P, A = P0.toarray(), DF.toarray()
-        for _ in range(3):
-            x = rng.standard_normal(DF.shape[0])
-            expect = P @ np.linalg.solve(P.T @ A @ P, P.T @ A @ x)
-            err = np.linalg.norm(q0.apply(x) - expect) / np.linalg.norm(expect)
-            assert err < 1e-12, err
+        case, P0, u, rng = self.case()
+        prob, m, dm, _ = case
+        P, A = P0.toarray(), asm.assemble_tangent(prob, m, dm, u).toarray()
+        for route in self.ROUTES:
+            q0 = self.tangent(route, case, P0, u)
+            for _ in range(3):
+                x = rng.standard_normal(dm.n_dofs)
+                expect = P @ np.linalg.solve(P.T @ A @ P, P.T @ A @ x)
+                err = (np.linalg.norm(q0.apply(x) - expect)
+                       / np.linalg.norm(expect))
+                assert err < 1e-12, (route, err)
 
     @pytest.mark.parametrize("defect", ["zero row", "nan"])
     def test_singular_raises(self, defect):
-        """A zero row of A_0 = R_0 DF P_0, here from a zero row of R_0, is an
-        exactly zero pivot; a NaN entry of DF on the support of P_0 reaches
-        A_0.  Both raise."""
-        P0, DF, _ = self.case()
-        R0 = P0.T.tocsr()
+        """A zero row of A_0 = R_0 DF P_0, here from a zero column of P_0, is
+        an exactly zero pivot; a NaN state on the support of P_0 makes DF
+        NaN there, which reaches A_0.  Both raise, on either route."""
+        case, P0, u, _ = self.case()
         if defect == "zero row":
             keep = np.ones(P0.shape[1])
             keep[1] = 0.0
-            R0 = sp.diags(keep) @ R0
+            P0 = (P0 @ sp.diags(keep)).tocsr()
         else:
-            bump = np.zeros(DF.shape[0])
-            bump[np.flatnonzero(np.diff(P0.indptr))[0]] = np.nan
-            DF = DF + sp.diags(bump)
-        with pytest.raises(np.linalg.LinAlgError,
-                           match="^coarse tangent is singular$"):
-            schwarz.CoarseTangent.of(P0, R0, DF)
+            u[np.flatnonzero(np.diff(P0.indptr))[0]] = np.nan
+        for route in self.ROUTES:
+            with pytest.raises(np.linalg.LinAlgError,
+                               match="^coarse tangent is singular$"):
+                self.tangent(route, case, P0, u)
 
 
 class TestHeldMemory:
@@ -893,8 +913,11 @@ class TestHeldMemory:
         monkeypatch.setenv("NLSCHWARZ_WORKERS", "1")
         op = SchwarzOperator(prob, m, dm, dec, variant="hybrid", P0=P0)
         u = asm.initial_iterate(prob, dm)
-        for sub in op.subs:   # built once, outside the window
+        # built once, outside the window: the plans, the ghosts and the
+        # subdomains' parts of P0 that the coarse level holds
+        for sub in op.subs:
             sub.plan, sub.ghosts
+        op.coarse_tangent(u)
         tracemalloc.start()
         try:
             ev = op.evaluate(u)
@@ -947,20 +970,28 @@ class TestHeldMemory:
 class TestNoRepeatedAssembly:
     @staticmethod
     def recorded(monkeypatch, kind, full_mesh_only=False):
-        """The states `assemble_<kind>` sees from now on, as bytes."""
+        """The (element subset, state) pairs `assemble_<kind>` sees from now
+        on, as bytes, the subset None for the full mesh.  The subset is part
+        of the key: the owners assemble one state on the own elements of
+        every subdomain, once each, for their blocks of A_0."""
         seen = []
 
         def counted(*args, _assemble=getattr(asm, f"assemble_{kind}"),
                     **kwargs):
-            if not full_mesh_only or kwargs.get("subset") is None:
-                seen.append(np.array(args[3], dtype=np.float64).tobytes())
+            subset = kwargs.get("subset")
+            if not full_mesh_only or subset is None:
+                seen.append((None if subset is None
+                             else np.asarray(subset).tobytes(),
+                             np.array(args[3], dtype=np.float64).tobytes()))
             return _assemble(*args, **kwargs)
         monkeypatch.setattr(asm, f"assemble_{kind}", counted)
         return seen
 
     def test_no_state_assembled_twice(self, monkeypatch):
         """The accepted line-search trial's residual is reused, and the
-        coarse correction assembles DF(u) once, for its first Newton step."""
+        coarse correction assembles each state's tangent once on each
+        element subset: DF(u) for its first Newton step on the subdomains'
+        own elements, and the final iterate's also on the full mesh."""
         prob, m, dm, dec = setup_problem("ldc", nx=8, px=2, Re=100.0)
         P0 = coarse_space(prob, m, dm, dec)
         op = SchwarzOperator(prob, m, dm, dec, variant="hybrid", P0=P0)
@@ -973,6 +1004,32 @@ class TestNoRepeatedAssembly:
         for kind, seen in states.items():
             repeated = len(seen) - len(set(seen))
             assert repeated == 0, f"{repeated} {kind} states assembled twice"
+
+    def test_one_full_mesh_tangent_per_evaluation(self, monkeypatch):
+        """On one owner, which assembles every subdomain's block of A_0
+        here, a hybrid solve assembles DF on the full mesh once per
+        evaluation, for R_0 DF(u_0) of the kept coarse tangent, and never
+        for a coarse Newton step."""
+        monkeypatch.setenv("NLSCHWARZ_WORKERS", "1")
+        prob, m, dm, dec = setup_problem("ldc", nx=8, px=2, Re=100.0)
+        P0 = coarse_space(prob, m, dm, dec)
+        evaluations = []
+
+        def counted(self, *args, _evaluate=SchwarzOperator.evaluate):
+            evaluations.append(1)
+            return _evaluate(self, *args)
+        monkeypatch.setattr(SchwarzOperator, "evaluate", counted)
+        full_mesh = self.recorded(monkeypatch, "tangent", full_mesh_only=True)
+        subsets = self.recorded(monkeypatch, "tangent")
+        _, rep = solve_nonlinear_schwarz(prob, m, dm, dec, SolverConfig(),
+                                         P0=P0)
+        assert rep.converged and rep.total_coarse > 0
+        assert len(full_mesh) == len(evaluations) == rep.outer_iterations
+        owned = {np.asarray(sub.owned).tobytes() for sub in
+                 schwarz.subdomains(prob, m, dm, dec)}
+        blocks = [key for key in subsets if key[0] in owned]
+        assert len(blocks) == len(owned) * (rep.total_coarse
+                                            + len(evaluations))
 
     def test_outer_steps_assemble_no_global_residual_twice(self, monkeypatch):
         """Across outer steps, the accepted trial's F(u) is also the first

@@ -310,12 +310,9 @@ def solve_nks(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
             def coarse_factor():
                 nonlocal t_coarse
                 t = time.perf_counter()
-                # R0 is built each step, so that GMRES runs without it; the
-                # product copies DF by rows, and the copy goes with it
-                R0 = P0.T.tocsr()
-                q0 = CoarseTangent.of(P0, R0, DF)
+                q0 = CoarseTangent.of(P0, P0.T, DF)
                 t_coarse = time.perf_counter() - t
-                return q0, R0 @ F
+                return q0, P0.T @ F
 
             coarse, _ = owners.run(
                 "factorize", blocks,

@@ -15,10 +15,10 @@ preconditioner's blocks.  So each factor is built, used and released by
 the only thread of one process (see `sparse.Factorization`), and SuperLU,
 which holds the GIL, runs on W cores.  Each process also builds the
 per-subdomain data of its own subdomains, at their first task: the
-operator's two assembly plans per subdomain, over its ghost-extended
-elements and over its own, and P_0 on the own elements' DOFs.  Only global
-data, such as the mesh, the DOF map, P_0 and NKS's full-mesh plan, reach
-the owners from the caller, through the fork.
+operator's assembly plan of each, over its ghost-extended elements, and
+its Galerkin plan of A_0's block, over its own.  Only global data, such as
+the mesh, the DOF map, P_0 and NKS's full-mesh plan, reach the owners from
+the caller, through the fork.
 """
 
 from __future__ import annotations

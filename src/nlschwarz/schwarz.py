@@ -33,19 +33,20 @@ in which both solvers, and each local Newton step, factorize, solve and
 apply a local block A_i = R_i DF(v) P_i with its ghost coupling C_i.  Per
 subdomain, the latest evaluation's tangent therefore holds the SuperLU
 factor of A_i and the sparse C_i, and the coarse level its `CoarseTangent`
-at u_0, the one form in which both solvers, and each coarse Newton step,
-factorize A_0 = R_0 DF P_0.
+at u_0, the one form in which both solvers apply Q_0; it and each coarse
+Newton step factorize A_0 = R_0 DF P_0 by `CoarseTangent.factor`.
 
 Each subdomain is owned by one process of an `owners.OwnerPool`, the
 caller or one forked at the first evaluation (see `owners` for the map).
-The owner builds the subdomain's assembly plans in its share of the first
-evaluation and holds them; no other process builds them.  It runs the
-subdomain's local Newton solve, factorizes its A_i and keeps the factor
-and C_i until the next evaluation starts, which releases them in every
-owner before its coarse correction; it also runs the subdomain's solve of
-every tangent apply.  Each writes its correction or solve into the pool's
-stacked results, and every sum of them is the pool's `combine`, in
-subdomain order, so the bits do not depend on the number of owners.
+The owner builds the subdomain's assembly plan, and its `GalerkinPlan`
+for the coarse level, in its share of the first evaluation and holds
+them; no other process builds them.  It runs the subdomain's local Newton
+solve, factorizes its A_i and keeps the factor and C_i until the next
+evaluation starts, which releases them in every owner before its coarse
+correction; it also runs the subdomain's solve of every tangent apply.
+Each writes its correction or solve into the pool's stacked results, and
+every sum of them is the pool's `combine`, in subdomain order, so the bits
+do not depend on the number of owners.
 
 The owners also form A_0, as FROSch does from local Galerkin products
 (Heinlein, Klawonn and Rheinbach, SIAM J. Sci. Comput. 2016).  Each element
@@ -56,15 +57,16 @@ own elements, and
     A_0(w) = sum_i P_0^T K_i(w) P_0,
 
 each term a dense block on the few columns of P_0 that are nonzero on the
-subdomain's elements.  The caller adds the blocks in subdomain order.  A
-coarse Newton step needs A_0 alone; the tangent kept at the final coarse
-iterate also needs R_0 DF(u_0) for its apply, which the caller forms from a
-full-mesh DF while the owners form A_0.
+subdomain's elements, summed from the element matrices without a sparse
+K_i (`assembly.GalerkinPlan`).  The caller adds the blocks in subdomain
+order.  A coarse Newton step needs A_0 alone; the tangent kept at the
+final coarse iterate also needs R_0 DF(u_0) for its apply, so the caller
+forms it, A_0 included, from one full-mesh DF per evaluation.
 
 The NKS preconditioner (`outer.solve_nks`) takes its blocks from the same
 `subdomains` and holds each as a `LocalTangent`, with [A_i | C_i] cut from
 the full-mesh DF instead of assembled on the subdomain's plan, and forms
-its `CoarseTangent` from that DF in the caller.
+its `CoarseTangent` from that DF as well.
 """
 
 from __future__ import annotations
@@ -204,17 +206,22 @@ def newton(residual, direction, moved, x, p: NewtonParams, search,
 @dataclass
 class CoarseTangent:
     """Q_0 = P_0 A_0^{-1} R_0 DF at one state, A_0 = R_0 DF P_0: the coarse
-    operator of both solvers' two-level methods.  NKS forms it from the DF
-    it holds (`of`); the nonlinear Schwarz operator from the owners' A_0
-    and its own R_0 DF (`SchwarzOperator.coarse_tangent`)."""
+    operator of both solvers' two-level methods, formed from the full-mesh
+    DF (`of`).  The coarse Newton steps of the nonlinear Schwarz operator
+    need A_0 alone, which they take from the owners and factorize with
+    `factor`."""
     P0: sp.csr_matrix
     coupling: sp.csr_matrix   # R_0 DF, coarse dim x n_dofs
     lu: tuple                 # LAPACK getrf LU of A_0, dense
 
     @classmethod
     def of(cls, P0, R0, DF) -> "CoarseTangent":
-        """From the full-mesh DF; raises as `factor` does."""
-        coupling = R0 @ DF
+        """From the full-mesh DF and the restriction R0, which both solvers
+        pass as the CSC P0^T; raises as `factor` does."""
+        # DF is CSC and R0^T CSR, so the product of their transposes needs
+        # no copy of DF; the coupling has the entries of R0 @ DF, and lists
+        # each row's columns in order
+        coupling = (DF.T @ R0.T).T.tocsr()
         return cls(P0, coupling, cls.factor((coupling @ P0).toarray()))
 
     @staticmethod
@@ -284,7 +291,7 @@ class LocalTangent:
 @dataclass
 class SubdomainData:
     """One overlapping subdomain, as both solvers see it (see
-    `subdomains`).  Its assembly plans and ghost DOFs, which need no plan,
+    `subdomains`).  Its assembly plan and ghost DOFs, which need no plan,
     are built on first use, by the process that uses them: each owner
     process builds and holds those of its own subdomains only."""
     index: int
@@ -303,13 +310,6 @@ class SubdomainData:
         it numbers first."""
         return asm.AssemblyPlan(self.mesh, self.dofmap, self.elements,
                                 self.problem, rows=self.dofs_ov)
-
-    @cached_property
-    def owned_plan(self) -> asm.AssemblyPlan:
-        """The plan over `owned`, assembling every row: the subdomain's
-        term K_i of the split DF = sum_i K_i off the Dirichlet rows."""
-        return asm.AssemblyPlan(self.mesh, self.dofmap, self.owned,
-                                self.problem)
 
     @cached_property
     def ghosts(self) -> np.ndarray:
@@ -406,6 +406,10 @@ class SchwarzOperator:
             raise ValueError(f"the {variant} variant requires a coarse space")
         if tangent_mode not in TANGENT_MODES:
             raise ValueError(f"unknown tangent mode {tangent_mode!r}")
+        if P0 is not None and P0[dofmap.dirichlet_mask].count_nonzero():
+            # the owners' blocks of A_0 leave the Dirichlet rows out
+            raise ValueError("the coarse space does not vanish on the "
+                             "Dirichlet DOFs")
         self.problem = problem
         self.mesh = mesh
         self.dofmap = dofmap
@@ -424,9 +428,8 @@ class SchwarzOperator:
         self.workers = self._owners.workers
         # the states of the subdomains this process owns, by index
         self._held: dict[int, LocalSolveState] = {}
-        # of the same subdomains, the columns of P0 that are nonzero on the
-        # subdomain's own elements and P0 on them, on its owned plan's DOFs
-        self._coarse_parts: dict[int, tuple[np.ndarray, np.ndarray]] = {}
+        # of the same subdomains, the Galerkin plans of their own elements
+        self._galerkin: dict[int, asm.GalerkinPlan] = {}
         self._evaluations = 0
 
     def close(self) -> None:
@@ -471,8 +474,9 @@ class SchwarzOperator:
         """T_0(u) by damped Newton from c = 0; `F` is F(u) if the caller has
         it, which is then the first residual, since u - P0 0 is exactly u.
         The residuals are the caller's, R_0 F on the full mesh; each Newton
-        step solves with the owners' A_0, and the tangent kept at the final
-        iterate is `coarse_tangent`'s."""
+        step solves with the owners' A_0 (`coarse_matrix`), and the tangent
+        kept at the final iterate, whose apply needs R_0 DF, is formed from
+        the full-mesh DF there."""
         P0 = self.P0
 
         def coarse_residual(cc):
@@ -480,7 +484,7 @@ class SchwarzOperator:
                                                 self.dofmap, u - P0 @ cc)
 
         def step(cc, r):
-            A0, _ = self._coarse_matrix(u - P0 @ cc)
+            A0 = self.coarse_matrix(u - P0 @ cc)
             return sla.lu_solve(CoarseTangent.factor(A0), r)
 
         c, rec = newton(
@@ -488,47 +492,34 @@ class SchwarzOperator:
             np.zeros(P0.shape[1]), self.coarse, backtracking_step,
             None if F is None else P0.T @ F)
         rec.raise_failure("coarse correction")
+        DF = asm.assemble_tangent(self.problem, self.mesh, self.dofmap,
+                                  u - P0 @ c)
         return CoarseSolveState(coefficients=c,
-                                tangent=self.coarse_tangent(u - P0 @ c),
+                                tangent=CoarseTangent.of(P0, P0.T, DF),
                                 iterations=rec.iterations,
                                 converged=rec.converged)
 
-    def coarse_tangent(self, w: np.ndarray) -> CoarseTangent:
-        """Q_0 at the state w: A_0 from the owners' blocks, and R_0 DF(w),
-        which its apply needs, from the full-mesh DF that the caller
-        assembles meanwhile.  Raises as `CoarseTangent.factor` does."""
-        def form_coupling():
-            # DF is CSC, so DF^T is CSR without a copy; R_0 DF has the same
-            # bits either way, and CSR applies it faster
-            DF = asm.assemble_tangent(self.problem, self.mesh, self.dofmap, w)
-            return (DF.T @ self.P0).T.tocsr()
-
-        A0, coupling = self._coarse_matrix(w, first=form_coupling)
-        return CoarseTangent(self.P0, coupling, CoarseTangent.factor(A0))
-
-    def _coarse_matrix(self, w: np.ndarray, first=None) -> tuple:
-        """A_0(w) as the sum of the owners' blocks in subdomain order, so
-        that its bits do not depend on the number of owners, and the result
-        of `first()`, the caller's work while the owners form theirs."""
-        early, blocks = self._owners.run("coarse", self._local_task, w, first)
+    def coarse_matrix(self, w: np.ndarray) -> np.ndarray:
+        """A_0(w), dense: the owners' blocks (`_coarse_block`) added in
+        subdomain order, so that its bits do not depend on the number of
+        owners."""
+        _, blocks = self._owners.run("coarse", self._local_task, w)
         A0 = np.zeros((self.P0.shape[1],) * 2)
         for cols, block in blocks:
             A0[np.ix_(cols, cols)] += block
-        return A0, early
+        return A0
 
     def _coarse_block(self, i: int, w: np.ndarray) -> tuple:
-        """Subdomain i's term P_0^T K_i(w) P_0 of A_0(w): the columns of P_0
-        that are nonzero on its own elements, and the dense block on them.
-        P_0 on those columns is cut at the first call and held."""
-        plan = self.subs[i].owned_plan
-        if i not in self._coarse_parts:
-            P = self.P0[plan.dofs]
-            cols = np.flatnonzero(P.getnnz(axis=0))
-            self._coarse_parts[i] = cols, P[:, cols].toarray()
-        cols, P = self._coarse_parts[i]
-        K = asm.assemble_tangent(self.problem, self.mesh, self.dofmap, w,
-                                 subset=plan.elems, plan=plan)
-        return cols, P.T @ (K @ P)
+        """Subdomain i's term P_0^T K_i(w) P_0 of A_0(w), K_i the tangent
+        over its own elements: the columns of P_0 that are nonzero there,
+        and the dense block on them.  The subdomain's `GalerkinPlan` is
+        built at the first call and held."""
+        plan = self._galerkin.get(i)
+        if plan is None:
+            plan = self._galerkin[i] = asm.GalerkinPlan(
+                self.mesh, self.dofmap, self.subs[i].owned, self.problem,
+                self.P0)
+        return plan.cols, asm.assemble_galerkin(self.problem, w, plan)
 
     # -- owners ------------------------------------------------------------
 

@@ -4,6 +4,7 @@ import dataclasses
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 
 from nlschwarz import assembly as asm
 from nlschwarz import mesh as msh
@@ -320,6 +321,48 @@ class TestSubsetAssembly:
         r_full = asm.assemble_residual(prob, m, dm, u, subset=subset)
         r_sub = asm.assemble_residual(prob, m, dm, u[dofs], subset=subset)
         np.testing.assert_allclose(r_sub, r_full, rtol=1e-14)
+
+
+class TestGalerkinPlan:
+    """`assemble_galerkin` over two halves of the elements adds up to the
+    product P^T DF P with the assembled full-mesh tangent, for a basis P
+    that vanishes on the Dirichlet DOFs."""
+
+    @staticmethod
+    def case(kind):
+        prob, (nx, ny, domain) = TestPlanAgainstReference.CASES[kind]
+        m = msh.build_structured_mesh(nx, ny, domain=domain, problem_kind=kind)
+        dm = asm.build_dofmap(prob, m)
+        P = sp.random(dm.n_dofs, 6, density=0.2, rng=np.random.default_rng(3),
+                      format="csr")
+        P = (sp.diags((~dm.dirichlet_mask).astype(float)) @ P).tocsr()
+        return prob, m, dm, P
+
+    @pytest.mark.parametrize("chunked", [False, True])
+    @pytest.mark.parametrize("kind", ["diffusion", "ldc", "beam"])
+    def test_halves_add_up_to_the_full_product(self, kind, chunked,
+                                               monkeypatch):
+        prob, m, dm, P = self.case(kind)
+        if chunked:   # several chunks per half for every problem
+            monkeypatch.setattr(asm, "_CHUNK", 2)
+        u = random_state(prob, dm, 7, 0.05)
+        DF = asm.assemble_tangent(prob, m, dm, u)
+        expect = (P.T @ DF @ P).toarray()
+        total = np.zeros_like(expect)
+        for half in (0, 1):
+            plan = asm.GalerkinPlan(m, dm, np.arange(half, m.n_elements, 2),
+                                    prob, P)
+            assert plan.chunk < plan.area.size or not chunked
+            total[np.ix_(plan.cols, plan.cols)] += asm.assemble_galerkin(
+                prob, u, plan)
+        assert np.abs(total - expect).max() <= 1e-13 * np.abs(expect).max()
+
+    def test_plan_for_another_problem_raises(self):
+        prob, m, dm, P = self.case("diffusion")
+        plan = asm.GalerkinPlan(m, dm, np.arange(4), prob, P)
+        with pytest.raises(ValueError, match="another problem"):
+            asm.assemble_galerkin(asm.diffusion_problem("constant"),
+                                  np.zeros(dm.n_dofs), plan)
 
 
 class TestNullspace:

@@ -687,11 +687,9 @@ def assemble_residual(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap, u,
 
 
 def assemble_tangent(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap, u,
-                     subset=None, plan: AssemblyPlan | None = None,
-                     values: np.ndarray | None = None):
+                     subset=None, plan: AssemblyPlan | None = None):
     """The tangent rows of the plan's `rows` on all of its columns, as a
-    CSC matrix.  `values`, if given, receives the plan.nnz values on the
-    plan's pattern, the exact zeros that the matrix drops included."""
+    CSC matrix."""
     plan = _plan_for(problem, mesh, dofmap, subset, plan)
     ul = plan.local_state(u)
     data = np.zeros(plan.nnz + 1)        # the last slot collects dropped entries
@@ -704,8 +702,6 @@ def assemble_tangent(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap, u,
     if plan.stokes is not None:
         np.add.at(data, plan.stokes_slot, plan.stokes.data)
     data[plan.diagonal] = 1.0
-    if values is not None:
-        values[:] = data[:-1]
     A = sp.csc_matrix((data[:-1], plan.indices.copy(), plan.indptr.copy()),
                       shape=(plan.n_rows, plan.n))
     # entries that sum to exactly zero (the pressure block of the cavity, the

@@ -191,36 +191,39 @@ def nodal_graph(mesh: Mesh) -> sp.csr_matrix:
     return adj
 
 
+def _sets(S: sp.spmatrix) -> list[np.ndarray]:
+    """The sorted element sets of the columns of an indicator."""
+    S = S.tocsc()
+    return np.split(S.indices.astype(np.intp), S.indptr[1:-1])
+
+
 def extend_overlap(decomp: Decomposition, graph: sp.csr_matrix, k: int) -> Decomposition:
-    """Populate overlap_elements with the k-layer closure of each owner set."""
+    """Populate overlap_elements with the k-layer closure of each owner set:
+    S <- pattern((G + I) S) per layer, S the element x subdomain indicator."""
     if k < 0:
         raise ValueError("overlap layer count must be >= 0")
     m = decomp.owner.shape[0]
-    overlap = []
-    for i in range(decomp.num_subdomains):
-        ind = (decomp.owner == i)
-        for _ in range(k):
-            ind = ind | (graph @ ind).astype(bool)
-        overlap.append(np.flatnonzero(ind))
-    decomp.overlap_elements = overlap
+    S = sp.csr_matrix((np.ones(m, dtype=bool), (np.arange(m), decomp.owner)),
+                      shape=(m, decomp.num_subdomains))
+    grow = (graph + sp.eye(m, format="csr")).astype(bool)
+    for _ in range(k):
+        S = grow @ S
+    decomp.overlap_elements = _sets(S)
     return decomp
 
 
 def ghost_layer(decomp: Decomposition, mesh: Mesh) -> Decomposition:
     """Populate ghost_elements, the ring of elements of `mesh` that share a
     node with each overlap, so that every node of the overlapping subdomain
-    becomes interior to the ghost-extended element set.
-    """
+    becomes interior to the ghost-extended element set: pattern(G S) minus
+    S, for the overlaps' indicator S and the nodal graph G."""
     if decomp.overlap_elements is None:
         raise ValueError("extend_overlap must run before ghost_layer")
-    graph = nodal_graph(mesh)
-    ghosts = []
-    for ov in decomp.overlap_elements:
-        ind = np.zeros(mesh.n_elements, dtype=bool)
-        ind[ov] = True
-        ring = (graph @ ind).astype(bool) & ~ind
-        ghosts.append(np.flatnonzero(ring))
-    decomp.ghost_elements = ghosts
+    sets = decomp.overlap_elements
+    S = sp.csc_matrix((np.ones(sum(map(len, sets)), dtype=bool),
+                       np.concatenate(sets), np.cumsum([0, *map(len, sets)])),
+                      shape=(mesh.n_elements, len(sets)))
+    decomp.ghost_elements = _sets(nodal_graph(mesh).astype(bool) @ S > S)
     return decomp
 
 

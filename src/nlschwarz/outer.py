@@ -156,7 +156,8 @@ def _solve(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
         # factorizations raises the peak memory.  The subdomain owners, the
         # caller among them, keep their factors until the next
         # linearization starts and releases them all: before NKS's next DF
-        # assembly, and before the Schwarz operator's next coarse correction
+        # assembly, and before the Schwarz operator's next coarse correction;
+        # NKS's drop their DF at the solve before GMRES
         starts.append(time.perf_counter())
         rhs, apply, fields = linearize(u, F)
         t0 = time.perf_counter()
@@ -218,36 +219,31 @@ class _LocalBlocks:
     """The local terms of NKS's operator M^{-1} DF on the overlap DOFs
     d_i = `subs[i].dofs_ov`, as the task of an `OwnerPool` (see `owners`).
 
-    On "factorize", subdomain i's rows R_i DF are cut out of DF's `values`
-    on the full-mesh plan's pattern as [A_i | C_i], on the columns d_i and
-    the subdomain's ghost DOFs Gamma_i, and kept as a `schwarz.LocalTangent`
-    until the command None releases it.  On "solve", the task writes
-    A_i^{-1} v_i for the vector v; on "apply", A_i^{-1} C_i x_Gamma, so that
+    On "factorize", subdomain i's rows R_i DF are cut out of the process's
+    `DF` as [A_i | C_i], on the columns d_i and the subdomain's ghost DOFs
+    Gamma_i, and kept as a `schwarz.LocalTangent` until the command None
+    releases it.  The caller sets `DF`; the other owners assemble it with
+    `tangent` at the state in the command's vector.  Any other command drops
+    `DF`.  On "solve", the task writes A_i^{-1} v_i for the vector v; on
+    "apply", A_i^{-1} C_i x_Gamma, so that
     A_i^{-1} R_i DF x = x_i + A_i^{-1} C_i x_Gamma."""
 
-    def __init__(self, plan: asm.AssemblyPlan, subs: list[SubdomainData],
-                 values: np.ndarray):
-        self.plan = plan
+    def __init__(self, tangent, subs: list[SubdomainData]):
+        self.tangent = tangent    # DF at a state, on the full-mesh plan
         self.subs = subs
-        self.values = values
+        self.DF = None
         self.held: dict[int, LocalTangent] = {}   # this process's blocks
 
     def cut(self, i: int) -> sp.csc_matrix:
-        """[A_i | C_i] cut out of `values`, with its exact zeros dropped.
-        Its leading columns, A_i, have the arrays of
-        ``sp.csc_matrix(DF[d][:, d])`` for the DF that `assemble_tangent`
-        returns."""
-        plan, sub = self.plan, self.subs[i]
-        # the cuts allocate new arrays, so eliminate_zeros never rewrites
-        # `values` or the plan's index arrays
-        DF = sp.csc_matrix((self.values, plan.indices, plan.indptr),
-                           shape=(plan.n_rows, plan.n))
-        A = DF[:, np.concatenate([sub.dofs_ov, sub.ghosts])][sub.dofs_ov]
-        A.eliminate_zeros()
-        return A
+        """[A_i | C_i] cut out of `DF`; A_i has the arrays of
+        ``sp.csc_matrix(DF[d][:, d])``."""
+        d, ghosts = self.subs[i].dofs_ov, self.subs[i].ghosts
+        return self.DF[:, np.concatenate([d, ghosts])][d]
 
     def __call__(self, i: int, command: str | None, vector: np.ndarray,
                  out: np.ndarray):
+        if command != "factorize":
+            self.DF = None
         if command == "solve":
             out[:] = self.held[i].solve(vector[self.subs[i].dofs_ov])
         elif command == "apply":
@@ -255,6 +251,8 @@ class _LocalBlocks:
         elif command is None:
             self.held.pop(i, None)
         else:
+            if self.DF is None:
+                self.DF = self.tangent(vector)
             self.held[i] = LocalTangent.of(self.cut(i), self.subs[i].ghosts)
         return None
 
@@ -283,44 +281,39 @@ def solve_nks(problem: ProblemSpec, mesh: Mesh, dofmap: DofMap,
 
     The local blocks run on an `OwnerPool` (see `owners`), which is
     stopped when the solve returns or raises.  Each Newton step, the owners
-    first release the last step's blocks; then the caller assembles DF into
-    the pool's `extra`, from which the owners cut, factorize and keep their
-    blocks, while the caller builds the `schwarz.CoarseTangent` of DF, and
-    once the blocks are cut the caller returns the pages of DF's values to
-    the system.  In each solve and apply the caller computes the coarse
-    term while the owners solve theirs.  `combine` adds the local terms in
-    subdomain order, then the caller the coarse term, so the bits do not
-    depend on the number of processes.
+    first release the last step's blocks; then the caller assembles DF, and
+    each other owner its own on the full-mesh plan inherited through the
+    fork, and cuts, factorizes and keeps its blocks, while the caller builds
+    the `schwarz.CoarseTangent` of DF; each drops its DF at the next solve.
+    In each solve and apply the caller computes the coarse term while the
+    owners solve theirs.  `combine` adds the local terms in subdomain order,
+    then the caller the coarse term, so the bits do not depend on the
+    number of processes.
     """
     t_start = time.perf_counter()
     subs = subdomains(problem, mesh, dofmap, decomp)
     plan = asm.global_plan(mesh, dofmap, problem)
+    blocks = _LocalBlocks(lambda v: asm.assemble_tangent(
+        problem, mesh, dofmap, v, plan=plan), subs)
 
     with OwnerPool([sub.dofs_ov for sub in subs], plan.n,
-                   [sub.weight for sub in subs], plan.nnz) as owners:
-        blocks = _LocalBlocks(plan, subs, owners.extra)
+                   [sub.weight for sub in subs]) as owners:
 
         def linearize(u, F):
             t0 = time.perf_counter()
             owners.run(None, blocks)
-            DF = asm.assemble_tangent(problem, mesh, dofmap, u, plan=plan,
-                                      values=owners.extra)
-            t_coarse = 0.0
+            blocks.DF = blocks.tangent(u)
 
             def coarse_factor():
-                nonlocal t_coarse
                 t = time.perf_counter()
-                q0 = CoarseTangent.of(P0, P0.T, DF)
-                t_coarse = time.perf_counter() - t
-                return q0, P0.T @ F
+                q0 = CoarseTangent.of(P0, blocks.DF)
+                return q0, time.perf_counter() - t, P0.T @ F
 
             coarse, _ = owners.run(
-                "factorize", blocks,
+                "factorize", blocks, u,
                 first=coarse_factor if P0 is not None else None)
-            owners.free_extra()
+            q0, t_coarse, R0F = coarse or (None, 0.0, None)
             t_inner = time.perf_counter() - t0 - t_coarse
-
-            q0, R0F = coarse or (None, None)
 
             def summed(command, v, coarse_term):
                 """sum_i P_i D_i y_i for the owners' results y_i of `command`

@@ -4,21 +4,21 @@ With W workers, NLSCHWARZ_WORKERS capped at the number of subdomains, the
 calling process is owner 0 and W - 1 processes, forked at the first
 command, are owners 1, ..., W - 1; owner k owns subdomains k, k + W,
 k + 2W, ....  This module is the only one that knows that map and the
-layout of the memory the processes share, where the subdomains' results
-are stacked and summed.  Both solvers run their local work on one
-`OwnerPool`, as a task ``task(i, command, vector, out)`` that handles
-subdomain i, writing its result into `out`: the nonlinear Schwarz operator
-its local Newton solves, factorizations and tangent solves, and its
-subdomains' dense blocks of the coarse tangent A_0, which are small enough
-to return through the pipes; NKS the factorizations and solves of its
-preconditioner's blocks.  So each factor is built, used and released by
-the only thread of one process (see `sparse.Factorization`), and SuperLU,
-which holds the GIL, runs on W cores.  Each process also builds the
-per-subdomain data of its own subdomains, at their first task: the
-operator's assembly plan of each, over its ghost-extended elements, and
-its Galerkin plan of A_0's block, over its own.  Only global data, such as
-the mesh, the DOF map, P_0 and NKS's full-mesh plan, reach the owners from
-the caller, through the fork.
+layout of the memory the processes share: a command's vector and the
+subdomains' results, stacked and summed.  Both solvers run their local work
+on one `OwnerPool`, as a task ``task(i, command, vector, out)`` that
+handles subdomain i, writing its result into `out`: the nonlinear Schwarz
+operator its local Newton solves, factorizations and tangent solves, and
+its subdomains' dense blocks of the coarse tangent A_0, which are small
+enough to return through the pipes; NKS the factorizations and solves of
+its preconditioner's blocks, cut from each process's own DF.  So each
+factor is built, used and released by the only thread of one process (see
+`sparse.Factorization`), and SuperLU, which holds the GIL, runs on W cores.
+Each process also builds the per-subdomain data of its own subdomains, at
+their first task: the operator's assembly plan of each, over its
+ghost-extended elements, and its Galerkin plan of A_0's block, over its
+own.  Only global data, such as the mesh, the DOF map, P_0 and NKS's
+full-mesh plan, reach the owners from the caller, through the fork.
 """
 
 from __future__ import annotations
@@ -65,14 +65,12 @@ class OwnerPool:
     weights `weights[i]`.
 
     The caller and the owners share one anonymous mapping, made before the
-    fork: `extra` doubles of the solver's own (NKS's DF values), the
-    n-vector a command reads, which `run` writes, and the task results,
-    stacked in subdomain order, which `combine`, both solvers' one sum over
-    the subdomains, adds up; the arrays `extra`, `vector` and `results` view
+    fork: the n-vector a command reads, which `run` writes, and the task
+    results, stacked in subdomain order, which `combine`, both solvers' one
+    sum over the subdomains, adds up; the arrays `vector` and `results` view
     them, and `outs[i]`, subdomain i's block of `results`, of the size of
-    `blocks[i]`, is the `out` of its task.  `free_extra` returns the pages of
-    `extra` to the system until the next write.  One pipe per owner carries
-    the commands and the small replies.
+    `blocks[i]`, is the `out` of its task.  One pipe per owner carries the
+    commands and the small replies.
     The owners start at the first `run`; `close`, leaving a ``with`` block
     or the pool's garbage collection stops them, and a `run` after `close`
     starts them again.
@@ -88,31 +86,18 @@ class OwnerPool:
     holds no reference to the solver that made it."""
 
     def __init__(self, blocks: list[np.ndarray], n: int,
-                 weights: list[np.ndarray], extra: int = 0):
+                 weights: list[np.ndarray]):
         self.index = np.concatenate(blocks)
         self.weight = np.concatenate(weights)
         self.subdomains = len(blocks)
         self.workers = min(workers_from_env(), self.subdomains)
-        size = extra + n + self.index.size
-        self._map = mmap.mmap(-1, 8 * max(size, 1))
-        shared = np.frombuffer(self._map, np.float64, size)
-        self.extra, self.vector, self.results = np.split(
-            shared, [extra, extra + n])
+        self._map = mmap.mmap(-1, 8 * (n + self.index.size))
+        self.vector, self.results = np.split(
+            np.frombuffer(self._map, np.float64), [n])
         self.outs = np.split(self.results,
                              np.cumsum([d.size for d in blocks[:-1]]))
         self.procs, self.conns = [], []
         self._stop = None
-
-    def free_extra(self) -> None:
-        """Return the whole pages of `extra`, which head the mapping, to the
-        system for every process that shares them, and zero the rest of it:
-        `extra` reads as zeros, and the next write maps fresh pages.
-        MADV_REMOVE frees a shared page; MADV_DONTNEED would only unmap the
-        caller's view of it."""
-        whole = 8 * self.extra.size // mmap.PAGESIZE * mmap.PAGESIZE
-        if whole:
-            self._map.madvise(mmap.MADV_REMOVE, 0, whole)
-        self.extra[whole // 8:] = 0.0
 
     def close(self) -> None:
         """Stop the owner processes."""

@@ -65,8 +65,8 @@ forms it, A_0 included, from one full-mesh DF per evaluation.
 
 The NKS preconditioner (`outer.solve_nks`) takes its blocks from the same
 `subdomains` and holds each as a `LocalTangent`, with [A_i | C_i] cut from
-the full-mesh DF instead of assembled on the subdomain's plan, and forms
-its `CoarseTangent` from that DF as well.
+the full-mesh DF, which each owner assembles itself, instead of assembled
+on the subdomain's plan; the caller forms its `CoarseTangent` from its DF.
 """
 
 from __future__ import annotations
@@ -215,13 +215,11 @@ class CoarseTangent:
     lu: tuple                 # LAPACK getrf LU of A_0, dense
 
     @classmethod
-    def of(cls, P0, R0, DF) -> "CoarseTangent":
-        """From the full-mesh DF and the restriction R0, which both solvers
-        pass as the CSC P0^T; raises as `factor` does."""
-        # DF is CSC and R0^T CSR, so the product of their transposes needs
-        # no copy of DF; the coupling has the entries of R0 @ DF, and lists
-        # each row's columns in order
-        coupling = (DF.T @ R0.T).T.tocsr()
+    def of(cls, P0, DF) -> "CoarseTangent":
+        """From the full-mesh DF; raises as `factor` does."""
+        # DF is CSC and P0 CSR, so (DF^T P0)^T needs no copy of DF; the
+        # coupling lists each row's columns in order
+        coupling = (DF.T @ P0).T.tocsr()
         return cls(P0, coupling, cls.factor((coupling @ P0).toarray()))
 
     @staticmethod
@@ -495,7 +493,7 @@ class SchwarzOperator:
         DF = asm.assemble_tangent(self.problem, self.mesh, self.dofmap,
                                   u - P0 @ c)
         return CoarseSolveState(coefficients=c,
-                                tangent=CoarseTangent.of(P0, P0.T, DF),
+                                tangent=CoarseTangent.of(P0, DF),
                                 iterations=rec.iterations,
                                 converged=rec.converged)
 

@@ -94,6 +94,29 @@ class TestPartition:
             assert np.intersect1d(dec.overlap_elements[i],
                                   dec.ghost_elements[i]).size == 0
 
+    @pytest.mark.parametrize("layers", [0, 1, 2])
+    @pytest.mark.parametrize("graph", ["dual", "nodal"])
+    def test_layers_match_a_loop_over_subdomains(self, graph, layers):
+        """The overlaps and ghost rings, grown for all subdomains at once,
+        are the sorted element arrays of one matvec per subdomain and
+        layer, dtype included, on 3 x 3 subdomains of unequal
+        neighbourhoods."""
+        m = unit_square(12, 12)
+        g = getattr(msh, f"{graph}_graph")(m)
+        dec = msh.partition_structured(m, 3, 3)
+        msh.extend_overlap(dec, g, layers)
+        msh.ghost_layer(dec, m)
+        nodal = msh.nodal_graph(m)
+        for i in range(dec.num_subdomains):
+            ind = dec.owner == i
+            for _ in range(layers):
+                ind = ind | (g @ ind).astype(bool)
+            ring = (nodal @ ind).astype(bool) & ~ind
+            for got, expect in ((dec.overlap_elements[i], np.flatnonzero(ind)),
+                                (dec.ghost_elements[i], np.flatnonzero(ring))):
+                assert got.dtype == expect.dtype
+                np.testing.assert_array_equal(got, expect)
+
 
 class TestGraphs:
     def test_dual_graph_symmetric_bounded(self):

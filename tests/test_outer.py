@@ -199,12 +199,9 @@ class TestNks:
         assert rep.reason == ("linearization failed: LinAlgError: "
                               "stop after the first linearization")
         u0 = asm.initial_iterate(prob, dm)
-        plan = asm.global_plan(m, dm, prob)
-        values = np.empty(plan.nnz)
-        DF = asm.assemble_tangent(prob, m, dm, u0, plan=plan, values=values)
+        DF = asm.assemble_tangent(prob, m, dm, u0)
         R0 = P0.T.tocsr()
         subs = subdomains(prob, m, dm, dec)
-        blocks = outer._LocalBlocks(plan, subs, values)
 
         def precond(v):
             out = np.zeros_like(v)
@@ -223,22 +220,22 @@ class TestNks:
             assert (np.linalg.norm(got - oracle)
                     <= 1e-12 * np.linalg.norm(oracle))
             expect = np.zeros_like(x)
-            for i, (sub, lu) in enumerate(zip(subs, factors)):
+            for sub, lu in zip(subs, factors):
                 d = sub.dofs_ov
-                coupling = blocks.cut(i)[:, d.size:]
                 expect[d] += sub.weight * (
-                    lu.solve(coupling @ x[sub.ghosts]) + x[d])
+                    lu.solve(DF[d][:, sub.ghosts] @ x[sub.ghosts]) + x[d])
             # the coarse coupling R0 DF sums each row in column order
             expect += P0 @ sla.lu_solve(coarse[0].lu,
                                         (R0 @ DF).sorted_indices() @ x)
             np.testing.assert_array_equal(got, expect)
 
     def test_blocks_released_before_the_next_assembly(self, monkeypatch):
-        """Each Newton step releases the last step's blocks before it
-        assembles DF, and returns the pages of DF's shared values once the
-        owners have cut their blocks: at every assembly the caller holds no
-        block and the values read as zeros, while through GMRES it holds
-        the blocks of its own subdomains, 0, W, 2W, ...."""
+        """Each Newton step releases the last step's blocks before the
+        caller assembles DF, once, on the full-mesh plan: at every assembly
+        the caller holds no block, while through GMRES it holds the blocks
+        of its own subdomains, 0, W, 2W, ..., and no DF.  With W = 1 the
+        caller is the only process, so the solve assembles one full-mesh
+        tangent per outer step."""
         prob, m, dm, dec = diffusion_case()
         P0 = coarse_space(prob, m, dm, dec)
         made, assembled, solved = [], [], []
@@ -249,22 +246,21 @@ class TestNks:
                 made.append(self)
 
         def assemble(*args, _assemble=asm.assemble_tangent, **kwargs):
-            assembled.append((sorted(made[0].held),
-                              np.count_nonzero(kwargs["values"])))
+            assembled.append((sorted(made[0].held), kwargs["plan"].is_global))
             return _assemble(*args, **kwargs)
 
         def gmres(*args, _gmres=outer.gmres, **kwargs):
-            solved.append(sorted(made[0].held))
+            solved.append((sorted(made[0].held), made[0].DF is None))
             return _gmres(*args, **kwargs)
         monkeypatch.setattr(outer, "_LocalBlocks", Recorded)
         monkeypatch.setattr(asm, "assemble_tangent", assemble)
         monkeypatch.setattr(outer, "gmres", gmres)
         _, rep = solve_nks(prob, m, dm, dec, SolverConfig(), P0=P0)
         assert rep.converged and rep.outer_iterations >= 2
-        assert assembled == [([], 0)] * rep.outer_iterations
+        assert assembled == [([], True)] * rep.outer_iterations
         own = list(range(0, len(dec.overlap_elements),
                          owners.workers_from_env()))
-        assert solved == [own] * rep.outer_iterations
+        assert solved == [(own, True)] * rep.outer_iterations
 
     def test_builds_no_subdomain_plan(self, monkeypatch):
         """NKS cuts its blocks out of the full-mesh DF and reads each
@@ -308,15 +304,17 @@ class TestNks:
     @pytest.mark.parametrize("state", ["initial", "perturbed"])
     @pytest.mark.parametrize("config", CASES, ids=CASE_IDS)
     def test_gathered_blocks_equal_cut(self, config, state):
-        """Each [A_i | C_i] that `_LocalBlocks` cuts out of DF's values on
-        the plan's pattern has, in A_i, the data, indices and pointers of
-        the CSC cut DF[d][:, d] and, in the coupling of its `LocalTangent`,
-        the entries of DF[d] on the subdomain's ghost DOFs, outside which
-        the pattern's rows d have no column.  So it holds also when
-        the values of the other state were cut before, and the cut leaves
-        the values and the plan's index arrays as they were.  Every problem
-        has exact zeros in its blocks at the initial state, and the cavity
-        also at the perturbed one (its pressure block)."""
+        """On "factorize", `_LocalBlocks` assembles DF at the state in the
+        command's vector, as an owner other than the caller does, and each
+        [A_i | C_i] that it cuts from DF has, in A_i, the data, indices and
+        pointers of the CSC cut DF[d][:, d] and, in the coupling of its
+        `LocalTangent`, the entries of DF[d] on the subdomain's ghost DOFs,
+        outside which the pattern's rows d have no column.  So it holds
+        also when the blocks of the other state were cut before: the
+        release drops that DF, and so does the first solve.  Every problem
+        has exact zeros on its pattern at the initial state, and the
+        cavity also at the perturbed one (its pressure block), which DF
+        and so the blocks leave out."""
         prob, m, dm, px, py = cli._build_case(config, {})
         dec = cli._decompose(m, px, py, 2, nks=True)
         u0 = asm.initial_iterate(prob, dm)
@@ -326,35 +324,39 @@ class TestNks:
         other = "initial" if state == "perturbed" else "perturbed"
         plan = asm.global_plan(m, dm, prob)
         subs = subdomains(prob, m, dm, dec)
-        sub_dofs = [sub.dofs_ov for sub in subs]
-        values = np.empty(plan.nnz)
-        blocks = outer._LocalBlocks(plan, subs, values)
+        blocks = outer._LocalBlocks(lambda v: asm.assemble_tangent(
+            prob, m, dm, v, plan=plan), subs)
         pattern = sp.csc_matrix((np.ones(plan.nnz), plan.indices, plan.indptr),
                                 shape=(plan.n_rows, plan.n))
-        for name in (other, state):   # the same values, refilled
-            DF = asm.assemble_tangent(prob, m, dm, states[name], plan=plan,
-                                      values=values)
-            kept = [a.copy() for a in (values, plan.indices, plan.indptr)]
+        out = np.empty(0)
+        for name in (other, state):
+            for i in range(len(subs)):
+                blocks(i, None, None, out)
+            DF = asm.assemble_tangent(prob, m, dm, states[name], plan=plan)
             dropped = 0
-            for i, (sub, d) in enumerate(zip(subs, sub_dofs)):
+            for i in range(len(subs)):
+                blocks(i, "factorize", states[name].copy(), out)
+            for attr in ("data", "indices", "indptr"):
+                np.testing.assert_array_equal(getattr(blocks.DF, attr),
+                                              getattr(DF, attr))
+            for i, sub in enumerate(subs):
+                d, ghosts = sub.dofs_ov, sub.ghosts
                 got = blocks.cut(i)
-                ghosts = sub.ghosts
                 lead = got[:, :d.size]
                 cut = sp.csc_matrix(DF[d][:, d])
                 for attr in ("data", "indices", "indptr"):
                     np.testing.assert_array_equal(getattr(lead, attr),
                                                   getattr(cut, attr))
                     assert getattr(lead, attr).dtype == getattr(cut, attr).dtype
-                coupling = schwarz.LocalTangent.of(got, ghosts).coupling
-                assert (coupling != DF[d][:, ghosts]).nnz == 0
+                assert (blocks.held[i].coupling != DF[d][:, ghosts]).nnz == 0
                 outside = np.setdiff1d(np.arange(dm.n_dofs),
                                        np.concatenate([d, ghosts]))
                 assert pattern[d][:, outside].nnz == 0
                 dropped += pattern[d][:, d].nnz - lead.nnz
-            for before, after in zip(kept, (values, plan.indices,
-                                            plan.indptr)):
-                np.testing.assert_array_equal(after, before)
         assert (dropped > 0) == (state == "initial" or prob.kind == "ldc")
+        blocks(0, "solve", states[state], np.empty(subs[0].dofs_ov.size))
+        assert blocks.DF is None and sorted(blocks.held) == list(
+            range(len(subs)))
 
 
 class TestDecompositionChecked:
@@ -504,9 +506,9 @@ class TestFailuresRecorded:
         # an extra coarse column that is zero makes R0 DF P0 singular at the
         # first linearization, for NKS's coarse term and for the first step
         # of the Schwarz operator's coarse Newton alike; "copy" zeroes one
-        # row of NKS's second coarse tangent, which partial-pivoting LU
-        # meets as an exactly zero pivot for any rounding of the other
-        # entries
+        # column of P_0 for NKS's second coarse tangent, and so a row of
+        # A_0, which partial-pivoting LU meets as an exactly zero pivot for
+        # any rounding of the other entries
         prob, m, dm, px, py = cli._build_case(
             {"problem": "ldc", "re": 100, "subdomains": [2, 2], "hh": 6}, {})
         dec = cli._decompose(m, px, py, 2, nks=solver == "nks")
@@ -516,13 +518,13 @@ class TestFailuresRecorded:
         else:
             calls = []
 
-            def zero_row(P0, R0, DF, _of=outer.CoarseTangent.of):
+            def zero_row(P0, DF, _of=outer.CoarseTangent.of):
                 calls.append(1)
                 if len(calls) == 2:
-                    keep = np.ones(R0.shape[0])
+                    keep = np.ones(P0.shape[1])
                     keep[1] = 0.0
-                    R0 = sp.diags(keep) @ R0
-                return _of(P0, R0, DF)
+                    P0 = (P0 @ sp.diags(keep)).tocsr()
+                return _of(P0, DF)
             monkeypatch.setattr(outer.CoarseTangent, "of", zero_row)
         solve = solve_nks if solver == "nks" else solve_nonlinear_schwarz
         u, rep = solve(prob, m, dm, dec, SolverConfig(variant=solver), P0=P0)

@@ -1,6 +1,5 @@
 """The contract of `owners.OwnerPool`, on a toy task and no solver."""
 
-import mmap
 import multiprocessing
 import os
 
@@ -30,11 +29,11 @@ def written(pool):
     return np.array([out[0] for out in pool.outs])
 
 
-def toy_pool(extra):
+def toy_pool():
     """Subdomain i has the block [2i, 2i + 2) of the stacked results, the
     DOFs i and i + 1 of an (N + 1)-vector."""
     dofs = [np.array([i, i + 1]) for i in range(N)]
-    return OwnerPool(dofs, N + 1, [np.ones(2)] * N, extra=extra)
+    return OwnerPool(dofs, N + 1, [np.ones(2)] * N)
 
 
 @pytest.fixture(params=[1, 2, 3])
@@ -45,21 +44,15 @@ def workers(request, monkeypatch):
 
 @pytest.fixture
 def pool(workers):
-    with toy_pool(extra=3) as pool:
+    with toy_pool() as pool:
         yield pool
 
 
 def test_results_in_subdomain_order(pool):
     """Owner k runs subdomains k, k + W, ...; with W = 2 and 3 the owners
     hold unequal numbers of them.  `run` writes the vector the tasks read,
-    each task writes its own block of the stacked results, and the owners
-    read what the caller writes into `extra` after their start."""
-    def task(i, command, vector, out):
-        if command is not None:
-            out[1] = pool.extra[i % 3]
-        return toy(i, command, vector, out)
-
-    early, results = pool.run((), task, np.arange(N + 1.0))
+    and each task writes its own block of the stacked results."""
+    early, results = pool.run((), toy, np.arange(N + 1.0))
     assert early is None
     pids = [os.getpid()] + [proc.pid for proc in pool.procs]
     assert len(set(pids)) == pool.workers
@@ -67,9 +60,7 @@ def test_results_in_subdomain_order(pool):
     np.testing.assert_array_equal(pool.results[::2], np.arange(N))
     np.testing.assert_array_equal(pool.results[1::2], 0.0)
     np.testing.assert_array_equal(pool.combine(), [0, 1, 2, 3, 4, 0])
-    pool.extra[:] = [7.0, 8.0, 9.0]
-    pool.run((), task, np.ones(N + 1))
-    np.testing.assert_array_equal(pool.results[1::2], [7, 8, 9, 7, 8])
+    pool.run((), toy, np.ones(N + 1))
     np.testing.assert_array_equal(written(pool), 1.0)
 
 
@@ -133,30 +124,3 @@ def test_release_reaches_every_subdomain(pool):
     np.testing.assert_array_equal(pool.results[1::2], 1.0)
     assert pool.procs == procs
     assert all(proc.is_alive() for proc in procs)
-
-
-def test_freed_extra_reads_zeros_then_round_trips(workers):
-    """After `free_extra`, `extra` reads as zeros on the caller and on every
-    owner, both its two whole pages and the part that shares a page with
-    `vector`, which keeps its values, as do the results; a later write into
-    `extra` reaches the owners again."""
-    size = 2 * mmap.PAGESIZE // 8 + 3
-
-    def task(i, command, vector, out):
-        if command is not None:
-            out[:] = pool.extra[[i, size - 1 - i]]
-
-    with toy_pool(extra=size) as pool:
-        pool.extra[:] = np.arange(1.0, size + 1)
-        pool.run((), task, np.arange(N + 1.0))
-        stacked = pool.results.copy()
-        assert stacked.all()
-        pool.free_extra()
-        assert not pool.extra.any()
-        np.testing.assert_array_equal(pool.vector, np.arange(N + 1.0))
-        np.testing.assert_array_equal(pool.results, stacked)
-        pool.run((), task)
-        np.testing.assert_array_equal(pool.results, 0.0)
-        pool.extra[:] = -np.arange(1.0, size + 1)
-        pool.run((), task)
-        np.testing.assert_array_equal(pool.results, -stacked)

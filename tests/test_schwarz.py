@@ -861,8 +861,7 @@ class TestCoarseTangent:
     @staticmethod
     def tangent(route, case, P0, u):
         prob, m, dm, _ = case
-        q0 = schwarz.CoarseTangent.of(P0, P0.T,
-                                      asm.assemble_tangent(prob, m, dm, u))
+        q0 = schwarz.CoarseTangent.of(P0, asm.assemble_tangent(prob, m, dm, u))
         if route == "full mesh":
             return q0
         with SchwarzOperator(*case, variant="hybrid", P0=P0) as op:
@@ -898,8 +897,7 @@ class TestCoarseTangent:
             u[np.flatnonzero(np.diff(P0.indptr))[0]] = np.nan
         with pytest.raises(np.linalg.LinAlgError,
                            match="^coarse tangent is singular$"):
-            schwarz.CoarseTangent.of(P0, P0.T,
-                                     asm.assemble_tangent(prob, m, dm, u))
+            schwarz.CoarseTangent.of(P0, asm.assemble_tangent(prob, m, dm, u))
         with SchwarzOperator(*case, variant="hybrid", P0=P0) as op:
             A0 = op.coarse_matrix(u)
         with pytest.raises(np.linalg.LinAlgError,
